@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race bench bench-check fleet-soak crash-soak service-soak fuzz fuzz-smoke cover cover-flow
+.PHONY: check build test vet race bench bench-check bench-module fleet-soak crash-soak service-soak fuzz fuzz-smoke cover cover-flow
 
 check: vet build race bench-check fuzz-smoke service-soak
 
@@ -22,7 +22,7 @@ race:
 # shared-vs-private throughput artifact (BENCH_4.json), and the fpvmd
 # serving artifacts (BENCH_8.json: 1000 concurrent HTTP jobs at nominal
 # load plus 2x overload with shedding; BENCH_9.json: warm VM pool vs
-# cold per-slice construction with the pool hit rate).
+# cold per-job construction with the pool hit rate).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 	$(GO) run ./cmd/fpvm-bench -fig trace -json BENCH_7.json
@@ -59,6 +59,13 @@ service-soak:
 # virtual cycles, or a JIT that never engages) fails `make check`.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The benchmark in fpvmbench/ is its own Go module (it imports this one
+# through a replace), so the root `go build ./...` never compiles it.
+# Vet and test it against the current tree, so an API change it depends
+# on fails here rather than only when the benchmark runs.
+bench-module:
+	cd fpvmbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Coverage-guided differential fuzzing: generated guests run under the
 # oracle's config matrix, diffing trap streams and exit state against

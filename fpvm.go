@@ -19,6 +19,7 @@
 package fpvm
 
 import (
+	"errors"
 	"fmt"
 
 	"fpvm/internal/alt"
@@ -170,8 +171,9 @@ type Config struct {
 	// virtual cycles at the next event boundary (never mid-trap). Run then
 	// returns a Result with Preempted set and Snapshot holding the
 	// serialized VM, which Resume continues from — in this process or
-	// another one. Requires an alt system with a value codec (all shipped
-	// systems have one).
+	// another one; VM.RunSlice instead keeps the preempted VM live and
+	// continues it in place. Requires an alt system with a value codec
+	// (every shipped system has one; the precision policy does not).
 	PreemptQuantum uint64
 
 	// Observer, when set, receives a NaN-box-normalized architectural
@@ -341,14 +343,15 @@ type Result struct {
 	Policy *PolicyStats
 
 	// Preempted is set when Config.PreemptQuantum expired before the
-	// guest exited; Snapshot then holds the serialized VM (the checkpoint
-	// wire format) for Resume. A preempted Result reports the state so
-	// far: partial stdout, no exit code.
+	// guest exited. A preempted Result reports the state so far: partial
+	// stdout, no exit code. From Run or Resume, Snapshot holds the
+	// serialized VM (the checkpoint wire format) for Resume; from
+	// VM.RunSlice it is nil, because the VM itself stays live.
 	Preempted bool
 	Snapshot  []byte
 
-	// Resumed is set on Results produced by Resume (directly or after
-	// further preemptions).
+	// Resumed is set when the VM's state came from snapshot bytes
+	// (Resume or VM.Restore), on that slice and every later one.
 	Resumed bool
 
 	// Final is the NaN-box-normalized end-of-run architectural state
@@ -431,7 +434,11 @@ func RunNative(img *obj.Image) (*Result, error) {
 
 // Run executes img under FPVM with cfg.
 func Run(img *obj.Image, cfg Config) (*Result, error) {
-	return runVM(img, cfg, nil)
+	vm, err := Prepare(img, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return vm.Run()
 }
 
 // Resume continues a preempted run from its serialized snapshot (the
@@ -453,7 +460,14 @@ func Resume(img *obj.Image, cfg Config, snapshot []byte) (*Result, error) {
 	if err := snap.Validate(img.Hash(), sys.Name(), ConfigSignature(cfg)); err != nil {
 		return nil, err
 	}
-	return runVM(img, cfg, snap)
+	vm, err := Prepare(img, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := vm.restore(snap); err != nil {
+		return nil, err
+	}
+	return vm.spend()
 }
 
 // ConfigSignature fingerprints the configuration fields that affect
@@ -478,32 +492,54 @@ func ConfigSignature(cfg Config) string {
 	return sig
 }
 
-// VM is a fully constructed, not-yet-executed virtual machine: address
-// space mapped, image loaded, FPVM attached with wrappers installed,
-// entry point armed, MXCSR trapping. Prepare builds one; Run or Resume
-// consumes it. A VM is single-use — execution dirties the guest address
-// space — so a second Run/Resume on the same VM fails.
+// VM is one virtual machine: address space mapped, image loaded, FPVM
+// attached with wrappers installed, entry point armed, MXCSR trapping.
+// Prepare builds one. RunSlice executes it one preemption quantum at a
+// time, and a preempted VM stays live: the next RunSlice continues it in
+// place, with nothing serialized. Snapshot turns a preempted VM into
+// checkpoint wire bytes, and Restore loads such bytes into a fresh VM;
+// both are needed only when the state must leave the VM (a file, another
+// process). Run and Resume are the one-shot forms: one slice, and a
+// preempted VM comes back as bytes in Result.Snapshot and is spent.
 //
-// The split exists for warm pooling: a serving layer can construct VMs
-// ahead of demand (off the request path) and hand each job a pre-built
-// shell, paying only the step loop per request. Everything captured at
-// Prepare time is semantic configuration; the preemption quantum is a
-// scheduling knob (deliberately outside ConfigSignature) and may be
-// adjusted per slice with SetPreemptQuantum.
+// A VM lives for one job. Once it finishes (or is spent as bytes) every
+// further call fails. It is not safe for concurrent use, but may be
+// handed from one goroutine to another between slices.
+//
+// Prepare is split from execution for warm pooling: a serving layer can
+// construct VMs ahead of demand (off the request path) and hand each job
+// a pre-built shell. Everything captured at Prepare time is semantic
+// configuration; the preemption quantum is a scheduling knob
+// (deliberately outside ConfigSignature) and may be adjusted per slice
+// with SetPreemptQuantum.
 type VM struct {
-	img  *obj.Image
-	cfg  Config
-	sys  alt.System
-	m    *machine.Machine
-	k    *kernel.Kernel
-	p    *kernel.Process
-	rt   *fpvmrt.Runtime
-	used bool
+	img   *obj.Image
+	cfg   Config
+	sys   alt.System
+	m     *machine.Machine
+	k     *kernel.Kernel
+	p     *kernel.Process
+	rt    *fpvmrt.Runtime
+	phase vmPhase
+	steps uint64 // event boundaries executed so far; travels in snapshots
+	// fromBytes is set once Restore loaded the VM's state from a
+	// snapshot (Result.Resumed).
+	fromBytes bool
 }
+
+// vmPhase is a VM's position in its single life.
+type vmPhase uint8
+
+const (
+	vmFresh     vmPhase = iota // prepared; never run or restored
+	vmSuspended                // preempted or restored; RunSlice continues it
+	vmDone                     // finished, failed, or spent as bytes
+)
 
 // Prepare builds the full virtual machine for img without executing it.
 // The returned VM runs cfg's configuration exactly as Run(img, cfg)
-// would; Run/Resume on it are the execution halves of that call.
+// would; RunSlice, Run and Resume on it are the execution halves of that
+// call.
 func Prepare(img *obj.Image, cfg Config) (*VM, error) {
 	sys, err := newSystemFor(cfg)
 	if err != nil {
@@ -571,47 +607,116 @@ func Prepare(img *obj.Image, cfg Config) (*VM, error) {
 	return &VM{img: img, cfg: cfg, sys: sys, m: m, k: k, p: p, rt: rt}, nil
 }
 
-// SetPreemptQuantum adjusts the slice length before Run or Resume.
-// Quantum is excluded from ConfigSignature, so a VM prepared under one
-// quantum may execute (and resume snapshots taken) under another.
+// SetPreemptQuantum sets the length of the next slices. Quantum is
+// excluded from ConfigSignature, so a VM prepared under one quantum may
+// execute (and resume snapshots taken) under another.
 func (vm *VM) SetPreemptQuantum(q uint64) { vm.cfg.PreemptQuantum = q }
 
-// Run executes the prepared VM from its entry point.
-func (vm *VM) Run() (*Result, error) { return vm.exec(nil) }
+// Run executes a fresh VM from its entry point: to completion, or until
+// the preemption quantum expires, in which case the Result carries the
+// serialized VM in Snapshot and this VM is spent (Resume continues from
+// the bytes). RunSlice is the form that keeps a preempted VM live.
+func (vm *VM) Run() (*Result, error) {
+	if vm.phase != vmFresh {
+		return nil, errVMUsed
+	}
+	return vm.spend()
+}
 
-// Resume executes the prepared VM from a serialized snapshot, subject to
-// the same bindings as the package-level Resume: the snapshot must match
-// the VM's image hash, alt system and semantic configuration.
+// Resume restores a serialized snapshot into a fresh VM and runs it like
+// Run, subject to the same bindings as the package-level Resume: the
+// snapshot must match the VM's image hash, alt system and semantic
+// configuration.
 func (vm *VM) Resume(snapshot []byte) (*Result, error) {
+	if err := vm.Restore(snapshot); err != nil {
+		return nil, err
+	}
+	return vm.spend()
+}
+
+// Restore loads a serialized snapshot into a fresh VM without running
+// it; the next RunSlice continues from the snapshot's preemption point.
+// The snapshot must match the VM's image hash, alt system and semantic
+// configuration.
+func (vm *VM) Restore(snapshot []byte) error {
+	if vm.phase != vmFresh {
+		return errVMUsed
+	}
 	snap, err := checkpoint.Decode(snapshot)
+	if err != nil {
+		return err
+	}
+	if err := snap.Validate(vm.img.Hash(), vm.sys.Name(), ConfigSignature(vm.cfg)); err != nil {
+		return err
+	}
+	return vm.restore(snap)
+}
+
+// restore reinstates a decoded, validated snapshot into a fresh VM.
+func (vm *VM) restore(snap *checkpoint.Image) error {
+	// A failed restore leaves the VM half-written: never run it.
+	vm.phase = vmDone
+	if err := vm.rt.RestoreImage(snap); err != nil {
+		return err
+	}
+	vm.steps = snap.Steps
+	vm.fromBytes = true
+	vm.phase = vmSuspended
+	return nil
+}
+
+// Snapshot serializes a preempted (or restored, not yet run) VM into the
+// checkpoint wire format, bound to the image hash, alt system and
+// semantic configuration. The VM itself is untouched: its next RunSlice
+// continues in place, and Resume of the bytes in a fresh VM continues
+// bit-identically.
+func (vm *VM) Snapshot() ([]byte, error) {
+	if vm.phase != vmSuspended {
+		return nil, errors.New("fpvm: Snapshot needs a preempted VM")
+	}
+	wi, err := vm.rt.CaptureImage(vm.img.Hash(), ConfigSignature(vm.cfg), vm.steps)
 	if err != nil {
 		return nil, err
 	}
-	if err := snap.Validate(vm.img.Hash(), vm.sys.Name(), ConfigSignature(vm.cfg)); err != nil {
-		return nil, err
-	}
-	return vm.exec(snap)
+	return wi.Encode()
 }
 
-// exec is the step loop shared by Run and Resume: optionally reinstate a
-// decoded snapshot, then run to completion or the preemption quantum.
-func (vm *VM) exec(snap *checkpoint.Image) (*Result, error) {
-	if vm.used {
-		return nil, fmt.Errorf("fpvm: VM already executed (prepared VMs are single-use)")
-	}
-	vm.used = true
-	cfg, m, k, p, rt := vm.cfg, vm.m, vm.k, vm.p, vm.rt
+var (
+	errVMUsed = errors.New("fpvm: VM already executed or restored (Run, Resume and Restore need a fresh VM)")
+	errVMDone = errors.New("fpvm: VM has finished (a VM runs one job, once)")
+)
 
-	var steps uint64
-	if snap != nil {
-		if err := rt.RestoreImage(snap); err != nil {
-			return nil, err
-		}
-		steps = snap.Steps
+// spend runs one slice and hands a preempted VM off as bytes: the
+// one-shot contract of Run and Resume.
+func (vm *VM) spend() (*Result, error) {
+	res, err := vm.RunSlice()
+	if err != nil || !res.Preempted {
+		return res, err
 	}
+	if res.Snapshot, err = vm.Snapshot(); err != nil {
+		return nil, err
+	}
+	vm.phase = vmDone
+	return res, nil
+}
+
+// RunSlice executes the VM for one preemption quantum, or to completion
+// when the quantum is 0: from the entry point on a fresh VM, from where
+// it stopped on a preempted or restored one. A preempted Result reports
+// the state so far and carries no Snapshot; the VM stays live for the
+// next RunSlice (or Snapshot). Any other Result is final, and the VM is
+// done.
+func (vm *VM) RunSlice() (*Result, error) {
+	if vm.phase == vmDone {
+		return nil, errVMDone
+	}
+	cfg, m, p, rt := vm.cfg, vm.m, vm.p, vm.rt
 	if cfg.PreemptQuantum > 0 && !rt.CanSuspend() {
 		return nil, fmt.Errorf("fpvm: PreemptQuantum requires an alt system with a value codec (%q has none)", vm.sys.Name())
 	}
+	// Done until the slice ends in a clean preemption: a slice that
+	// errors (or panics) leaves nothing to continue.
+	vm.phase = vmDone
 
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
@@ -624,6 +729,7 @@ func (vm *VM) exec(snap *checkpoint.Image) (*Result, error) {
 	// flight and machine.CPU is authoritative).
 	var runErr error
 	preempted := false
+	steps := vm.steps // a local keeps the hot loop's counter in a register
 	sliceStart := m.Cycles
 	for p.Step() {
 		steps++
@@ -636,6 +742,7 @@ func (vm *VM) exec(snap *checkpoint.Image) (*Result, error) {
 			break
 		}
 	}
+	vm.steps = steps
 	if runErr == nil {
 		runErr = p.Err
 	}
@@ -643,49 +750,26 @@ func (vm *VM) exec(snap *checkpoint.Image) (*Result, error) {
 		runErr = rt.Err()
 	}
 
+	res := vm.result()
 	if preempted && runErr == nil {
-		wi, err := rt.CaptureImage(vm.img.Hash(), ConfigSignature(cfg), steps)
-		if err != nil {
-			return nil, err
-		}
-		data, err := wi.Encode()
-		if err != nil {
-			return nil, err
-		}
-		res := partialResult(p, m, k, rt)
 		res.Preempted = true
-		res.Snapshot = data
-		res.Resumed = snap != nil
-		if cfg.Inject != nil {
-			res.FaultReport = cfg.Inject.Report()
-		}
+		vm.phase = vmSuspended
 		return res, nil
 	}
-
-	res := partialResult(p, m, k, rt)
 	final := rt.CaptureFinal()
 	res.Final = &final
-	res.Resumed = snap != nil
-	if cfg.Inject != nil {
-		res.FaultReport = cfg.Inject.Report()
-	}
 	return res, runErr
 }
 
-// runVM builds the full virtual machine for img, optionally reinstates a
-// decoded snapshot, and runs to completion or the preemption quantum.
-func runVM(img *obj.Image, cfg Config, snap *checkpoint.Image) (*Result, error) {
-	vm, err := Prepare(img, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return vm.exec(snap)
-}
-
-// partialResult assembles the counter surface shared by completed and
-// preempted results.
-func partialResult(p *kernel.Process, m *machine.Machine, k *kernel.Kernel, rt *fpvmrt.Runtime) *Result {
-	return &Result{
+// result assembles the counter surface shared by completed and preempted
+// results. The Result owns copies of the live telemetry and profile: a
+// preempted VM keeps running, and an earlier slice's Result must not
+// change under whoever holds it. (A copy also means no Result keeps its
+// VM reachable.)
+func (vm *VM) result() *Result {
+	p, m, k, rt := vm.p, vm.m, vm.k, vm.rt
+	tel := rt.Tel
+	res := &Result{
 		Stdout:             p.Stdout.String(),
 		ExitCode:           p.ExitCode,
 		Cycles:             m.Cycles,
@@ -693,8 +777,8 @@ func partialResult(p *kernel.Process, m *machine.Machine, k *kernel.Kernel, rt *
 		FPInstructions:     m.FPInstructions,
 		Traps:              rt.Tel.Traps,
 		EmulatedInsts:      rt.Tel.EmulatedInsts,
-		Breakdown:          &rt.Tel,
-		SeqProfile:         rt.Profile,
+		Breakdown:          &tel,
+		SeqProfile:         rt.Profile.Clone(),
 		ShortActive:        rt.ShortActive,
 		GCRuns:             rt.GCRuns,
 		Promotions:         rt.Promotions,
@@ -724,7 +808,12 @@ func partialResult(p *kernel.Process, m *machine.Machine, k *kernel.Kernel, rt *
 		RollbackFailures:   rt.RollbackFailures,
 		Quarantines:        rt.Quarantines,
 		Policy:             rt.PolicyStats(),
+		Resumed:            vm.fromBytes,
 	}
+	if vm.cfg.Inject != nil {
+		res.FaultReport = vm.cfg.Inject.Report()
+	}
+	return res
 }
 
 // resolverFor builds the base dynamic-link namespace: program symbols

@@ -624,6 +624,21 @@ func (p *SeqProfile) AvgSeqLen() float64 {
 // NumTraces returns the number of distinct sequences observed.
 func (p *SeqProfile) NumTraces() int { return len(p.traces) }
 
+// Clone returns an independent copy of the profile (nil for nil), so a
+// holder of the copy never sees later Record calls.
+func (p *SeqProfile) Clone() *SeqProfile {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	c.traces = make(map[uint64]*TraceStat, len(p.traces))
+	for start, t := range p.traces {
+		tc := *t
+		c.traces[start] = &tc
+	}
+	return &c
+}
+
 // ByPopularity returns traces sorted by emulated-instruction contribution
 // (descending), the ordering behind Figures 7, 8 and 10.
 func (p *SeqProfile) ByPopularity() []*TraceStat {

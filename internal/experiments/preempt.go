@@ -29,6 +29,7 @@ type PreemptBenchRow struct {
 
 	// SnapshotBytes is the serialized VM size summed over every
 	// preemption — the migration traffic a distributed fleet would move.
+	// The in-process fleet hands live VMs between workers and moves none.
 	SnapshotBytes uint64 `json:"snapshot_bytes"`
 }
 

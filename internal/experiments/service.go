@@ -359,7 +359,7 @@ func servicePoolPhase(mode string, jobs int, logf func(string, ...any)) (*Servic
 
 // ServicePoolTable prints the warm-vs-cold pool comparison.
 func ServicePoolTable(w io.Writer, rows []ServicePoolRow) {
-	fmt.Fprintln(w, "fpvmd warm VM pool ablation: request-sized jobs, warm prebuilt shells vs cold per-slice construction")
+	fmt.Fprintln(w, "fpvmd warm VM pool ablation: request-sized jobs, warm prebuilt shells vs cold per-job construction")
 	fmt.Fprintln(w, "latencies are wall-clock (host-dependent); the regression signal is the hit rate and full completion")
 	fmt.Fprintf(w, "%6s %7s %8s %10s %10s %9s %9s %10s %9s\n",
 		"mode", "jobs", "workers", "prewarmed", "completed", "p50-ms", "p99-ms", "jobs/s", "hit-rate")

@@ -7,21 +7,22 @@
 // virtualization amortize at serving scale — request-sized guests pay the
 // decode/trace-build warm-up once per fleet instead of once per VM.
 //
-// Everything else is per-VM by construction: fpvm.Run builds a fresh
-// stack per call, and job Configs are copied by value. Shared caches are
-// created here, one per distinct program image (pre-decoded state is only
-// valid for the image it came from; fpvm.Run enforces this via
-// SharedCache.Bind).
+// Everything else is per-VM by construction: each job gets its own VM
+// from fpvm.Prepare, used by that job alone and dropped when it ends, and
+// job Configs are copied by value. Shared caches are created here, one
+// per distinct program image (pre-decoded state is only valid for the
+// image it came from; fpvm.Prepare enforces this via SharedCache.Bind).
 //
 // With Options.PreemptQuantum set, jobs no longer own a worker for their
-// whole lifetime: each scheduling turn runs one virtual-cycle slice, the
-// preempted VM is serialized into a checkpoint wire image, and the task
-// returns to a work-stealing runqueue ordered by virtual-clock backlog —
-// the next free worker steals the most-behind job, so a long-running
-// guest migrates freely between workers. With Options.SnapshotDir also
-// set, every preemption persists the snapshot atomically on disk and
-// Recover can resume a SIGKILLed fleet from the surviving files,
-// bit-identical to an uninterrupted run.
+// whole lifetime: each scheduling turn runs one virtual-cycle slice
+// (fpvm.VM.RunSlice), and the task — live VM included — returns to a
+// work-stealing runqueue ordered by virtual-clock backlog. The next free
+// worker steals the most-behind job and continues its VM in place, so a
+// long-running guest migrates freely between workers without being
+// serialized. With Options.SnapshotDir also set, every preemption also
+// writes the VM's snapshot atomically on disk, and Recover can resume a
+// SIGKILLed fleet from the surviving files, bit-identical to an
+// uninterrupted run.
 package fleet
 
 import (
@@ -87,15 +88,15 @@ type Options struct {
 
 	// PreemptQuantum, when > 0, preempts every job after roughly that
 	// many virtual cycles at the next event boundary and returns it to
-	// the runqueue as a serialized snapshot, enabling migration between
-	// workers and (with SnapshotDir) crash recovery. Requires every
-	// job's alt system to have a value codec.
+	// the runqueue with its VM still live, so any worker can continue it
+	// (migration). Nothing is serialized unless SnapshotDir is set.
+	// Requires every job's alt system to have a value codec.
 	PreemptQuantum uint64
 
-	// SnapshotDir, when non-empty, persists each preempted job's
-	// snapshot there (atomically, one file per job) and removes it when
-	// the job completes. After a crash, Recover scans the directory and
-	// resumes the surviving jobs.
+	// SnapshotDir, when non-empty, serializes each preempted job's VM
+	// and persists the snapshot there (atomically, one file per job, at
+	// every preemption), removing it when the job completes. After a
+	// crash, Recover scans the directory and resumes the surviving jobs.
 	SnapshotDir string
 }
 
@@ -154,8 +155,8 @@ type Report struct {
 	Migrations  int
 	Resumed     int
 
-	// PersistFailures counts snapshots that could not be written to
-	// SnapshotDir. Execution continues from the in-memory snapshot —
+	// PersistFailures counts snapshots that could not be captured or
+	// written to SnapshotDir. Execution continues on the live VM —
 	// correctness is unaffected, only crash durability is degraded.
 	PersistFailures int
 
@@ -229,13 +230,15 @@ func (r *Report) VirtualThroughput() float64 {
 }
 
 // task is one job's scheduler state. Ownership passes through the
-// runqueue: exactly one worker holds a task at a time, so its fields
-// need no locking.
+// runqueue: exactly one worker holds a task at a time, so its fields —
+// the live VM included — need no locking of their own; the runqueue lock
+// orders each handoff.
 type task struct {
 	idx         int
-	snapshot    []byte // nil: start (or restart) from the entry point
-	cycles      uint64 // virtual cycles consumed so far — the backlog key
-	lastWorker  int    // -1: never ran in this process
+	vm          *fpvm.VM // live VM between slices; nil before the first
+	seed        []byte   // Recover's snapshot, restored into the first VM
+	cycles      uint64   // virtual cycles consumed so far — the backlog key
+	lastWorker  int      // -1: never ran in this process
 	preemptions int
 	migrations  int
 	resumed     bool // started from an on-disk snapshot
@@ -442,7 +445,7 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 	for i := range jobs {
 		t := &task{idx: i, lastWorker: -1}
 		if sd, ok := resume[i]; ok {
-			t.snapshot = sd.data
+			t.seed = sd.data
 			t.cycles = sd.cycles
 			t.resumed = true
 		}
@@ -462,23 +465,20 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 					return
 				}
 				job := &jobs[t.idx]
-				cfg := job.Config // copy: never mutate the caller's Config
-				if shared != nil {
-					cfg.Shared = shared[job.Image]
+				q := opts.PreemptQuantum
+				if q == 0 {
+					q = job.Config.PreemptQuantum
 				}
-				if opts.PreemptQuantum > 0 {
-					cfg.PreemptQuantum = opts.PreemptQuantum
-				}
-				if job.DeadlineCycles > 0 && cfg.PreemptQuantum > 0 {
+				if job.DeadlineCycles > 0 && q > 0 {
 					// Cap the slice at the remaining deadline budget so the
 					// cancellation lands on the same trap boundary a live
 					// deadline-bounded run would stop at. A quantum of 0
 					// would disable preemption entirely, so an (already
 					// spent) budget still runs a minimal 1-cycle slice.
 					if rem := job.DeadlineCycles - t.cycles; job.DeadlineCycles <= t.cycles {
-						cfg.PreemptQuantum = 1
-					} else if rem < cfg.PreemptQuantum {
-						cfg.PreemptQuantum = rem
+						q = 1
+					} else if rem < q {
+						q = rem
 					}
 				}
 				if t.lastWorker >= 0 && t.lastWorker != w {
@@ -487,30 +487,27 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 				t.lastWorker = w
 
 				t0 := time.Now()
-				res, err := runSlice(job, cfg, t.snapshot)
+				res, err := runSlice(job, t, shared[job.Image], q)
 				t.elapsed += time.Since(t0)
 
 				deadlined := false
-				if err == nil && res != nil && res.Preempted {
+				if err == nil && res.Preempted {
 					t.preemptions++
-					t.snapshot = res.Snapshot
 					t.cycles = res.Cycles
 					if job.DeadlineCycles > 0 && t.cycles >= job.DeadlineCycles {
 						// Deadline blown: cancel at this trap boundary with
 						// the partial result instead of requeueing.
 						deadlined = true
 					} else {
-						if snapDir != "" {
-							path := snapshotPath(snapDir, t.idx, job.Name)
-							if werr := checkpoint.WriteFileAtomic(path, res.Snapshot); werr != nil {
-								persistFailures.Add(1)
-							}
+						if snapDir != "" && persist(t.vm, snapshotPath(snapDir, t.idx, job.Name)) != nil {
+							persistFailures.Add(1)
 						}
 						s.put(t)
 						continue
 					}
 				}
 
+				t.vm = nil // the job is over; its VM goes with it
 				rep.Results[t.idx] = JobResult{
 					Name:             job.Name,
 					Result:           res,
@@ -556,21 +553,51 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 	return rep
 }
 
-// runSlice executes one scheduling turn of a job — a fresh start or a
-// snapshot resumption — with panic isolation: a worker that panics
-// inside the VM stack reports the panic as that job's error instead of
-// taking down the whole fleet.
-func runSlice(job *Job, cfg fpvm.Config, snapshot []byte) (res *fpvm.Result, err error) {
+// runSlice executes one scheduling turn of a job on its VM — built on
+// the first turn (and loaded from a Recover seed, if any), continued in
+// place after that — with panic isolation: a worker that panics inside
+// the VM stack reports the panic as that job's error instead of taking
+// down the whole fleet.
+func runSlice(job *Job, t *task, shared *fpvm.SharedCache, quantum uint64) (res *fpvm.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
 			err = fmt.Errorf("fleet: job %q panicked: %v", job.Name, p)
 		}
 	}()
-	if snapshot != nil {
-		return fpvm.Resume(job.Image, cfg, snapshot)
+	if t.vm == nil {
+		cfg := job.Config // copy: never mutate the caller's Config
+		cfg.Shared = shared
+		vm, err := fpvm.Prepare(job.Image, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if t.seed != nil {
+			if err := vm.Restore(t.seed); err != nil {
+				return nil, err
+			}
+			t.seed = nil
+		}
+		t.vm = vm
 	}
-	return fpvm.Run(job.Image, cfg)
+	t.vm.SetPreemptQuantum(quantum)
+	return t.vm.RunSlice()
+}
+
+// persist writes vm's snapshot to path atomically. A panic while
+// capturing is contained like runSlice's and counts as a failed persist:
+// capture only reads the VM, so the job can continue.
+func persist(vm *fpvm.VM, path string) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("fleet: snapshot capture panicked: %v", p)
+		}
+	}()
+	data, err := vm.Snapshot()
+	if err != nil {
+		return err
+	}
+	return checkpoint.WriteFileAtomic(path, data)
 }
 
 // snapshotPath names job idx's snapshot file: fleet-<idx>-<name>.snap.

@@ -7,6 +7,7 @@ import (
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fleet"
 	"fpvm/internal/obj"
+	"fpvm/internal/oracle"
 	"fpvm/internal/workloads"
 )
 
@@ -248,4 +249,58 @@ func TestFleetDetachedIsNotFailure(t *testing.T) {
 			t.Errorf("job %d: detached guest output diverged from clean run", i)
 		}
 	}
+}
+
+// TestResidentJobMigratesBitIdentical: without a snapshot directory a
+// preempted job keeps its live VM, and a migration hands that VM to
+// another worker. Jobs that migrated must still match their unsliced
+// runs bit for bit: stdout, virtual cycles, trap stream and final state.
+// Private caches keep each job's cycle accounting independent of what
+// its neighbours decoded first.
+func TestResidentJobMigratesBitIdentical(t *testing.T) {
+	imgs := microImages(t)
+	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
+	jobs := microJobs(imgs, 2, cfg)
+	streams := make([][]oracle.TrapRec, len(jobs))
+	for i := range jobs {
+		i := i
+		jobs[i].Config.Observer = func(st *fpvm.TrapState) { streams[i] = append(streams[i], oracle.Digest(st)) }
+	}
+	rep := fleet.Run(jobs, fleet.Options{Workers: 2, PreemptQuantum: 100_000})
+	if rep.Failures != 0 {
+		t.Fatalf("resident fleet failed:\n%s", rep.Summary())
+	}
+
+	migrated := 0
+	for i, jr := range rep.Results {
+		if jr.Migrations == 0 {
+			continue
+		}
+		migrated++
+		var refRecs []oracle.TrapRec
+		refCfg := cfg
+		refCfg.Observer = func(st *fpvm.TrapState) { refRecs = append(refRecs, oracle.Digest(st)) }
+		ref, err := fpvm.Run(jobs[i].Image, refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := jr.Result
+		if res.Stdout != ref.Stdout || res.Cycles != ref.Cycles || res.ExitCode != ref.ExitCode {
+			t.Errorf("%s (%d migrations): observables diverged (cycles %d vs %d)",
+				jr.Name, jr.Migrations, res.Cycles, ref.Cycles)
+		}
+		if k := oracle.CompareStreams(refRecs, streams[i]); k != -1 {
+			t.Errorf("%s: trap stream diverged at trap #%d", jr.Name, k+1)
+		}
+		if d := oracle.DiffFinal(ref.Final, res.Final); d != "" {
+			t.Errorf("%s: final state diverged: %s", jr.Name, d)
+		}
+		if res.Resumed {
+			t.Errorf("%s: a resident job reports Resumed (its state never came from bytes)", jr.Name)
+		}
+	}
+	if migrated == 0 {
+		t.Fatalf("no job migrated (%d preemptions); the test exercised nothing", rep.Preemptions)
+	}
+	t.Logf("%d of %d jobs migrated; %d preemptions, %d migrations", migrated, len(jobs), rep.Preemptions, rep.Migrations)
 }

@@ -9,9 +9,10 @@ import (
 // the repo implements, grouped by trap-boundary semantics.
 //
 //   - boxed-seq: sequence emulation with trace replay, signal vs
-//     short-circuit delivery, two checkpoint cadences, and a 4-VM fleet
-//     on a shared cache — all must take identical trap streams, and the
-//     group must match native bit for bit at exit.
+//     short-circuit delivery, two checkpoint cadences, a 4-VM fleet on a
+//     shared cache, and the preemption axis (50k-cycle slices, resident
+//     and serialize-every-slice) — all must take identical trap streams,
+//     and the group must match native bit for bit at exit.
 //   - boxed/SEQ-notrace: same semantics with replay off. Trap boundaries
 //     legitimately differ from the replay group (a trace ends where it
 //     was recorded, not where a fresh walk would stop), so it anchors to
@@ -27,7 +28,9 @@ import (
 //     checkpointing, fleet sharing — all invisible in the trap stream by
 //     construction) plus a trace-off twin joined through an exit group.
 //     Like mpfr, they are internally consistent only: their arithmetic
-//     deliberately differs from IEEE, so no VsNative anchoring.
+//     deliberately differs from IEEE, so no VsNative anchoring. The
+//     interval group also carries the preemption axis, so slicing is
+//     proved on a non-IEEE value codec too.
 func DefaultMatrix() []Spec {
 	return []Spec{
 		{Name: "boxed/SEQ", Seq: true, Group: "boxed-seq", VsNative: true},
@@ -42,6 +45,11 @@ func DefaultMatrix() []Spec {
 		// stream — and the ablation pair anchors to native at exit too.
 		{Name: "boxed/SEQ-jit1", Seq: true, JITThr: 1, Group: "boxed-seq", VsNative: true},
 		{Name: "boxed/SEQ-nojit", Seq: true, NoJIT: true, Group: "boxed-seq", VsNative: true},
+		// Preemption axis: the same run cut into 50k-cycle slices, either
+		// continuing the live VM each slice or round-tripping it through
+		// snapshot bytes into a fresh VM. Both must be invisible.
+		{Name: "boxed/SEQ-resident", Seq: true, Preempt: slice50k, Group: "boxed-seq", VsNative: true},
+		{Name: "boxed/SEQ-serialize", Seq: true, Preempt: slice50k, Serialize: true, Group: "boxed-seq", VsNative: true},
 		{Name: "boxed/SEQ-notrace", Seq: true, NoTrace: true, VsNative: true},
 		{Name: "boxed/NONE", Group: "boxed-none", VsNative: true},
 		{Name: "boxed/SHORT", Short: true, Group: "boxed-none"},
@@ -58,12 +66,18 @@ func DefaultMatrix() []Spec {
 		{Name: "interval/SEQ", Alt: "interval", Seq: true, Group: "interval-seq", ExitGroup: "interval-exit"},
 		{Name: "interval/SEQ-jit1", Alt: "interval", Seq: true, JITThr: 1, Group: "interval-seq"},
 		{Name: "interval/SEQ-fleet4", Alt: "interval", Seq: true, Fleet: 4, Group: "interval-seq"},
+		{Name: "interval/SEQ-resident", Alt: "interval", Seq: true, Preempt: slice50k, Group: "interval-seq"},
+		{Name: "interval/SEQ-serialize", Alt: "interval", Seq: true, Preempt: slice50k, Serialize: true, Group: "interval-seq"},
 		{Name: "interval/SEQ-notrace", Alt: "interval", Seq: true, NoTrace: true, ExitGroup: "interval-exit"},
 		{Name: "rational/SEQ", Alt: "rational", Seq: true, Group: "rational-seq", ExitGroup: "rational-exit"},
 		{Name: "rational/SEQ+ckpt25", Alt: "rational", Seq: true, Ckpt: 25, Group: "rational-seq"},
 		{Name: "rational/SEQ-notrace", Alt: "rational", Seq: true, NoTrace: true, ExitGroup: "rational-exit"},
 	}
 }
+
+// slice50k is the preemption axis's quantum: small enough that every
+// request-sized workload is cut into dozens of slices.
+const slice50k = 50_000
 
 // FuzzMatrix is the lean matrix the fuzzer drives per input: one spec per
 // distinct trap-boundary/arithmetic semantics plus the cheap same-group

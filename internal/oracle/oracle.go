@@ -80,6 +80,16 @@ type Spec struct {
 	// exact trap stream and final state.
 	Fleet int
 
+	// Preempt, when > 0, is the preemption axis: the spec runs through
+	// package fpvm's VM API in slices of this many virtual cycles. By
+	// default every slice continues the live VM (VM.RunSlice, resident
+	// slicing); Serialize instead hands each preempted VM off as
+	// snapshot bytes and resumes them in a fresh VM (VM.Run, then
+	// VM.Resume per slice). Slicing is invisible to the guest, so both
+	// belong to their unsliced twin's Group.
+	Preempt   uint64
+	Serialize bool
+
 	// Group keys trap-stream comparison: all specs with the same
 	// non-empty Group must produce identical per-trap state streams. The
 	// first spec listed in a group is its reference. Specs whose trap
@@ -291,6 +301,7 @@ func RunNative(prog Program, maxSteps uint64) *Capture {
 
 // Run executes prog under spec and captures the per-trap digest stream,
 // final normalized state, normalized dirtied memory and telemetry.
+// Preemption-axis specs run through the registered SliceRunner.
 // wantIdx, when non-zero, additionally retains the complete TrapState at
 // that trap ordinal (divergence re-runs). shared, when non-nil, backs the
 // VM's cache (fleet specs).
@@ -302,29 +313,8 @@ func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.Sh
 		// twin's, so FutureHW specs must not share a Group with it).
 		img = prog.Native
 	}
-	as := mem.NewAddressSpace()
-	m := machine.New(as)
-	k := kernel.New()
-	if spec.Short {
-		k.LoadModule()
-	}
-	p := kernel.NewProcess(k, m, prog.Name)
-	lib := hostlib.Install(p)
-
 	c := &Capture{Spec: spec}
-	icfg := fpvmrt.Config{
-		Alt:                spec.altSystem(opt.precision()),
-		Seq:                spec.Seq,
-		Short:              spec.Short,
-		NoTraceCache:       spec.NoTrace,
-		NoJIT:              spec.NoJIT,
-		JITThreshold:       spec.JITThr,
-		EmulateAll:         spec.EmulateAll,
-		FutureHW:           spec.FutureHW,
-		CheckpointInterval: spec.Ckpt,
-		Shared:             shared,
-	}
-	icfg.Observer = func(st *fpvmrt.TrapState) {
+	observe := func(st *fpvmrt.TrapState) {
 		// A rollback rewinds the trap ordinal with the restored timeline;
 		// truncate so the stream reflects the surviving history.
 		if n := int(st.Index); n <= len(c.Recs) {
@@ -336,8 +326,41 @@ func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.Sh
 			c.Full = &full
 		}
 	}
+	if spec.Preempt > 0 {
+		if sliceRunner == nil {
+			c.RunErr = fmt.Errorf("oracle: spec %s slices through package fpvm's VM API, which is not linked into this program", spec.Name)
+			return c
+		}
+		p, rt, err := sliceRunner(img, spec, opt.precision(), opt.maxSteps(), observe)
+		c.RunErr = err
+		if p != nil {
+			c.finish(p, rt, img)
+		}
+		return c
+	}
 
-	rt, err := fpvmrt.Attach(p, icfg)
+	as := mem.NewAddressSpace()
+	m := machine.New(as)
+	k := kernel.New()
+	if spec.Short {
+		k.LoadModule()
+	}
+	p := kernel.NewProcess(k, m, prog.Name)
+	lib := hostlib.Install(p)
+
+	rt, err := fpvmrt.Attach(p, fpvmrt.Config{
+		Alt:                spec.altSystem(opt.precision()),
+		Seq:                spec.Seq,
+		Short:              spec.Short,
+		NoTraceCache:       spec.NoTrace,
+		NoJIT:              spec.NoJIT,
+		JITThreshold:       spec.JITThr,
+		EmulateAll:         spec.EmulateAll,
+		FutureHW:           spec.FutureHW,
+		CheckpointInterval: spec.Ckpt,
+		Shared:             shared,
+		Observer:           observe,
+	})
 	if err != nil {
 		c.RunErr = err
 		return c
@@ -357,14 +380,36 @@ func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.Sh
 	if c.RunErr == nil {
 		c.RunErr = rt.Err()
 	}
+	c.finish(p, rt, img)
+	return c
+}
+
+// finish captures a finished run's exit state from its process and
+// runtime: stdout, exit code, telemetry, the normalized final register
+// state and the normalized dirtied memory of image img.
+func (c *Capture) finish(p *kernel.Process, rt *fpvmrt.Runtime, img *obj.Image) {
 	c.Stdout = p.Stdout.String()
 	c.ExitCode = p.ExitCode
 	c.Detached = rt.Detached()
 	c.Tel = rt.Tel
 	c.Final = rt.CaptureFinal()
-	c.Mem = capturePages(as, rt.NormalizeBits, gotSlots(img), m.CPU.GPR[isa.RSP])
-	return c
+	c.Mem = capturePages(p.M.Mem, rt.NormalizeBits, gotSlots(img), p.M.CPU.GPR[isa.RSP])
 }
+
+// SliceRunner runs img under a preemption-axis spec (Spec.Preempt > 0)
+// through package fpvm's VM API, feeding every handled trap to observe,
+// and returns the process and runtime of the VM that ran the last slice
+// (nil when none was built) with the run's error.
+type SliceRunner func(img *obj.Image, spec Spec, precision uint, maxSteps uint64,
+	observe func(*fpvmrt.TrapState)) (*kernel.Process, *fpvmrt.Runtime, error)
+
+var sliceRunner SliceRunner
+
+// RegisterSliceRunner installs the runner for preemption-axis specs.
+// Package fpvm registers its VM API when it is initialized: that package
+// imports this one (through internal/analysis), so the oracle cannot
+// import it back.
+func RegisterSliceRunner(r SliceRunner) { sliceRunner = r }
 
 func mapStackHeap(as *mem.AddressSpace) {
 	as.Map("stack", obj.StackTop-obj.StackSize, obj.StackSize, mem.PermRW)

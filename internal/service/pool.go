@@ -42,8 +42,9 @@ type warmShell struct {
 // machine, kernel, heap, Runtime attached against the image's shared
 // cache) on bounded per-image free-lists. Checkout pops a shell off the
 // request path and kicks an asynchronous refill, so steady-state jobs
-// pay only the step loop per slice; misses fall back to cold
-// construction at the call site. Quarantine invalidates an image's
+// pay only the step loop; misses fall back to cold construction at the
+// call site. A job checks out once and keeps its VM for every slice;
+// shells never return to the pool. Quarantine invalidates an image's
 // shells outright — a distrusted image's pre-built state is never
 // served.
 type vmPool struct {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fpvm"
+	"fpvm/internal/faultinject"
 )
 
 // Satellite (a): deadline semantics must not diverge between a live run
@@ -287,5 +288,61 @@ func TestRefundSurvivesBucketEviction(t *testing.T) {
 	}
 	if b.tokens != 1 { // burst(1) − the taken token + the refund, capped at burst
 		t.Fatalf("recreated bucket holds %v tokens, want the 1 refunded token", b.tokens)
+	}
+}
+
+// A drained job's snapshot is persisted once per preemption. Pre-fix,
+// execute persisted the preemption and suspend then persisted the same
+// bytes again: two more fsyncs, and a second svc.persist fault check, so
+// a single injected persist fault could never forfeit a drained job's
+// snapshot. The injector arms no rule here; it only counts the checks.
+func TestDrainPersistsSuspendedJobOnce(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultinject.New(1)
+	s := New(Config{Workers: 1, PreemptQuantum: 50_000, SnapshotDir: dir, Inject: inj})
+	dispatched := make(chan struct{})
+	s.testHookDispatch = func(*job) {
+		close(dispatched)
+		for !s.isDraining() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	e := registerLorenz(t, s)
+
+	out := make(chan *JobOutcome, 1)
+	go func() { out <- s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed}) }()
+	<-dispatched
+	if n := s.Drain(); n != 1 {
+		t.Fatalf("Drain suspended %d jobs, want 1", n)
+	}
+	if o := <-out; o.Status != StatusSuspended {
+		t.Fatalf("job ended %s (%s), want suspended after its first slice", o.Status, o.Detail)
+	}
+	if got := inj.Stats(faultinject.SiteSvcPersist).Checks; got != 1 {
+		t.Fatalf("svc.persist consulted %d times for one preemption of one drained job; want 1", got)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "job-*.snap"))
+	if len(snaps) != 1 {
+		t.Fatalf("drained job left %d snapshot files, want 1", len(snaps))
+	}
+}
+
+// Every slice of a job runs on the VM it was dispatched with: one pool
+// checkout per job, however many slices the job takes.
+func TestOnePoolCheckoutPerJob(t *testing.T) {
+	s := startService(t, Config{Workers: 1, PreemptQuantum: 50_000})
+	e := registerLorenz(t, s)
+	const jobs = 3
+	for i := 0; i < jobs; i++ {
+		if o := s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed}); o.Status != StatusCompleted {
+			t.Fatalf("job %d ended %s (%s)", i, o.Status, o.Detail)
+		}
+	}
+	st := s.PoolStats()
+	if got := st.Hits + st.Misses; got != jobs {
+		t.Fatalf("%d pool checkouts for %d multi-slice jobs; want one per job", got, jobs)
 	}
 }

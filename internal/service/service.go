@@ -167,10 +167,11 @@ type Config struct {
 	// PoolSize is the warm VM pool's free-list target per registered
 	// image (and alt/precision variant): that many pre-built VM shells
 	// stay parked, refilled asynchronously after checkouts, so
-	// steady-state jobs skip per-slice VM construction (0 = Workers).
+	// steady-state jobs skip VM construction (0 = Workers). A job checks
+	// out one VM and runs all its slices on it.
 	PoolSize int
 
-	// NoPool disables warm VM pooling entirely — every slice constructs
+	// NoPool disables warm VM pooling entirely — every job constructs
 	// its VM cold. The ablation baseline for the warm-vs-cold bench.
 	NoPool bool
 }
@@ -877,9 +878,23 @@ func (s *Service) execute(j *job) {
 	}
 	// Per-job fault injection changes the VM config, so those jobs
 	// bypass the warm pool: a pooled shell must be exactly jobVMConfig.
-	usePool := s.pool != nil && cfg.Inject == nil
+	var vm *fpvm.VM
+	if s.pool != nil && cfg.Inject == nil {
+		vm = s.pool.checkout(j.entry, j.req.Alt, j.req.Precision)
+	}
+	if vm == nil {
+		var perr error
+		vm, perr = fpvm.Prepare(j.entry.Image, cfg)
+		if perr != nil {
+			s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
+				Status: StatusFailed, Detail: perr.Error()})
+			return
+		}
+	}
 
-	var snap []byte
+	// One VM per job: every slice continues it in place. It is local to
+	// this call, so every way out — terminal status, deadline, drain,
+	// panic — drops it, and no job's state ever reaches another job.
 	var cycles uint64
 	for {
 		q := s.cfg.quantum()
@@ -889,29 +904,8 @@ func (s *Service) execute(j *job) {
 				q = rem
 			}
 		}
-
-		var vm *fpvm.VM
-		if usePool {
-			vm = s.pool.checkout(j.entry, j.req.Alt, j.req.Precision)
-		}
-		if vm == nil {
-			var perr error
-			vm, perr = fpvm.Prepare(j.entry.Image, cfg)
-			if perr != nil {
-				s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
-					Status: StatusFailed, Detail: perr.Error()})
-				return
-			}
-		}
 		vm.SetPreemptQuantum(q)
-
-		var res *fpvm.Result
-		var err error
-		if snap == nil {
-			res, err = vm.Run()
-		} else {
-			res, err = vm.Resume(snap)
-		}
+		res, err := vm.RunSlice()
 
 		if err != nil && (res == nil || !res.Detached) {
 			s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
@@ -920,9 +914,8 @@ func (s *Service) execute(j *job) {
 		}
 
 		if res.Preempted {
-			snap = res.Snapshot
 			cycles = res.Cycles
-			s.persist(j, snap)
+			s.persist(j, vm)
 
 			if j.deadline > 0 && cycles >= j.deadline {
 				// Deadline blown: cancelled at the trap boundary; the
@@ -932,7 +925,7 @@ func (s *Service) execute(j *job) {
 				return
 			}
 			if s.isDraining() {
-				s.suspend(j, snap, res)
+				s.suspend(j, res)
 				return
 			}
 			continue
@@ -966,10 +959,11 @@ func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string
 	return o
 }
 
-// persist writes a job's preemption snapshot for crash durability. An
-// injected persist fault (or a real write failure) degrades durability
-// only: the in-memory snapshot keeps the job running.
-func (s *Service) persist(j *job, snap []byte) {
+// persist serializes a preempted job's VM and writes the snapshot for
+// crash durability — once per preemption, drain included. An injected
+// persist fault (or a real capture or write failure) degrades durability
+// only: the live VM keeps the job running.
+func (s *Service) persist(j *job, vm *fpvm.VM) {
 	if s.cfg.SnapshotDir == "" {
 		return
 	}
@@ -978,19 +972,22 @@ func (s *Service) persist(j *job, snap []byte) {
 		s.met.bump(&s.met.persistDegraded)
 		return
 	}
-	path := filepath.Join(s.cfg.SnapshotDir, "job-"+j.id+".snap")
-	if err := checkpoint.WriteFileAtomic(path, snap); err != nil {
+	snap, err := vm.Snapshot()
+	if err == nil {
+		err = checkpoint.WriteFileAtomic(filepath.Join(s.cfg.SnapshotDir, "job-"+j.id+".snap"), snap)
+	}
+	if err != nil {
 		s.met.bump(&s.met.persistFailures)
 	}
 }
 
-// suspend parks an in-flight job during drain: snapshot persisted, no
-// done record (the journal keeps it pending for the next instance), the
-// waiting client told it's suspended. The suspension counter is bumped
-// here, at the event — Drain's return value must not depend on the
-// bounded outcome store still holding every suspended outcome.
-func (s *Service) suspend(j *job, snap []byte, res *fpvm.Result) {
-	s.persist(j, snap)
+// suspend parks an in-flight job during drain: its last preemption's
+// snapshot is already persisted, no done record is written (the journal
+// keeps it pending for the next instance), and the waiting client is
+// told it's suspended. The suspension counter is bumped here, at the
+// event — Drain's return value must not depend on the bounded outcome
+// store still holding every suspended outcome.
+func (s *Service) suspend(j *job, res *fpvm.Result) {
 	o := s.outcomeFrom(j, res, StatusSuspended,
 		"daemon draining; job suspended for recovery")
 	s.mu.Lock()

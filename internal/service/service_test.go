@@ -208,7 +208,7 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 	// One worker, tiny queues: filling the cheap tenant's queue drives
 	// total pressure over the high-water mark, which must shed the
 	// priority-0 tenant while the priority-1 tenant is still admitted.
-	s := startService(t, Config{
+	s := New(Config{
 		Workers:        1,
 		PreemptQuantum: 2_000,
 		Tenants: map[string]TenantConfig{
@@ -217,6 +217,15 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 		},
 		ShedHighWater: 0.5,
 	})
+	// A request-sized job runs in about a millisecond, so the whole
+	// burst could drain between two polls of the ladder. Hold each
+	// dispatch long enough that the queue stays saturated while the test
+	// observes the shedding state and submits into it.
+	s.testHookDispatch = func(*job) { time.Sleep(20 * time.Millisecond) }
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Drain() })
 	e := registerLorenz(t, s)
 
 	// Saturate: async submissions from the best-effort tenant.

@@ -194,3 +194,190 @@ func TestResumeRejectsMismatchedBindings(t *testing.T) {
 		t.Errorf("resume under a different semantic configuration succeeded")
 	}
 }
+
+// TestRunSliceBitIdentical: resident slicing — one VM continued in place
+// by RunSlice, nothing serialized — must be bit-identical to the
+// uninterrupted run for every alt system, and its Results must not claim
+// a snapshot origin or carry bytes.
+func TestRunSliceBitIdentical(t *testing.T) {
+	img, err := workloads.BuildMicro(workloads.Pendulum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range allAltKinds {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			t.Parallel()
+			cfg := fpvm.Config{Alt: kind, Seq: true, Short: true}
+			ref, refRecs, _ := runObserved(t, img, cfg, "")
+
+			var recs []oracle.TrapRec
+			cfg.Observer = func(st *fpvm.TrapState) { recs = append(recs, oracle.Digest(st)) }
+			cfg.PreemptQuantum = 200_000
+			vm, err := fpvm.Prepare(img, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices := 0
+			res, err := vm.RunSlice()
+			for err == nil && res.Preempted {
+				if res.Snapshot != nil || res.Resumed {
+					t.Fatalf("resident slice %d: Snapshot %d bytes, Resumed %v; want neither", slices, len(res.Snapshot), res.Resumed)
+				}
+				slices++
+				res, err = vm.RunSlice()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices == 0 {
+				t.Fatalf("workload finished inside one quantum; no slicing exercised")
+			}
+			if res.Stdout != ref.Stdout || res.ExitCode != ref.ExitCode {
+				t.Errorf("stdout/exit diverged after %d slices", slices)
+			}
+			if res.Cycles != ref.Cycles {
+				t.Errorf("virtual cycles diverged: sliced %d, uninterrupted %d", res.Cycles, ref.Cycles)
+			}
+			if i := oracle.CompareStreams(refRecs, recs); i != -1 {
+				t.Errorf("trap stream diverged at trap #%d (of %d vs %d)", i+1, len(refRecs), len(recs))
+			}
+			if d := oracle.DiffFinal(ref.Final, res.Final); d != "" {
+				t.Errorf("final architectural state diverged: %s", d)
+			}
+			if res.Traps != ref.Traps || res.EmulatedInsts != ref.EmulatedInsts || *res.Breakdown != *ref.Breakdown {
+				t.Errorf("telemetry diverged: traps %d/%d, emulated %d/%d",
+					res.Traps, ref.Traps, res.EmulatedInsts, ref.EmulatedInsts)
+			}
+		})
+	}
+}
+
+// TestPreemptedResultOwnsItsCounters: a preempted VM keeps running, so
+// the Result of an earlier slice must be a copy, not a view of the live
+// telemetry — a caller holding slice 1's Result (a deadline outcome being
+// merged into metrics, say) must not see it change when slice 2 runs.
+func TestPreemptedResultOwnsItsCounters(t *testing.T) {
+	img, err := workloads.BuildMicro(workloads.Lorenz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := fpvm.Prepare(img, fpvm.Config{Seq: true, Short: true, Profile: true, PreemptQuantum: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := vm.RunSlice()
+	if err != nil || !first.Preempted {
+		t.Fatalf("first slice: preempted %v, err %v", first != nil && first.Preempted, err)
+	}
+	held := *first
+	heldTel := *first.Breakdown
+	heldProfile := *first.SeqProfile
+
+	second, err := vm.RunSlice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Traps <= held.Traps {
+		t.Fatalf("second slice handled no traps (%d -> %d); test is vacuous", held.Traps, second.Traps)
+	}
+	if *first.Breakdown != heldTel {
+		t.Errorf("slice 1's Breakdown changed when slice 2 ran: traps %d -> %d",
+			heldTel.Traps, first.Breakdown.Traps)
+	}
+	if first.SeqProfile.Traps != heldProfile.Traps || first.SeqProfile.NumTraces() != heldProfile.NumTraces() {
+		t.Errorf("slice 1's SeqProfile changed when slice 2 ran: traps %d -> %d",
+			heldProfile.Traps, first.SeqProfile.Traps)
+	}
+	if first.Traps != held.Traps || first.Cycles != held.Cycles || first.Stdout != held.Stdout {
+		t.Errorf("slice 1's counters changed when slice 2 ran")
+	}
+}
+
+// TestVMLifecycle pins the VM's single life: Run, Resume and Restore need
+// a fresh VM; Snapshot needs a preempted (or restored) one; a finished or
+// spent VM refuses everything; and Result.Resumed means "this VM's state
+// came from bytes", however many slices followed.
+func TestVMLifecycle(t *testing.T) {
+	img, err := workloads.BuildMicro(workloads.Lorenz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fpvm.Config{Seq: true, Short: true, PreemptQuantum: 200_000}
+	prepare := func() *fpvm.VM {
+		t.Helper()
+		vm, err := fpvm.Prepare(img, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+
+	vm := prepare()
+	if _, err := vm.Snapshot(); err == nil {
+		t.Error("Snapshot of a fresh VM succeeded")
+	}
+	res, err := vm.RunSlice()
+	if err != nil || !res.Preempted {
+		t.Fatalf("first slice: %v", err)
+	}
+	if _, err := vm.Run(); err == nil {
+		t.Error("Run of a preempted VM succeeded")
+	}
+	snap, err := vm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Restore(snap); err == nil {
+		t.Error("Restore into a preempted VM succeeded")
+	}
+
+	// The bytes continue in a fresh VM, which reports its origin on
+	// every later Result.
+	twin := prepare()
+	if err := twin.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Snapshot(); err != nil {
+		t.Errorf("Snapshot of a restored VM: %v", err)
+	}
+	for {
+		r, err := twin.RunSlice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Resumed {
+			t.Fatal("slice of a restored VM does not report Resumed")
+		}
+		if !r.Preempted {
+			break
+		}
+	}
+
+	// The original keeps running in place to the same end.
+	for res.Preempted {
+		if res, err = vm.RunSlice(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.Resumed || res.Final == nil {
+		t.Errorf("resident run finished with Resumed %v, Final %v", res.Resumed, res.Final != nil)
+	}
+	if _, err := vm.RunSlice(); err == nil {
+		t.Error("RunSlice of a finished VM succeeded")
+	}
+	if _, err := vm.Snapshot(); err == nil {
+		t.Error("Snapshot of a finished VM succeeded")
+	}
+
+	// Run keeps its one-shot contract: a preempted Run carries the bytes
+	// and spends the VM.
+	once := prepare()
+	r, err := once.Run()
+	if err != nil || !r.Preempted || len(r.Snapshot) == 0 {
+		t.Fatalf("Run: preempted %v, %d snapshot bytes, err %v", r != nil && r.Preempted, len(r.Snapshot), err)
+	}
+	if _, err := once.RunSlice(); err == nil {
+		t.Error("RunSlice of a VM spent by Run succeeded")
+	}
+}
