@@ -26,13 +26,13 @@ const frontierRefPrecision = 400
 // FrontierRow is one (workload, system) point of the accuracy-vs-cycles
 // frontier.
 type FrontierRow struct {
-	Workload string
-	System   string // "boxed", "adaptive", "mpfr200"
-	Cycles   uint64
-	Altmath  uint64
-	Digits   int     // min correct significant digits vs the reference
+	Workload  string
+	System    string // "boxed", "adaptive", "mpfr200"
+	Cycles    uint64
+	Altmath   uint64
+	Digits    int     // min correct significant digits vs the reference
 	MaxRelErr float64 // worst relative error across printed values
-	Policy   *fpvm.PolicyStats
+	Policy    *fpvm.PolicyStats
 }
 
 var floatRe = regexp.MustCompile(`-?\d+\.\d+(?:[eE][-+]?\d+)?`)

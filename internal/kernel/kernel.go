@@ -68,7 +68,9 @@ type Ucontext struct {
 	FPFlags uint32 // for SIGFPE: the raised MXCSR exception bits
 }
 
-// SignalHandler is a registered user-space signal handler.
+// SignalHandler is a registered user-space signal handler. The *Ucontext
+// is the process's one signal frame: it is valid only during the call and
+// must not be retained, since the next delivery overwrites it.
 type SignalHandler func(uc *Ucontext)
 
 // Syscall numbers understood by the simulated kernel.
@@ -149,6 +151,11 @@ type Process struct {
 
 	hostFuncs map[uint64]HostFunc
 
+	// frame is the process's signal frame. Every delivery overwrites all
+	// of it (snapshot), so no state of one delivery, or of another
+	// process, survives into the next; deliveries never nest.
+	frame Ucontext
+
 	Stdout bytes.Buffer
 
 	Exited   bool
@@ -156,7 +163,8 @@ type Process struct {
 	Err      error
 
 	// BreakpointHook, when set, is consulted on #BP before signal
-	// delivery (used by tests and tooling).
+	// delivery (used by tests and tooling). Like a SignalHandler's, its
+	// *Ucontext is valid only during the call and must not be retained.
 	BreakpointHook func(uc *Ucontext) bool
 
 	// OnThreadStart is invoked after a clone() creates a thread — the
@@ -194,7 +202,8 @@ func (p *Process) Sigaction(sig int, h SignalHandler) { p.handlers[sig] = h }
 // RegisterFPVM performs the /dev/fpvm open + ioctl registration of the
 // process's landing-pad entry point. It fails if the module is not loaded,
 // in which case the caller must fall back to signals (§3.1: unregistered
-// processes keep normal delivery).
+// processes keep normal delivery). As for a SignalHandler, the *Ucontext
+// passed to entry is valid only during the call and must not be retained.
 func (p *Process) RegisterFPVM(entry func(uc *Ucontext)) error {
 	if !p.K.ModuleLoaded {
 		return fmt.Errorf("kernel: /dev/fpvm not present (module not loaded)")
@@ -216,13 +225,15 @@ func (p *Process) FPVMRegistered() bool { return p.fpvmRegistered }
 // EnableHWUserTraps installs the future-work hardware user-level FP trap
 // vector: #XF is delivered straight to entry without entering the kernel
 // (the paper's proposed RISC-V "very fast floating point trap support").
+// The *Ucontext is valid only during the call, as for a SignalHandler.
 func (p *Process) EnableHWUserTraps(entry func(uc *Ucontext)) {
 	p.hwUserEntry = entry
 }
 
 // SetBoxEscapeHook installs the handler for hardware box-escape events
 // (requires machine.BoxEscapeCheck); the handler demotes the word at addr
-// and the faulting load re-executes.
+// and the faulting load re-executes. The *Ucontext is valid only during
+// the call, as for a SignalHandler.
 func (p *Process) SetBoxEscapeHook(h func(uc *Ucontext, addr uint64) error) {
 	p.boxEscapeHook = h
 }
@@ -244,9 +255,11 @@ func (p *Process) BindHostAuto(fn HostFunc) uint64 {
 	return addr
 }
 
-// snapshot builds a Ucontext from current CPU state.
+// snapshot overwrites the process's signal frame with the current CPU
+// state and returns it; a delivery allocates nothing.
 func (p *Process) snapshot(sig int, flags uint32) *Ucontext {
-	return &Ucontext{CPU: p.M.CPU, Sig: sig, FPFlags: flags}
+	p.frame = Ucontext{CPU: p.M.CPU, Sig: sig, FPFlags: flags}
+	return &p.frame
 }
 
 // restore applies a (possibly mutated) Ucontext back to the CPU.

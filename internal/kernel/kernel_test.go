@@ -250,3 +250,125 @@ func TestMaxStepsGuard(t *testing.T) {
 		t.Error("runaway loop not bounded")
 	}
 }
+
+// trappingProcess builds a process whose first instruction is a divsd that
+// raises an unmasked #XF every time it runs.
+func trappingProcess(t *testing.T, k *kernel.Kernel) *kernel.Process {
+	t.Helper()
+	p := buildProcess(t, k, divsdTrap())
+	p.M.CPU.MXCSR = machine.MXCSRTrapAll
+	p.M.CPU.XMM[0][0] = fpmath.Bits(1)
+	p.M.CPU.XMM[1][0] = fpmath.Bits(3)
+	return p
+}
+
+// TestFPTrapDeliveryAllocatesNothing re-drives one divsd #XF through both
+// delivery paths: the process's signal frame is reused, so a delivery
+// heap-allocates nothing.
+func TestFPTrapDeliveryAllocatesNothing(t *testing.T) {
+	for _, short := range []bool{false, true} {
+		k := kernel.New()
+		p := trappingProcess(t, k)
+		// The handler points RIP back at the divsd, so every Step traps.
+		handler := func(uc *kernel.Ucontext) { uc.CPU.RIP = codeBase }
+		if short {
+			k.LoadModule()
+			if err := p.RegisterFPVM(handler); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			p.Sigaction(kernel.SIGFPE, handler)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if !p.Step() {
+				t.Fatalf("process stopped: %v", p.Err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("short=%v: %v allocs per delivery, want 0", short, allocs)
+		}
+		if k.Stats.FPTraps < 100 || k.Stats.ShortCircuits+k.Stats.SignalsFPE != k.Stats.FPTraps {
+			t.Errorf("short=%v: stats %+v", short, k.Stats)
+		}
+	}
+}
+
+// TestStepAllocatesNothing steps a warmed loop of integer, memory and
+// masked FP instructions: the steady-state step loop allocates nothing.
+func TestStepAllocatesNothing(t *testing.T) {
+	k := kernel.New()
+	body := []isa.Inst{
+		isa.MakeMI(isa.ADD64I, isa.GPR(isa.RAX), 1),
+		isa.MakeRM(isa.MOV64MR, isa.GPR(isa.RAX), isa.Mem(isa.RBX, 8)),
+		isa.MakeRM(isa.MOV64RM, isa.GPR(isa.RCX), isa.Mem(isa.RBX, 8)),
+		isa.MakeRM(isa.MOVSDXM, isa.XMM(isa.XMM1), isa.Mem(isa.RBX, 16)),
+		isa.MakeRM(isa.ADDSD, isa.XMM(isa.XMM0), isa.XMM(isa.XMM1)),
+		isa.MakeRM(isa.MOVSDMX, isa.XMM(isa.XMM0), isa.Mem(isa.RBX, 24)),
+		isa.MakeM(isa.PUSH, isa.GPR(isa.RAX)),
+		isa.MakeM(isa.POP, isa.GPR(isa.RDX)),
+	}
+	size := 0
+	for i := range body {
+		l, err := isa.EncodedLen(&body[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += l
+	}
+	jmp := isa.MakeRel(isa.JMP, 0)
+	l, _ := isa.EncodedLen(&jmp)
+	jmp.Imm = -int64(size + l)
+	p := buildProcess(t, k, append(body, jmp)...)
+	p.M.CPU.GPR[isa.RBX] = 0x800000
+	if err := p.M.Mem.WriteUint64(0x800010, fpmath.Bits(0.5)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*len(body); i++ { // decode every instruction once
+		p.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !p.Step() {
+			t.Fatalf("process stopped: %v", p.Err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per step, want 0", allocs)
+	}
+}
+
+// TestSignalFrameOverwrittenPerDelivery checks the frame reuse cannot
+// leak state: a delivery sees only the current CPU state and trap, never
+// what the previous handler left in the frame, and a forked child gets
+// a frame of its own.
+func TestSignalFrameOverwrittenPerDelivery(t *testing.T) {
+	k := kernel.New()
+	p := trappingProcess(t, k)
+	var frames []*kernel.Ucontext
+	p.Sigaction(kernel.SIGFPE, func(uc *kernel.Ucontext) {
+		frames = append(frames, uc)
+		if uc.Sig != kernel.SIGFPE || uc.FPFlags&fpmath.ExPrecision == 0 {
+			t.Errorf("delivery %d: sig=%d flags=%#x", len(frames), uc.Sig, uc.FPFlags)
+		}
+		if uc.CPU != p.M.CPU {
+			t.Errorf("delivery %d: frame CPU differs from the trapping CPU", len(frames))
+		}
+		// Scribble over the fields the kernel does not restore.
+		uc.Sig, uc.FPFlags = -1, 0xdead
+		uc.CPU.RIP = codeBase
+	})
+	for i := 0; i < 2; i++ {
+		p.Step()
+	}
+	child := p.Fork("child")
+	child.Sigaction(kernel.SIGFPE, func(uc *kernel.Ucontext) { frames = append(frames, uc) })
+	child.Step()
+	if len(frames) != 3 {
+		t.Fatalf("%d deliveries, want 3", len(frames))
+	}
+	if frames[0] != frames[1] {
+		t.Error("one process used two signal frames")
+	}
+	if frames[2] == frames[0] {
+		t.Error("forked child shares its parent's signal frame")
+	}
+}

@@ -43,11 +43,11 @@ func (m *Machine) execute(in *isa.Inst) Event {
 
 	case isa.INT3:
 		m.retire(in, next)
-		return Event{Kind: EvBreakpoint, Inst: *in}
+		return Event{Kind: EvBreakpoint}
 
 	case isa.SYSCALL:
 		m.retire(in, next)
-		return Event{Kind: EvSyscall, Inst: *in}
+		return Event{Kind: EvSyscall}
 
 	case isa.RET:
 		target, err := m.pop()
@@ -586,7 +586,7 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 	commit := func(flags uint32, write func() error) Event {
 		if raised := m.unmasked(flags); raised != 0 {
 			cpu.MXCSR |= flags & MXCSRStatusMask
-			return Event{Kind: EvFPTrap, FPFlags: raised, Inst: *in}
+			return Event{Kind: EvFPTrap, FPFlags: raised}
 		}
 		cpu.MXCSR |= flags & MXCSRStatusMask
 		if write != nil {

@@ -100,10 +100,9 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 
-	// EvFPTrap: the raised (unmasked) exception flags and the faulting
-	// instruction (RIP still points at it, per x64 fault semantics).
+	// EvFPTrap: the raised (unmasked) exception flags (RIP still points
+	// at the faulting instruction, per x64 fault semantics).
 	FPFlags uint32
-	Inst    isa.Inst
 
 	// EvHostCall: the target host address (RIP already at the callee; the
 	// return address is on the stack).
@@ -157,12 +156,14 @@ type Machine struct {
 	escWaiveAddr  uint64
 	escWaiveValid bool
 
-	// icache caches decoded instructions by address. This is a host-side
-	// optimization only (real hardware decodes in the pipeline); it
-	// carries no virtual-cycle cost and must be invalidated when code
-	// changes (InvalidateICache) — the binary rewriter always produces
-	// fresh images, so self-modifying code is not supported.
-	icache map[uint64]isa.Inst
+	// icache caches decoded instructions by address. It is a host-side
+	// cache with no virtual-cycle cost (real hardware decodes in the
+	// pipeline): each instruction is decoded once and execute runs the
+	// cached *isa.Inst in place, so a step copies no instruction. It
+	// must be invalidated when code changes (InvalidateICache) — the
+	// binary rewriter always produces fresh images, so self-modifying
+	// code is not supported.
+	icache map[uint64]*isa.Inst
 
 	// scratch decode buffer
 	fetchBuf [isa.MaxInstLen]byte
@@ -212,17 +213,17 @@ func (m *Machine) WaiveNextEscape(addr uint64) {
 // other kind describes the trap/exit. Faulting FP instructions do not
 // retire (RIP unchanged, destination unwritten), matching x64.
 func (m *Machine) Step() Event {
-	if in, ok := m.icache[m.CPU.RIP]; ok {
-		return m.execute(&in)
+	if in := m.icache[m.CPU.RIP]; in != nil {
+		return m.execute(in)
 	}
 	in, err := m.FetchDecode(m.CPU.RIP)
 	if err != nil {
 		return Event{Kind: EvFault, Err: err}
 	}
 	if m.icache == nil {
-		m.icache = make(map[uint64]isa.Inst)
+		m.icache = make(map[uint64]*isa.Inst)
 	}
-	m.icache[m.CPU.RIP] = in
+	m.icache[m.CPU.RIP] = &in
 	return m.execute(&in)
 }
 

@@ -72,10 +72,27 @@ type page struct {
 	perm Perm
 }
 
+// tlbSize is the number of entries in an address space's page TLB (a
+// power of two, indexed by the low bits of the page number).
+const tlbSize = 64
+
+// tlbEntry caches one page-number translation; p is nil when empty.
+type tlbEntry struct {
+	pn uint64
+	p  *page
+}
+
 // AddressSpace is a sparse paged address space. The zero value is an empty
-// address space ready to use. It is not safe for concurrent mutation.
+// address space ready to use. It is not safe for concurrent use: even a
+// read refills the page TLB.
 type AddressSpace struct {
 	pages map[uint64]*page // keyed by addr >> 12
+
+	// tlb is a direct-mapped cache of pages in front of the pages map.
+	// It is a host-side cache with no virtual-cycle cost. Permissions
+	// are read through the cached *page, so Protect needs no flush;
+	// Unmap, the only path that removes a *page, invalidates its entry.
+	tlb [tlbSize]tlbEntry
 
 	// regions records Map calls for introspection ([name, start, size]).
 	regions []Region
@@ -126,6 +143,9 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	last := (addr + size + PageSize - 1) / PageSize
 	for pn := first; pn < last; pn++ {
 		delete(as.pages, pn)
+		if e := &as.tlb[pn%tlbSize]; e.pn == pn {
+			*e = tlbEntry{}
+		}
 		as.markDirty(pn)
 	}
 }
@@ -155,9 +175,15 @@ func (as *AddressSpace) Mapped(addr uint64) bool {
 }
 
 func (as *AddressSpace) lookup(addr uint64, want Perm) (*page, error) {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
-		return nil, &Fault{Addr: addr, Kind: FaultUnmapped, Want: want}
+	pn := addr / PageSize
+	e := &as.tlb[pn%tlbSize]
+	p := e.p
+	if p == nil || e.pn != pn {
+		var ok bool
+		if p, ok = as.pages[pn]; !ok {
+			return nil, &Fault{Addr: addr, Kind: FaultUnmapped, Want: want}
+		}
+		*e = tlbEntry{pn: pn, p: p}
 	}
 	if p.perm&want != want {
 		return nil, &Fault{Addr: addr, Kind: FaultProtection, Want: want}
@@ -253,67 +279,109 @@ func (as *AddressSpace) ResetDirty() {
 	}
 }
 
-// ReadUint64 reads a little-endian uint64 at addr.
-func (as *AddressSpace) ReadUint64(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := as.Read(addr, b[:]); err != nil {
-		return 0, err
+// inPage returns the n bytes at addr straight from their page's backing
+// array, after the permission check (a write also marks the page dirty).
+// It returns nil and no error when the access straddles a page boundary.
+func (as *AddressSpace) inPage(addr uint64, n int, want Perm) ([]byte, error) {
+	off := addr & PageMask
+	if off+uint64(n) > PageSize {
+		return nil, nil
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	p, err := as.lookup(addr, want)
+	if err != nil {
+		return nil, err
+	}
+	if want&PermWrite != 0 {
+		as.markDirty(addr / PageSize)
+	}
+	return p.data[off : off+uint64(n)], nil
 }
 
-// WriteUint64 writes a little-endian uint64 at addr.
-func (as *AddressSpace) WriteUint64(addr uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return as.Write(addr, b[:])
+// load reads the little-endian n-byte (1, 2, 4 or 8) value at addr: in
+// place when it fits in one page, through access when it straddles.
+func (as *AddressSpace) load(addr uint64, n int) (uint64, error) {
+	b, err := as.inPage(addr, n, PermRead)
+	if err != nil {
+		return 0, err
+	}
+	var tmp [8]byte
+	if b == nil {
+		b = tmp[:n]
+		if err := as.access(addr, b, PermRead, false); err != nil {
+			return 0, err
+		}
+	}
+	switch n {
+	case 1:
+		return uint64(b[0]), nil
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), nil
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b)), nil
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
+
+// store writes v as a little-endian n-byte (1, 2, 4 or 8) value at addr:
+// in place when it fits in one page, through access when it straddles.
+func (as *AddressSpace) store(addr uint64, n int, v uint64) error {
+	b, err := as.inPage(addr, n, PermWrite)
+	if err != nil {
+		return err
+	}
+	var tmp [8]byte
+	straddles := b == nil
+	if straddles {
+		b = tmp[:n]
+	}
+	switch n {
+	case 1:
+		b[0] = uint8(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+	if straddles {
+		return as.access(addr, b, PermWrite, true)
+	}
+	return nil
+}
+
+// ReadUint64 reads a little-endian uint64 at addr.
+func (as *AddressSpace) ReadUint64(addr uint64) (uint64, error) { return as.load(addr, 8) }
+
+// WriteUint64 writes a little-endian uint64 at addr.
+func (as *AddressSpace) WriteUint64(addr uint64, v uint64) error { return as.store(addr, 8, v) }
 
 // ReadUint32 reads a little-endian uint32 at addr.
 func (as *AddressSpace) ReadUint32(addr uint64) (uint32, error) {
-	var b [4]byte
-	if err := as.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	v, err := as.load(addr, 4)
+	return uint32(v), err
 }
 
 // WriteUint32 writes a little-endian uint32 at addr.
-func (as *AddressSpace) WriteUint32(addr uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return as.Write(addr, b[:])
-}
+func (as *AddressSpace) WriteUint32(addr uint64, v uint32) error { return as.store(addr, 4, uint64(v)) }
 
 // ReadUint16 reads a little-endian uint16 at addr.
 func (as *AddressSpace) ReadUint16(addr uint64) (uint16, error) {
-	var b [2]byte
-	if err := as.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b[:]), nil
+	v, err := as.load(addr, 2)
+	return uint16(v), err
 }
 
 // WriteUint16 writes a little-endian uint16 at addr.
-func (as *AddressSpace) WriteUint16(addr uint64, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return as.Write(addr, b[:])
-}
+func (as *AddressSpace) WriteUint16(addr uint64, v uint16) error { return as.store(addr, 2, uint64(v)) }
 
 // ReadUint8 reads a byte at addr.
 func (as *AddressSpace) ReadUint8(addr uint64) (uint8, error) {
-	var b [1]byte
-	if err := as.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
+	v, err := as.load(addr, 1)
+	return uint8(v), err
 }
 
 // WriteUint8 writes a byte at addr.
-func (as *AddressSpace) WriteUint8(addr uint64, v uint8) error {
-	return as.Write(addr, []byte{v})
-}
+func (as *AddressSpace) WriteUint8(addr uint64, v uint8) error { return as.store(addr, 1, uint64(v)) }
 
 // WritablePages returns the sorted start addresses of all writable pages.
 // FPVM's conservative mark phase scans exactly these.
