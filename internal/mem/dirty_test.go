@@ -18,20 +18,40 @@ func TestDirtyTrackingDisabledByDefault(t *testing.T) {
 
 func TestDirtyPagesTracksWrites(t *testing.T) {
 	as := NewAddressSpace()
-	as.Map("d", 0x1000, 3*PageSize, PermRW)
+	as.Map("d", 0x1000, 5*PageSize, PermRW)
 	as.EnableDirtyTracking()
+	// Warm the page TLB for every page, so the writes below take the
+	// in-page fast path.
+	for i := uint64(0); i < 5; i++ {
+		if _, err := as.ReadUint64(0x1000 + i*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
 	as.ResetDirty() // Map marked every page; start clean
 
+	// One write of each width, each to its own page, out of page order;
+	// the second page stays clean.
 	if err := as.WriteUint64(0x1000+2*PageSize, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.WriteUint64(0x1000, 7); err != nil {
+	if err := as.WriteUint32(0x1000, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteUint16(0x1000+3*PageSize+0x10, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteUint8(0x1000+5*PageSize-1, 7); err != nil {
 		t.Fatal(err)
 	}
 	got := as.DirtyPages()
-	want := []uint64{0x1000, 0x1000 + 2*PageSize}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("DirtyPages = %#v, want %#v (sorted)", got, want)
+	want := []uint64{0x1000, 0x1000 + 2*PageSize, 0x1000 + 3*PageSize, 0x1000 + 4*PageSize}
+	if len(got) != len(want) {
+		t.Fatalf("DirtyPages = %#v, want %#v (sorted)", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("DirtyPages = %#v, want %#v (sorted)", got, want)
+		}
 	}
 
 	as.ResetDirty()

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+func wantFault(t *testing.T, err error, kind FaultKind, addr uint64) {
+	t.Helper()
+	var f *Fault
+	if !errors.As(err, &f) || f.Kind != kind || f.Addr != addr {
+		t.Fatalf("err = %v, want %v fault at %#x", err, kind, addr)
+	}
+}
+
 func TestMapReadWrite(t *testing.T) {
 	as := NewAddressSpace()
 	as.Map("d", 0x1000, 100, PermRW)
@@ -61,11 +69,15 @@ func TestStraddlingAccess(t *testing.T) {
 	if err != nil || v != 0x1122334455667788 {
 		t.Fatalf("straddle read %#x %v", v, err)
 	}
-	// Straddling into an unmapped page fails.
+	// Straddling into an unmapped page fails, and the fault names the
+	// second page.
 	edge := uint64(0x1000 + 2*PageSize - 3)
-	if err := as.WriteUint64(edge, 1); err == nil {
-		t.Error("write past mapping succeeded")
-	}
+	wantFault(t, as.WriteUint64(edge, 1), FaultUnmapped, 0x1000+2*PageSize)
+	_, err = as.ReadUint32(edge)
+	wantFault(t, err, FaultUnmapped, 0x1000+2*PageSize)
+	// So does a write straddling into a read-only page.
+	as.Map("ro", 0x1000+2*PageSize, PageSize, PermRead)
+	wantFault(t, as.WriteUint64(edge, 1), FaultProtection, 0x1000+2*PageSize)
 }
 
 func TestRoundtripProperty(t *testing.T) {
@@ -100,11 +112,23 @@ func TestWritablePagesSorted(t *testing.T) {
 func TestProtectAndUnmap(t *testing.T) {
 	as := NewAddressSpace()
 	as.Map("x", 0x1000, PageSize, PermRW)
+	// Write first, so the page TLB holds the page when Protect runs.
+	if err := as.WriteUint64(0x1000, 7); err != nil {
+		t.Fatal(err)
+	}
 	if err := as.Protect(0x1000, PageSize, PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.WriteUint8(0x1000, 1); err == nil {
-		t.Error("write after Protect(r--) succeeded")
+	wantFault(t, as.WriteUint8(0x1001, 1), FaultProtection, 0x1001)
+	wantFault(t, as.WriteUint64(0x1000, 8), FaultProtection, 0x1000)
+	if v, err := as.ReadUint64(0x1000); err != nil || v != 7 {
+		t.Fatalf("read after Protect(r--): %d, %v", v, err)
+	}
+	if err := as.Protect(0x1000, PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteUint64(0x1000, 9); err != nil {
+		t.Fatalf("write after Protect(rw-): %v", err)
 	}
 	if err := as.Protect(0x900000, PageSize, PermRW); err == nil {
 		t.Error("Protect of unmapped succeeded")
