@@ -612,6 +612,10 @@ func Prepare(img *obj.Image, cfg Config) (*VM, error) {
 // execute (and resume snapshots taken) under another.
 func (vm *VM) SetPreemptQuantum(q uint64) { vm.cfg.PreemptQuantum = q }
 
+// Cycles reports the VM's virtual clock: the cycles consumed so far, or
+// the snapshot's clock right after Restore.
+func (vm *VM) Cycles() uint64 { return vm.m.Cycles }
+
 // Run executes a fresh VM from its entry point: to completion, or until
 // the preemption quantum expires, in which case the Result carries the
 // serialized VM in Snapshot and this VM is spent (Resume continues from

@@ -57,17 +57,6 @@ type Job struct {
 	// Config configures the job's VM. Leave Shared nil — the runner
 	// manages cache sharing fleet-wide via Options.Share.
 	Config fpvm.Config
-
-	// DeadlineCycles, when > 0, cancels the job at the first trap
-	// boundary at or past that many virtual cycles: slices are capped at
-	// the remaining budget, and a preemption landing on or beyond the
-	// deadline finalizes the job with its partial result and
-	// JobResult.DeadlineExceeded set — exactly the semantics a live
-	// deadline-bounded run has, so recovery through Recover reproduces
-	// the same cancellation a crashed service would have performed.
-	// Requires a preemption quantum (Options.PreemptQuantum or the job
-	// Config's own) to bound the slice length.
-	DeadlineCycles uint64
 }
 
 // Options configures a fleet run.
@@ -120,11 +109,6 @@ type JobResult struct {
 	Preemptions int
 	Migrations  int
 	Resumed     bool
-
-	// DeadlineExceeded reports the job was cancelled at a trap boundary
-	// because it consumed its Job.DeadlineCycles budget; Result then
-	// holds the partial (preempted-shaped) state at cancellation.
-	DeadlineExceeded bool
 }
 
 // Report is the fleet-level roll-up.
@@ -469,18 +453,6 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 				if q == 0 {
 					q = job.Config.PreemptQuantum
 				}
-				if job.DeadlineCycles > 0 && q > 0 {
-					// Cap the slice at the remaining deadline budget so the
-					// cancellation lands on the same trap boundary a live
-					// deadline-bounded run would stop at. A quantum of 0
-					// would disable preemption entirely, so an (already
-					// spent) budget still runs a minimal 1-cycle slice.
-					if rem := job.DeadlineCycles - t.cycles; job.DeadlineCycles <= t.cycles {
-						q = 1
-					} else if rem < q {
-						q = rem
-					}
-				}
 				if t.lastWorker >= 0 && t.lastWorker != w {
 					t.migrations++
 				}
@@ -490,33 +462,25 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 				res, err := runSlice(job, t, shared[job.Image], q)
 				t.elapsed += time.Since(t0)
 
-				deadlined := false
 				if err == nil && res.Preempted {
 					t.preemptions++
 					t.cycles = res.Cycles
-					if job.DeadlineCycles > 0 && t.cycles >= job.DeadlineCycles {
-						// Deadline blown: cancel at this trap boundary with
-						// the partial result instead of requeueing.
-						deadlined = true
-					} else {
-						if snapDir != "" && persist(t.vm, snapshotPath(snapDir, t.idx, job.Name)) != nil {
-							persistFailures.Add(1)
-						}
-						s.put(t)
-						continue
+					if snapDir != "" && persist(t.vm, snapshotPath(snapDir, t.idx, job.Name)) != nil {
+						persistFailures.Add(1)
 					}
+					s.put(t)
+					continue
 				}
 
 				t.vm = nil // the job is over; its VM goes with it
 				rep.Results[t.idx] = JobResult{
-					Name:             job.Name,
-					Result:           res,
-					Err:              err,
-					Elapsed:          t.elapsed,
-					Preemptions:      t.preemptions,
-					Migrations:       t.migrations,
-					Resumed:          t.resumed,
-					DeadlineExceeded: deadlined,
+					Name:        job.Name,
+					Result:      res,
+					Err:         err,
+					Elapsed:     t.elapsed,
+					Preemptions: t.preemptions,
+					Migrations:  t.migrations,
+					Resumed:     t.resumed,
 				}
 				if snapDir != "" {
 					os.Remove(snapshotPath(snapDir, t.idx, job.Name))

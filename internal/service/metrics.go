@@ -141,11 +141,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			name, help string
 			v          uint64
 		}{
-			{"pool_hits_total", "VM slices served by a warm pooled shell", ps.Hits},
-			{"pool_misses_total", "VM slices that constructed cold", ps.Misses},
+			{"pool_hits_total", "jobs whose VM was a warm pooled shell", ps.Hits},
+			{"pool_misses_total", "jobs whose VM was constructed cold", ps.Misses},
 			{"pool_refills_total", "warm shells built by the pool", ps.Refills},
 			{"pool_invalidations_total", "warm shells dropped by quarantine invalidation", ps.Invalidations},
-			{"pool_discards_total", "warm shells discarded as stale at checkout", ps.Discards},
 			{"pool_build_failures_total", "warm shell constructions that failed", ps.BuildFailures},
 		}
 		for _, c := range poolCounters {

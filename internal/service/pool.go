@@ -29,15 +29,6 @@ type poolKey struct {
 	precision uint
 }
 
-// warmShell is one pre-built VM plus the registry entry it was built
-// against. The entry pointer is the staleness probe: if the registry
-// ever resolves the image ID to a different entry, this shell's
-// shared-cache binding belongs to a dead entry and checkout discards it.
-type warmShell struct {
-	vm    *fpvm.VM
-	entry *ImageEntry
-}
-
 // vmPool parks pre-constructed, pre-bound VM shells (address space,
 // machine, kernel, heap, Runtime attached against the image's shared
 // cache) on bounded per-image free-lists. Checkout pops a shell off the
@@ -51,7 +42,7 @@ type vmPool struct {
 	target int // free-list size per key
 
 	mu      sync.Mutex
-	shells  map[poolKey][]*warmShell
+	shells  map[poolKey][]*fpvm.VM
 	filling map[poolKey]bool
 	closed  bool
 
@@ -59,7 +50,6 @@ type vmPool struct {
 	misses        uint64
 	refills       uint64
 	invalidations uint64
-	discards      uint64
 	buildFailures uint64
 
 	wg sync.WaitGroup // in-flight refill goroutines
@@ -71,7 +61,7 @@ func newVMPool(target int) *vmPool {
 	}
 	return &vmPool{
 		target:  target,
-		shells:  make(map[poolKey][]*warmShell),
+		shells:  make(map[poolKey][]*fpvm.VM),
 		filling: make(map[poolKey]bool),
 	}
 }
@@ -87,23 +77,9 @@ func (p *vmPool) checkout(entry *ImageEntry, alt fpvm.AltKind, precision uint) *
 		return nil
 	}
 	var vm *fpvm.VM
-	for vm == nil {
-		list := p.shells[key]
-		n := len(list)
-		if n == 0 {
-			break
-		}
-		sh := list[n-1]
-		p.shells[key] = list[:n-1]
-		if sh.entry != entry {
-			// Built against a superseded registry entry: wrong shared
-			// cache, possibly wrong image object. Drop and keep looking.
-			p.discards++
-			continue
-		}
-		vm = sh.vm
-	}
-	if vm != nil {
+	if list := p.shells[key]; len(list) > 0 {
+		vm = list[len(list)-1]
+		p.shells[key] = list[:len(list)-1]
 		p.hits++
 	} else {
 		p.misses++
@@ -159,7 +135,7 @@ func (p *vmPool) refill(key poolKey, entry *ImageEntry) {
 			p.mu.Unlock()
 			return
 		}
-		p.shells[key] = append(p.shells[key], &warmShell{vm: vm, entry: entry})
+		p.shells[key] = append(p.shells[key], vm)
 		p.refills++
 		p.mu.Unlock()
 	}
@@ -191,7 +167,7 @@ func (p *vmPool) prewarm(entry *ImageEntry, alt fpvm.AltKind, precision uint) in
 			p.mu.Unlock()
 			return built
 		}
-		p.shells[key] = append(p.shells[key], &warmShell{vm: vm, entry: entry})
+		p.shells[key] = append(p.shells[key], vm)
 		p.refills++
 		p.mu.Unlock()
 		built++
@@ -199,7 +175,7 @@ func (p *vmPool) prewarm(entry *ImageEntry, alt fpvm.AltKind, precision uint) in
 }
 
 // invalidate drops every shell built for imageID (all alt/precision
-// variants). Called when the image is quarantined or superseded.
+// variants). Called when the image is quarantined.
 func (p *vmPool) invalidate(imageID string) {
 	p.mu.Lock()
 	for key, list := range p.shells {
@@ -216,21 +192,19 @@ func (p *vmPool) invalidate(imageID string) {
 func (p *vmPool) close() {
 	p.mu.Lock()
 	p.closed = true
-	p.shells = make(map[poolKey][]*warmShell)
+	p.shells = make(map[poolKey][]*fpvm.VM)
 	p.mu.Unlock()
 	p.wg.Wait()
 }
 
 // PoolStats is the warm pool's counter snapshot. Hits/Misses count
 // checkouts served warm vs cold; Refills shells built; Invalidations
-// shells dropped by quarantine; Discards shells dropped as stale at
-// checkout; Shells the currently parked population.
+// shells dropped by quarantine; Shells the currently parked population.
 type PoolStats struct {
 	Hits          uint64
 	Misses        uint64
 	Refills       uint64
 	Invalidations uint64
-	Discards      uint64
 	BuildFailures uint64
 	Shells        int
 }
@@ -243,7 +217,6 @@ func (p *vmPool) stats() PoolStats {
 		Misses:        p.misses,
 		Refills:       p.refills,
 		Invalidations: p.invalidations,
-		Discards:      p.discards,
 		BuildFailures: p.buildFailures,
 	}
 	for _, list := range p.shells {

@@ -6,23 +6,19 @@ import (
 	"path/filepath"
 
 	"fpvm"
-	"fpvm/internal/fleet"
 )
 
-// recoverJournaled replays the journal's pending jobs through the
-// fleet's snapshot recovery. A pending job whose preemption snapshot
-// survived resumes from it — bit-identically, by the fleet's validation
-// — and one without a snapshot runs fresh. Outcomes land in the outcome
-// store with StatusRecovered (clients of the dead instance re-query by
-// job ID), and done records close the journal entries so a second
-// restart doesn't replay them again.
-func (s *Service) recoverJournaled() (int, error) {
-	if s.cfg.SnapshotDir == "" {
-		return 0, nil
-	}
+// recoverJournaled reads the journal, claims this instance's boot
+// generation, and turns each pending record into a recovered job for the
+// ordinary job loop. The dead instance already admitted, queued and
+// journaled it, so a recovered job skips all three; it carries the bytes
+// of its job-<id>.snap when one survived, and execute resumes from them.
+// A record whose image no longer rebuilds to the journaled hash is failed
+// here instead of sinking the whole recovery.
+func (s *Service) recoverJournaled() ([]*job, error) {
 	pending, boots, err := readJournal(s.cfg.SnapshotDir)
 	if err != nil {
-		return 0, fmt.Errorf("service: reading journal: %w", err)
+		return nil, fmt.Errorf("service: reading journal: %w", err)
 	}
 	// Claim the next boot generation and journal it. Generations
 	// namespace job IDs per instance, so a fresh ID can never collide
@@ -32,22 +28,11 @@ func (s *Service) recoverJournaled() (int, error) {
 	s.mu.Lock()
 	s.gen = boots + 1
 	s.mu.Unlock()
-	if s.jnl != nil {
-		if aerr := s.jnl.append(journalRecord{Op: opBoot}); aerr != nil {
-			s.met.bump(&s.met.journalFailures)
-		}
-	}
-	if len(pending) == 0 {
-		s.sweepStaleSnapshots()
-		return 0, nil
+	if aerr := s.jnl.append(journalRecord{Op: opBoot}); aerr != nil {
+		s.met.bump(&s.met.journalFailures)
 	}
 
-	// Build the fleet job list (one slot per pending record, journal
-	// order) and move surviving snapshots onto the fleet's slot-indexed
-	// names. A record whose image no longer builds is rejected into a
-	// failed outcome rather than sinking the whole recovery.
-	var jobs []fleet.Job
-	var recs []journalRecord
+	var jobs []*job
 	for _, rec := range pending {
 		entry, rerr := s.reg.Register(rec.Workload)
 		if rerr != nil || entry.ID != rec.ImageID {
@@ -62,96 +47,64 @@ func (s *Service) recoverJournaled() (int, error) {
 			s.journalDone(rec.ID, StatusFailed)
 			continue
 		}
-		idx := len(jobs)
-		src := filepath.Join(s.cfg.SnapshotDir, "job-"+rec.ID+".snap")
-		dst := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("fleet-%04d-%s.snap", idx, rec.ID))
-		if _, serr := os.Stat(src); serr == nil {
-			// Rename failure just forfeits the snapshot: the job still
-			// runs fresh, which is always correct.
-			os.Rename(src, dst)
+		j := &job{
+			id: rec.ID,
+			req: JobRequest{Tenant: rec.Tenant, ImageID: rec.ImageID,
+				Alt: fpvm.AltKind(rec.Alt), Precision: rec.Precision},
+			entry:     entry,
+			deadline:  rec.Deadline,
+			recovered: true,
+			done:      make(chan *JobOutcome, 1),
 		}
-		jobs = append(jobs, fleet.Job{
-			Name:  rec.ID,
-			Image: entry.Image,
-			Config: fpvm.Config{
-				Alt:       fpvm.AltKind(rec.Alt),
-				Precision: rec.Precision,
-				Seq:       true,
-				Short:     true,
-			},
-			// The journaled deadline rides into recovery so the fleet
-			// cancels at the same virtual-cycle ceiling a live run would:
-			// slices capped at the remaining budget, partial result at
-			// the blown boundary — not a full run labelled late.
-			DeadlineCycles: rec.Deadline,
-		})
-		recs = append(recs, rec)
+		// An unreadable snapshot forfeits only the progress it held: the
+		// job still runs fresh, which is always correct.
+		snap, serr := os.ReadFile(s.snapPath(rec.ID))
+		switch {
+		case serr == nil:
+			j.snap = snap
+		case !os.IsNotExist(serr):
+			s.met.bump(&s.met.recoveryRejects)
+		}
+		jobs = append(jobs, j)
 	}
-	if len(jobs) == 0 {
-		s.sweepStaleSnapshots()
-		return 0, nil
-	}
+	return jobs, nil
+}
 
-	rep, err := fleet.Recover(s.cfg.SnapshotDir, jobs, fleet.Options{
-		Workers:        s.cfg.workers(),
-		Share:          false, // private caches: resumed cycle accounting stays schedule-independent
-		PreemptQuantum: s.cfg.quantum(),
-	})
-	if err != nil {
-		return 0, fmt.Errorf("service: fleet recovery: %w", err)
+// settleRecovered puts the recovered jobs on their tenants' queues,
+// waits until every one has settled, then sweeps the snapshot directory.
+// It returns how many ran to an answer (recovered, degraded or
+// deadline-exceeded); outcomes land in the store under the original IDs
+// for clients of the dead instance to re-query, and each terminal
+// outcome's done record closes its journal entry.
+func (s *Service) settleRecovered(jobs []*job) int {
+	s.mu.Lock()
+	for _, j := range jobs {
+		s.queues[j.req.Tenant] = append(s.queues[j.req.Tenant], j)
+		s.queued++
 	}
-	for range rep.RecoveryRejects {
-		s.met.bump(&s.met.recoveryRejects)
-	}
+	s.updatePressureLocked()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 
 	recovered := 0
-	for i, jr := range rep.Results {
-		rec := recs[i]
-		var o *JobOutcome
-		switch {
-		case jr.Err != nil && (jr.Result == nil || !jr.Result.Detached):
-			o = &JobOutcome{ID: rec.ID, Tenant: rec.Tenant, Workload: rec.Workload,
-				Status: StatusFailed, Detail: "recovery: " + jr.Err.Error()}
-		default:
-			res := jr.Result
-			st := StatusRecovered
-			detail := "completed after daemon restart"
-			if jr.Resumed {
-				detail = "resumed from snapshot after daemon restart"
-			}
-			if res.Detached {
-				st = StatusDegraded
-				detail = "recovery: fatal rung detached; guest completed natively"
-			} else if jr.DeadlineExceeded {
-				// The fleet cancelled at the trap boundary with a partial
-				// (preempted-shaped) result — identical semantics to the
-				// live path's deadline cancellation, including no digest.
-				st = StatusDeadline
-				detail = fmt.Sprintf("recovery: deadline %d cycles exceeded at %d", rec.Deadline, res.Cycles)
-			}
-			j := &job{id: rec.ID, req: JobRequest{Tenant: rec.Tenant}, entry: mustEntry(s.reg, rec.ImageID)}
-			o = s.outcomeFrom(j, res, st, detail)
-			o.Recovered = true
-		}
-		s.record(o)
-		s.journalDone(rec.ID, o.Status)
-		if o.Status == StatusRecovered || o.Status == StatusDegraded || o.Status == StatusDeadline {
+	for _, j := range jobs {
+		switch (<-j.done).Status {
+		case StatusRecovered, StatusDegraded, StatusDeadline:
 			recovered++
 		}
 	}
 	s.sweepStaleSnapshots()
-	return recovered, nil
+	return recovered
 }
 
 // sweepStaleSnapshots removes snapshot files recovery can no longer tie
 // to any journaled job: job-*.snap whose record was already closed out
 // (or, before the journal-before-publish ordering fix, never written),
-// fleet-*.snap left behind by rejected recovery attempts, and torn
-// .snap.tmp debris. Runs at the end of every recovery so SnapshotDir
-// cannot accumulate unreferenced files across restarts. Pending jobs'
-// snapshots were renamed onto fleet slot names and consumed (or
-// rejected) by fleet.Recover before this point, so everything still
-// matching these patterns is garbage.
+// fleet-*.snap left behind by older daemons, which recovered through the
+// fleet's slot-named files, and torn .snap.tmp debris. It runs once every
+// recovered job has settled, and a finished job deletes its own
+// snapshot, so SnapshotDir cannot accumulate unreferenced files across
+// restarts.
 func (s *Service) sweepStaleSnapshots() {
 	for _, pat := range []string{"job-*.snap", "fleet-*.snap", "*.snap.tmp"} {
 		matches, _ := filepath.Glob(filepath.Join(s.cfg.SnapshotDir, pat))
@@ -159,9 +112,4 @@ func (s *Service) sweepStaleSnapshots() {
 			removeQuiet(p)
 		}
 	}
-}
-
-func mustEntry(r *Registry, id string) *ImageEntry {
-	e, _ := r.Get(id)
-	return e
 }

@@ -3,7 +3,8 @@
 // per-tenant admission control with token buckets and bounded queues,
 // deadline-bounded preemptive job execution, a degradation ladder
 // (full service → shed low priority → drain), crash-restart recovery
-// through the fleet's snapshot machinery, and Prometheus-text metrics.
+// that replays journaled jobs through the same job loop, resuming each
+// from its last persisted snapshot, and Prometheus-text metrics.
 //
 // Everything job-visible runs on the virtual clock: deadlines are
 // virtual-cycle budgets enforced at trap boundaries, so a job's outcome

@@ -102,6 +102,112 @@ func TestDeadlineTwinAcrossRecovery(t *testing.T) {
 	}
 }
 
+// A recovered job's deadline budget counts from the clock its snapshot
+// restored, not from zero. The job is drained at c0 ≈ 0.4·full with a
+// deadline of 0.6·full and restarted under a quantum of 2·full: the
+// restored job has 0.2·full of budget left and must be cancelled inside
+// [deadline, full). Counted from zero, its first slice would be capped at
+// 0.6·full only, and from c0 that runs the job to completion.
+func TestRecoveredDeadlineCountsFromRestoredClock(t *testing.T) {
+	live := startService(t, Config{Workers: 1})
+	full := live.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, live).ID, Alt: fpvm.AltBoxed})
+	if full.Status != StatusCompleted {
+		t.Fatalf("reference run: %s (%s)", full.Status, full.Detail)
+	}
+	deadline := full.Cycles * 3 / 5
+
+	dir := t.TempDir()
+	id := suspendAfterOneSlice(t, dir, full.Cycles*2/5, JobRequest{DeadlineCycles: deadline})
+
+	s2 := New(Config{Workers: 1, PreemptQuantum: 2 * full.Cycles, SnapshotDir: dir})
+	if _, err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	if s2.met.recoveryRejects != 0 {
+		t.Fatal("the drained job's snapshot was rejected; the restored clock went untested")
+	}
+	rec, ok := s2.Outcome(id)
+	if !ok {
+		t.Fatalf("recovered job %s has no outcome", id)
+	}
+	if rec.Status != StatusDeadline || !rec.Recovered {
+		t.Fatalf("recovered job ended %s (%s) at %d cycles, recovered=%v; want a recovered deadline-exceeded",
+			rec.Status, rec.Detail, rec.Cycles, rec.Recovered)
+	}
+	if rec.Cycles < deadline || rec.Cycles >= full.Cycles {
+		t.Fatalf("cancelled at %d cycles; want within [deadline %d, full %d)", rec.Cycles, deadline, full.Cycles)
+	}
+}
+
+// A recovered job whose snapshot VM.Restore rejects — here, torn in
+// half — runs fresh on a new VM: the reject is counted, and the job
+// still finishes bit-identical to an uninterrupted run.
+func TestRecoveryRunsFreshPastTornSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	id := suspendAfterOneSlice(t, dir, 2_000, JobRequest{})
+	snap := filepath.Join(dir, "job-"+id+".snap")
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 1, SnapshotDir: dir})
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	if s.met.recoveryRejects != 1 {
+		t.Fatalf("recovery_rejects_total = %d, want 1 for the torn snapshot", s.met.recoveryRejects)
+	}
+	o, ok := s.Outcome(id)
+	if !ok {
+		t.Fatalf("recovered job %s has no outcome", id)
+	}
+	if o.Status != StatusRecovered || o.Detail != "completed after daemon restart" {
+		t.Fatalf("recovered job ended %s (%s), want a fresh recovered run", o.Status, o.Detail)
+	}
+	e := registerLorenz(t, s)
+	ref, err := fpvm.Run(e.Image, jobVMConfig(e, fpvm.AltBoxed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Stdout != ref.Stdout || o.Digest != digestOf(t, ref) {
+		t.Fatal("fresh recovered run diverged from an uninterrupted run")
+	}
+}
+
+// suspendAfterOneSlice submits req (tenant "t", boxed lorenz) to a
+// service persisting into dir under the given quantum, drains it after
+// the job's first slice, and returns the suspended job's ID; its
+// job-<id>.snap holds the state at that first preemption.
+func suspendAfterOneSlice(t *testing.T, dir string, quantum uint64, req JobRequest) string {
+	t.Helper()
+	s := New(Config{Workers: 1, PreemptQuantum: quantum, SnapshotDir: dir})
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	req.Tenant, req.ImageID, req.Alt = "t", registerLorenz(t, s).ID, fpvm.AltBoxed
+	block := make(chan struct{})
+	s.testHookDispatch = func(*job) { <-block }
+	o := s.SubmitAsync(req)
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.inflight == 1 })
+	drained := make(chan int, 1)
+	go func() { drained <- s.Drain() }()
+	waitFor(t, func() bool { return s.State() == StateDraining })
+	close(block)
+	if n := <-drained; n != 1 {
+		t.Fatalf("drain suspended %d jobs, want 1", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-"+o.ID+".snap")); err != nil {
+		t.Fatalf("suspended job left no snapshot: %v", err)
+	}
+	return o.ID
+}
+
 // Satellite (b), ordering half: a job must be journaled before it is
 // claimable by any worker. The hook fires under s.mu at the instant of
 // publication — the journal read there must already hold the job record,
@@ -327,6 +433,56 @@ func TestDrainPersistsSuspendedJobOnce(t *testing.T) {
 	snaps, _ := filepath.Glob(filepath.Join(dir, "job-*.snap"))
 	if len(snaps) != 1 {
 		t.Fatalf("drained job left %d snapshot files, want 1", len(snaps))
+	}
+}
+
+// The preemption that blows a deadline ends the job, so it is never
+// persisted: a job cancelled at its k-th preemption consults svc.persist
+// k−1 times. Pre-fix, execute persisted every preemption and finish
+// deleted the last file at once — a Snapshot, a temp write, two fsyncs, a
+// rename and a remove thrown away per deadline job. The injector arms no
+// rule; it only counts the checks.
+func TestDeadlinePreemptionIsNotPersisted(t *testing.T) {
+	probe := startService(t, Config{Workers: 1})
+	e := registerLorenz(t, probe)
+	full := probe.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed})
+	if full.Status != StatusCompleted {
+		t.Fatalf("reference run: %s (%s)", full.Status, full.Detail)
+	}
+	quantum, deadline := full.Cycles/8, full.Cycles/2
+
+	// k: the job's preemptions, counted on a VM of its own whose slices
+	// are capped at the deadline the way execute caps them. Its cache is
+	// private and cold, as the service's is for the first job on an image.
+	vm, err := fpvm.Prepare(e.Image, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for {
+		q := quantum
+		if rem := deadline - vm.Cycles(); rem < q {
+			q = rem
+		}
+		vm.SetPreemptQuantum(q)
+		res, err := vm.RunSlice()
+		if err != nil || !res.Preempted {
+			t.Fatalf("reference slice %d: err=%v; the job must be preempted until its deadline", k+1, err)
+		}
+		k++
+		if res.Cycles >= deadline {
+			break
+		}
+	}
+
+	inj := faultinject.New(1)
+	s := startService(t, Config{Workers: 1, PreemptQuantum: quantum, SnapshotDir: t.TempDir(), Inject: inj})
+	o := s.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, s).ID, Alt: fpvm.AltBoxed, DeadlineCycles: deadline})
+	if o.Status != StatusDeadline {
+		t.Fatalf("job ended %s (%s), want deadline-exceeded", o.Status, o.Detail)
+	}
+	if got := inj.Stats(faultinject.SiteSvcPersist).Checks; got != uint64(k-1) {
+		t.Fatalf("svc.persist consulted %d times for a job cancelled at preemption %d; want %d", got, k, k-1)
 	}
 }
 

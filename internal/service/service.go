@@ -272,14 +272,17 @@ type JobOutcome struct {
 
 // job is one admitted submission in flight. entry is the registry entry
 // admission resolved — dispatch re-checks its quarantine state but never
-// re-resolves the ID (the TOCTOU fix: one lookup, one entry).
+// re-resolves the ID (the TOCTOU fix: one lookup, one entry). A
+// recovered job is one a dead instance journaled and never finished;
+// snap holds its last persisted snapshot, if one survived.
 type job struct {
-	id       string
-	req      JobRequest
-	entry    *ImageEntry
-	deadline uint64
-	async    bool
-	done     chan *JobOutcome
+	id        string
+	req       JobRequest
+	entry     *ImageEntry
+	deadline  uint64
+	recovered bool
+	snap      []byte
+	done      chan *JobOutcome
 }
 
 // Service is the multi-tenant FP-virtualization daemon core.
@@ -334,8 +337,7 @@ type Service struct {
 	jitterMu  sync.Mutex
 	jitterSeq uint64
 
-	wg      sync.WaitGroup
-	started bool
+	wg sync.WaitGroup
 
 	// testHookDispatch, when set, runs in the worker goroutine right
 	// before a job executes — the panic-containment tests' trapdoor.
@@ -404,24 +406,28 @@ func (s *Service) WarmPools(alt fpvm.AltKind, precision uint) int {
 // it).
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Start recovers unfinished jobs from the snapshot directory's journal,
-// then launches the worker pool. Recovery outcomes are queryable via
-// Outcome; the returned count is how many jobs were recovered.
+// Start opens the snapshot directory's journal, launches the worker
+// pool, and runs every job a previous instance left unfinished through
+// it, returning once all of them have settled. Recovery outcomes are
+// queryable via Outcome; the returned count is how many jobs were
+// recovered.
 func (s *Service) Start() (recovered int, err error) {
-	if s.cfg.SnapshotDir != "" {
-		jnl, jerr := openJournal(s.cfg.SnapshotDir)
-		if jerr != nil {
-			return 0, jerr
-		}
-		s.jnl = jnl
+	if s.cfg.SnapshotDir == "" {
+		s.startWorkers()
+		return 0, nil
 	}
-	recovered, err = s.recoverJournaled()
+	if s.jnl, err = openJournal(s.cfg.SnapshotDir); err != nil {
+		return 0, err
+	}
+	jobs, err := s.recoverJournaled()
 	if err != nil {
-		return recovered, err
+		return 0, err
 	}
-	s.mu.Lock()
-	s.started = true
-	s.mu.Unlock()
+	s.startWorkers()
+	return s.settleRecovered(jobs), nil
+}
+
+func (s *Service) startWorkers() {
 	for w := 0; w < s.cfg.workers(); w++ {
 		s.wg.Add(1)
 		go func(w int) {
@@ -429,7 +435,6 @@ func (s *Service) Start() (recovered int, err error) {
 			s.worker(w)
 		}(w)
 	}
-	return recovered, nil
 }
 
 // State returns the ladder position.
@@ -484,9 +489,8 @@ func (s *Service) retryAfter(base time.Duration) time.Duration {
 	return time.Duration(float64(base) * frac)
 }
 
-// sanitizeID maps arbitrary tenant strings onto the snapshot-safe
-// alphabet (must stay within fleet's sanitizeName fixed point, so job
-// IDs round-trip through snapshot filenames unchanged).
+// sanitizeID maps arbitrary tenant strings onto the filename-safe
+// alphabet, so a job ID names its job-<id>.snap file as it stands.
 func sanitizeID(sr string) string {
 	var sb strings.Builder
 	for _, r := range sr {
@@ -507,7 +511,7 @@ func sanitizeID(sr string) string {
 // dispatch, execution, response — and blocks until its outcome. Every
 // path out is a deliberate Status; Submit never returns nil.
 func (s *Service) Submit(req JobRequest) *JobOutcome {
-	j, out := s.accept(req, false)
+	j, out := s.accept(req)
 	if out != nil {
 		return out
 	}
@@ -523,7 +527,7 @@ func (s *Service) Submit(req JobRequest) *JobOutcome {
 // recovery serves them under their original IDs.
 func (s *Service) SubmitAsync(req JobRequest) *JobOutcome {
 	s.met.bump(&s.met.asyncSubmissions)
-	j, out := s.accept(req, true)
+	j, out := s.accept(req)
 	if out != nil {
 		return out
 	}
@@ -538,7 +542,7 @@ func (s *Service) SubmitAsync(req JobRequest) *JobOutcome {
 // accept is the shared front half of Submit and SubmitAsync: mint an ID,
 // admit, enqueue. (nil, outcome) is a refusal; (job, nil) an accepted
 // job the worker pool now owns.
-func (s *Service) accept(req JobRequest, async bool) (*job, *JobOutcome) {
+func (s *Service) accept(req JobRequest) (*job, *JobOutcome) {
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("j%d_%05d_%s", s.gen, s.seq, sanitizeID(req.Tenant))
@@ -555,7 +559,6 @@ func (s *Service) accept(req JobRequest, async bool) (*job, *JobOutcome) {
 		req:      req,
 		entry:    entry,
 		deadline: req.DeadlineCycles,
-		async:    async,
 		done:     make(chan *JobOutcome, 1),
 	}
 	if j.deadline == 0 {
@@ -876,31 +879,33 @@ func (s *Service) execute(j *job) {
 		}
 		cfg.Inject = inj
 	}
-	// Per-job fault injection changes the VM config, so those jobs
-	// bypass the warm pool: a pooled shell must be exactly jobVMConfig.
-	var vm *fpvm.VM
-	if s.pool != nil && cfg.Inject == nil {
-		vm = s.pool.checkout(j.entry, j.req.Alt, j.req.Precision)
-	}
-	if vm == nil {
-		var perr error
-		vm, perr = fpvm.Prepare(j.entry.Image, cfg)
-		if perr != nil {
-			s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
-				Status: StatusFailed, Detail: perr.Error()})
-			return
+	vm, err := s.jobVM(j, cfg)
+	if err == nil && j.snap != nil {
+		// A recovered job resumes from the snapshot its dead instance
+		// persisted last. Restore is the only validator: torn or corrupt
+		// bytes, or bytes bound to another image, alt system or config,
+		// are rejected, and the job runs fresh on a new VM.
+		if rerr := vm.Restore(j.snap); rerr != nil {
+			s.met.bump(&s.met.recoveryRejects)
+			vm, err = s.jobVM(j, cfg)
 		}
+		j.snap = nil
+	}
+	if err != nil {
+		s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
+			Status: StatusFailed, Detail: err.Error()})
+		return
 	}
 
 	// One VM per job: every slice continues it in place. It is local to
 	// this call, so every way out — terminal status, deadline, drain,
-	// panic — drops it, and no job's state ever reaches another job.
-	var cycles uint64
+	// panic — drops it, and no job's state ever reaches another job. The
+	// deadline budget counts on the VM's own clock, so a restored job's
+	// first slice gets only what its dead instance left of the budget.
 	for {
 		q := s.cfg.quantum()
 		if j.deadline > 0 {
-			rem := j.deadline - cycles
-			if rem < q {
+			if rem := j.deadline - vm.Cycles(); rem < q {
 				q = rem
 			}
 		}
@@ -914,16 +919,15 @@ func (s *Service) execute(j *job) {
 		}
 
 		if res.Preempted {
-			cycles = res.Cycles
-			s.persist(j, vm)
-
-			if j.deadline > 0 && cycles >= j.deadline {
+			if j.deadline > 0 && res.Cycles >= j.deadline {
 				// Deadline blown: cancelled at the trap boundary; the
-				// partial result travels with the distinct status.
+				// partial result travels with the distinct status. The job
+				// ends here, so nothing is persisted.
 				s.finish(j, s.outcomeFrom(j, res, StatusDeadline,
-					fmt.Sprintf("deadline %d cycles exceeded at %d", j.deadline, cycles)))
+					fmt.Sprintf("deadline %d cycles exceeded at %d", j.deadline, res.Cycles)))
 				return
 			}
+			s.persist(j, vm)
 			if s.isDraining() {
 				s.suspend(j, res)
 				return
@@ -931,15 +935,30 @@ func (s *Service) execute(j *job) {
 			continue
 		}
 
-		st := StatusCompleted
-		detail := ""
-		if res.Detached {
-			st = StatusDegraded
-			detail = "fatal rung detached; guest completed natively"
+		st, detail := StatusCompleted, ""
+		switch {
+		case res.Detached:
+			st, detail = StatusDegraded, "fatal rung detached; guest completed natively"
+		case j.recovered && res.Resumed:
+			st, detail = StatusRecovered, "resumed from snapshot after daemon restart"
+		case j.recovered:
+			st, detail = StatusRecovered, "completed after daemon restart"
 		}
 		s.finish(j, s.outcomeFrom(j, res, st, detail))
 		return
 	}
+}
+
+// jobVM checks a VM for j out of the warm pool, or builds one cold.
+// Per-job fault injection changes the VM config, so those jobs bypass
+// the pool: a pooled shell must be exactly jobVMConfig.
+func (s *Service) jobVM(j *job, cfg fpvm.Config) (*fpvm.VM, error) {
+	if s.pool != nil && cfg.Inject == nil {
+		if vm := s.pool.checkout(j.entry, j.req.Alt, j.req.Precision); vm != nil {
+			return vm, nil
+		}
+	}
+	return fpvm.Prepare(j.entry.Image, cfg)
 }
 
 func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string) *JobOutcome {
@@ -960,9 +979,9 @@ func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string
 }
 
 // persist serializes a preempted job's VM and writes the snapshot for
-// crash durability — once per preemption, drain included. An injected
-// persist fault (or a real capture or write failure) degrades durability
-// only: the live VM keeps the job running.
+// crash durability — once per preemption the job continues past, drain
+// included. An injected persist fault (or a real capture or write
+// failure) degrades durability only: the live VM keeps the job running.
 func (s *Service) persist(j *job, vm *fpvm.VM) {
 	if s.cfg.SnapshotDir == "" {
 		return
@@ -974,7 +993,7 @@ func (s *Service) persist(j *job, vm *fpvm.VM) {
 	}
 	snap, err := vm.Snapshot()
 	if err == nil {
-		err = checkpoint.WriteFileAtomic(filepath.Join(s.cfg.SnapshotDir, "job-"+j.id+".snap"), snap)
+		err = checkpoint.WriteFileAtomic(s.snapPath(j.id), snap)
 	}
 	if err != nil {
 		s.met.bump(&s.met.persistFailures)
@@ -1003,10 +1022,11 @@ func (s *Service) finish(j *job, o *JobOutcome) {
 }
 
 func (s *Service) deliver(j *job, o *JobOutcome, terminal bool) {
+	o.Recovered = j.recovered
 	if terminal {
 		s.journalDone(j.id, o.Status)
 		if s.cfg.SnapshotDir != "" {
-			removeQuiet(filepath.Join(s.cfg.SnapshotDir, "job-"+j.id+".snap"))
+			removeQuiet(s.snapPath(j.id))
 		}
 	}
 
@@ -1131,6 +1151,11 @@ func (s *Service) Drain() int {
 	s.mu.Unlock()
 	close(done)
 	return n
+}
+
+// snapPath names job id's preemption snapshot: job-<id>.snap.
+func (s *Service) snapPath(id string) string {
+	return filepath.Join(s.cfg.SnapshotDir, "job-"+id+".snap")
 }
 
 // removeQuiet removes a file, ignoring errors (absence is fine).

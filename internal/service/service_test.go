@@ -171,6 +171,35 @@ func TestDeadlineExceededReturnsPartial(t *testing.T) {
 	}
 }
 
+// A quantum wider than the whole job must not hide the deadline: the
+// slice is capped at the remaining budget, so the job is cancelled at
+// the first boundary past its deadline with a partial result, not run to
+// completion and labelled late.
+func TestDeadlineCapsQuantumWiderThanJob(t *testing.T) {
+	probe := startService(t, Config{Workers: 1})
+	full := probe.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, probe).ID, Alt: fpvm.AltBoxed})
+	if full.Status != StatusCompleted {
+		t.Fatalf("reference run: %s (%s)", full.Status, full.Detail)
+	}
+	deadline := full.Cycles / 2
+
+	s := startService(t, Config{Workers: 1, PreemptQuantum: 2 * full.Cycles})
+	o := s.Submit(JobRequest{
+		Tenant: "t", ImageID: registerLorenz(t, s).ID, Alt: fpvm.AltBoxed,
+		DeadlineCycles: deadline,
+	})
+	if o.Status != StatusDeadline {
+		t.Fatalf("status = %s (%s) at %d cycles, want deadline-exceeded (full run is %d)",
+			o.Status, o.Detail, o.Cycles, full.Cycles)
+	}
+	if o.Cycles < deadline || o.Cycles >= full.Cycles {
+		t.Fatalf("cancelled at %d cycles; want within [deadline %d, full %d)", o.Cycles, deadline, full.Cycles)
+	}
+	if o.Digest != "" {
+		t.Fatal("cancelled job carries a final-state digest; partial results must not")
+	}
+}
+
 func TestWorkerPanicIsContainedAndQuarantines(t *testing.T) {
 	s := startService(t, Config{Workers: 2})
 	e := registerLorenz(t, s)
