@@ -37,10 +37,11 @@ bench:
 	$(GO) run ./cmd/fpvm-bench -fig service -json BENCH_8.json -pool-json BENCH_9.json
 
 # Bounded race-enabled fleet soak: the concurrency surface (worker
-# pool, shared cache adoption/invalidation, forks inside a fleet)
-# under the race detector. Wired into CI alongside make check.
+# pool, many VMs adopting from one frozen shared cache, concurrent jobs
+# of one image spending equal cycles, forks inside a fleet) under the
+# race detector. Wired into CI alongside make check.
 fleet-soak:
-	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetSharedAdoption|TestFleetMatchesSerial|TestForkInsideFleet' ./internal/fleet/ ./internal/fpvm/
+	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetSharedAdoption|TestFleetMatchesSerial|TestForkInsideFleet|TestSharedCacheSameCyclesAnyOrder|TestSharedConcurrentTorture' ./internal/fleet/ ./internal/fpvm/ ./internal/dcache/ .
 
 # Kill-resume soak: repeatedly SIGKILL a snapshot-persisting fleet
 # mid-run, recover from the surviving files, and assert resumed jobs

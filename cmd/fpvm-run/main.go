@@ -13,9 +13,10 @@
 //
 // Fleet mode (-parallel N with N > 1) executes M copies of the workload
 // (-jobs, default N) on a pool of N concurrent VMs sharing one
-// decode/trace cache — the first VM's decode and trace-build work warms
-// every other VM. -fleet-private gives each VM a private cache instead
-// (the ablation baseline). Guest output is printed once (all copies are
+// decode/trace cache — trained by one private run of the workload before
+// dispatch, then read-only, so every copy adopts the same warm decodes
+// and traces and spends the same virtual cycles. -fleet-private gives
+// each VM a private cache instead (the ablation baseline). Guest output is printed once (all copies are
 // identical); the fleet summary goes to stderr, and the exit code is the
 // most severe outcome across the fleet.
 //

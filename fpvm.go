@@ -161,10 +161,11 @@ type Config struct {
 	MaxRollbacks int
 
 	// Shared, when set, backs the VM's private decode/trace cache with a
-	// fleet-wide concurrency-safe store (see NewSharedCache): one VM's
-	// decode or trace build warms every VM attached to the same store.
-	// All runs sharing a store must execute the same program image; Run
-	// enforces this via SharedCache.Bind and fails fast on a mismatch.
+	// frozen store trained on the same image (see TrainSharedCache): a
+	// local miss adopts the trained decode or trace, and the VM's own
+	// decodes, trace builds and invalidations stay local. The store is
+	// read-only, so a run's cycles depend on the store's training, never
+	// on other runs. Prepare refuses a store trained on another image.
 	Shared *SharedCache
 
 	// PreemptQuantum, when > 0, preempts the run after roughly that many
@@ -186,15 +187,41 @@ type Config struct {
 // Config.Observer (see internal/fpvm.TrapState).
 type TrapState = fpvmrt.TrapState
 
-// SharedCache is a concurrency-safe decode/trace store shared by many
-// concurrent Runs of the same image (fleet execution). See
-// internal/dcache.SharedCache for semantics.
+// SharedCache is a frozen decode/trace store that many concurrent runs of
+// one image read without locks. See internal/dcache.SharedCache for
+// semantics.
 type SharedCache = dcache.SharedCache
 
-// NewSharedCache returns a shared decode/trace store bounded like a
-// private cache of the given capacity (0 = default 64K entries).
+// NewSharedCache returns an empty store: runs backed by it behave exactly
+// like runs with a private cache. The argument is unused; it is kept so
+// existing callers compile. TrainSharedCache builds a store worth
+// sharing.
 func NewSharedCache(capacity int) *SharedCache {
-	return dcache.NewShared(capacity)
+	return dcache.NewShared()
+}
+
+// TrainSharedCache builds img's shared store from one training run: a VM
+// with a private cache runs img to completion under cfg, without Inject,
+// Observer or a preemption quantum, and its final decode entries and
+// traces (replay counters zeroed) are frozen into a store tagged with
+// img. Training is deterministic, so two stores trained on the same image
+// and config are interchangeable. A failed or panicking training run
+// returns an error and no store.
+func TrainSharedCache(img *obj.Image, cfg Config) (s *SharedCache, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s, err = nil, fmt.Errorf("fpvm: training run panicked: %v", p)
+		}
+	}()
+	cfg.Shared, cfg.Inject, cfg.Observer, cfg.PreemptQuantum = nil, nil, nil, 0
+	vm, err := Prepare(img, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := vm.RunSlice(); err != nil {
+		return nil, fmt.Errorf("fpvm: training run: %w", err)
+	}
+	return dcache.Freeze(vm.rt.Cache(), img), nil
 }
 
 // ConfigName renders the paper's config label (NONE/SEQ/SHORT/SEQ SHORT).
@@ -304,7 +331,7 @@ type Result struct {
 	JITInsts    uint64
 
 	// Shared-cache adoptions (Config.Shared != nil): local misses served
-	// by another VM's published decode (SharedHits) or trace snapshot
+	// by the trained store's decode (SharedHits) or a copy of its trace
 	// (SharedTraceHits). Zero on private-cache runs.
 	SharedHits      uint64
 	SharedTraceHits uint64
@@ -546,9 +573,9 @@ func Prepare(img *obj.Image, cfg Config) (*VM, error) {
 		return nil, err
 	}
 	if cfg.Shared != nil {
-		// Shared decodes/traces are only valid for the image they were
+		// Trained decodes/traces are only valid for the image they were
 		// built from; one shared store serves exactly one image.
-		if err := cfg.Shared.Bind(img); err != nil {
+		if err := cfg.Shared.Check(img); err != nil {
 			return nil, err
 		}
 	}

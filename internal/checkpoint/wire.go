@@ -93,6 +93,9 @@ type CacheImage struct {
 	EntryRIPs []uint64
 	Traces    []TraceImage
 	Stats     dcache.Stats
+	// Unshared records that the cache had stopped consulting its shared
+	// store (dcache.Cache.Unshared), so the restored cache does too.
+	Unshared bool
 }
 
 // RuntimeImage carries the FPVM runtime's counters and supervisor state.

@@ -36,11 +36,10 @@ type Stats struct {
 	TraceEvictions     uint64
 	TraceInvalidations uint64
 
-	// Shared-cache adoption (fleet execution, see SharedCache). A
-	// SharedHit is a local L1 miss served by adopting another VM's
-	// published decode entry; a SharedTraceHit a local L2 miss served by
-	// adopting a published trace. Neither is double-counted as a local
-	// hit or miss.
+	// Shared-cache adoption (see SharedCache). A SharedHit is a local L1
+	// miss served by adopting the trained store's decode entry; a
+	// SharedTraceHit a local L2 miss served by adopting a trained trace.
+	// Neither is double-counted as a local hit or miss.
 	SharedHits      uint64
 	SharedTraceHits uint64
 }
@@ -123,12 +122,11 @@ type Cache struct {
 	// can kill all traces through a corrupted or degraded instruction.
 	ripIndex map[uint64][]uint64
 
-	// shared, when non-nil, backs this per-VM cache with a fleet-wide
-	// concurrency-safe store: local misses consult it (adopting published
-	// entries/traces into the private tables), local decodes and trace
-	// builds publish to it, and local invalidations propagate so no VM
-	// adopts a distrusted decode. The per-VM hot path stays lock-free —
-	// only local misses and publications touch the shared store.
+	// shared, when non-nil, is the frozen store trained on this VM's
+	// image: local misses adopt from it into the private tables, and
+	// everything else stays local. The first invalidation clears it, so
+	// a decode or trace the recovery ladder distrusted never comes back
+	// from the store.
 	shared *SharedCache
 
 	Stats Stats
@@ -143,19 +141,21 @@ const DefaultCapacity = 65536
 const DefaultTraceCapacity = 4096
 
 // NewCacheShared returns a cache bounded to capacity entries (0 =
-// default) backed by the given shared cache (nil = private, identical to
-// NewCache). Sharing is read-mostly: the private tables absorb all
-// hot-path traffic; the shared store is consulted only on local misses
-// and updated on decode/trace publication and invalidation.
+// default) backed by the given frozen store (nil = private, identical to
+// NewCache). The store is only read, and only on local misses.
 func NewCacheShared(capacity int, shared *SharedCache) *Cache {
 	c := NewCache(capacity)
 	c.shared = shared
 	return c
 }
 
-// Shared returns the attached shared cache (nil when the cache is
-// private).
-func (c *Cache) Shared() *SharedCache { return c.shared }
+// Unshared reports whether the cache no longer consults a shared store:
+// it never had one, or it invalidated something. Snapshots record it, so
+// a restored VM adopts exactly when the suspended one would have.
+func (c *Cache) Unshared() bool { return c.shared == nil }
+
+// Unshare stops the cache from consulting its shared store.
+func (c *Cache) Unshare() { c.shared = nil }
 
 // NewCache returns a cache bounded to capacity entries (0 = default).
 // The trace table capacity scales with the decode capacity, floored at 16.
@@ -190,7 +190,7 @@ func (c *Cache) Lookup(rip uint64) (*Entry, bool) {
 	if c.shared != nil {
 		if e, ok := c.shared.LookupEntry(rip); ok {
 			c.Stats.SharedHits++
-			c.insertLocal(rip, e)
+			c.Insert(rip, e)
 			return e, true
 		}
 	}
@@ -199,19 +199,8 @@ func (c *Cache) Lookup(rip uint64) (*Entry, bool) {
 }
 
 // Insert caches an entry for rip, evicting FIFO-oldest entries over
-// capacity, and publishes the decode to the shared cache when one is
-// attached (the entry is immutable from here on).
+// capacity. The entry is immutable from here on.
 func (c *Cache) Insert(rip uint64, e *Entry) {
-	c.insertLocal(rip, e)
-	if c.shared != nil {
-		c.shared.PublishEntry(rip, e)
-	}
-}
-
-// insertLocal is Insert without shared-cache publication (adoption uses
-// it: re-publishing an entry that came from the shared store is wasted
-// work).
-func (c *Cache) insertLocal(rip uint64, e *Entry) {
 	if _, exists := c.entries[rip]; !exists {
 		for len(c.entries) >= c.cap && c.order.Len() > 0 {
 			victim, _ := c.order.Pop()
@@ -230,13 +219,11 @@ func (c *Cache) insertLocal(rip uint64, e *Entry) {
 // recovery ladder distrusts a decode (e.g. an injected decode fault): the
 // next lookup misses, the instruction is re-decoded from guest memory,
 // and no stale pre-bound sequence can replay through the suspect address.
+// Like InvalidateTraces it unshares the cache.
 func (c *Cache) Invalidate(rip uint64) {
 	if _, ok := c.entries[rip]; ok {
 		delete(c.entries, rip)
 		c.Stats.Evictions++
-	}
-	if c.shared != nil {
-		c.shared.InvalidateEntry(rip)
 	}
 	c.InvalidateTraces(rip)
 }
@@ -258,8 +245,8 @@ func (c *Cache) TraceOrderCap() int { return c.traceOrder.Cap() }
 // rebuild — while the immutable entry decodes themselves are shared. The
 // child's Stats start from zero: a fork child reporting the parent's
 // pre-fork hit/miss/eviction events would double-count them (each event
-// happened once, in the parent). An attached shared cache carries over —
-// the forked process runs the same image, so its published decodes stay
+// happened once, in the parent). An attached shared store carries over —
+// the forked process runs the same image, so its trained decodes stay
 // valid for the child.
 func (c *Cache) Clone() *Cache {
 	out := &Cache{
@@ -320,8 +307,8 @@ type Trace struct {
 	// Compiled holds the owning VM's tier-1 compiled body, opaque to this
 	// package (the compiler lives in the runtime). Compiled bodies are
 	// strictly per-VM process state: snapshot/snapshotKeepCounters clear
-	// the slot, so shared-cache masters, adopted copies and fork clones
-	// never carry one, and the checkpoint wire format never sees it.
+	// the slot, so trained traces, adopted copies and fork clones never
+	// carry one, and the checkpoint wire format never sees it.
 	// Dropping the trace (invalidation, eviction, replacement) drops the
 	// body with it.
 	Compiled any
@@ -333,9 +320,9 @@ func (t *Trace) Len() int { return len(t.Entries) }
 
 // snapshot returns an independent copy of t with fresh Entries/Insts
 // slice headers (the immutable *Entry decodes and disassembly strings are
-// shared) and zeroed replay counters. Shared-cache publication and
-// adoption both go through it: the published master is never mutated, and
-// every adopter replays (and counts) against its own copy.
+// shared) and zeroed replay counters. Freezing a store and adopting from
+// it both go through it: the trained trace is never mutated, and every
+// adopter replays (and counts) against its own copy.
 func (t *Trace) snapshot() *Trace {
 	nt := t.snapshotKeepCounters()
 	nt.Hits, nt.Divergences = 0, 0
@@ -382,7 +369,7 @@ func (t *Trace) EnsureDisassembly(fetchTerm func(rip uint64) (string, bool)) {
 }
 
 // LookupTrace returns the cached trace starting at start, if present. On
-// a local miss with a shared cache attached, a published trace is adopted:
+// a local miss with a shared store attached, a trained trace is adopted:
 // the VM gets its own copy (fresh counters, private Entries slice) so
 // replay never mutates state another VM can see, and future traps at this
 // start hit locally.
@@ -395,7 +382,7 @@ func (c *Cache) LookupTrace(start uint64) (*Trace, bool) {
 		if master, ok := c.shared.LookupTrace(start); ok {
 			t := master.snapshot()
 			c.Stats.SharedTraceHits++
-			c.insertTraceLocal(t)
+			c.InsertTrace(t)
 			return t, true
 		}
 	}
@@ -403,23 +390,13 @@ func (c *Cache) LookupTrace(start uint64) (*Trace, bool) {
 	return nil, false
 }
 
-// InsertTrace caches t, evicting FIFO-oldest traces over capacity, and
-// publishes a frozen copy to the shared cache when one is attached — one
-// VM's trace build warms every VM. An existing trace at the same start
-// address is replaced (the sequence was re-walked, e.g. after an
-// invalidation).
+// InsertTrace caches t, evicting FIFO-oldest traces over capacity. An
+// existing trace at the same start address is replaced (the sequence was
+// re-walked, e.g. after an invalidation).
 func (c *Cache) InsertTrace(t *Trace) {
 	if len(t.Entries) == 0 {
 		return
 	}
-	c.insertTraceLocal(t)
-	if c.shared != nil {
-		c.shared.PublishTrace(t)
-	}
-}
-
-// insertTraceLocal is InsertTrace without shared-cache publication.
-func (c *Cache) insertTraceLocal(t *Trace) {
 	if old, exists := c.traces[t.Start]; exists {
 		c.unindexTrace(old)
 	} else {
@@ -443,13 +420,10 @@ func (c *Cache) insertTraceLocal(t *Trace) {
 // starting there) and returns how many were dropped. The recovery ladder
 // calls it whenever an instruction decodes faultily or degrades: a
 // pre-bound sequence must never replay through a distrusted instruction.
-// With a shared cache attached, the invalidation propagates so no other
-// VM adopts a sequence through the distrusted address (copies other VMs
-// already adopted live out their own per-VM lifecycle).
+// The cache also stops consulting its shared store, which cannot forget
+// the distrusted address; the store itself and other VMs are untouched.
 func (c *Cache) InvalidateTraces(rip uint64) int {
-	if c.shared != nil {
-		c.shared.InvalidateTraces(rip)
-	}
+	c.shared = nil
 	if _, ok := c.ripIndex[rip]; !ok {
 		return 0
 	}

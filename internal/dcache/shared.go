@@ -1,356 +1,78 @@
 package dcache
 
-// SharedCache is the fleet-wide, concurrency-safe backing store for
-// per-VM caches: L1 decode entries behind sharded RWMutexes (a decode is
-// immutable once published, so adopters share the pointer) and an L2
-// trace table published copy-on-write (a VM adopting a trace gets its own
-// snapshot with fresh counters; the published master is never mutated).
-// One VM's decode or trace build warms every VM attached to the same
-// store, which is how the fleet amortizes warm-up across request-sized
-// guests.
+// SharedCache is a frozen decode/trace store for one program image. It is
+// built once, by Freeze, from the cache of a single training run, and
+// nothing writes to it afterwards: any number of VMs may read it
+// concurrently without locks. A per-VM Cache backed by a store adopts
+// from it on a local miss — a decode entry by pointer (entries are
+// immutable), a trace as its own copy with fresh counters — and keeps
+// every insertion and invalidation local. Because the store never
+// changes, a VM's virtual cycles depend only on its image, its
+// configuration and the store's training run, never on which VMs ran
+// before it or alongside it.
 //
 // Validity: entries and traces are pre-decoded from a specific program
-// image, so a shared cache is only coherent across VMs running the SAME
-// image. Bind enforces that — the first binder fixes the identity, and a
-// later Bind with a different key fails instead of silently replaying
-// another program's instruction stream.
-//
-// The per-VM caches keep all hot-path traffic private: the shared store
-// is touched only on local misses (read lock), publications and
-// invalidations (write lock). Under steady state the shard locks are
-// effectively uncontended.
+// image, so a store is tagged with the image it was trained on and Check
+// refuses any other. An empty store (NewShared) has no tag and behaves
+// like no store at all.
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// sharedShards is the L1 shard count. Shard selection is rip-modulo;
-// instruction addresses are dense enough that traffic spreads evenly.
-const sharedShards = 16
-
-type entryShard struct {
-	mu sync.RWMutex
-	m  map[uint64]*Entry
-}
-
-// SharedStats is a point-in-time snapshot of shared-cache activity,
-// aggregated across every attached VM.
-type SharedStats struct {
-	EntryHits         uint64 // lookups served (adoptions by some VM)
-	EntryMisses       uint64
-	EntryPublications uint64
-	EntryEvictions    uint64
-
-	TraceHits         uint64
-	TraceMisses       uint64
-	TracePublications uint64
-	TraceEvictions    uint64
-	Invalidations     uint64 // traces killed by propagated invalidation
-}
-
-// SharedCache is safe for concurrent use by any number of goroutines.
+// SharedCache is safe for concurrent use: it is read-only once built.
 type SharedCache struct {
-	shards   [sharedShards]entryShard
-	entryCap int // per-shard
-
-	tmu      sync.RWMutex
-	traces   map[uint64]*Trace // immutable published snapshots
-	ripIndex map[uint64][]uint64
-	traceCap int
-
-	bindMu sync.Mutex
-	bound  any
-
-	entryHits, entryMisses, entryPubs, entryEvict atomic.Uint64
-	traceHits, traceMisses, tracePubs, traceEvict atomic.Uint64
-	invalidations                                 atomic.Uint64
+	image   any
+	entries map[uint64]*Entry
+	traces  map[uint64]*Trace
 }
 
-// NewShared returns a shared cache bounded like NewCache(capacity): the
-// same decode-entry capacity (split across shards) and the same derived
-// trace-table capacity.
-func NewShared(capacity int) *SharedCache {
-	sizer := NewCache(capacity)
+// NewShared returns an empty store that serves any image. A cache backed
+// by it behaves exactly like a private cache.
+func NewShared() *SharedCache { return &SharedCache{} }
+
+// Freeze builds the store for image from c, the cache of a finished
+// training run: its decode entries (immutable, so shared by pointer) and
+// copies of its traces with zeroed replay counters and no compiled body.
+// Nothing c does afterwards reaches the store.
+func Freeze(c *Cache, image any) *SharedCache {
 	s := &SharedCache{
-		entryCap: sizer.cap / sharedShards,
-		traceCap: sizer.traceCap,
-		traces:   make(map[uint64]*Trace),
-		ripIndex: make(map[uint64][]uint64),
+		image:   image,
+		entries: make(map[uint64]*Entry, len(c.entries)),
+		traces:  make(map[uint64]*Trace, len(c.traces)),
 	}
-	if s.entryCap < 1 {
-		s.entryCap = 1
+	for rip, e := range c.entries {
+		s.entries[rip] = e
 	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]*Entry)
+	for start, t := range c.traces {
+		s.traces[start] = t.snapshot()
 	}
 	return s
 }
 
-// Bind associates the shared cache with an identity key — the program
-// image its decodes come from. The first Bind fixes the identity; a later
-// Bind with a different key returns an error, because pre-decoded entries
-// and traces are only valid for the image they were built from.
-func (s *SharedCache) Bind(key any) error {
-	s.bindMu.Lock()
-	defer s.bindMu.Unlock()
-	if s.bound == nil {
-		s.bound = key
-		return nil
-	}
-	if s.bound != key {
-		return fmt.Errorf("dcache: shared cache is bound to a different image (one shared cache per distinct image)")
+// Check reports whether VMs running image may use the store: a store
+// trained on one image refuses every other.
+func (s *SharedCache) Check(image any) error {
+	if s.image != nil && s.image != image {
+		return fmt.Errorf("dcache: shared cache was trained on a different image (one shared cache per distinct image)")
 	}
 	return nil
 }
 
-func (s *SharedCache) shard(rip uint64) *entryShard {
-	return &s.shards[rip%sharedShards]
-}
-
-// LookupEntry returns the published decode for rip, if present.
+// LookupEntry returns the trained decode for rip, if present.
 func (s *SharedCache) LookupEntry(rip uint64) (*Entry, bool) {
-	sh := s.shard(rip)
-	sh.mu.RLock()
-	e, ok := sh.m[rip]
-	sh.mu.RUnlock()
-	if ok {
-		s.entryHits.Add(1)
-	} else {
-		s.entryMisses.Add(1)
-	}
+	e, ok := s.entries[rip]
 	return e, ok
 }
 
-// PublishEntry stores an immutable decode for every VM to adopt. At
-// capacity an arbitrary resident entry is evicted (map iteration order:
-// effectively random replacement — steady-state fleets fit well under
-// capacity, so the policy only matters as an OOM guard).
-func (s *SharedCache) PublishEntry(rip uint64, e *Entry) {
-	sh := s.shard(rip)
-	sh.mu.Lock()
-	if _, exists := sh.m[rip]; !exists && len(sh.m) >= s.entryCap {
-		for victim := range sh.m {
-			delete(sh.m, victim)
-			s.entryEvict.Add(1)
-			break
-		}
-	}
-	sh.m[rip] = e
-	sh.mu.Unlock()
-	s.entryPubs.Add(1)
-}
-
-// InvalidateEntry drops the published decode at rip (propagated from a
-// VM whose recovery ladder distrusts the address).
-func (s *SharedCache) InvalidateEntry(rip uint64) {
-	sh := s.shard(rip)
-	sh.mu.Lock()
-	delete(sh.m, rip)
-	sh.mu.Unlock()
-}
-
-// LookupTrace returns the published master trace starting at start.
-// Masters are immutable: callers must snapshot before replaying (the
+// LookupTrace returns the trained trace starting at start. It is the
+// store's own copy: callers must snapshot it before replaying (the
 // per-VM Cache.LookupTrace adoption path does).
 func (s *SharedCache) LookupTrace(start uint64) (*Trace, bool) {
-	s.tmu.RLock()
 	t, ok := s.traces[start]
-	s.tmu.RUnlock()
-	if ok {
-		s.traceHits.Add(1)
-	} else {
-		s.traceMisses.Add(1)
-	}
 	return t, ok
 }
 
-// PublishTrace stores a frozen copy of t (fresh slice headers, zeroed
-// counters) as the master for its start address, replacing any previous
-// master. At capacity an arbitrary resident trace is evicted.
-func (s *SharedCache) PublishTrace(t *Trace) {
-	if len(t.Entries) == 0 {
-		return
-	}
-	master := t.snapshot()
-	s.tmu.Lock()
-	if old, exists := s.traces[master.Start]; exists {
-		s.unindex(old)
-	} else if len(s.traces) >= s.traceCap {
-		for victim, old := range s.traces {
-			s.unindex(old)
-			delete(s.traces, victim)
-			s.traceEvict.Add(1)
-			break
-		}
-	}
-	s.traces[master.Start] = master
-	for _, e := range master.Entries {
-		s.ripIndex[e.Inst.Addr] = append(s.ripIndex[e.Inst.Addr], master.Start)
-	}
-	s.tmu.Unlock()
-	s.tracePubs.Add(1)
-}
+// EntryLen returns the number of trained decode entries.
+func (s *SharedCache) EntryLen() int { return len(s.entries) }
 
-// InvalidateTraces kills every published trace containing rip and returns
-// how many were dropped.
-func (s *SharedCache) InvalidateTraces(rip uint64) int {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	list, ok := s.ripIndex[rip]
-	if !ok {
-		return 0
-	}
-	// Snapshot the start list: unindex compacts ripIndex[rip] in place.
-	starts := append([]uint64(nil), list...)
-	n := 0
-	for _, start := range starts {
-		if t, live := s.traces[start]; live {
-			s.unindex(t)
-			delete(s.traces, start)
-			s.invalidations.Add(1)
-			n++
-		}
-	}
-	return n
-}
-
-// unindex removes t's entries from the reverse index. Caller holds tmu.
-func (s *SharedCache) unindex(t *Trace) {
-	for _, e := range t.Entries {
-		addr := e.Inst.Addr
-		list := s.ripIndex[addr]
-		kept := list[:0]
-		for _, st := range list {
-			if st != t.Start {
-				kept = append(kept, st)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.ripIndex, addr)
-		} else {
-			s.ripIndex[addr] = kept
-		}
-	}
-}
-
-// EntryLen returns the number of published decode entries.
-func (s *SharedCache) EntryLen() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// TraceLen returns the number of published traces.
-func (s *SharedCache) TraceLen() int {
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	return len(s.traces)
-}
-
-// Consistent audits the shared store's cross-structure invariants and
-// returns the first violation found (nil when sound). It is the
-// post-torture audit for concurrent publish/adopt/invalidate schedules:
-//
-//  1. every ripIndex entry points at a live trace that actually contains
-//     the indexed address (no dangling starts, no stale membership);
-//  2. every live trace is fully indexed — each of its instruction
-//     addresses lists the trace's start (otherwise InvalidateTraces on
-//     that address would miss the trace, the PR-2 coherence bug class);
-//  3. traces are structurally sound (non-empty, keyed by their first
-//     instruction's address);
-//  4. both levels respect their capacity bounds;
-//  5. resident counts never exceed lifetime publications.
-//
-// Consistent takes the same locks as the mutating paths, so it observes
-// an instant of the store and may run concurrently with traffic.
-func (s *SharedCache) Consistent() error {
-	entries := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n := len(sh.m)
-		sh.mu.RUnlock()
-		if n > s.entryCap {
-			return fmt.Errorf("dcache: shared shard %d holds %d entries, cap %d", i, n, s.entryCap)
-		}
-		entries += n
-	}
-	if pubs := s.entryPubs.Load(); uint64(entries) > pubs {
-		return fmt.Errorf("dcache: %d resident entries but only %d ever published", entries, pubs)
-	}
-
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	if len(s.traces) > s.traceCap {
-		return fmt.Errorf("dcache: %d shared traces exceed cap %d", len(s.traces), s.traceCap)
-	}
-	if pubs := s.tracePubs.Load(); uint64(len(s.traces)) > pubs {
-		return fmt.Errorf("dcache: %d resident traces but only %d ever published", len(s.traces), pubs)
-	}
-	for start, t := range s.traces {
-		if len(t.Entries) == 0 {
-			return fmt.Errorf("dcache: shared trace at %#x is empty", start)
-		}
-		if t.Start != start || t.Entries[0].Inst.Addr != start {
-			return fmt.Errorf("dcache: shared trace keyed %#x has Start %#x, first inst %#x",
-				start, t.Start, t.Entries[0].Inst.Addr)
-		}
-		for _, e := range t.Entries {
-			indexed := false
-			for _, st := range s.ripIndex[e.Inst.Addr] {
-				if st == start {
-					indexed = true
-					break
-				}
-			}
-			if !indexed {
-				return fmt.Errorf("dcache: shared trace %#x not indexed under its member %#x (invalidation would miss it)",
-					start, e.Inst.Addr)
-			}
-		}
-	}
-	for addr, starts := range s.ripIndex {
-		if len(starts) == 0 {
-			return fmt.Errorf("dcache: empty ripIndex list left at %#x", addr)
-		}
-		for _, start := range starts {
-			t, live := s.traces[start]
-			if !live {
-				return fmt.Errorf("dcache: ripIndex %#x names dead trace %#x", addr, start)
-			}
-			member := false
-			for _, e := range t.Entries {
-				if e.Inst.Addr == addr {
-					member = true
-					break
-				}
-			}
-			if !member {
-				return fmt.Errorf("dcache: ripIndex %#x names trace %#x which does not contain it", addr, start)
-			}
-		}
-	}
-	return nil
-}
-
-// Stats snapshots the aggregate counters.
-func (s *SharedCache) Stats() SharedStats {
-	return SharedStats{
-		EntryHits:         s.entryHits.Load(),
-		EntryMisses:       s.entryMisses.Load(),
-		EntryPublications: s.entryPubs.Load(),
-		EntryEvictions:    s.entryEvict.Load(),
-		TraceHits:         s.traceHits.Load(),
-		TraceMisses:       s.traceMisses.Load(),
-		TracePublications: s.tracePubs.Load(),
-		TraceEvictions:    s.traceEvict.Load(),
-		Invalidations:     s.invalidations.Load(),
-	}
-}
+// TraceLen returns the number of trained traces.
+func (s *SharedCache) TraceLen() int { return len(s.traces) }

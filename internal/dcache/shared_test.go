@@ -84,20 +84,28 @@ func TestCloneTraceEntriesUnaliased(t *testing.T) {
 
 // ------------------------------------------------ shared cache: adoption
 
-func TestSharedEntryAdoption(t *testing.T) {
-	s := NewShared(0)
-	a := NewCacheShared(0, s)
-	b := NewCacheShared(0, s)
-
-	e := &Entry{Inst: isa.MakeNullary(isa.NOP), Supported: true}
-	a.Insert(0x100, e)
-	if s.EntryLen() != 1 {
-		t.Fatalf("publication missing: shared has %d entries", s.EntryLen())
+// frozenStore trains a store for image from a private cache holding
+// decodes at 0x100..0x10c and one four-instruction trace at 0x100.
+func frozenStore(image any) (*SharedCache, []*Entry) {
+	trainer := NewCache(0)
+	tr := mkTrace(0x100, 4)
+	for _, e := range tr.Entries {
+		trainer.Insert(e.Inst.Addr, e)
 	}
+	trainer.InsertTrace(tr)
+	return Freeze(trainer, image), tr.Entries
+}
+
+func TestSharedEntryAdoption(t *testing.T) {
+	e := &Entry{Inst: isa.MakeNullary(isa.NOP), Supported: true}
+	trainer := NewCache(0)
+	trainer.Insert(0x100, e)
+	s := Freeze(trainer, "img")
+	b := NewCacheShared(0, s)
 
 	got, ok := b.Lookup(0x100)
 	if !ok || got != e {
-		t.Fatal("B did not adopt A's published decode")
+		t.Fatal("B did not adopt the trained decode")
 	}
 	if b.Stats.SharedHits != 1 || b.Stats.Hits != 0 || b.Stats.Misses != 0 {
 		t.Errorf("adoption miscounted: %+v", b.Stats)
@@ -106,37 +114,39 @@ func TestSharedEntryAdoption(t *testing.T) {
 	if _, ok := b.Lookup(0x100); !ok || b.Stats.Hits != 1 || b.Stats.SharedHits != 1 {
 		t.Errorf("adopted entry not local: %+v", b.Stats)
 	}
+	// B's own decodes stay local: the store never grows.
+	b.Insert(0x200, &Entry{})
+	b.InsertTrace(mkTrace(0x300, 2))
+	if s.EntryLen() != 1 || s.TraceLen() != 0 {
+		t.Errorf("a VM's inserts reached the frozen store: %d entries, %d traces", s.EntryLen(), s.TraceLen())
+	}
 }
 
 func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
-	s := NewShared(0)
-	a := NewCacheShared(0, s)
+	trainer := NewCache(0)
+	tr := mkTrace(0x100, 4)
+	tr.Hits = 5                       // the training run's replay history must not leak to adopters
+	tr.Compiled = &struct{ n int }{1} // its tier-1 body is per-VM process state
+	trainer.InsertTrace(tr)
+	s := Freeze(trainer, "img")
 	b := NewCacheShared(0, s)
 	c := NewCacheShared(0, s)
 
-	tr := mkTrace(0x100, 4)
-	tr.Hits = 5                       // builder's replay history must not leak to adopters
-	tr.Compiled = &struct{ n int }{1} // builder's tier-1 body is per-VM process state
-	a.InsertTrace(tr)
-	if s.TraceLen() != 1 {
-		t.Fatalf("trace publication missing")
-	}
-
 	bt, ok := b.LookupTrace(0x100)
 	if !ok {
-		t.Fatal("B did not adopt A's trace")
+		t.Fatal("B did not adopt the trained trace")
 	}
 	if b.Stats.SharedTraceHits != 1 || b.Stats.TraceMisses != 0 {
 		t.Errorf("trace adoption miscounted: %+v", b.Stats)
 	}
 	if bt == tr {
-		t.Fatal("adoption returned the builder's trace, not a snapshot")
+		t.Fatal("adoption returned the training run's trace, not a snapshot")
 	}
 	if bt.Hits != 0 || bt.Divergences != 0 {
 		t.Errorf("adopted trace inherited counters: hits=%d div=%d", bt.Hits, bt.Divergences)
 	}
 	if bt.Compiled != nil {
-		t.Error("adopted trace inherited the builder's compiled body")
+		t.Error("adopted trace inherited the training run's compiled body")
 	}
 
 	// B's replay mutates only B's copy.
@@ -150,138 +160,125 @@ func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
 		t.Error("B's entry mutation visible to C (shared backing array)")
 	}
 	if tr.Hits != 5 {
-		t.Error("adopter mutated the builder's trace")
+		t.Error("freezing or adoption mutated the training run's trace")
 	}
 }
 
-// TestSharedInvalidationPropagates: a VM distrusting an address must keep
-// every *future* adopter away from it, while copies already adopted live
-// out their own per-VM lifecycle.
-func TestSharedInvalidationPropagates(t *testing.T) {
-	s := NewShared(0)
+// TestSharedInvalidationStaysLocal: a VM that distrusts an address drops
+// it from its own tables and stops consulting the store, so it decodes
+// again; the store and every other VM keep what they had.
+func TestSharedInvalidationStaysLocal(t *testing.T) {
+	s, trained := frozenStore("img")
 	a := NewCacheShared(0, s)
 	b := NewCacheShared(0, s)
-
-	a.Insert(0x100, &Entry{})
-	a.InsertTrace(mkTrace(0x100, 4))
-	if _, ok := b.LookupTrace(0x100); !ok {
-		t.Fatal("setup: B could not adopt")
+	for _, c := range []*Cache{a, b} {
+		if _, ok := c.LookupTrace(0x100); !ok {
+			t.Fatal("setup: could not adopt the trained trace")
+		}
 	}
 
-	a.Invalidate(0x104) // mid-trace rip: kills trace + (elsewhere) decode
-	if s.TraceLen() != 0 {
-		t.Error("shared master trace survived propagated invalidation")
+	a.Invalidate(0x104) // a mid-trace rip: kills a's trace and its decode
+	if !a.Unshared() {
+		t.Fatal("invalidation left the VM consulting the store")
 	}
-	a.Invalidate(0x100)
-	if s.EntryLen() != 0 {
-		t.Error("shared decode survived propagated invalidation")
+	if _, ok := a.LookupTrace(0x100); ok {
+		t.Error("invalidating VM re-adopted the trace through its distrusted address")
+	}
+	if _, ok := a.Lookup(0x104); ok {
+		t.Error("invalidating VM re-adopted its distrusted decode")
+	}
+	// a decodes again, privately.
+	redecoded := &Entry{Inst: trained[1].Inst, Supported: true}
+	a.Insert(0x104, redecoded)
+	if got, ok := a.Lookup(0x104); !ok || got != redecoded {
+		t.Error("re-decoded entry not served locally")
 	}
 
-	// B's already-adopted copy is B's problem (its own ladder invalidates
-	// it on its own faults) — but a fresh VM must miss.
-	fresh := NewCacheShared(0, s)
-	if _, ok := fresh.Lookup(0x100); ok {
-		t.Error("fresh VM adopted an invalidated decode")
+	if s.EntryLen() != 4 || s.TraceLen() != 1 {
+		t.Fatalf("invalidation reached the store: %d entries, %d traces", s.EntryLen(), s.TraceLen())
 	}
-	if _, ok := fresh.LookupTrace(0x100); ok {
-		t.Error("fresh VM adopted an invalidated trace")
+	if got, _ := s.LookupEntry(0x104); got != trained[1] {
+		t.Error("a VM's re-decode replaced the trained entry")
 	}
-	if _, ok := b.LookupTrace(0x100); !ok {
-		t.Error("propagation clobbered B's private adopted copy")
+	if b.Unshared() {
+		t.Error("another VM's invalidation unshared B")
+	}
+	if bt, ok := b.LookupTrace(0x100); !ok || bt.Len() != 4 {
+		t.Error("another VM's invalidation clobbered B's adopted trace")
+	}
+	if got, ok := b.Lookup(0x108); !ok || got != trained[2] {
+		t.Error("B can no longer adopt trained decodes")
+	}
+
+	// InvalidateTraces alone unshares too, even when nothing local died.
+	c := NewCacheShared(0, s)
+	if n := c.InvalidateTraces(0x104); n != 0 || !c.Unshared() {
+		t.Errorf("InvalidateTraces on an empty cache: killed %d, unshared %v", n, c.Unshared())
+	}
+	if _, ok := c.LookupTrace(0x100); ok {
+		t.Error("unshared VM adopted a trace")
 	}
 }
 
-func TestSharedCapacityBounded(t *testing.T) {
-	s := NewShared(64) // per-shard cap 64/16 = 4 → ≤64 entries total
-	c := NewCacheShared(64, s)
-	for i := uint64(0); i < 1024; i++ {
-		c.Insert(i*4, &Entry{})
-		c.InsertTrace(mkTrace(0x10000+i*0x100, 2))
-	}
-	if n := s.EntryLen(); n > 64 {
-		t.Errorf("shared entry table unbounded: %d", n)
-	}
-	if n := s.TraceLen(); n > 16 { // NewCache(64) derives traceCap 16
-		t.Errorf("shared trace table unbounded: %d", n)
-	}
-	st := s.Stats()
-	if st.EntryEvictions == 0 || st.TraceEvictions == 0 {
-		t.Errorf("no evictions counted: %+v", st)
-	}
-}
-
+// TestSharedBindFirstWins: a store is bound to the image it was trained
+// on and refuses every other; an empty store serves any image.
 func TestSharedBindFirstWins(t *testing.T) {
-	s := NewShared(0)
 	img1, img2 := &struct{ n int }{1}, &struct{ n int }{2}
-	if err := s.Bind(img1); err != nil {
-		t.Fatalf("first bind: %v", err)
+	s, _ := frozenStore(img1)
+	if err := s.Check(img1); err != nil {
+		t.Fatalf("store refused its own image: %v", err)
 	}
-	if err := s.Bind(img1); err != nil {
-		t.Fatalf("re-bind same image: %v", err)
+	if err := s.Check(img2); err == nil {
+		t.Fatal("store trained on one image accepted another")
 	}
-	if err := s.Bind(img2); err == nil {
-		t.Fatal("bind to a second image succeeded")
+	empty := NewShared()
+	if empty.Check(img1) != nil || empty.Check(img2) != nil {
+		t.Error("an empty store refused an image")
 	}
 }
 
-// TestSharedConcurrentTorture hammers one shared cache from many
-// goroutines mixing publication, adoption, replay-style mutation of
-// adopted copies, and invalidation, while a concurrent auditor runs the
-// Consistent() invariant sweep mid-storm (it takes the same locks, so
-// every instant it observes must be sound). Run under -race via make
-// check. After the storm the full audit must pass again, and a
-// final concurrent invalidation wave over every published address must
-// drain the trace table without leaving dangling index entries.
+// TestSharedConcurrentTorture has many goroutines adopt from one frozen
+// store while each mutates its own copies the way replay, tier-1
+// promotion, invalidation and re-decoding do. Run under -race via make
+// check and make fleet-soak: the store is never written after Freeze, so
+// any write the detector sees is a bug. Afterwards the store must be
+// exactly as trained, and a fresh adopter must receive bare traces.
 func TestSharedConcurrentTorture(t *testing.T) {
-	s := NewShared(256)
+	trainer := NewCache(0)
+	for k := 0; k < 8; k++ {
+		tr := mkTrace(uint64(0x1000+k*0x40), 4)
+		for _, e := range tr.Entries {
+			trainer.Insert(e.Inst.Addr, e)
+		}
+		trainer.InsertTrace(tr)
+	}
+	s := Freeze(trainer, "img")
+	entries, traces := s.EntryLen(), s.TraceLen()
+
 	const goroutines = 8
 	const rounds = 400
-
-	stop := make(chan struct{})
-	auditErr := make(chan error, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				auditErr <- nil
-				return
-			default:
-				if err := s.Consistent(); err != nil {
-					auditErr <- err
-					return
-				}
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := NewCacheShared(256, s)
+			c := NewCacheShared(0, s)
 			for i := 0; i < rounds; i++ {
-				rip := uint64(0x1000 + (i%32)*4)
-				start := uint64(0x1000 + (i%8)*0x40)
-				switch i % 5 {
+				start := uint64(0x1000 + ((i/4+g)%8)*0x40)
+				rip := start + uint64(i%4)*4
+				switch (i + g) % 4 {
 				case 0:
-					c.Insert(rip, &Entry{Inst: isa.MakeNullary(isa.NOP)})
-				case 1:
 					c.Lookup(rip)
-				case 2:
-					tr := mkTrace(start, 4)
-					tr.Compiled = &struct{ g int }{g} // publish must strip it
-					c.InsertTrace(tr)
-				case 3:
+				case 1:
 					if tr, ok := c.LookupTrace(start); ok {
 						tr.Hits++ // replay mutation on the private copy
 						tr.Divergences++
 						tr.Compiled = &struct{ g int }{g} // tier-1 promotion, per-VM
 					}
-				case 4:
-					if g%2 == 0 {
-						c.InvalidateTraces(start + 4)
-					} else {
+				case 2:
+					c.Insert(rip, &Entry{Inst: isa.MakeNullary(isa.NOP)})
+				case 3:
+					if g%2 == 0 && i > rounds/2 {
 						c.Invalidate(rip)
 					}
 				}
@@ -289,50 +286,26 @@ func TestSharedConcurrentTorture(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	if err := <-auditErr; err != nil {
-		t.Fatalf("concurrent audit: %v", err)
-	}
-	if err := s.Consistent(); err != nil {
-		t.Fatalf("post-storm audit: %v", err)
-	}
 
-	// Compiled bodies are per-VM: no matter how many storm goroutines
-	// promoted their private copies (case 3) or tried to publish a body
-	// (case 2), a fresh adopter must receive every surviving trace bare.
-	adopter := NewCacheShared(256, s)
-	for i := 0; i < 8; i++ {
-		start := uint64(0x1000 + i*0x40)
-		if tr, ok := adopter.LookupTrace(start); ok && tr.Compiled != nil {
-			t.Errorf("adopted trace %#x carries another VM's compiled body", start)
+	if s.EntryLen() != entries || s.TraceLen() != traces {
+		t.Fatalf("store changed size: %d/%d entries, %d/%d traces", s.EntryLen(), entries, s.TraceLen(), traces)
+	}
+	adopter := NewCacheShared(0, s)
+	for k := 0; k < 8; k++ {
+		start := uint64(0x1000 + k*0x40)
+		tr, ok := adopter.LookupTrace(start)
+		if !ok {
+			t.Fatalf("trained trace %#x lost", start)
 		}
-	}
-
-	// Invalidation wave: kill every possible trace member address from
-	// all goroutines at once. The table must drain completely — a trace
-	// surviving this sweep is one the reverse index lost track of (the
-	// overlapping-trace coherence bug class).
-	var kill sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		kill.Add(1)
-		go func(g int) {
-			defer kill.Done()
-			for i := g; i < 8*0x40+4*4; i += goroutines {
-				s.InvalidateTraces(0x1000 + uint64(i))
+		if tr.Hits != 0 || tr.Divergences != 0 || tr.Compiled != nil {
+			t.Errorf("trace %#x carries another VM's state: hits=%d div=%d compiled=%v",
+				start, tr.Hits, tr.Divergences, tr.Compiled != nil)
+		}
+		for i, e := range tr.Entries {
+			if e == nil || e.Inst.Addr != start+uint64(i)*4 {
+				t.Fatalf("trace %#x entry %d corrupted by an adopter", start, i)
 			}
-		}(g)
-	}
-	kill.Wait()
-	if err := s.Consistent(); err != nil {
-		t.Fatalf("post-wave audit: %v", err)
-	}
-	if n := s.TraceLen(); n != 0 {
-		t.Fatalf("%d traces survived an invalidation wave over every member address", n)
-	}
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	if n := len(s.ripIndex); n != 0 {
-		t.Fatalf("empty trace table but %d ripIndex lists remain", n)
+		}
 	}
 }
 
@@ -417,51 +390,5 @@ func TestRecordBackfillsInsts(t *testing.T) {
 	p.Record(0x100, 4, TermUnsupported, []string{"other"}, "other")
 	if st, _ := p.Trace(1); len(st.Insts) != 3 {
 		t.Error("later observation replaced established disassembly")
-	}
-}
-
-// TestSharedStatsCounters sanity-checks the aggregate counters.
-func TestSharedStatsCounters(t *testing.T) {
-	s := NewShared(0)
-	a := NewCacheShared(0, s)
-	b := NewCacheShared(0, s)
-	a.Insert(0x100, &Entry{})
-	a.InsertTrace(mkTrace(0x100, 2))
-	b.Lookup(0x100)
-	b.Lookup(0x200) // shared miss
-	b.LookupTrace(0x100)
-	b.LookupTrace(0x300) // shared miss
-	st := s.Stats()
-	want := SharedStats{
-		EntryHits: 1, EntryMisses: 1, EntryPublications: 1,
-		TraceHits: 1, TraceMisses: 1, TracePublications: 1,
-	}
-	if st != want {
-		t.Errorf("stats:\n got %+v\nwant %+v", st, want)
-	}
-}
-
-// TestSharedPublishReplace: re-publishing a start address replaces the
-// master (re-walked after invalidation) without corrupting the index.
-func TestSharedPublishReplace(t *testing.T) {
-	s := NewShared(0)
-	c := NewCacheShared(0, s)
-	c.InsertTrace(mkTrace(0x100, 4))
-	c.InsertTrace(mkTrace(0x100, 2)) // replace with shorter
-	if s.TraceLen() != 1 {
-		t.Fatalf("trace table: %d", s.TraceLen())
-	}
-	fresh := NewCacheShared(0, s)
-	tr, ok := fresh.LookupTrace(0x100)
-	if !ok || tr.Len() != 2 {
-		t.Fatalf("replacement not served: %v", tr)
-	}
-	// The old trace's tail rips must be unindexed: invalidating one must
-	// not report kills.
-	if n := s.InvalidateTraces(0x100 + 3*4); n != 0 {
-		t.Errorf("stale index entry killed %d traces", n)
-	}
-	if s.TraceLen() != 1 {
-		t.Error("stale index entry killed the replacement")
 	}
 }

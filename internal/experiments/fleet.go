@@ -22,6 +22,11 @@ import (
 // repo. Wall-clock throughput (VMs/sec, best of five interleaved
 // passes) rides along as an informational column; on a loaded or
 // single-core host its noise exceeds the few-percent warm-up signal.
+//
+// The shared figures count the jobs only. Before dispatch the shared
+// fleet also runs one private training run per image (fleet.Run trains
+// each image's store), which costs what one private job of the image
+// does: CyclesPrivate / fleetRepeats in all.
 type FleetBenchRow struct {
 	Workers int `json:"workers"`
 	Jobs    int `json:"jobs"`
@@ -66,10 +71,12 @@ var fleetWorkerSweep = []int{1, 2, 4, 8}
 // virtual-clock one: the shared fleet's makespan is deterministically
 // shorter because adopted traces replay at DecacheHit cost instead of
 // paying full decode + walk, so jobs/Gcycle improves at every worker
-// count. Wall clock is also measured (pairwise interleaved, best-of-5)
-// but on a single-core host the parallelism itself cannot add real
-// throughput and the residual warm-up saving sits inside scheduler/GC
-// noise — the wall columns are informational.
+// count. The training runs that build the stores precede dispatch and
+// are not in that figure (see FleetBenchRow). Wall clock is also
+// measured (pairwise interleaved, best-of-5) but on a single-core host
+// the parallelism itself cannot add real throughput and the residual
+// warm-up saving sits inside scheduler/GC noise — the wall columns are
+// informational.
 func FleetBench(progress io.Writer) ([]FleetBenchRow, error) {
 	logf := func(format string, args ...any) {
 		if progress != nil {
@@ -105,9 +112,9 @@ func FleetBench(progress io.Writer) ([]FleetBenchRow, error) {
 		// during each timed pass (explicit collection between passes), so
 		// a GC cycle landing inside one mode's window doesn't masquerade
 		// as a throughput difference. One untimed warm-up pair stabilizes
-		// the heap, then best-of-5 per mode. The shared caches are rebuilt
-		// from cold on every pass (fleet.Run creates them), so each pass
-		// measures the full warm-up story.
+		// the heap, then best-of-5 per mode. The shared caches are trained
+		// again on every pass (fleet.Run trains them before dispatch), so
+		// each shared pass pays its training runs in wall time.
 		run := func(share bool) (*fleet.Report, error) {
 			runtime.GC()
 			prev := debug.SetGCPercent(-1)
@@ -186,6 +193,7 @@ func FleetBench(progress io.Writer) ([]FleetBenchRow, error) {
 func FleetTable(w io.Writer, rows []FleetBenchRow) {
 	fmt.Fprintln(w, "Fleet throughput: shared decode/trace cache vs private caches (request-sized jobs, SEQ SHORT, Boxed IEEE)")
 	fmt.Fprintln(w, "virtual columns (jobs/Gcycle of pool makespan) are deterministic; wall columns are informational")
+	fmt.Fprintln(w, "v-shrd and cyc-sav count the jobs only, not the shared fleet's training runs (one private run per image)")
 	fmt.Fprintf(w, "%7s %5s %9s %9s %8s %12s %12s %9s %8s %10s\n",
 		"workers", "jobs", "v-priv", "v-shrd", "v-gain",
 		"wall-priv/s", "wall-shrd/s", "wall-gain", "cyc-sav", "adopt-trc")

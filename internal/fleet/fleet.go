@@ -1,17 +1,22 @@
 // Package fleet executes many independent guest programs concurrently — a
 // worker pool of fully isolated VMs (each job gets its own address space,
 // machine, kernel, heap and Runtime) that optionally share the expensive
-// read-mostly state: the decode/trace cache. With sharing on, the first
-// VM to decode an instruction or build a trace warms every other VM
-// running the same image, which is what makes trap-and-emulate
-// virtualization amortize at serving scale — request-sized guests pay the
-// decode/trace-build warm-up once per fleet instead of once per VM.
+// read-only state: the decode/trace cache. With sharing on, each image
+// that more than one job runs is trained once before dispatch
+// (fpvm.TrainSharedCache, under the first such job's Config), and every
+// VM of that image adopts the trained decodes and traces instead of
+// building its own, which is what makes trap-and-emulate virtualization
+// amortize at serving scale — request-sized guests pay the
+// decode/trace-build warm-up once per image instead of once per VM. The
+// store is frozen, so a job's virtual cycles do not depend on which jobs
+// ran before it or beside it; a lone job runs exactly as with a private
+// cache.
 //
 // Everything else is per-VM by construction: each job gets its own VM
 // from fpvm.Prepare, used by that job alone and dropped when it ends, and
-// job Configs are copied by value. Shared caches are created here, one
-// per distinct program image (pre-decoded state is only valid for the
-// image it came from; fpvm.Prepare enforces this via SharedCache.Bind).
+// job Configs are copied by value. Pre-decoded state is only valid for
+// the image it came from, so each store serves one image, and
+// fpvm.Prepare refuses a store trained on another.
 //
 // With Options.PreemptQuantum set, jobs no longer own a worker for their
 // whole lifetime: each scheduling turn runs one virtual-cycle slice
@@ -44,8 +49,8 @@ import (
 
 // Job is one guest program execution: an image plus the run configuration
 // for its VM. The Config is copied before use; the runner only ever sets
-// its Shared field (and only when Options.Share is on) and its
-// PreemptQuantum (when Options.PreemptQuantum is on).
+// its Shared field (when Options.Share is on and another job runs the
+// same image) and its PreemptQuantum (when Options.PreemptQuantum is on).
 type Job struct {
 	// Name labels the job in reports (e.g. the workload name).
 	Name string
@@ -55,7 +60,9 @@ type Job struct {
 	Image *obj.Image
 
 	// Config configures the job's VM. Leave Shared nil — the runner
-	// manages cache sharing fleet-wide via Options.Share.
+	// manages cache sharing fleet-wide via Options.Share. The first job
+	// of an image that several jobs run also configures the image's
+	// training run.
 	Config fpvm.Config
 }
 
@@ -66,14 +73,10 @@ type Options struct {
 	// execute concurrently.
 	Workers int
 
-	// Share backs every VM with a fleet-wide decode/trace cache — one
-	// per distinct image in the job list. Off, every VM decodes and
-	// builds traces privately (the ablation baseline).
+	// Share backs every VM of an image that two or more jobs run with
+	// that image's trained, read-only decode/trace cache. Off, every VM
+	// decodes and builds traces privately (the ablation baseline).
 	Share bool
-
-	// CacheCapacity bounds each shared cache (0 = the default private
-	// cache capacity). Ignored when Share is off.
-	CacheCapacity int
 
 	// PreemptQuantum, when > 0, preempts every job after roughly that
 	// many virtual cycles at the next event boundary and returns it to
@@ -119,7 +122,8 @@ type Report struct {
 	// cycles per category and summed counters.
 	Breakdown telemetry.Breakdown
 
-	// Elapsed is the wall-clock time for the whole fleet.
+	// Elapsed is the wall-clock time for the whole fleet, shared-cache
+	// training runs included.
 	Elapsed time.Duration
 
 	Workers int
@@ -149,12 +153,13 @@ type Report struct {
 	// human-readable line each. The affected jobs ran fresh.
 	RecoveryRejects []string
 
-	// TotalCycles sums every VM's virtual cycle count — the fleet's
-	// total work, independent of scheduling.
+	// TotalCycles sums every job's virtual cycle count — the jobs' total
+	// work, independent of scheduling. Shared-cache training runs are not
+	// jobs and are not counted.
 	TotalCycles uint64
 
-	// SharedHits / SharedTraceHits count local cache misses served by
-	// another VM's published decode / trace (0 with Share off).
+	// SharedHits / SharedTraceHits count local cache misses served by a
+	// trained store's decode / trace (0 with Share off).
 	SharedHits      uint64
 	SharedTraceHits uint64
 }
@@ -411,18 +416,10 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 		}
 	}
 
-	// One shared cache per distinct image: pre-decoded entries and traces
-	// are only coherent within an image, and fpvm.Run's Bind check would
-	// reject a second image on the same store.
+	start := time.Now()
 	var shared map[*obj.Image]*fpvm.SharedCache
 	if opts.Share {
-		shared = make(map[*obj.Image]*fpvm.SharedCache)
-		for i := range jobs {
-			img := jobs[i].Image
-			if _, ok := shared[img]; !ok {
-				shared[img] = fpvm.NewSharedCache(opts.CacheCapacity)
-			}
-		}
+		shared = trainShared(jobs)
 	}
 
 	s := newSched(len(jobs))
@@ -438,7 +435,6 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 
 	var persistFailures atomic.Int64
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -515,6 +511,29 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 		rep.SharedTraceHits += jr.Result.SharedTraceHits
 	}
 	return rep
+}
+
+// trainShared trains one store for each image that two or more jobs run,
+// under the first such job's Config. A lone job gets no store, and so runs
+// exactly as with a private cache. An image whose training run fails gets
+// no store either: its jobs run privately and report their own errors.
+func trainShared(jobs []Job) map[*obj.Image]*fpvm.SharedCache {
+	count := make(map[*obj.Image]int)
+	for i := range jobs {
+		count[jobs[i].Image]++
+	}
+	shared := make(map[*obj.Image]*fpvm.SharedCache)
+	for i := range jobs {
+		img := jobs[i].Image
+		if count[img] < 2 {
+			continue
+		}
+		count[img] = 0 // later jobs of img are not its first
+		if s, err := fpvm.TrainSharedCache(img, jobs[i].Config); err == nil {
+			shared[img] = s
+		}
+	}
+	return shared
 }
 
 // runSlice executes one scheduling turn of a job on its VM — built on

@@ -66,11 +66,13 @@ func TestFleetMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFleetSharedAdoption checks the tentpole's point: with a shared
-// cache, later VMs adopt decodes and traces published by earlier VMs, and
-// the fleet's total virtual work drops below the private-cache fleet
-// (fewer full decodes, more replays). Virtual cycles are deterministic,
-// so this asserts the saving exactly where wall-clock could not.
+// TestFleetSharedAdoption checks the point of sharing: with a shared
+// cache, every VM adopts the decodes and traces of the image's training
+// run, and the fleet's total virtual work drops below the private-cache
+// fleet (fewer full decodes, more replays). The store is frozen, so every
+// job of the image spends the same cycles. Virtual cycles are
+// deterministic, so this asserts the saving exactly where wall-clock
+// could not.
 func TestFleetSharedAdoption(t *testing.T) {
 	img, err := workloads.BuildMicro(workloads.Lorenz)
 	if err != nil {
@@ -94,6 +96,11 @@ func TestFleetSharedAdoption(t *testing.T) {
 	}
 	if sharedR.SharedTraceHits == 0 {
 		t.Error("shared fleet adopted no traces")
+	}
+	for i, jr := range sharedR.Results {
+		if c, c0 := jr.Result.Cycles, sharedR.Results[0].Result.Cycles; c != c0 {
+			t.Errorf("job %d spent %d cycles, job 0 spent %d on the same frozen store", i, c, c0)
+		}
 	}
 	if sharedR.TotalCycles >= private.TotalCycles {
 		t.Errorf("shared fleet did not reduce total work: shared %d >= private %d cycles",
@@ -138,22 +145,34 @@ func TestFleetSharedAdoption(t *testing.T) {
 }
 
 // TestFleetMixedImages checks that a shared fleet over several distinct
-// images keeps one shared cache per image (fpvm.Run's Bind guard would
-// fail the run if a cache ever crossed images).
+// images keeps one shared cache per image (fpvm.Prepare refuses a store
+// trained on another image, failing the job), and that an image with a
+// single job runs exactly as with a private cache.
 func TestFleetMixedImages(t *testing.T) {
 	imgs := microImages(t)
-	rep := fleet.Run(microJobs(imgs, 2, fpvm.Config{Seq: true, Short: true}),
-		fleet.Options{Workers: 4, Share: true})
+	cfg := fpvm.Config{Seq: true, Short: true}
+	jobs := microJobs(imgs, 2, cfg)
+	lone := fleet.Job{Name: "lone-enzo", Image: imgs[workloads.Enzo].Clone(), Config: cfg}
+	rep := fleet.Run(append(jobs, lone), fleet.Options{Workers: 4, Share: true})
 	if rep.Failures != 0 {
 		t.Fatalf("%d failures:\n%s", rep.Failures, rep.Summary())
 	}
 	if rep.SharedTraceHits == 0 {
 		t.Error("mixed-image shared fleet adopted no traces")
 	}
+	private, err := fpvm.Run(lone.Image, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rep.Results[len(jobs)].Result
+	if got.Cycles != private.Cycles || got.SharedHits != 0 || got.SharedTraceHits != 0 {
+		t.Errorf("lone job: %d cycles, %d/%d adoptions; private run %d cycles",
+			got.Cycles, got.SharedHits, got.SharedTraceHits, private.Cycles)
+	}
 }
 
 // TestFleetSharedBindRejectsSecondImage pins the safety property directly:
-// a shared cache bound to one image refuses to serve a different one.
+// a store trained on one image refuses to serve a different one.
 func TestFleetSharedBindRejectsSecondImage(t *testing.T) {
 	a, err := workloads.BuildMicro(workloads.Lorenz)
 	if err != nil {
@@ -163,12 +182,15 @@ func TestFleetSharedBindRejectsSecondImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := fpvm.NewSharedCache(0)
+	sc, err := fpvm.TrainSharedCache(a, fpvm.Config{Seq: true})
+	if err != nil {
+		t.Fatalf("training on the first image: %v", err)
+	}
 	if _, err := fpvm.Run(a, fpvm.Config{Seq: true, Shared: sc}); err != nil {
 		t.Fatalf("first image: %v", err)
 	}
 	if _, err := fpvm.Run(b, fpvm.Config{Seq: true, Shared: sc}); err == nil {
-		t.Fatal("second image on the same shared cache did not error")
+		t.Fatal("second image on a store trained on the first did not error")
 	}
 }
 
@@ -192,8 +214,8 @@ func TestFleetSoak(t *testing.T) {
 	}
 	imgs := microImages(t)
 	// JITThreshold 1 keeps tier-1 promotion (and its interaction with
-	// shared-cache adoption: adopted traces arrive bare and re-promote
-	// per VM) inside the race-detected soak.
+	// adoption from the frozen store: adopted traces arrive bare and
+	// re-promote per VM) inside the race-detected soak.
 	cfg := fpvm.Config{Seq: true, Short: true, Profile: true, JITThreshold: 1}
 	rep := fleet.Run(microJobs(imgs, 8, cfg), fleet.Options{Workers: 8, Share: true})
 	if rep.Failures != 0 {

@@ -140,10 +140,10 @@ type Config struct {
 	Observer func(*TrapState)
 
 	// Shared, when set, backs this VM's private decode/trace cache with a
-	// fleet-wide concurrency-safe store: local misses adopt published
-	// decodes and trace snapshots, local decodes and trace builds publish
-	// back. All VMs on one SharedCache must run the same program image
-	// (enforced by SharedCache.Bind). Nil keeps the cache fully private.
+	// frozen store trained on the same image (dcache.Freeze): local misses
+	// adopt its decodes and copies of its traces, and everything the VM
+	// inserts or invalidates stays local. Nil keeps the cache fully
+	// private.
 	Shared *dcache.SharedCache
 }
 

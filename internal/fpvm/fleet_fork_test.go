@@ -14,12 +14,12 @@ import (
 )
 
 // TestForkInsideFleet is the fork × fleet interplay test: several
-// concurrent VMs run the same image against ONE shared decode/trace
-// cache, and every VM forks mid-run (the fork_test.go scaffolding). Each
-// child's cache is a Clone of a shared-backed cache — its stats must
-// start from zero, its traces must be unaliased from the parent's, and
-// both sides keep publishing/adopting through the shared store while
-// other VMs do the same. Run under -race via make check.
+// concurrent VMs run the same image against ONE frozen decode/trace
+// store, trained by a private run of the image, and every VM forks
+// mid-run (the fork_test.go scaffolding). Each child's cache is a Clone
+// of a store-backed cache — its stats must start from zero, and both
+// parent and child must adopt from the store while other VMs do the
+// same, leaving it exactly as trained. Run under -race via make check.
 func TestForkInsideFleet(t *testing.T) {
 	// Program: x = 1/3 (boxed); INT3 fork marker; x += step; print; exit.
 	b := asm.NewBuilder("fleet-forked")
@@ -44,7 +44,18 @@ func TestForkInsideFleet(t *testing.T) {
 		t.Fatal("no step symbol")
 	}
 
-	shared := dcache.NewShared(0)
+	// The INT3 marker only forks in the fleet below; training skips it.
+	trainer := newRig(t, img, fpvmrt.Config{Alt: alt.NewBoxedIEEE(), Seq: true, Short: true}, true)
+	trainer.p.BreakpointHook = func(*kernel.Ucontext) bool { return true }
+	if err := trainer.p.Run(0); err != nil {
+		t.Fatalf("training run: %v", err)
+	}
+	shared := dcache.Freeze(trainer.rt.Cache(), img)
+	entries, traces := shared.EntryLen(), shared.TraceLen()
+	if traces == 0 {
+		t.Fatal("training run built no traces; the test would adopt nothing")
+	}
+
 	const vms = 6
 	var wg sync.WaitGroup
 	errs := make(chan string, vms*4)
@@ -99,6 +110,14 @@ func TestForkInsideFleet(t *testing.T) {
 			if out := child.Stdout.String(); !strings.HasPrefix(out, "2.3333333333333335") {
 				errs <- "child printed " + out
 			}
+			// The parent adopts the trace at the division; the child,
+			// forked before the addition ever trapped, adopts that one.
+			if st := parent.rt.Cache().Stats; st.SharedTraceHits == 0 {
+				errs <- "parent adopted no trace"
+			}
+			if st := childRT.Cache().Stats; st.SharedTraceHits == 0 {
+				errs <- "child adopted no trace"
+			}
 		}(v)
 	}
 	wg.Wait()
@@ -106,7 +125,8 @@ func TestForkInsideFleet(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if shared.TraceLen() == 0 && shared.EntryLen() == 0 {
-		t.Error("fleet published nothing to the shared cache")
+	if shared.EntryLen() != entries || shared.TraceLen() != traces {
+		t.Errorf("the fleet changed the frozen store: %d/%d entries, %d/%d traces",
+			shared.EntryLen(), entries, shared.TraceLen(), traces)
 	}
 }

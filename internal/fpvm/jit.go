@@ -23,8 +23,8 @@ package fpvm
 // host time only.
 //
 // Compiled bodies are strictly per-VM process state: the dcache snapshot
-// rules clear Trace.Compiled on shared-cache publish/adopt and fork
-// clone, the checkpoint wire format never carries one (restored caches
+// rules clear Trace.Compiled when a shared store is frozen, on adoption
+// from it and on fork clone, the checkpoint wire format never carries one (restored caches
 // re-promote from their preserved Hits counters), and every invalidation
 // path drops the body with its trace.
 

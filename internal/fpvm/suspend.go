@@ -88,6 +88,7 @@ func (r *Runtime) captureCache() checkpoint.CacheImage {
 	ci := checkpoint.CacheImage{
 		EntryRIPs: r.cache.EntryRIPs(),
 		Stats:     r.cache.Stats,
+		Unshared:  r.cache.Unshared(),
 	}
 	for _, t := range r.cache.TracesInOrder() {
 		ti := checkpoint.TraceImage{
@@ -268,5 +269,8 @@ func (r *Runtime) restoreCache(ci *checkpoint.CacheImage) error {
 	// Reinstate the suspended run's cache statistics after the rebuild so
 	// the Insert calls above leave no trace in them.
 	r.cache.Stats = ci.Stats
+	if ci.Unshared {
+		r.cache.Unshare()
+	}
 	return nil
 }

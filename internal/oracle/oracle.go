@@ -182,10 +182,15 @@ type Capture struct {
 	RunErr   error
 	Detached bool
 
-	Recs  []TrapRec
-	Final fpvmrt.TrapState
-	Mem   []Page
-	Tel   telemetry.Breakdown
+	Recs   []TrapRec
+	Final  fpvmrt.TrapState
+	Mem    []Page
+	Tel    telemetry.Breakdown
+	Cycles uint64 // the VM's virtual clock at exit
+
+	// cache is the run's decode/trace cache at exit, which a fleet spec
+	// freezes into the store its copies share.
+	cache *dcache.Cache
 
 	// Full is the complete state at the requested trap index when the
 	// runner was asked for one (divergence re-runs); nil otherwise.
@@ -392,6 +397,8 @@ func (c *Capture) finish(p *kernel.Process, rt *fpvmrt.Runtime, img *obj.Image) 
 	c.ExitCode = p.ExitCode
 	c.Detached = rt.Detached()
 	c.Tel = rt.Tel
+	c.Cycles = p.M.Cycles
+	c.cache = rt.Cache()
 	c.Final = rt.CaptureFinal()
 	c.Mem = capturePages(p.M.Mem, rt.NormalizeBits, gotSlots(img), p.M.CPU.GPR[isa.RSP])
 }
@@ -648,13 +655,16 @@ func diffMem(a, b []Page) string {
 }
 
 // runFleet executes spec.Fleet concurrent copies of spec on one shared
-// decode/trace cache and returns every copy's capture.
+// decode/trace cache, trained from a private run of the spec, and returns
+// every copy's capture. The store is frozen, so every copy must spend the
+// same virtual cycles.
 func runFleet(prog Program, spec Spec, opt Options) []*Capture {
 	n := spec.Fleet
-	shared := dcache.NewShared(0)
-	if err := shared.Bind(prog.fpvmImage()); err != nil {
-		return []*Capture{{Spec: spec, RunErr: err}}
+	trainer := Run(prog, spec, opt, 0, nil)
+	if trainer.RunErr != nil {
+		return []*Capture{trainer}
 	}
+	shared := dcache.Freeze(trainer.cache, prog.fpvmImage())
 	caps := make([]*Capture, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -665,13 +675,10 @@ func runFleet(prog Program, spec Spec, opt Options) []*Capture {
 		}(i)
 	}
 	wg.Wait()
-	// Cross-audit the shared store after the fleet drains.
-	if err := shared.Consistent(); err != nil {
-		for _, c := range caps {
-			if c.RunErr == nil {
-				c.RunErr = fmt.Errorf("shared cache audit: %w", err)
-				break
-			}
+	for i, c := range caps[1:] {
+		if c.RunErr == nil && caps[0].RunErr == nil && c.Cycles != caps[0].Cycles {
+			c.RunErr = fmt.Errorf("fleet copy %d spent %d virtual cycles, copy 0 spent %d on the same frozen store",
+				i+1, c.Cycles, caps[0].Cycles)
 		}
 	}
 	return caps

@@ -69,7 +69,7 @@ func TestJobAltSystems(t *testing.T) {
 // system must never be served a shell built for another — and distinct
 // mpfr precisions are distinct keys too.
 func TestPoolKeySeparatesAltSystems(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	e, err := r.Register("lorenz_attractor")
 	if err != nil {
 		t.Fatal(err)

@@ -128,12 +128,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 
 	s.mu.Lock()
 	queued, inflight, state := s.queued, s.inflight, s.state
-	affinity := s.affinityHits
 	s.mu.Unlock()
 	fmt.Fprintf(&sb, "# HELP fpvmd_queued_jobs jobs waiting in tenant queues\n# TYPE fpvmd_queued_jobs gauge\nfpvmd_queued_jobs %d\n", queued)
 	fmt.Fprintf(&sb, "# HELP fpvmd_inflight_jobs jobs currently executing\n# TYPE fpvmd_inflight_jobs gauge\nfpvmd_inflight_jobs %d\n", inflight)
 	fmt.Fprintf(&sb, "# HELP fpvmd_state degradation ladder position (0=full 1=shedding 2=draining)\n# TYPE fpvmd_state gauge\nfpvmd_state %d\n", int(state))
-	fmt.Fprintf(&sb, "# HELP fpvmd_affinity_dispatch_total dispatches where the worker's previous job ran the same image\n# TYPE fpvmd_affinity_dispatch_total counter\nfpvmd_affinity_dispatch_total %d\n", affinity)
 
 	if s.pool != nil {
 		ps := s.pool.stats()

@@ -24,7 +24,8 @@ import (
 // ImageEntry is one registered guest image. The ID is the hex of the
 // image's content hash, so registering the same program twice — from any
 // client — lands on the same entry, the same shared decode/trace cache,
-// and the same quarantine state.
+// and the same quarantine state. Shared is trained once, at
+// registration, and read-only afterwards.
 type ImageEntry struct {
 	ID       string
 	Workload string
@@ -60,25 +61,27 @@ func (e *ImageEntry) quarantine(reason string) bool {
 // by workload name at registration (this repo's images are built, not
 // uploaded) and by content hash afterwards.
 type Registry struct {
-	mu       sync.Mutex
-	byID     map[string]*ImageEntry
-	cacheCap int
+	mu   sync.Mutex
+	byID map[string]*ImageEntry
 	// onQuarantine callbacks fire once per image when it transitions
 	// into quarantine (warm-pool invalidation hangs off this).
 	onQuarantine []func(id string)
 }
 
-// NewRegistry returns an empty registry. cacheCap sizes each image's
-// shared decode/trace cache (0 = runtime default).
-func NewRegistry(cacheCap int) *Registry {
-	return &Registry{byID: make(map[string]*ImageEntry), cacheCap: cacheCap}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{byID: make(map[string]*ImageEntry)}
 }
 
-// Register builds the named workload, patches it for FPVM, and registers
-// the result under its content hash. Registering an already-known image
-// is idempotent and returns the existing entry — including its shared
-// cache and its quarantine state (a quarantined program does not become
-// trustworthy by being re-registered).
+// Register builds the named workload, patches it for FPVM, trains its
+// shared decode/trace cache with one run under the service's default job
+// configuration (boxed, SEQ SHORT), and registers the result under its
+// content hash. Registering an already-known image is idempotent and
+// returns the existing entry — including its shared cache and its
+// quarantine state (a quarantined program does not become trustworthy by
+// being re-registered). Training happens only for a new ID, outside the
+// registry lock; when two registrations of a new image race, the first to
+// insert wins and the other's store is dropped.
 func (r *Registry) Register(workload string) (*ImageEntry, error) {
 	img, err := workloads.BuildMicro(workloads.Name(workload))
 	if err != nil {
@@ -92,19 +95,21 @@ func (r *Registry) Register(workload string) (*ImageEntry, error) {
 	h := patched.Hash()
 	id := hex.EncodeToString(h[:])
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byID[id]; ok {
+	if e, ok := r.Get(id); ok {
 		return e, nil
 	}
-	// One shared cache per image, bound first-bind-wins to this exact
-	// image object: every VM the service runs against this entry warms
-	// the same store, and a mismatched image can never attach.
-	shared := fpvm.NewSharedCache(r.cacheCap)
-	if err := shared.Bind(patched); err != nil {
-		return nil, fmt.Errorf("service: binding shared cache: %w", err)
+	e := &ImageEntry{ID: id, Workload: workload, Image: patched}
+	// Every job on the image adopts from this store and never writes to
+	// it, so a job's cycles do not depend on what ran on the image first.
+	if e.Shared, err = fpvm.TrainSharedCache(patched, jobVMConfig(e, fpvm.AltBoxed, 0)); err != nil {
+		return nil, fmt.Errorf("service: training %q: %w", workload, err)
 	}
-	e := &ImageEntry{ID: id, Workload: workload, Image: patched, Shared: shared}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.byID[id]; ok {
+		return prev, nil
+	}
 	r.byID[id] = e
 	return e, nil
 }

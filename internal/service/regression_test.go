@@ -502,3 +502,93 @@ func TestOnePoolCheckoutPerJob(t *testing.T) {
 		t.Fatalf("%d pool checkouts for %d multi-slice jobs; want one per job", got, jobs)
 	}
 }
+
+// A job's virtual cycles are a property of the job: its image, its
+// config and its request. Every job on an image adopts from the store
+// trained at registration and never writes to it, so the first job on a
+// fresh image costs what the third does, and makes or blows a deadline
+// exactly as the third does. Pre-fix, jobs published into the image's
+// store as they ran: the first three-body mpfr job paid the cold decodes
+// and trace builds (1,695,360 cycles against 1,506,330 for the next
+// two), so a deadline the warm jobs made was blown by the first.
+//
+// The short deadline sits one quantum below the cost: a deadline one
+// cycle below it is crossed by the job's final step, the exit, which
+// completes rather than stopping at a boundary past the deadline.
+func TestJobCyclesIndependentOfImageHistory(t *testing.T) {
+	cfg := Config{Workers: 1, PreemptQuantum: 50_000}
+	submit := func(s *Service, deadline uint64) *JobOutcome {
+		e, err := s.Registry().Register("three_body_simulation")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltMPFR, DeadlineCycles: deadline})
+	}
+
+	s := startService(t, cfg)
+	var cycles [3]uint64
+	for i := range cycles {
+		o := submit(s, 0)
+		if o.Status != StatusCompleted {
+			t.Fatalf("job %d: %s (%s)", i+1, o.Status, o.Detail)
+		}
+		cycles[i] = o.Cycles
+	}
+	if cycles[1] != cycles[0] || cycles[2] != cycles[0] {
+		t.Fatalf("back-to-back jobs on one image cost %v cycles; want all equal", cycles)
+	}
+
+	cost, short := cycles[0], cycles[0]-cfg.PreemptQuantum
+	fresh := startService(t, cfg)
+	var blownAt uint64
+	for i, d := range []uint64{cost, short, cost, short} {
+		o := submit(fresh, d)
+		switch {
+		case d == cost && (o.Status != StatusCompleted || o.Cycles != cost):
+			t.Errorf("job %d on a fresh service, deadline %d (its cost): %s at %d cycles (%s), want completed at %d",
+				i+1, d, o.Status, o.Cycles, o.Detail, cost)
+		case d == short && o.Status != StatusDeadline:
+			t.Errorf("job %d on a fresh service, deadline %d: %s at %d cycles (%s), want deadline-exceeded",
+				i+1, d, o.Status, o.Cycles, o.Detail)
+		case d == short && blownAt == 0:
+			blownAt = o.Cycles
+		case d == short && o.Cycles != blownAt:
+			t.Errorf("job %d blew deadline %d at %d cycles, job 2 at %d", i+1, d, o.Cycles, blownAt)
+		}
+	}
+}
+
+// One tenant's faults stay in that tenant's job: a job whose inject spec
+// forces decode faults distrusts decodes and traces in its own cache
+// only, so the next clean job on the image, from another tenant, costs
+// exactly what the clean job before it did. Pre-fix, the faulty job's
+// invalidations propagated into the image's shared store, and the clean
+// job after it paid to rebuild what the one before it had adopted.
+func TestInjectedFaultsLeaveOtherTenantsCyclesUnchanged(t *testing.T) {
+	s := startService(t, Config{Workers: 1})
+	e := registerLorenz(t, s)
+	clean := JobRequest{Tenant: "bystander", ImageID: e.ID, Alt: fpvm.AltBoxed}
+
+	var before [2]*JobOutcome
+	for i := range before {
+		if before[i] = s.Submit(clean); before[i].Status != StatusCompleted {
+			t.Fatalf("clean job %d: %s (%s)", i+1, before[i].Status, before[i].Detail)
+		}
+	}
+	faulty := s.Submit(JobRequest{Tenant: "chaos", ImageID: e.ID, Alt: fpvm.AltBoxed,
+		InjectSpec: "decode:every=7", InjectSeed: 1})
+	if faulty.Status != StatusCompleted && faulty.Status != StatusDegraded {
+		t.Fatalf("faulty job: %s (%s)", faulty.Status, faulty.Detail)
+	}
+	after := s.Submit(clean)
+	if after.Status != StatusCompleted {
+		t.Fatalf("clean job after the faulty one: %s (%s)", after.Status, after.Detail)
+	}
+	if after.Cycles != before[1].Cycles || after.Digest != before[1].Digest {
+		t.Fatalf("clean job cost %d cycles (digest %s) after a faulty job, %d (digest %s) before it",
+			after.Cycles, after.Digest, before[1].Cycles, before[1].Digest)
+	}
+	if before[0].Cycles != before[1].Cycles {
+		t.Fatalf("the first two clean jobs cost %d and %d cycles", before[0].Cycles, before[1].Cycles)
+	}
+}

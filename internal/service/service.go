@@ -145,10 +145,6 @@ type Config struct {
 	// Seed seeds the Retry-After jitter sequence.
 	Seed uint64
 
-	// CacheCapacity sizes each image's shared decode/trace cache
-	// (0 = runtime default).
-	CacheCapacity int
-
 	// OutcomeRetention bounds the in-memory outcome store (0 = 4096).
 	// Once full, the oldest outcomes are evicted FIFO — a long-running
 	// daemon must not retain every outcome it ever produced.
@@ -315,9 +311,6 @@ type Service struct {
 	// pending journal entry no one counted. Add happens under s.mu with
 	// draining false; later arrivals refuse at the pre-check un-journaled.
 	enqueues sync.WaitGroup
-	// affinityHits counts dispatches where a worker picked a job whose
-	// image matches its previous job (cache-affinity placement).
-	affinityHits uint64
 	// gen is the boot generation (count of journal boot records incl.
 	// this one) and seq the within-boot submission counter; together
 	// they make job IDs unique across restarts even though refused
@@ -353,7 +346,7 @@ type Service struct {
 func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
-		reg:      NewRegistry(cfg.CacheCapacity),
+		reg:      NewRegistry(),
 		adm:      newAdmission(cfg.DefaultTenant, cfg.Tenants, cfg.Clock, cfg.maxTenants()),
 		met:      newMetrics(cfg.maxTenants()),
 		gen:      1,
@@ -750,9 +743,8 @@ func (s *Service) updatePressureLocked() {
 
 // next blocks until a job is available and claims it, or returns nil
 // when the service is draining (workers exit; queued jobs are flushed
-// as suspended by Drain). lastImage is the calling worker's previous
-// job's image ID ("" on a fresh worker) — cache-affinity placement.
-func (s *Service) next(lastImage string) *job {
+// as suspended by Drain).
+func (s *Service) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -781,27 +773,7 @@ func (s *Service) next(lastImage string) *job {
 		return tenants[i] < tenants[k]
 	})
 	t := tenants[0]
-	if lastImage != "" && len(tenants) > 1 {
-		// Cache-affinity placement: among the tenants tied at the head
-		// priority, prefer one whose next job runs the image this worker
-		// just ran — its warm shells and shared cache are hottest here.
-		// Priority order and per-tenant FIFO are preserved: only the tie
-		// break among equal-priority queue heads changes.
-		topPri := s.adm.tenantConfig(t).Priority
-		for _, cand := range tenants {
-			if s.adm.tenantConfig(cand).Priority != topPri {
-				break
-			}
-			if head := s.queues[cand][0]; head.entry != nil && head.entry.ID == lastImage {
-				t = cand
-				break
-			}
-		}
-	}
 	j := s.queues[t][0]
-	if lastImage != "" && j.entry != nil && j.entry.ID == lastImage {
-		s.affinityHits++
-	}
 	s.queues[t] = s.queues[t][1:]
 	if len(s.queues[t]) == 0 {
 		// Evict the emptied queue: tenant-name cardinality stays bounded
@@ -815,14 +787,10 @@ func (s *Service) next(lastImage string) *job {
 }
 
 func (s *Service) worker(w int) {
-	lastImage := ""
 	for {
-		j := s.next(lastImage)
+		j := s.next()
 		if j == nil {
 			return
-		}
-		if j.entry != nil {
-			lastImage = j.entry.ID
 		}
 		// Injected dispatch fault: the pickup is transient-faulty;
 		// resolve as a retry and dispatch again (successfully).

@@ -35,7 +35,7 @@ func registerLorenz(t *testing.T, s *Service) *ImageEntry {
 }
 
 func TestRegistryContentAddressed(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	a, err := r.Register("lorenz_attractor")
 	if err != nil {
 		t.Fatal(err)
