@@ -56,11 +56,12 @@ crash-soak:
 # blocking path, faults injected at every service site plus per-job VM
 # fault storms, a mid-flight SIGKILL with bit-identical recovery, and
 # drain/restart resume — including async jobs and deadline twins across
-# the restart, and a recovered deadline counted from the restored clock.
-# Every response must carry a deliberate status and the fault ledgers
-# must reconcile. Wired into `make check`, which CI runs.
+# the restart, a recovered deadline counted from the restored clock, and
+# the journal compacted at every boot. Every response must carry a
+# deliberate status and the fault ledgers must reconcile. Wired into
+# `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
 # survives one iteration. BenchmarkJITTierGate rides along as a hard

@@ -1,10 +1,13 @@
 // On-disk serialization of a suspended VM. The wire format is what makes
 // FPVM's snapshots durable: a versioned, CRC-guarded image of everything
-// a resumed run can observe — CPU (including MXCSR), thread table, the
-// full stdout prefix, every writable page, the NaN-box heap with values
-// encoded per alternative arithmetic system, virtual-clock and telemetry
-// counters, and the decode/trace cache shape (so resumed cycle accounting
-// and trap boundaries match an uninterrupted run bit-for-bit).
+// a resumed run can observe that a freshly prepared VM cannot rebuild —
+// CPU (including MXCSR), thread table, the full stdout prefix, the
+// writable pages (an all-zero page as its address alone, any other with
+// its 4 KiB), the NaN-box heap packed as one kind byte per slot plus the
+// float and encoded-value payloads in slot order (values encoded per
+// alternative arithmetic system), virtual-clock and telemetry counters,
+// and the decode/trace cache shape (so resumed cycle accounting and trap
+// boundaries match an uninterrupted run bit-for-bit).
 //
 // Layout:
 //
@@ -15,9 +18,10 @@
 //	payload gob-encoded Image
 //
 // Every corruption class maps to a distinct sentinel error, and decode
-// never hands out a partially-restored image. Files are written with an
-// atomic temp-file + fsync + rename dance so a crash mid-save leaves the
-// previous good snapshot intact.
+// never hands out a partially-restored image. A file of any other version
+// is refused with ErrVersion, never translated: its job runs fresh. Files
+// are written with an atomic temp-file + fsync + rename dance so a crash
+// mid-save leaves the previous good snapshot intact.
 
 package checkpoint
 
@@ -38,8 +42,9 @@ import (
 	"fpvm/internal/telemetry"
 )
 
-// Version is the current wire format version.
-const Version = 1
+// Version is the current wire format version. Version 2 records zero
+// pages by address and packs the heap; version 1 files are refused.
+const Version = 2
 
 const wireMagic = "FPVMSNAP"
 
@@ -67,7 +72,8 @@ var (
 	ErrConfigMismatch = errors.New("checkpoint: snapshot belongs to a different configuration")
 )
 
-// Page is one writable guest page in a wire image.
+// Page is one writable guest page in a wire image. Data is the page's
+// 4 KiB, or empty when the page is all zero.
 type Page struct {
 	Addr uint64
 	Data []byte
@@ -153,18 +159,21 @@ type Image struct {
 	RT    RuntimeImage
 }
 
-// Encode serializes the image into the framed wire format.
+// Encode serializes the image into the framed wire format. The payload
+// is encoded behind a reserved header that is then filled in place, so
+// the payload is never copied.
 func (img *Image) Encode() ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	out := make([]byte, 0, headerLen+payload.Len())
-	out = append(out, wireMagic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload.Bytes()))
-	return append(out, payload.Bytes()...), nil
+	out := buf.Bytes()
+	copy(out, wireMagic)
+	binary.LittleEndian.PutUint32(out[8:], Version)
+	binary.LittleEndian.PutUint64(out[12:], uint64(len(out)-headerLen))
+	binary.LittleEndian.PutUint32(out[20:], crc32.ChecksumIEEE(out[headerLen:]))
+	return out, nil
 }
 
 // Decode parses a framed wire image, distinguishing every corruption

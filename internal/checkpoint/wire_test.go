@@ -44,7 +44,8 @@ func sampleImage() *Image {
 		MachFPInstructions: 70_000,
 
 		Heap: &heap.Image{
-			Slots:     []heap.SlotImage{{Kind: heap.SlotFloat, F: 3.5}, {Kind: heap.SlotFree}},
+			Kinds:     []byte{heap.SlotFloat, heap.SlotFree},
+			Floats:    []float64{3.5},
 			Free:      []uint64{1},
 			Live:      1,
 			Threshold: 4096,

@@ -9,6 +9,7 @@
 package fpvm
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -18,6 +19,9 @@ import (
 	"fpvm/internal/heap"
 	"fpvm/internal/mem"
 )
+
+// zeroPage is what CaptureImage compares each writable page against.
+var zeroPage [mem.PageSize]byte
 
 // Codec returns the alt system's value codec, or an error if the system
 // cannot serialize its values (suspension is then impossible).
@@ -49,14 +53,22 @@ func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint6
 		return nil, err
 	}
 
+	// An all-zero page travels as its address alone: most writable pages
+	// of a suspended guest (an untouched stack, an unused heap) are zero,
+	// and restore zero-fills them.
 	as := r.p.M.Mem
-	var pages []checkpoint.Page
-	for _, pa := range as.WritablePages() {
+	writable := as.WritablePages()
+	pages := make([]checkpoint.Page, 0, len(writable))
+	for _, pa := range writable {
 		data, ok := as.PageData(pa)
 		if !ok {
 			continue
 		}
-		pages = append(pages, checkpoint.Page{Addr: pa, Data: append([]byte(nil), data...)})
+		pg := checkpoint.Page{Addr: pa}
+		if !bytes.Equal(data, zeroPage[:]) {
+			pg.Data = append([]byte(nil), data...)
+		}
+		pages = append(pages, pg)
 	}
 
 	img := &checkpoint.Image{
@@ -140,10 +152,11 @@ func (r *Runtime) captureRT() checkpoint.RuntimeImage {
 }
 
 // RestoreImage reinstalls a wire image into a freshly constructed (and
-// loaded) VM: every writable page is overwritten, the register file,
-// thread table, stdout prefix, heap, caches and counters are reinstated,
-// and the instruction cache is invalidated. The caller is responsible for
-// having validated the image's bindings first.
+// loaded) VM: every writable page is overwritten (a page recorded without
+// data is zero-filled), the register file, thread table, stdout prefix,
+// heap, caches and counters are reinstated, and the instruction cache is
+// invalidated. The caller is responsible for having validated the
+// image's bindings first.
 func (r *Runtime) RestoreImage(img *checkpoint.Image) error {
 	codec, err := r.valueCodec()
 	if err != nil {
@@ -158,10 +171,10 @@ func (r *Runtime) RestoreImage(img *checkpoint.Image) error {
 
 	as := r.p.M.Mem
 	for _, pg := range img.Pages {
-		if len(pg.Data) != mem.PageSize {
+		if len(pg.Data) != 0 && len(pg.Data) != mem.PageSize {
 			return fmt.Errorf("fpvm: snapshot page %#x has %d bytes", pg.Addr, len(pg.Data))
 		}
-		as.OverwritePage(pg.Addr, pg.Data)
+		as.OverwritePage(pg.Addr, pg.Data) // no data: a zero page
 	}
 	r.m.InvalidateICache()
 

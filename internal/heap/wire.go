@@ -19,17 +19,16 @@ const (
 	SlotNil                  // live generic slot holding nil (a temporary)
 )
 
-// SlotImage is the portable state of one allocator slot.
-type SlotImage struct {
-	Kind uint8
-	F    float64 // SlotFloat payload
-	Val  []byte  // SlotGeneric payload (alt-system encoded)
-}
-
-// Image is the portable state of an Allocator.
+// Image is the portable state of an Allocator, packed: one kind byte per
+// slot, and the payloads of the slots that carry one in slot order — a
+// float per SlotFloat in Floats, an encoded value per SlotGeneric in
+// Vals. A serializer then walks three flat slices instead of one record
+// per slot.
 type Image struct {
-	Slots     []SlotImage
-	Free      []uint64 // free-list, bottom of stack first
+	Kinds     []byte
+	Floats    []float64 // SlotFloat payloads, in slot order
+	Vals      [][]byte  // SlotGeneric payloads (alt-system encoded), in slot order
+	Free      []uint64  // free-list, bottom of stack first
 	Live      int
 	Threshold int
 	MaxLive   int
@@ -44,7 +43,7 @@ var ErrBadImage = errors.New("heap: inconsistent allocator image")
 // generic value through encode (an alt.Codec in practice).
 func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 	img := &Image{
-		Slots:     make([]SlotImage, len(a.slots)),
+		Kinds:     make([]byte, len(a.slots)),
 		Free:      append([]uint64(nil), a.free...),
 		Live:      a.live,
 		Threshold: a.Threshold,
@@ -56,17 +55,19 @@ func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 		s := &a.slots[h]
 		switch {
 		case !s.live:
-			img.Slots[h] = SlotImage{Kind: SlotFree}
+			img.Kinds[h] = SlotFree
 		case s.isF:
-			img.Slots[h] = SlotImage{Kind: SlotFloat, F: s.fval}
+			img.Kinds[h] = SlotFloat
+			img.Floats = append(img.Floats, s.fval)
 		case s.val == nil:
-			img.Slots[h] = SlotImage{Kind: SlotNil}
+			img.Kinds[h] = SlotNil
 		default:
 			b, err := encode(s.val)
 			if err != nil {
 				return nil, fmt.Errorf("heap: encoding box %d: %w", h, err)
 			}
-			img.Slots[h] = SlotImage{Kind: SlotGeneric, Val: b}
+			img.Kinds[h] = SlotGeneric
+			img.Vals = append(img.Vals, b)
 		}
 	}
 	return img, nil
@@ -75,9 +76,11 @@ func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 // FromImage rebuilds an allocator from an Image, decoding every generic
 // value through decode. The result is behaviourally identical to the
 // captured allocator: same handles, same free-list order, same counters.
+// Kinds and payloads that disagree — a payload missing or left over, or
+// a kind FromImage does not know — fail with ErrBadImage.
 func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error) {
 	a := &Allocator{
-		slots:     make([]slot, len(img.Slots)),
+		slots:     make([]slot, len(img.Kinds)),
 		free:      append([]uint64(nil), img.Free...),
 		live:      img.Live,
 		Threshold: img.Threshold,
@@ -85,27 +88,38 @@ func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error)
 		Costs:     img.Costs,
 		Stats:     img.Stats,
 	}
-	live := 0
-	for h := range img.Slots {
-		si := &img.Slots[h]
-		switch si.Kind {
+	live, floats, vals := 0, img.Floats, img.Vals
+	for h, kind := range img.Kinds {
+		switch kind {
 		case SlotFree:
 		case SlotFloat:
-			a.slots[h] = slot{fval: si.F, isF: true, live: true}
+			if len(floats) == 0 {
+				return nil, fmt.Errorf("%w: float slot %d has no payload", ErrBadImage, h)
+			}
+			a.slots[h] = slot{fval: floats[0], isF: true, live: true}
+			floats = floats[1:]
 			live++
 		case SlotNil:
 			a.slots[h] = slot{live: true}
 			live++
 		case SlotGeneric:
-			v, err := decode(si.Val)
+			if len(vals) == 0 {
+				return nil, fmt.Errorf("%w: generic slot %d has no payload", ErrBadImage, h)
+			}
+			v, err := decode(vals[0])
 			if err != nil {
 				return nil, fmt.Errorf("heap: decoding box %d: %w", h, err)
 			}
 			a.slots[h] = slot{val: v, live: true}
+			vals = vals[1:]
 			live++
 		default:
-			return nil, fmt.Errorf("%w: slot %d has kind %d", ErrBadImage, h, si.Kind)
+			return nil, fmt.Errorf("%w: slot %d has kind %d", ErrBadImage, h, kind)
 		}
+	}
+	if len(floats) != 0 || len(vals) != 0 {
+		return nil, fmt.Errorf("%w: %d float and %d generic payloads left over",
+			ErrBadImage, len(floats), len(vals))
 	}
 	if live != img.Live {
 		return nil, fmt.Errorf("%w: %d live slots, header says %d", ErrBadImage, live, img.Live)

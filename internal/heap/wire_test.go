@@ -1,0 +1,99 @@
+package heap
+
+import (
+	"errors"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"fpvm/internal/nanbox"
+)
+
+// capturedHeap returns the image of an allocator holding, in slot order,
+// a float, a free slot (collected), a generic value, a nil temporary and
+// another float, with generic values encoded as decimal text.
+func capturedHeap(t *testing.T) *Image {
+	t.Helper()
+	a := New(0)
+	a.AllocFloat(1.5)
+	hDead := a.Alloc(7)
+	a.Alloc(42)
+	a.Alloc(nil)
+	a.AllocFloat(-0.25)
+	roots := &Roots{}
+	for i, h := range []uint64{0, 2, 3, 4} {
+		roots.GPR[i] = nanbox.Box(h)
+	}
+	if freed, _ := a.Collect(newSpace(), roots); freed != 1 {
+		t.Fatalf("collect freed %d boxes, want 1 (handle %d)", freed, hDead)
+	}
+	img, err := a.Capture(encodeInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+func encodeInt(v any) ([]byte, error) { return []byte(strconv.Itoa(v.(int))), nil }
+
+func decodeInt(b []byte) (any, error) { return strconv.Atoi(string(b)) }
+
+func TestImagePacksSlotsAndRoundTrips(t *testing.T) {
+	img := capturedHeap(t)
+	want := &Image{
+		Kinds:  []byte{SlotFloat, SlotFree, SlotGeneric, SlotNil, SlotFloat},
+		Floats: []float64{1.5, -0.25},
+		Vals:   [][]byte{[]byte("42")},
+		Free:   []uint64{1},
+		Live:   4,
+	}
+	got := &Image{Kinds: img.Kinds, Floats: img.Floats, Vals: img.Vals, Free: img.Free, Live: img.Live}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("packed image %+v, want %+v", got, want)
+	}
+
+	a, err := FromImage(img, decodeInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := a.Capture(encodeInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, img) {
+		t.Fatalf("rebuilt allocator captures %+v, want %+v", again, img)
+	}
+	if v, ok := a.Get(2); !ok || v != 42 {
+		t.Fatalf("generic slot 2 rebuilt as %v/%v, want 42", v, ok)
+	}
+	if f, isF, ok := a.GetFloat(4); !ok || !isF || f != -0.25 {
+		t.Fatalf("float slot 4 rebuilt as %v/%v/%v, want -0.25", f, isF, ok)
+	}
+	if h := a.AllocFloat(9); h != 1 {
+		t.Fatalf("first allocation after rebuild took handle %d, want the freed 1", h)
+	}
+}
+
+// Kinds and payloads are separate slices on the wire, so a damaged image
+// can disagree with itself; FromImage must refuse it rather than shift
+// every later payload onto the wrong slot.
+func TestFromImageRejectsKindPayloadMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Image)
+	}{
+		{"extra float", func(img *Image) { img.Floats = append(img.Floats, 3) }},
+		{"missing float", func(img *Image) { img.Floats = img.Floats[:1] }},
+		{"extra value", func(img *Image) { img.Vals = append(img.Vals, []byte("1")) }},
+		{"missing value", func(img *Image) { img.Vals = nil }},
+		{"unknown kind", func(img *Image) { img.Kinds[1] = SlotNil + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := capturedHeap(t)
+			tc.mut(img)
+			if _, err := FromImage(img, decodeInt); !errors.Is(err, ErrBadImage) {
+				t.Fatalf("FromImage = %v, want ErrBadImage", err)
+			}
+		})
+	}
+}

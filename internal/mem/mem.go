@@ -411,7 +411,8 @@ func (as *AddressSpace) PageData(addr uint64) ([]byte, bool) {
 // with data, bypassing permission checks — the snapshot-restore path uses
 // it, and restores must not be subject to guest page protections. The
 // page is mapped read-write if absent. data longer than a page is
-// truncated; shorter data zero-fills the remainder.
+// truncated; shorter data zero-fills the remainder, so nil data zeroes
+// the page.
 func (as *AddressSpace) OverwritePage(addr uint64, data []byte) {
 	if as.pages == nil {
 		as.pages = make(map[uint64]*page)
@@ -423,9 +424,7 @@ func (as *AddressSpace) OverwritePage(addr uint64, data []byte) {
 		as.pages[pn] = p
 	}
 	n := copy(p.data[:], data)
-	for i := n; i < PageSize; i++ {
-		p.data[i] = 0
-	}
+	clear(p.data[n:])
 	as.markDirty(pn)
 }
 

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"fpvm/internal/checkpoint"
 )
 
 // The journal is an append-only jsonl file in the snapshot directory.
@@ -17,7 +20,10 @@ import (
 // record at startup; the count of boot records is the boot generation
 // embedded in job IDs, so a restarted daemon can never mint an ID that
 // collides with anything a previous instance journaled or snapshotted —
-// including submissions that were refused and never journaled.
+// including submissions that were refused and never journaled. Each
+// start compacts the file before appending to it, keeping only the boot
+// records and the pending job records, so the journal holds what
+// recovery needs rather than every job ever served.
 const (
 	journalName = "journal.jsonl"
 	opJob       = "job"
@@ -42,10 +48,9 @@ type journal struct {
 	f  *os.File
 }
 
+// openJournal opens the journal in dir, which compactJournal has made,
+// for append.
 func openJournal(dir string) (*journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(filepath.Join(dir, journalName),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -123,4 +128,27 @@ func readJournal(dir string) (pending []journalRecord, boots uint64, err error) 
 		}
 	}
 	return pending, boots, nil
+}
+
+// compactJournal atomically rewrites the journal in dir to boots boot
+// records followed by the pending job records, in order: everything
+// readJournal would find in it, and nothing else. A crash mid-rewrite
+// leaves the old journal whole.
+func compactJournal(dir string, pending []journalRecord, boots uint64) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for range boots {
+		if err := enc.Encode(journalRecord{Op: opBoot}); err != nil {
+			return err
+		}
+	}
+	for _, rec := range pending {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	return checkpoint.WriteFileAtomic(filepath.Join(dir, journalName), buf.Bytes())
 }

@@ -114,7 +114,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"respond_retries_total", "injected respond faults resolved by retry", s.met.respondRetries},
 		{"persist_degraded_total", "snapshot persists degraded by injected faults", s.met.persistDegraded},
 		{"persist_failures_total", "snapshot persists that failed on real I/O", s.met.persistFailures},
-		{"journal_failures_total", "journal appends that failed (durability degraded)", s.met.journalFailures},
+		{"journal_failures_total", "journal appends and boot compactions that failed (durability degraded)", s.met.journalFailures},
 		{"recovery_rejects_total", "snapshot files rejected during recovery", s.met.recoveryRejects},
 		{"worker_panics_total", "worker panics contained (image quarantined)", s.met.panics},
 		{"async_submissions_total", "jobs submitted through the async API", s.met.asyncSubmissions},

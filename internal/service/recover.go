@@ -8,17 +8,28 @@ import (
 	"fpvm"
 )
 
-// recoverJournaled reads the journal, claims this instance's boot
-// generation, and turns each pending record into a recovered job for the
-// ordinary job loop. The dead instance already admitted, queued and
-// journaled it, so a recovered job skips all three; it carries the bytes
-// of its job-<id>.snap when one survived, and execute resumes from them.
-// A record whose image no longer rebuilds to the journaled hash is failed
-// here instead of sinking the whole recovery.
+// recoverJournaled reads the journal, compacts it to the boot records
+// and the pending job records, opens it for append, claims this
+// instance's boot generation, and turns each pending record into a
+// recovered job for the ordinary job loop. The dead instance already
+// admitted, queued and journaled it, so a recovered job skips all
+// three; it carries the bytes of its job-<id>.snap when one survived,
+// and execute resumes from them. A record whose image no longer rebuilds
+// to the journaled hash is failed here instead of sinking the whole
+// recovery.
 func (s *Service) recoverJournaled() ([]*job, error) {
 	pending, boots, err := readJournal(s.cfg.SnapshotDir)
 	if err != nil {
 		return nil, fmt.Errorf("service: reading journal: %w", err)
+	}
+	// A failed compaction leaves the old journal whole (the rewrite is
+	// atomic), and it reads the same, so it costs only the space: count
+	// it and recover anyway.
+	if err := compactJournal(s.cfg.SnapshotDir, pending, boots); err != nil {
+		s.met.bump(&s.met.journalFailures)
+	}
+	if s.jnl, err = openJournal(s.cfg.SnapshotDir); err != nil {
+		return nil, err
 	}
 	// Claim the next boot generation and journal it. Generations
 	// namespace job IDs per instance, so a fresh ID can never collide
@@ -101,12 +112,14 @@ func (s *Service) settleRecovered(jobs []*job) int {
 // to any journaled job: job-*.snap whose record was already closed out
 // (or, before the journal-before-publish ordering fix, never written),
 // fleet-*.snap left behind by older daemons, which recovered through the
-// fleet's slot-named files, and torn .snap.tmp debris. It runs once every
-// recovered job has settled, and a finished job deletes its own
-// snapshot, so SnapshotDir cannot accumulate unreferenced files across
-// restarts.
+// fleet's slot-named files, and the temp files of writes a crash
+// interrupted — checkpoint.WriteFileAtomic names them <file>.tmp<digits>,
+// so a torn snapshot is job-<id>.snap.tmp<digits> and a torn journal
+// compaction journal.jsonl.tmp<digits>. It runs once every recovered job
+// has settled, and a finished job deletes its own snapshot, so
+// SnapshotDir cannot accumulate unreferenced files across restarts.
 func (s *Service) sweepStaleSnapshots() {
-	for _, pat := range []string{"job-*.snap", "fleet-*.snap", "*.snap.tmp"} {
+	for _, pat := range []string{"job-*.snap", "fleet-*.snap", "*.snap.tmp*", journalName + ".tmp*"} {
 		matches, _ := filepath.Glob(filepath.Join(s.cfg.SnapshotDir, pat))
 		for _, p := range matches {
 			removeQuiet(p)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"fpvm"
 	"fpvm/internal/faultinject"
+	"fpvm/internal/workloads"
 )
 
 // Satellite (a): deadline semantics must not diverge between a live run
@@ -140,43 +142,57 @@ func TestRecoveredDeadlineCountsFromRestoredClock(t *testing.T) {
 	}
 }
 
-// A recovered job whose snapshot VM.Restore rejects — here, torn in
-// half — runs fresh on a new VM: the reject is counted, and the job
-// still finishes bit-identical to an uninterrupted run.
+// A recovered job whose snapshot VM.Restore rejects — torn in half, or
+// written under wire version 1, which this build refuses — runs fresh on
+// a new VM: the reject is counted, and the job still finishes
+// bit-identical to an uninterrupted run.
 func TestRecoveryRunsFreshPastTornSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	id := suspendAfterOneSlice(t, dir, 2_000, JobRequest{})
-	snap := filepath.Join(dir, "job-"+id+".snap")
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snap, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		mangle func([]byte) []byte
+	}{
+		{"torn", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"version-1", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 1)
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			id := suspendAfterOneSlice(t, dir, 2_000, JobRequest{})
+			snap := filepath.Join(dir, "job-"+id+".snap")
+			data, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snap, tc.mangle(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s := New(Config{Workers: 1, SnapshotDir: dir})
-	if _, err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain()
-	if s.met.recoveryRejects != 1 {
-		t.Fatalf("recovery_rejects_total = %d, want 1 for the torn snapshot", s.met.recoveryRejects)
-	}
-	o, ok := s.Outcome(id)
-	if !ok {
-		t.Fatalf("recovered job %s has no outcome", id)
-	}
-	if o.Status != StatusRecovered || o.Detail != "completed after daemon restart" {
-		t.Fatalf("recovered job ended %s (%s), want a fresh recovered run", o.Status, o.Detail)
-	}
-	e := registerLorenz(t, s)
-	ref, err := fpvm.Run(e.Image, jobVMConfig(e, fpvm.AltBoxed, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Stdout != ref.Stdout || o.Digest != digestOf(t, ref) {
-		t.Fatal("fresh recovered run diverged from an uninterrupted run")
+			s := New(Config{Workers: 1, SnapshotDir: dir})
+			if _, err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain()
+			if s.met.recoveryRejects != 1 {
+				t.Fatalf("recovery_rejects_total = %d, want 1 for the %s snapshot", s.met.recoveryRejects, tc.name)
+			}
+			o, ok := s.Outcome(id)
+			if !ok {
+				t.Fatalf("recovered job %s has no outcome", id)
+			}
+			if o.Status != StatusRecovered || o.Detail != "completed after daemon restart" {
+				t.Fatalf("recovered job ended %s (%s), want a fresh recovered run", o.Status, o.Detail)
+			}
+			e := registerLorenz(t, s)
+			ref, err := fpvm.Run(e.Image, jobVMConfig(e, fpvm.AltBoxed, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Stdout != ref.Stdout || o.Digest != digestOf(t, ref) {
+				t.Fatal("fresh recovered run diverged from an uninterrupted run")
+			}
+		})
 	}
 }
 
@@ -253,11 +269,15 @@ func TestJournalPrecedesPublication(t *testing.T) {
 
 // Satellite (b), sweep half: recovery must remove snapshot files it
 // cannot tie to any journaled job — orphans from the pre-fix ordering
-// window, fleet debris from rejected recoveries, and torn temp files.
-// Pre-fix they accumulated in SnapshotDir forever.
+// window, fleet debris from rejected recoveries, and the temp files of
+// interrupted atomic writes, named as os.CreateTemp names them (a torn
+// snapshot and a torn journal compaction). Pre-fix they accumulated in
+// SnapshotDir forever; the temp files did until the sweep matched the
+// digits CreateTemp appends.
 func TestRecoverySweepsOrphanSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	orphans := []string{"job-j9_00042_ghost.snap", "fleet-0007-ghost.snap", "torn.snap.tmp"}
+	orphans := []string{"job-j9_00042_ghost.snap", "fleet-0007-ghost.snap",
+		"job-j9_00043_ghost.snap.tmp3418829871", journalName + ".tmp2200417931"}
 	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("debris"), 0o644); err != nil {
 			t.Fatal(err)
@@ -512,9 +532,11 @@ func TestOnePoolCheckoutPerJob(t *testing.T) {
 // and trace builds (1,695,360 cycles against 1,506,330 for the next
 // two), so a deadline the warm jobs made was blown by the first.
 //
-// The short deadline sits one quantum below the cost: a deadline one
-// cycle below it is crossed by the job's final step, the exit, which
-// completes rather than stopping at a boundary past the deadline.
+// The short deadline sits one quantum below the cost, where the job is
+// cancelled at a preemption boundary. A deadline one cycle below the cost
+// is crossed by the job's final step, the exit, so the job runs whole and
+// is still deadline-exceeded: a completed job never reports more cycles
+// than its deadline.
 func TestJobCyclesIndependentOfImageHistory(t *testing.T) {
 	cfg := Config{Workers: 1, PreemptQuantum: 50_000}
 	submit := func(s *Service, deadline uint64) *JobOutcome {
@@ -527,12 +549,13 @@ func TestJobCyclesIndependentOfImageHistory(t *testing.T) {
 
 	s := startService(t, cfg)
 	var cycles [3]uint64
+	var digest string
 	for i := range cycles {
 		o := submit(s, 0)
 		if o.Status != StatusCompleted {
 			t.Fatalf("job %d: %s (%s)", i+1, o.Status, o.Detail)
 		}
-		cycles[i] = o.Cycles
+		cycles[i], digest = o.Cycles, o.Digest
 	}
 	if cycles[1] != cycles[0] || cycles[2] != cycles[0] {
 		t.Fatalf("back-to-back jobs on one image cost %v cycles; want all equal", cycles)
@@ -541,12 +564,15 @@ func TestJobCyclesIndependentOfImageHistory(t *testing.T) {
 	cost, short := cycles[0], cycles[0]-cfg.PreemptQuantum
 	fresh := startService(t, cfg)
 	var blownAt uint64
-	for i, d := range []uint64{cost, short, cost, short} {
+	for i, d := range []uint64{cost, short, cost, short, cost - 1} {
 		o := submit(fresh, d)
 		switch {
 		case d == cost && (o.Status != StatusCompleted || o.Cycles != cost):
 			t.Errorf("job %d on a fresh service, deadline %d (its cost): %s at %d cycles (%s), want completed at %d",
 				i+1, d, o.Status, o.Cycles, o.Detail, cost)
+		case d == cost-1 && (o.Status != StatusDeadline || o.Cycles != cost || o.Digest != digest):
+			t.Errorf("job %d on a fresh service, deadline %d (its cost - 1): %s at %d cycles, digest %q (%s); want deadline-exceeded at %d with the whole result, digest %q",
+				i+1, d, o.Status, o.Cycles, o.Digest, o.Detail, cost, digest)
 		case d == short && o.Status != StatusDeadline:
 			t.Errorf("job %d on a fresh service, deadline %d: %s at %d cycles (%s), want deadline-exceeded",
 				i+1, d, o.Status, o.Cycles, o.Detail)
@@ -590,5 +616,103 @@ func TestInjectedFaultsLeaveOtherTenantsCyclesUnchanged(t *testing.T) {
 	}
 	if before[0].Cycles != before[1].Cycles {
 		t.Fatalf("the first two clean jobs cost %d and %d cycles", before[0].Cycles, before[1].Cycles)
+	}
+}
+
+// Every start compacts the journal to what recovery needs: the boot
+// records, whose count is the boot generation, and the pending job
+// records. Five jobs go through drain → restart → clean drain → restart;
+// the journal must then hold the three boot records only, and a new job
+// must carry generation 3. Pre-fix the journal kept every job's two
+// records forever: 12 or more here.
+func TestJournalCompactedAtBoot(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, PreemptQuantum: 2_000, SnapshotDir: dir})
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	e := registerLorenz(t, s)
+	block := make(chan struct{})
+	s.testHookDispatch = func(*job) { <-block }
+	const jobs = 5 // 1 held at dispatch + 4 queued, all suspended by the drain
+	for range jobs {
+		s.SubmitAsync(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed})
+	}
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.inflight == 1 && s.queued == jobs-1 })
+	drained := make(chan int, 1)
+	go func() { drained <- s.Drain() }()
+	waitFor(t, func() bool { return s.State() == StateDraining })
+	close(block)
+	if n := <-drained; n != jobs {
+		t.Fatalf("drain suspended %d jobs, want %d", n, jobs)
+	}
+
+	s2 := New(Config{Workers: 1, SnapshotDir: dir})
+	if n, err := s2.Start(); err != nil || n != jobs {
+		t.Fatalf("restart recovered %d jobs (%v), want %d", n, err, jobs)
+	}
+	if n := s2.Drain(); n != 0 {
+		t.Fatalf("clean drain suspended %d jobs", n)
+	}
+
+	s3 := startService(t, Config{Workers: 1, SnapshotDir: dir})
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for _, line := range lines {
+		if !strings.Contains(line, `"op":"boot"`) {
+			t.Fatalf("journal after the third start holds %d records, not only boot records: %q", len(lines), line)
+		}
+	}
+	if len(lines) != 3 {
+		t.Fatalf("journal after the third start holds %d boot records, want 3", len(lines))
+	}
+	o := s3.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, s3).ID, Alt: fpvm.AltBoxed})
+	if o.Status != StatusCompleted || !strings.HasPrefix(o.ID, "j3_") {
+		t.Fatalf("job after the third start: %s %s (%s), want completed with a j3_ ID", o.ID, o.Status, o.Detail)
+	}
+}
+
+// fpvmd persists a snapshot at every preemption a job continues past, so
+// a snapshot must cost what the guest changed: zero pages travel as their
+// addresses and the heap is packed. Every micro image at the default
+// 250k quantum snapshots under 64 KiB; with every writable page written
+// out in full, each was ~409 KiB.
+func TestMicroSnapshotsStaySmall(t *testing.T) {
+	const quantum, limit = 250_000, 64 << 10
+	reg := NewRegistry()
+	snaps := 0
+	for _, name := range workloads.MicroAll() {
+		e, err := reg.Register(string(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, err := fpvm.Prepare(e.Image, jobVMConfig(e, fpvm.AltBoxed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.SetPreemptQuantum(quantum)
+		for {
+			res, err := vm.RunSlice()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !res.Preempted {
+				break
+			}
+			snap, err := vm.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(snap) >= limit {
+				t.Errorf("%s: snapshot at %d cycles is %d bytes, want under %d", name, res.Cycles, len(snap), limit)
+			}
+			snaps++
+		}
+	}
+	if snaps == 0 {
+		t.Fatal("no micro image was preempted; nothing was measured")
 	}
 }

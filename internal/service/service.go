@@ -399,18 +399,15 @@ func (s *Service) WarmPools(alt fpvm.AltKind, precision uint) int {
 // it).
 func (s *Service) Registry() *Registry { return s.reg }
 
-// Start opens the snapshot directory's journal, launches the worker
-// pool, and runs every job a previous instance left unfinished through
-// it, returning once all of them have settled. Recovery outcomes are
-// queryable via Outcome; the returned count is how many jobs were
-// recovered.
+// Start compacts and opens the snapshot directory's journal, launches
+// the worker pool, and runs every job a previous instance left
+// unfinished through it, returning once all of them have settled.
+// Recovery outcomes are queryable via Outcome; the returned count is how
+// many jobs were recovered.
 func (s *Service) Start() (recovered int, err error) {
 	if s.cfg.SnapshotDir == "" {
 		s.startWorkers()
 		return 0, nil
-	}
-	if s.jnl, err = openJournal(s.cfg.SnapshotDir); err != nil {
-		return 0, err
 	}
 	jobs, err := s.recoverJournaled()
 	if err != nil {
@@ -905,6 +902,12 @@ func (s *Service) execute(j *job) {
 
 		st, detail := StatusCompleted, ""
 		switch {
+		case j.deadline > 0 && res.Cycles > j.deadline:
+			// The job's last step, its exit, crossed the deadline: no
+			// boundary came between, so the result is whole, but a job
+			// never completes past its deadline.
+			st, detail = StatusDeadline, fmt.Sprintf("deadline %d cycles exceeded at %d by the job's last step",
+				j.deadline, res.Cycles)
 		case res.Detached:
 			st, detail = StatusDegraded, "fatal rung detached; guest completed natively"
 		case j.recovered && res.Resumed:

@@ -7,11 +7,15 @@
 package fpvm_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fpvm"
+	"fpvm/internal/asm"
+	"fpvm/internal/checkpoint"
+	"fpvm/internal/mem"
 	"fpvm/internal/obj"
 	"fpvm/internal/oracle"
 	"fpvm/internal/workloads"
@@ -379,5 +383,109 @@ func TestVMLifecycle(t *testing.T) {
 	}
 	if _, err := once.RunSlice(); err == nil {
 		t.Error("RunSlice of a VM spent by Run succeeded")
+	}
+}
+
+// zeroedPageProgram stores zero over the only word of its data page
+// (non-zero at load), spends enough FP traps to be preempted, and exits
+// with that word as its status: 0 unless the page came back non-zero.
+const zeroedPageProgram = `
+.quad marker 0x1122334455667788
+.rodouble one 1.0
+.rodouble three 3.0
+
+.func main
+    mov rbx, 0
+    mov [rip+marker], rbx
+    movsd xmm0, [rip+one]
+    mov rcx, 2000
+loop:
+    divsd xmm0, [rip+three]
+    addsd xmm0, [rip+one]
+    sub rcx, 1
+    jne loop
+    mov rdi, [rip+marker]
+    mov rax, 60
+    syscall
+.entry main
+`
+
+// A snapshot records an all-zero page as its address alone, and restore
+// must zero-fill it: a fresh VM loads the page with its load-time bytes,
+// so a restore that skipped the empty page would resurrect the word the
+// guest zeroed.
+func TestZeroedPageRestoresAsZero(t *testing.T) {
+	img, err := asm.Assemble("zeroed-page", zeroedPageProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, ok := img.Lookup("marker")
+	if !ok {
+		t.Fatal("no marker symbol")
+	}
+	loaded := false
+	for _, sec := range img.Sections {
+		if off := sym.Addr - sec.Addr; sym.Addr >= sec.Addr && off+8 <= uint64(len(sec.Data)) {
+			loaded = binary.LittleEndian.Uint64(sec.Data[off:]) != 0
+		}
+	}
+	if !loaded {
+		t.Fatal("marker is not non-zero at load; the test would prove nothing")
+	}
+
+	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
+	ref, err := fpvm.Run(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.ExitCode != 0 {
+		t.Fatalf("uninterrupted run exited %d, want 0", ref.ExitCode)
+	}
+
+	cfg.PreemptQuantum = 5_000
+	vm, err := fpvm.Prepare(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := vm.RunSlice(); err != nil || !res.Preempted {
+		t.Fatalf("first slice: preempted %v, err %v", res != nil && res.Preempted, err)
+	}
+	snap, err := vm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi, err := checkpoint.Decode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := sym.Addr &^ (mem.PageSize - 1)
+	recorded := false
+	for _, pg := range wi.Pages {
+		if pg.Addr == page {
+			recorded = len(pg.Data) == 0
+		}
+	}
+	if !recorded {
+		t.Fatalf("the zeroed page %#x is not recorded as a zero page", page)
+	}
+
+	twin, err := fpvm.Prepare(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	res := &fpvm.Result{Preempted: true}
+	for res.Preempted {
+		if res, err = twin.RunSlice(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.ExitCode != 0 {
+		t.Fatalf("restored run exited %d: the zeroed page came back non-zero", res.ExitCode)
+	}
+	if res.Cycles != ref.Cycles || res.Stdout != ref.Stdout {
+		t.Fatalf("restored run: %d cycles, stdout %q; uninterrupted: %d, %q", res.Cycles, res.Stdout, ref.Cycles, ref.Stdout)
 	}
 }
