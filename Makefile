@@ -23,9 +23,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark pass: Go benchmarks plus the replay-tier regression
-# artifact (BENCH_7.json: cold decode vs interpreted replay vs tier-1
-# JIT, superseding the old two-tier BENCH_2.json), the fleet
+# Full benchmark pass: Go benchmarks plus the trace-cache artifact
+# (BENCH_7.json: cold decode vs compiled replay, ns/op informational,
+# virtual cycles exact), the fleet
 # shared-vs-private throughput artifact (BENCH_4.json), and the fpvmd
 # serving artifacts (BENCH_8.json: 1000 concurrent HTTP jobs at nominal
 # load plus 2x overload with shedding; BENCH_9.json: warm VM pool vs
@@ -57,16 +57,15 @@ crash-soak:
 # fault storms, a mid-flight SIGKILL with bit-identical recovery, and
 # drain/restart resume — including async jobs and deadline twins across
 # the restart, a recovered deadline counted from the restored clock, and
-# the journal compacted at every boot. Every response must carry a
-# deliberate status and the fault ledgers must reconcile. Wired into
-# `make check`, which CI runs.
+# the journal compacted at every boot, and the shedding ladder under
+# queue pressure. Every response must carry a deliberate status and the
+# fault ledgers must reconcile. Wired into `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
-# survives one iteration. BenchmarkJITTierGate rides along as a hard
-# gate — a compiled tier that diverges from interpreted replay (output,
-# virtual cycles, or a JIT that never engages) fails `make check`.
+# survives one iteration, so a benchmark whose run fails fails
+# `make check`.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

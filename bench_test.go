@@ -312,43 +312,6 @@ func BenchmarkAblationTraceCache(b *testing.B) {
 	}
 }
 
-// BenchmarkJITTierGate is the tier-1 JIT regression gate, run on every
-// `make check` via bench-check (-benchtime 1x): the compiled tier must
-// produce bit-identical output and virtual cycles to the interpreted
-// tier while actually engaging (compiles and compiled replays happen).
-// At full benchtime it also reports the wall-clock ratio between tiers —
-// the number the BENCH_7.json artifact tracks per workload.
-func BenchmarkJITTierGate(b *testing.B) {
-	for _, name := range []workloads.Name{workloads.Lorenz, workloads.Enzo} {
-		b.Run(string(name), func(b *testing.B) {
-			p := prep(b, name)
-			jitCfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
-			interpCfg := jitCfg
-			interpCfg.NoJIT = true
-			var jit, interp *fpvm.Result
-			for i := 0; i < b.N; i++ {
-				jit = runCfg(b, p, jitCfg)
-				interp = runCfg(b, p, interpCfg)
-			}
-			if jit.Stdout != interp.Stdout {
-				b.Fatalf("compiled tier changed output")
-			}
-			if jit.Cycles != interp.Cycles {
-				b.Fatalf("compiled tier broke cycle-exactness: jit %d, interp %d",
-					jit.Cycles, interp.Cycles)
-			}
-			if jit.JITCompiles == 0 || jit.JITExecs == 0 {
-				b.Fatalf("JIT never engaged: compiles=%d execs=%d", jit.JITCompiles, jit.JITExecs)
-			}
-			if n := interp.JITCompiles + interp.JITExecs + interp.JITInsts + interp.JITDeopts; n != 0 {
-				b.Fatalf("NoJIT run shows JIT activity: %d", n)
-			}
-			b.ReportMetric(float64(jit.JITExecs), "jit-execs")
-			b.ReportMetric(jit.Breakdown.JITDeoptRate(), "jit-deopt-rate")
-		})
-	}
-}
-
 // BenchmarkAblationGCThreshold sweeps the collector trigger: low
 // thresholds collect often (high gc cost), high thresholds let boxes pile
 // up (bigger heap scans, fewer collections).

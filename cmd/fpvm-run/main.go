@@ -5,11 +5,18 @@
 //
 //	fpvm-run -workload lorenz_attractor [-alt boxed|mpfr|posit|posit32|interval|rational]
 //	         [-precision-policy]
-//	         [-seq] [-short] [-native] [-nopatch] [-int3] [-scale N] [-stats]
+//	         [-seq] [-short] [-no-trace] [-native] [-nopatch] [-int3] [-scale N] [-stats]
 //	         [-inject SPEC] [-inject-seed N] [-max-boxes N]
 //	         [-checkpoint-interval N] [-max-rollbacks N]
 //	         [-parallel N] [-jobs M] [-fleet-private]
 //	         [-snapshot-dir DIR] [-preempt-quantum N]
+//
+// With -seq, each trap emulates a whole instruction sequence, and the
+// software trace cache replays a sequence seen before: every trace
+// compiles on its first replay and replays through its compiled body.
+// The "trace cache:" line on stderr reports replays and divergence exits,
+// the "jit:" line the bodies compiled. -no-trace turns the trace cache
+// off (the §4.2 ablation).
 //
 // Fleet mode (-parallel N with N > 1) executes M copies of the workload
 // (-jobs, default N) on a pool of N concurrent VMs sharing one
@@ -89,8 +96,6 @@ func main() {
 	seq := flag.Bool("seq", false, "enable instruction sequence emulation (§4)")
 	short := flag.Bool("short", false, "enable trap short-circuiting (§3)")
 	noTrace := flag.Bool("no-trace", false, "disable the software trace cache (sequence replay)")
-	noJIT := flag.Bool("no-jit", false, "disable the tier-1 trace JIT (keep interpreted replay)")
-	jitThreshold := flag.Int("jit-threshold", 0, "replay count before a trace is compiled (0 = default 8)")
 	native := flag.Bool("native", false, "run without FPVM")
 	nopatch := flag.Bool("nopatch", false, "skip correctness patching")
 	int3 := flag.Bool("int3", false, "use int3 correctness traps instead of magic traps")
@@ -143,8 +148,6 @@ func main() {
 		Short:              *short,
 		MagicWraps:         *magicWraps,
 		NoTraceCache:       *noTrace,
-		NoJIT:              *noJIT,
-		JITThreshold:       *jitThreshold,
 		Profile:            true,
 		MaxLiveBoxes:       *maxBoxes,
 		CheckpointInterval: *ckptInterval,
@@ -198,11 +201,8 @@ func main() {
 			"trace cache: %d traces, hit rate %.3f, %d replayed insts, %d divergence exits\n",
 			res.TraceCacheEntries, res.TraceHitRate(), res.ReplayedInsts, res.TraceDivergences)
 	}
-	if res.JITCompiles+res.JITExecs > 0 {
-		fmt.Fprintf(os.Stderr,
-			"jit: %d compiles, %d compiled replays (%d insts), %d deopts (rate %.3f)\n",
-			res.JITCompiles, res.JITExecs, res.JITInsts, res.JITDeopts,
-			res.Breakdown.JITDeoptRate())
+	if res.JITCompiles > 0 {
+		fmt.Fprintf(os.Stderr, "jit: %d compiles\n", res.JITCompiles)
 	}
 	if res.Policy != nil {
 		fmt.Fprintln(os.Stderr, res.Policy.Line())

@@ -28,8 +28,6 @@ func runOracleSlices(img *obj.Image, spec oracle.Spec, precision uint, maxSteps 
 		NoTraceCache:       spec.NoTrace,
 		EmulateAll:         spec.EmulateAll,
 		FutureHW:           spec.FutureHW,
-		NoJIT:              spec.NoJIT,
-		JITThreshold:       spec.JITThr,
 		CheckpointInterval: spec.Ckpt,
 		MaxSteps:           maxSteps,
 		PreemptQuantum:     spec.Preempt,

@@ -139,17 +139,6 @@ type Config struct {
 	// instead of replaying the cached pre-bound sequence.
 	NoTraceCache bool
 
-	// JITThreshold is the replay count at which a hot trace is promoted
-	// from interpreted replay to a tier-1 compiled closure chain
-	// (0 = default 8). Both tiers charge identical virtual cycles, so the
-	// threshold never changes guest-visible behavior — only host time.
-	JITThreshold int
-
-	// NoJIT disables tier-1 trace compilation (ablation, mirroring
-	// NoTraceCache): hot traces keep replaying through the interpreted
-	// loop.
-	NoJIT bool
-
 	// CheckpointInterval enables the rollback supervisor: every N traps
 	// FPVM captures a crash-consistent snapshot of the whole VM, and
 	// fatal-rung failures restore the last snapshot and re-execute with
@@ -319,16 +308,16 @@ type Result struct {
 	ReplayedInsts     uint64
 	TraceCacheEntries int
 
-	// Tier-1 trace JIT outcomes. JITCompiles counts trace bodies compiled
-	// this process (process-local: a resumed or forked run recompiles, so
-	// this is the one JIT counter not preserved across snapshots);
-	// JITExecs replays served by a compiled body; JITDeopts compiled
-	// replays that deopted to the interpreter on a guard failure;
-	// JITInsts instructions executed through compiled steps.
+	// Compiled replay. Every trace compiles on its first replay in a VM,
+	// and every replay runs the compiled body. JITCompiles counts the
+	// bodies this process compiled (process-local: a resumed or forked run
+	// recompiles, so it is not preserved across snapshots). JITExecs is
+	// TraceHits (replays served by a compiled body) and JITDeopts is
+	// TraceDivergences (compiled replays that left through the divergence
+	// exit on a guard failure); both are kept for callers that read them.
 	JITCompiles uint64
 	JITExecs    uint64
 	JITDeopts   uint64
-	JITInsts    uint64
 
 	// Shared-cache adoptions (Config.Shared != nil): local misses served
 	// by the trained store's decode (SharedHits) or a copy of its trace
@@ -501,10 +490,7 @@ func Resume(img *obj.Image, cfg Config, snapshot []byte) (*Result, error) {
 // execution semantics (not observation or bookkeeping): a snapshot may
 // only resume under a configuration that would have produced the
 // identical execution. The fleet recovery path uses it to validate
-// on-disk snapshots against the jobs it is about to resume. JIT tiering
-// (JITThreshold, NoJIT) is deliberately excluded: compiled and
-// interpreted replay are cycle- and counter-exact, so a snapshot resumes
-// correctly under either tier.
+// on-disk snapshots against the jobs it is about to resume.
 func ConfigSignature(cfg Config) string {
 	sig := fmt.Sprintf("seq=%t short=%t magicwraps=%t gc=%d cache=%d seqlim=%d emulall=%t futurehw=%t maxboxes=%d retries=%d watchdog=%d notrace=%t ckpt=%d maxrb=%d prec=%d backoff=%d",
 		cfg.Seq, cfg.Short, cfg.MagicWraps, cfg.GCThreshold, cfg.CacheCapacity,
@@ -606,8 +592,6 @@ func Prepare(img *obj.Image, cfg Config) (*VM, error) {
 		RetryBackoffCycles: cfg.RetryBackoffCycles,
 		TrapCycleBudget:    cfg.TrapCycleBudget,
 		NoTraceCache:       cfg.NoTraceCache,
-		JITThreshold:       cfg.JITThreshold,
-		NoJIT:              cfg.NoJIT,
 		CheckpointInterval: cfg.CheckpointInterval,
 		MaxRollbacks:       cfg.MaxRollbacks,
 		Shared:             cfg.Shared,
@@ -820,9 +804,8 @@ func (vm *VM) result() *Result {
 		TraceDivergences:   rt.Tel.TraceDivergences,
 		ReplayedInsts:      rt.Tel.ReplayedInsts,
 		JITCompiles:        rt.JITCompiles,
-		JITExecs:           rt.Tel.JITExecs,
-		JITDeopts:          rt.Tel.JITDeopts,
-		JITInsts:           rt.Tel.JITInsts,
+		JITExecs:           rt.Tel.TraceHits,
+		JITDeopts:          rt.Tel.TraceDivergences,
 		TraceCacheEntries:  rt.Cache().TraceLen(),
 		SharedHits:         rt.Cache().Stats.SharedHits,
 		SharedTraceHits:    rt.Cache().Stats.SharedTraceHits,

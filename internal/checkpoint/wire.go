@@ -44,6 +44,9 @@ import (
 
 // Version is the current wire format version. Version 2 records zero
 // pages by address and packs the heap; version 1 files are refused.
+// Dropping a field needs no bump: gob skips stream fields the receiving
+// struct lacks, so version 2 files that still carry the retired per-trace
+// replay counters and JIT telemetry restore unchanged.
 const Version = 2
 
 const wireMagic = "FPVMSNAP"
@@ -81,14 +84,14 @@ type Page struct {
 
 // TraceImage is the shape of one L2 trace-cache entry: enough to rebuild
 // the trace (entries are re-decoded from restored guest memory, which is
-// deterministic) without re-charging decode cycles.
+// deterministic) without re-charging decode cycles. It carries no replay
+// counters and no compiled body: a restored trace compiles on its first
+// replay, like any trace new to the VM.
 type TraceImage struct {
-	Start       uint64
-	EndRIP      uint64
-	Reason      uint8
-	Hits        uint64
-	Divergences uint64
-	EntryRIPs   []uint64
+	Start     uint64
+	EndRIP    uint64
+	Reason    uint8
+	EntryRIPs []uint64
 }
 
 // CacheImage is the decode/trace cache shape in FIFO order. Cold caches

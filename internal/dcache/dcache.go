@@ -240,8 +240,8 @@ func (c *Cache) TraceOrderCap() int { return c.traceOrder.Cap() }
 
 // Clone duplicates the cache (fork(): the decode cache is FPVM state in
 // process memory, so the child gets a copy). Traces are duplicated with
-// their own Entries/Insts slices — the child's in-flight replays and
-// counters must survive parent-side invalidation, eviction, or in-place
+// their own Entries/Insts slices and no compiled body — the child's
+// replays must survive parent-side invalidation, eviction, or in-place
 // rebuild — while the immutable entry decodes themselves are shared. The
 // child's Stats start from zero: a fork child reporting the parent's
 // pre-fork hit/miss/eviction events would double-count them (each event
@@ -263,7 +263,7 @@ func (c *Cache) Clone() *Cache {
 		out.entries[k] = v // entries are immutable decodes
 	}
 	for k, v := range c.traces {
-		out.traces[k] = v.snapshotKeepCounters()
+		out.traces[k] = v.snapshot()
 	}
 	for k, v := range c.ripIndex {
 		out.ripIndex[k] = append([]uint64(nil), v...)
@@ -297,20 +297,13 @@ type Trace struct {
 	Insts []string
 	Term  string
 
-	// Hits counts full or partial replays; Divergences counts replays that
-	// exited early because an instruction's boxedness diverged from the
-	// recorded shape. Hits doubles as the tier-1 promotion counter: the
-	// runtime compiles the trace once Hits crosses its JIT threshold.
-	Hits        uint64
-	Divergences uint64
-
-	// Compiled holds the owning VM's tier-1 compiled body, opaque to this
-	// package (the compiler lives in the runtime). Compiled bodies are
-	// strictly per-VM process state: snapshot/snapshotKeepCounters clear
-	// the slot, so trained traces, adopted copies and fork clones never
-	// carry one, and the checkpoint wire format never sees it.
-	// Dropping the trace (invalidation, eviction, replacement) drops the
-	// body with it.
+	// Compiled holds the owning VM's compiled body, opaque to this package
+	// (the compiler lives in the runtime, which compiles a trace on its
+	// first replay). Compiled bodies are strictly per-VM process state:
+	// snapshot clears the slot, so trained traces, adopted copies and fork
+	// clones never carry one, and the checkpoint wire format never sees
+	// it. Dropping the trace (invalidation, eviction, replacement) drops
+	// the body with it.
 	Compiled any
 }
 
@@ -320,26 +313,15 @@ func (t *Trace) Len() int { return len(t.Entries) }
 
 // snapshot returns an independent copy of t with fresh Entries/Insts
 // slice headers (the immutable *Entry decodes and disassembly strings are
-// shared) and zeroed replay counters. Freezing a store and adopting from
-// it both go through it: the trained trace is never mutated, and every
-// adopter replays (and counts) against its own copy.
+// shared) and no compiled body. Freezing a store, adopting from it and
+// fork cloning all go through it: the source trace is never mutated, and
+// every receiving VM compiles and replays its own copy.
 func (t *Trace) snapshot() *Trace {
-	nt := t.snapshotKeepCounters()
-	nt.Hits, nt.Divergences = 0, 0
-	return nt
-}
-
-// snapshotKeepCounters is snapshot preserving the replay counters (fork:
-// the child inherits the parent's per-trace history like the rest of the
-// process image, and diverges from there).
-func (t *Trace) snapshotKeepCounters() *Trace {
 	nt := *t
 	nt.Entries = append([]*Entry(nil), t.Entries...)
 	if t.Insts != nil {
 		nt.Insts = append([]string(nil), t.Insts...)
 	}
-	// Tier-1 compiled bodies are per-VM: the receiving cache re-promotes
-	// from its own replay counts.
 	nt.Compiled = nil
 	return &nt
 }
@@ -370,7 +352,7 @@ func (t *Trace) EnsureDisassembly(fetchTerm func(rip uint64) (string, bool)) {
 
 // LookupTrace returns the cached trace starting at start, if present. On
 // a local miss with a shared store attached, a trained trace is adopted:
-// the VM gets its own copy (fresh counters, private Entries slice) so
+// the VM gets its own copy (private Entries slice, no compiled body) so
 // replay never mutates state another VM can see, and future traps at this
 // start hit locally.
 func (c *Cache) LookupTrace(start uint64) (*Trace, bool) {

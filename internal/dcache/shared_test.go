@@ -125,8 +125,7 @@ func TestSharedEntryAdoption(t *testing.T) {
 func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
 	trainer := NewCache(0)
 	tr := mkTrace(0x100, 4)
-	tr.Hits = 5                       // the training run's replay history must not leak to adopters
-	tr.Compiled = &struct{ n int }{1} // its tier-1 body is per-VM process state
+	tr.Compiled = &struct{ n int }{1} // the training run's body is per-VM process state
 	trainer.InsertTrace(tr)
 	s := Freeze(trainer, "img")
 	b := NewCacheShared(0, s)
@@ -142,24 +141,21 @@ func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
 	if bt == tr {
 		t.Fatal("adoption returned the training run's trace, not a snapshot")
 	}
-	if bt.Hits != 0 || bt.Divergences != 0 {
-		t.Errorf("adopted trace inherited counters: hits=%d div=%d", bt.Hits, bt.Divergences)
-	}
 	if bt.Compiled != nil {
 		t.Error("adopted trace inherited the training run's compiled body")
 	}
 
 	// B's replay mutates only B's copy.
-	bt.Hits += 100
+	bt.Compiled = &struct{ n int }{2}
 	bt.Entries[0] = nil
 	ct, _ := c.LookupTrace(0x100)
-	if ct.Hits != 0 {
-		t.Error("B's replay counters visible to C")
+	if ct.Compiled != nil {
+		t.Error("B's compiled body visible to C")
 	}
 	if ct.Entries[0] == nil {
 		t.Error("B's entry mutation visible to C (shared backing array)")
 	}
-	if tr.Hits != 5 {
+	if tr.Entries[0] == nil || tr.Compiled == nil {
 		t.Error("freezing or adoption mutated the training run's trace")
 	}
 }
@@ -238,8 +234,8 @@ func TestSharedBindFirstWins(t *testing.T) {
 }
 
 // TestSharedConcurrentTorture has many goroutines adopt from one frozen
-// store while each mutates its own copies the way replay, tier-1
-// promotion, invalidation and re-decoding do. Run under -race via make
+// store while each mutates its own copies the way first-replay
+// compilation, invalidation and re-decoding do. Run under -race via make
 // check and make fleet-soak: the store is never written after Freeze, so
 // any write the detector sees is a bug. Afterwards the store must be
 // exactly as trained, and a fresh adopter must receive bare traces.
@@ -271,9 +267,7 @@ func TestSharedConcurrentTorture(t *testing.T) {
 					c.Lookup(rip)
 				case 1:
 					if tr, ok := c.LookupTrace(start); ok {
-						tr.Hits++ // replay mutation on the private copy
-						tr.Divergences++
-						tr.Compiled = &struct{ g int }{g} // tier-1 promotion, per-VM
+						tr.Compiled = &struct{ g int }{g} // first-replay compile, per-VM
 					}
 				case 2:
 					c.Insert(rip, &Entry{Inst: isa.MakeNullary(isa.NOP)})
@@ -297,9 +291,8 @@ func TestSharedConcurrentTorture(t *testing.T) {
 		if !ok {
 			t.Fatalf("trained trace %#x lost", start)
 		}
-		if tr.Hits != 0 || tr.Divergences != 0 || tr.Compiled != nil {
-			t.Errorf("trace %#x carries another VM's state: hits=%d div=%d compiled=%v",
-				start, tr.Hits, tr.Divergences, tr.Compiled != nil)
+		if tr.Compiled != nil {
+			t.Errorf("trace %#x carries another VM's compiled body", start)
 		}
 		for i, e := range tr.Entries {
 			if e == nil || e.Inst.Addr != start+uint64(i)*4 {

@@ -13,25 +13,22 @@ import (
 	"fpvm/internal/workloads"
 )
 
-// TraceBenchRow is one workload's three-tier comparison — cold decode
-// (trace cache off), interpreted replay (trace cache on, JIT off), and
-// tier-1 compiled replay (stock JIT) — as real simulator cost (wall-clock
-// ns/op and Go allocs/op of a full virtualized run, measured with
-// testing.Benchmark) plus the virtual-cycle, trace-cache and JIT
-// statistics of instrumented runs. Virtual cycles are identical between
-// the interpreted and compiled tiers by design (cycle-exact tiering);
-// only one cycles-on column exists.
+// TraceBenchRow is one workload's two-tier comparison — cold decode
+// (trace cache off) and replay (trace cache on: every trace compiles on
+// its first replay and replays through its compiled body) — as real
+// simulator cost (wall-clock ns/op and Go allocs/op of a full virtualized
+// run, measured with testing.Benchmark) plus the virtual-cycle and
+// trace-cache statistics of instrumented runs. The ns/op columns are
+// host time on a shared machine, informational only; the cycle columns
+// are exact.
 type TraceBenchRow struct {
 	Workload string `json:"workload"`
 
 	NsOpOn          float64 `json:"ns_op_trace_on"`
 	NsOpOff         float64 `json:"ns_op_trace_off"`
 	NsReductionPct  float64 `json:"ns_op_reduction_pct"`
-	NsOpJit         float64 `json:"ns_op_jit"`
-	JitReductionPct float64 `json:"jit_ns_op_reduction_pct"`
 	AllocsOpOn      float64 `json:"allocs_op_trace_on"`
 	AllocsOpOff     float64 `json:"allocs_op_trace_off"`
-	AllocsOpJit     float64 `json:"allocs_op_jit"`
 	AllocsReduction float64 `json:"allocs_op_reduction_pct"`
 
 	AvgSeqLen      float64 `json:"avg_seq_len"`
@@ -39,30 +36,13 @@ type TraceBenchRow struct {
 	DivergenceRate float64 `json:"divergence_exit_rate"`
 	CyclesOn       uint64  `json:"cycles_trace_on"`
 	CyclesOff      uint64  `json:"cycles_trace_off"`
-
-	JITCompiles  uint64  `json:"jit_compiles"`
-	JITExecs     uint64  `json:"jit_execs"`
-	JITDeoptRate float64 `json:"jit_deopt_rate"`
+	JITCompiles    uint64  `json:"jit_compiles"`
 }
 
-// Tier labels for traceBenchConfig.
-const (
-	tierOff    = "off"    // trace cache disabled: cold per-instruction decode
-	tierInterp = "interp" // trace cache on, JIT off: interpreted replay
-	tierJit    = "jit"    // trace cache on, stock JIT threshold: tier-1
-)
-
 // traceBenchConfig is the measured configuration: the paper's fully
-// accelerated SEQ SHORT with Boxed IEEE, replay tier selected per column.
-func traceBenchConfig(tier string) fpvm.Config {
-	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
-	switch tier {
-	case tierOff:
-		cfg.NoTraceCache = true
-	case tierInterp:
-		cfg.NoJIT = true
-	}
-	return cfg
+// accelerated SEQ SHORT with Boxed IEEE, trace cache on or off.
+func traceBenchConfig(traceOff bool) fpvm.Config {
+	return fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true, NoTraceCache: traceOff}
 }
 
 // TraceBench measures trace-replay on vs off for every paper workload.
@@ -87,47 +67,36 @@ func TraceBench(scale int, progress io.Writer) ([]TraceBenchRow, error) {
 
 		row := TraceBenchRow{Workload: string(name)}
 
-		// Instrumented single runs for cycle counts and trace/JIT stats.
-		jit, err := fpvm.Run(patched, traceBenchConfig(tierJit))
-		if err != nil {
-			return nil, fmt.Errorf("%s jit: %w", name, err)
-		}
-		on, err := fpvm.Run(patched, traceBenchConfig(tierInterp))
+		// Instrumented single runs for cycle counts and trace stats.
+		on, err := fpvm.Run(patched, traceBenchConfig(false))
 		if err != nil {
 			return nil, fmt.Errorf("%s trace-on: %w", name, err)
 		}
-		off, err := fpvm.Run(patched, traceBenchConfig(tierOff))
+		off, err := fpvm.Run(patched, traceBenchConfig(true))
 		if err != nil {
 			return nil, fmt.Errorf("%s trace-off: %w", name, err)
 		}
-		if on.Stdout != off.Stdout || jit.Stdout != on.Stdout {
+		if on.Stdout != off.Stdout {
 			return nil, fmt.Errorf("%s: trace replay changed program output", name)
-		}
-		if jit.Cycles != on.Cycles {
-			return nil, fmt.Errorf("%s: compiled tier broke cycle-exactness: jit %d, interp %d",
-				name, jit.Cycles, on.Cycles)
 		}
 		row.CyclesOn, row.CyclesOff = on.Cycles, off.Cycles
 		row.AvgSeqLen = on.Breakdown.AvgSeqLen()
 		row.TraceHitRate = on.TraceHitRate()
-		if on.TraceHits > 0 {
-			row.DivergenceRate = float64(on.TraceDivergences) / float64(on.TraceHits)
-		}
-		row.JITCompiles, row.JITExecs = jit.JITCompiles, jit.JITExecs
-		row.JITDeoptRate = jit.Breakdown.JITDeoptRate()
+		row.DivergenceRate = on.Breakdown.DivergenceRate()
+		row.JITCompiles = on.JITCompiles
 
 		// Real simulator cost, measured like a go test -bench run. Best of
 		// three passes with a GC barrier in between, so one config's garbage
 		// and scheduler noise don't bleed into the other's numbers.
 		var benchErr error
-		measure := func(tier string) (float64, float64) {
+		measure := func(traceOff bool) (float64, float64) {
 			ns, allocs := math.Inf(1), math.Inf(1)
 			for pass := 0; pass < 3; pass++ {
 				runtime.GC()
 				r := testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := fpvm.Run(patched, traceBenchConfig(tier)); err != nil {
+						if _, err := fpvm.Run(patched, traceBenchConfig(traceOff)); err != nil {
 							benchErr = err
 							return
 						}
@@ -138,18 +107,15 @@ func TraceBench(scale int, progress io.Writer) ([]TraceBenchRow, error) {
 			}
 			return ns, allocs
 		}
-		row.NsOpOn, row.AllocsOpOn = measure(tierInterp)
-		row.NsOpOff, row.AllocsOpOff = measure(tierOff)
-		row.NsOpJit, row.AllocsOpJit = measure(tierJit)
+		row.NsOpOn, row.AllocsOpOn = measure(false)
+		row.NsOpOff, row.AllocsOpOff = measure(true)
 		if benchErr != nil {
 			return nil, fmt.Errorf("%s: %w", name, benchErr)
 		}
 		row.NsReductionPct = reductionPct(row.NsOpOn, row.NsOpOff)
-		row.JitReductionPct = reductionPct(row.NsOpJit, row.NsOpOn)
 		row.AllocsReduction = reductionPct(row.AllocsOpOn, row.AllocsOpOff)
-		logf("   ns/op %.0f -> %.0f (-%.1f%%) -> jit %.0f (-%.1f%%), allocs/op %.0f -> %.0f (-%.1f%%)\n",
+		logf("   ns/op %.0f -> %.0f (-%.1f%%), allocs/op %.0f -> %.0f (-%.1f%%)\n",
 			row.NsOpOff, row.NsOpOn, row.NsReductionPct,
-			row.NsOpJit, row.JitReductionPct,
 			row.AllocsOpOff, row.AllocsOpOn, row.AllocsReduction)
 		rows = append(rows, row)
 	}
@@ -163,21 +129,19 @@ func reductionPct(on, off float64) float64 {
 	return 100 * (off - on) / off
 }
 
-// TraceTable prints the replay-tier comparison (the `-fig trace` table):
-// per workload, the real ns/op at each tier (cold decode, interpreted
-// replay, tier-1 compiled) with the reductions each tier buys, plus
-// promotion counts, deopt rate, and amortization/hit-rate statistics.
+// TraceTable prints the trace-cache comparison (the `-fig trace` table):
+// per workload, the real ns/op with the trace cache off and on and the
+// reduction replay buys, the bodies compiled, the exact virtual cycles of
+// both tiers, and the amortization/hit-rate statistics.
 func TraceTable(w io.Writer, rows []TraceBenchRow) {
-	fmt.Fprintln(w, "Replay tiers: cold decode vs interpreted replay vs tier-1 JIT (SEQ SHORT, Boxed IEEE)")
-	fmt.Fprintf(w, "%-18s %12s %12s %7s %12s %7s %8s %8s %9s %8s %8s\n",
-		"workload", "ns/op-off", "ns/op-interp", "ns-red",
-		"ns/op-jit", "jit-red", "compiles", "jitexecs",
-		"insts/trap", "hit-rate", "deopt-rt")
+	fmt.Fprintln(w, "Trace cache: cold decode vs compiled replay (SEQ SHORT, Boxed IEEE)")
+	fmt.Fprintf(w, "%-22s %12s %12s %7s %8s %12s %12s %9s %8s %8s\n",
+		"workload", "ns/op-off", "ns/op-replay", "ns-red", "compiles",
+		"cycles-off", "cycles-on", "insts/trap", "hit-rate", "div-rate")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %12.0f %12.0f %6.1f%% %12.0f %6.1f%% %8d %8d %9.2f %8.3f %8.3f\n",
-			r.Workload, r.NsOpOff, r.NsOpOn, r.NsReductionPct,
-			r.NsOpJit, r.JitReductionPct, r.JITCompiles, r.JITExecs,
-			r.AvgSeqLen, r.TraceHitRate, r.JITDeoptRate)
+		fmt.Fprintf(w, "%-22s %12.0f %12.0f %6.1f%% %8d %12d %12d %9.2f %8.3f %8.3f\n",
+			r.Workload, r.NsOpOff, r.NsOpOn, r.NsReductionPct, r.JITCompiles,
+			r.CyclesOff, r.CyclesOn, r.AvgSeqLen, r.TraceHitRate, r.DivergenceRate)
 	}
 }
 
@@ -188,7 +152,7 @@ func WriteTraceJSON(path string, rows []TraceBenchRow) error {
 		Config    string          `json:"config"`
 		Rows      []TraceBenchRow `json:"rows"`
 	}{
-		Benchmark: "replay-tiers-off-vs-interp-vs-jit",
+		Benchmark: "trace-cache-off-vs-replay",
 		Config:    "SEQ SHORT, Boxed IEEE",
 		Rows:      rows,
 	}

@@ -213,10 +213,10 @@ func TestFleetSoak(t *testing.T) {
 		t.Skip("soak skipped in -short")
 	}
 	imgs := microImages(t)
-	// JITThreshold 1 keeps tier-1 promotion (and its interaction with
-	// adoption from the frozen store: adopted traces arrive bare and
-	// re-promote per VM) inside the race-detected soak.
-	cfg := fpvm.Config{Seq: true, Short: true, Profile: true, JITThreshold: 1}
+	// Adopted traces arrive from the frozen store without compiled bodies
+	// and compile per VM on their first replay, inside the race-detected
+	// soak.
+	cfg := fpvm.Config{Seq: true, Short: true, Profile: true}
 	rep := fleet.Run(microJobs(imgs, 8, cfg), fleet.Options{Workers: 8, Share: true})
 	if rep.Failures != 0 {
 		t.Fatalf("%d failures:\n%s", rep.Failures, rep.Summary())

@@ -102,22 +102,10 @@ type Config struct {
 	TrapCycleBudget uint64
 
 	// NoTraceCache disables the L2 trace table (ablation): every trap
-	// re-walks the sequence through the per-instruction decode cache. With
-	// Seq off the trace cache is inert regardless (single-instruction traps
-	// have no sequence to cache).
+	// re-walks the sequence through the per-instruction decode cache, and
+	// nothing is compiled. With Seq off the trace cache is inert
+	// regardless (single-instruction traps have no sequence to cache).
 	NoTraceCache bool
-
-	// JITThreshold is the replay count (Trace.Hits) at which a hot trace
-	// is promoted from interpreted replay to a tier-1 compiled closure
-	// chain (jit.go). 0 = default 8. Promotion requires the trace cache
-	// (Seq && !NoTraceCache); both tiers are cycle-identical, so the
-	// threshold never changes guest-visible behavior.
-	JITThreshold int
-
-	// NoJIT disables tier-1 trace compilation (ablation, mirroring
-	// NoTraceCache): hot traces keep replaying through the interpreted
-	// loop.
-	NoJIT bool
 
 	// CheckpointInterval enables the rollback supervisor: every N traps
 	// the runtime captures a crash-consistent snapshot of the full VM
@@ -161,12 +149,6 @@ const DefaultTrapCycleBudget = 10_000_000
 // interval backoff it guarantees a run cannot live-lock re-executing the
 // same faulty region.
 const DefaultMaxRollbacks = 8
-
-// DefaultJITThreshold is the tier-1 promotion threshold when
-// Config.JITThreshold is 0: a trace compiles once it has replayed this
-// many times. High enough that one-shot sequences never pay compilation,
-// low enough that loop bodies promote within the first few iterations.
-const DefaultJITThreshold = 8
 
 // ConfigName renders the paper's config label (NONE/SEQ/SHORT/SEQ SHORT).
 func (c Config) ConfigName() string {

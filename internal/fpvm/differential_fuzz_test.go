@@ -35,8 +35,6 @@ func TestDifferentialFuzz(t *testing.T) {
 			{Alt: alt.NewBoxedIEEE()},
 			{Alt: alt.NewBoxedIEEE(), Seq: true},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, NoTraceCache: true},
-			{Alt: alt.NewBoxedIEEE(), Seq: true, JITThreshold: 1},
-			{Alt: alt.NewBoxedIEEE(), Seq: true, NoJIT: true},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, Short: true},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, FutureHW: true},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, EmulateAll: true},
@@ -80,7 +78,6 @@ func TestCorruptedBoxCorpus(t *testing.T) {
 			{Alt: alt.NewBoxedIEEE()},
 			{Alt: alt.NewBoxedIEEE(), Seq: true},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, NoTraceCache: true},
-			{Alt: alt.NewBoxedIEEE(), Seq: true, JITThreshold: 1},
 			{Alt: alt.NewBoxedIEEE(), Seq: true, Short: true},
 		} {
 			got := newRig(t, img, cfg, true).run(t)
@@ -134,12 +131,6 @@ func cfgLabel(cfg fpvmrt.Config) string {
 	}
 	if cfg.NoTraceCache {
 		l += "+NOTRACE"
-	}
-	if cfg.NoJIT {
-		l += "+NOJIT"
-	}
-	if cfg.JITThreshold > 0 {
-		l += fmt.Sprintf("+JIT%d", cfg.JITThreshold)
 	}
 	return l
 }

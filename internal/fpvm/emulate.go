@@ -363,7 +363,7 @@ func (r *Runtime) nativeScalar(op isa.Op, dstBits, srcBits uint64) uint64 {
 }
 
 // nativeScalarOp is nativeScalar with the fpmath op already mapped (the
-// tier-1 JIT and the float fast path pre-resolve it).
+// trace compiler pre-resolves it for the float fast path).
 func (r *Runtime) nativeScalarOp(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
 	if fop == fpmath.OpSqrt {
 		return fpmath.Bits(fpmath.Eval(fop, f64(r.demote(srcBits)), 0).Value)

@@ -1,46 +1,39 @@
 package fpvm
 
-// Tier-1 trace JIT. The L2 trace cache (trace.go) already amortizes
-// decode across a sequence, but every interpreted replay still pays a
-// per-instruction dispatch: class switch, operand-kind switch, op→fpmath
-// mapping. Once a trace's replay counter (Trace.Hits) crosses the
-// promotion threshold, this file compiles it into a chain of specialized
-// Go closures — one per instruction, with the operand accessors resolved
-// to direct register/memory reads, the scalar float fast path from
-// replayScalarArith inlined with its fpmath op pre-mapped, and the
-// boxedness guard compiled out where the instruction is warranted
-// unconditionally (the trace head, or EmulateAll runs).
+// Trace compiler. The L2 trace cache (trace.go) amortizes decode across
+// a sequence; this file removes the per-instruction dispatch as well. The
+// first replay of a trace compiles it into a chain of specialized Go
+// closures — one per instruction, with the operand accessors resolved to
+// direct register/memory reads, the scalar float fast path inlined with
+// its fpmath op pre-mapped, and the boxedness guard compiled out where
+// the instruction is warranted unconditionally (the trace head, or
+// EmulateAll runs). Every replay, the first included, runs the body.
 //
-// Every compiled step keeps the same cheap guard the interpreter
-// evaluates: when an operand's boxedness diverges from the recorded
-// shape, the step reports emNotWarranted and the body deopts through the
-// existing divergence exit — the hardware re-runs the instruction
-// natively and the trace stays cached, exactly like an interpreted
-// divergence, plus a jit_deopt count. Compilation and compiled execution
-// charge the same virtual cycles as interpreted replay, so trap
-// boundaries, watchdog behavior, checkpoint cadence and the oracle's
-// trap-stream digests are bit-identical across tiers; the JIT's win is
-// host time only.
+// Every compiled step keeps the walk's cheap boxedness guard: when an
+// operand's boxedness diverges from the recorded shape, the step reports
+// emNotWarranted and replay leaves through the divergence exit — the
+// hardware re-runs the instruction natively and the trace stays cached.
+// Compilation charges no virtual cycles (it is host-side work with no
+// architectural effect), so trap boundaries, watchdog behavior,
+// checkpoint cadence and the oracle's trap-stream digests do not depend
+// on when or how often a VM compiles.
 //
 // Compiled bodies are strictly per-VM process state: the dcache snapshot
-// rules clear Trace.Compiled when a shared store is frozen, on adoption
-// from it and on fork clone, the checkpoint wire format never carries one (restored caches
-// re-promote from their preserved Hits counters), and every invalidation
-// path drops the body with its trace.
+// rule clears Trace.Compiled when a shared store is frozen, on adoption
+// from it and on fork clone, the checkpoint wire format never carries
+// one (a restored trace compiles again on its first replay), and every
+// invalidation path drops the body with its trace.
 
 import (
-	"fmt"
-
 	"fpvm/internal/dcache"
-	"fpvm/internal/faultinject"
 	"fpvm/internal/isa"
 	"fpvm/internal/kernel"
 	"fpvm/internal/telemetry"
 )
 
 // jitExec is one compiled instruction: the step's specialized emulation,
-// with the same contract as replayInst. The Runtime is a parameter, not a
-// capture, so a body never outlives its VM by aliasing runtime state.
+// with the same contract as emulateInst. The Runtime is a parameter, not
+// a capture, so a body never outlives its VM by aliasing runtime state.
 type jitExec func(*Runtime, *kernel.Ucontext) (emStatus, error)
 
 // jitStep pairs a compiled instruction with the addresses the replay loop
@@ -57,27 +50,7 @@ type jitBody struct {
 	steps []jitStep
 }
 
-// promoteTrace returns tr's compiled body, compiling it the first time
-// the replay counter is found at or above the promotion threshold.
-// Compilation itself charges no virtual cycles: it is host-side work with
-// no architectural effect, and keeping it free preserves cycle-exactness
-// between tiers (and across snapshot/resume, which recompiles).
-func (r *Runtime) promoteTrace(tr *dcache.Trace) *jitBody {
-	if !r.jitOn {
-		return nil
-	}
-	if body, ok := tr.Compiled.(*jitBody); ok {
-		return body
-	}
-	if tr.Hits < r.jitThreshold {
-		return nil
-	}
-	body := r.compileTrace(tr)
-	tr.Compiled = body
-	r.JITCompiles++
-	return body
-}
-
+// compileTrace builds tr's body. Compilation charges no virtual cycles.
 func (r *Runtime) compileTrace(tr *dcache.Trace) *jitBody {
 	steps := make([]jitStep, len(tr.Entries))
 	for i, e := range tr.Entries {
@@ -118,12 +91,12 @@ func compileGeneric(e *dcache.Entry, first bool) jitExec {
 	}
 }
 
-// compileScalarArith inlines replayScalarArith with every per-replay
-// decision precomputed: the fpmath op, the sqrt single-operand shape, the
-// destination register, the source accessor, and — when warranted is true
-// — the boxedness guard itself (hoisted out: the step always emulates).
-// Charges, fault handling and the non-float fallback are identical to the
-// interpreted step.
+// compileScalarArith is the walk's classScalarArith case with every
+// per-replay decision precomputed: the fpmath op, the sqrt single-operand
+// shape, the destination register, the source accessor, and — when
+// warranted is true — the boxedness guard itself (hoisted out: the step
+// always emulates). Charges, fault handling and the non-float fallback
+// are identical to the walk's.
 func compileScalarArith(e *dcache.Entry, warranted bool) jitExec {
 	in := &e.Inst
 	op := in.Op
@@ -286,115 +259,4 @@ func compileRead64(in *isa.Inst, o isa.Operand) func(*Runtime, *kernel.Ucontext)
 	return func(r *Runtime, uc *kernel.Ucontext) (uint64, error) {
 		return r.m.Mem.ReadUint64(ea(uc))
 	}
-}
-
-// replayCompiled is replayTrace's loop over a compiled body: identical
-// control flow, charges, fault handling and counters, but each iteration
-// is an indexed step array walk plus one indirect call — no Entry
-// traversal, no class or operand dispatch. Fault checks are skipped
-// wholesale when no injector is armed (the nil-injector check is
-// side-effect-free), and the watchdog budget is hoisted (it is a pure
-// config read).
-func (r *Runtime) replayCompiled(uc *kernel.Ucontext, tr *dcache.Trace, body *jitBody, trapStart uint64) bool {
-	r.charge(telemetry.Decache, r.Costs.TraceHit)
-	r.Tel.JITExecs++
-
-	count := 0
-	reason := tr.Reason
-	rip := tr.Start
-	inject := r.inject != nil
-	budget := r.trapCycleBudget()
-
-	for i := range body.steps {
-		step := &body.steps[i]
-		rip = step.addr
-		r.curRIP = rip
-
-		if inject && r.checkFault(faultinject.SiteDecode, rip) {
-			r.cache.Invalidate(rip)
-			if !r.retryFault(faultinject.SiteDecode) {
-				if i == 0 {
-					r.failTrap(uc, rip, faultinject.SiteDecode, fmt.Errorf("decode: %w", errDecodeFault))
-					return true
-				}
-				r.degradeFault(faultinject.SiteDecode)
-			}
-			if i == 0 {
-				return false // nothing emulated yet: re-walk this trap
-			}
-			reason = dcache.TermUnsupported
-			break
-		}
-
-		r.charge(telemetry.Decache, r.Costs.TraceInst)
-		r.curEntry, r.phase = step.entry, phaseInst
-		status, err := step.exec(r, uc)
-		r.curEntry, r.phase = nil, phaseNone
-		if err != nil {
-			if count > 0 {
-				// Mid-sequence bind/memory error: same degradation as the
-				// interpreted loop — end the sequence and drop the traces
-				// through the distrusted instruction (with its body).
-				r.Degradations++
-				r.cache.InvalidateTraces(rip)
-				reason = dcache.TermUnsupported
-				break
-			}
-			r.failTrap(uc, rip, "", err)
-			return true
-		}
-		if status == emNotWarranted {
-			// Tier-1 guard failure: deopt to the interpreter through the
-			// divergence exit. The trace (and its body) stays cached —
-			// boxedness oscillation is normal, and the next trap at this
-			// start replays interpreted or compiled as counters dictate.
-			tr.Divergences++
-			r.Tel.TraceDivergences++
-			r.Tel.JITDeopts++
-			reason = dcache.TermNoBoxedSource
-			break
-		}
-		count++
-		r.Tel.EmulatedInsts++
-		r.Tel.ReplayedInsts++
-		r.Tel.JITInsts++
-		rip = step.next
-
-		if r.m.Cycles-trapStart > budget {
-			r.WatchdogAborts++
-			r.Tel.WatchdogAborts++
-			if r.tryRollback(uc, tr.Start) {
-				return true
-			}
-			reason = dcache.TermLimit
-			break
-		}
-	}
-
-	if count == 0 {
-		// Defensive, mirroring replayTrace: never claim an empty trap
-		// handled.
-		return false
-	}
-
-	if count == len(body.steps) {
-		rip = tr.EndRIP
-	}
-
-	tr.Hits++
-	uc.CPU.RIP = rip
-
-	if r.Profile != nil {
-		tr.EnsureDisassembly(func(rip uint64) (string, bool) {
-			in, err := r.m.FetchDecode(rip)
-			if err != nil {
-				return "", false
-			}
-			return in.String(), true
-		})
-		r.Profile.Record(tr.Start, count, reason, tr.Insts, tr.Term)
-	}
-
-	r.maybeGC(uc)
-	return true
 }

@@ -1,84 +1,78 @@
 package fpvm_test
 
-// Tier-1 JIT coverage: promotion, counter arithmetic, cycle-exactness vs
-// the interpreted tier, the deopt path (guard failure mid-trace), the
-// recovery ladder inside a compiled body, and invalidation dropping
-// compiled bodies with their traces.
+// Compiled replay coverage: lazy compilation (first replay, never at
+// trace build), the divergence exit out of a compiled body (guard failure
+// mid-trace), the recovery ladder inside a compiled body, and
+// invalidation and fork dropping compiled bodies with their traces.
 
 import (
+	"math/rand"
 	"testing"
 
-	"fpvm/internal/alt"
 	"fpvm/internal/asm"
 	"fpvm/internal/faultinject"
-	fpvmrt "fpvm/internal/fpvm"
 	"fpvm/internal/isa"
 	"fpvm/internal/obj"
 )
 
-func jitLoopCfg(thr int, noJIT bool) fpvmrt.Config {
-	return fpvmrt.Config{Alt: alt.NewBoxedIEEE(), Seq: true, JITThreshold: thr, NoJIT: noJIT}
-}
-
-// TestJITTierExactness: a hot trace loop run through the compiled tier
-// must match the interpreted tier bit for bit — stdout, virtual cycles
-// and the shared trace counters — while actually engaging the JIT.
-func TestJITTierExactness(t *testing.T) {
-	jit := newRig(t, buildTraceLoop(t, 400), jitLoopCfg(1, false), true)
-	jitOut := jit.run(t)
-	interp := newRig(t, buildTraceLoop(t, 400), jitLoopCfg(1, true), true)
-	interpOut := interp.run(t)
-
-	if jitOut != interpOut {
-		t.Fatalf("compiled tier changed output:\n jit:    %q\n interp: %q", jitOut, interpOut)
+// TestJITCompilesOnFirstReplay: a trace compiles on its first replay and
+// never at build. The 400-iteration loop compiles its one loop trace once
+// and replays it through the body; straight-line programs, whose trap
+// sites each run once, build traces but replay none, so they compile
+// nothing.
+func TestJITCompilesOnFirstReplay(t *testing.T) {
+	img := buildTraceLoop(t, 400)
+	native := runNativeRig(t, img)
+	r := newRig(t, img, traceLoopCfg(false), true)
+	if out := r.run(t); out != native {
+		t.Fatalf("compiled replay changed output:\n fpvm:   %q\n native: %q", out, native)
 	}
-	if jc, ic := jit.p.M.Cycles, interp.p.M.Cycles; jc != ic {
-		t.Errorf("compiled tier changed virtual cycles: jit %d, interp %d", jc, ic)
-	}
-	if jit.rt.JITCompiles == 0 || jit.rt.Tel.JITExecs == 0 || jit.rt.Tel.JITInsts == 0 {
-		t.Errorf("JIT never engaged: compiles=%d execs=%d insts=%d",
-			jit.rt.JITCompiles, jit.rt.Tel.JITExecs, jit.rt.Tel.JITInsts)
-	}
-	if jit.rt.Tel.JITExecs > jit.rt.Tel.TraceHits {
-		t.Errorf("JITExecs %d exceed TraceHits %d", jit.rt.Tel.JITExecs, jit.rt.Tel.TraceHits)
-	}
-	if jit.rt.Tel.JITInsts > jit.rt.Tel.ReplayedInsts {
-		t.Errorf("JITInsts %d exceed ReplayedInsts %d", jit.rt.Tel.JITInsts, jit.rt.Tel.ReplayedInsts)
-	}
-	if n := interp.rt.JITCompiles + interp.rt.Tel.JITExecs + interp.rt.Tel.JITInsts + interp.rt.Tel.JITDeopts; n != 0 {
-		t.Errorf("NoJIT run shows JIT activity: %d", n)
-	}
-	if jit.rt.Tel.TraceHits != interp.rt.Tel.TraceHits ||
-		jit.rt.Tel.ReplayedInsts != interp.rt.Tel.ReplayedInsts ||
-		jit.rt.Tel.TraceDivergences != interp.rt.Tel.TraceDivergences {
-		t.Errorf("tiering changed trace counters: hits %d/%d replayed %d/%d div %d/%d",
-			jit.rt.Tel.TraceHits, interp.rt.Tel.TraceHits,
-			jit.rt.Tel.ReplayedInsts, interp.rt.Tel.ReplayedInsts,
-			jit.rt.Tel.TraceDivergences, interp.rt.Tel.TraceDivergences)
-	}
-}
-
-// TestJITDefaultThreshold: with the stock threshold a 400-iteration loop
-// promotes its trace once, and the pre-promotion replays stay interpreted
-// (JITExecs strictly below TraceHits).
-func TestJITDefaultThreshold(t *testing.T) {
-	r := newRig(t, buildTraceLoop(t, 400), jitLoopCfg(0, false), true)
-	r.run(t)
 	if r.rt.JITCompiles != 1 {
-		t.Errorf("JITCompiles = %d, want 1 (one hot trace)", r.rt.JITCompiles)
+		t.Errorf("JITCompiles = %d, want 1 (one repeated trace)", r.rt.JITCompiles)
 	}
-	if r.rt.Tel.JITExecs == 0 || r.rt.Tel.JITExecs >= r.rt.Tel.TraceHits {
-		t.Errorf("JITExecs = %d of %d TraceHits, want interpreted warmup then compiled replays",
-			r.rt.Tel.JITExecs, r.rt.Tel.TraceHits)
+	if r.rt.Tel.TraceHits == 0 || r.rt.Tel.ReplayedInsts == 0 {
+		t.Errorf("loop never replayed: hits=%d replayed=%d", r.rt.Tel.TraceHits, r.rt.Tel.ReplayedInsts)
+	}
+	var bodies int
+	for _, tr := range r.rt.Cache().Traces() {
+		if tr.Compiled == nil {
+			continue
+		}
+		bodies++
+		if tr.Len() != 4 {
+			t.Errorf("compiled trace %#x has %d entries, want the 4-addsd loop body", tr.Start, tr.Len())
+		}
+	}
+	if bodies != 1 {
+		t.Errorf("%d cached traces carry a body, want 1 (the loop trace)", bodies)
+	}
+
+	rng := rand.New(rand.NewSource(0xF9B0))
+	built := 0
+	for pi := 0; pi < 8; pi++ {
+		r := newRig(t, genProgram(t, rng, 40, pi), traceLoopCfg(false), true)
+		r.run(t)
+		built += r.rt.Cache().TraceLen()
+		if r.rt.JITCompiles != 0 {
+			t.Errorf("program %d: JITCompiles = %d, want 0 (no trap site repeats)", pi, r.rt.JITCompiles)
+		}
+		for _, tr := range r.rt.Cache().Traces() {
+			if tr.Compiled != nil {
+				t.Errorf("program %d: trace %#x was compiled without a replay", pi, tr.Start)
+			}
+		}
+	}
+	if built == 0 {
+		t.Fatal("straight-line programs built no traces; the no-compile check is vacuous")
 	}
 }
 
-// buildDeoptLoop assembles the §4.2 oscillation case for the compiled
-// tier: a two-phase loop whose body pairs a boxed accumulator (the trap
+// buildDeoptLoop assembles the §4.2 oscillation case for compiled
+// replay: a two-phase loop whose body pairs a boxed accumulator (the trap
 // source) with a second addsd whose operands are boxed in phase A but
 // plain IEEE in phase B. The phase-A trace records the second addsd as
 // warranted; every phase-B replay must fail its boxedness guard there and
-// deopt back to the interpreter, letting the hardware run it natively.
+// leave through the divergence exit, letting the hardware run it natively.
 func buildDeoptLoop(t *testing.T, n int64) *obj.Image {
 	t.Helper()
 	b := asm.NewBuilder("deoptloop")
@@ -117,93 +111,86 @@ func buildDeoptLoop(t *testing.T, n int64) *obj.Image {
 }
 
 // TestJITDeoptMidTrace: phase-B replays hit the compiled guard on the
-// second addsd (operands no longer boxed), deopt through the divergence
-// exit, and the run stays bit-identical to the interpreted tier with
-// matching divergence counts.
+// second addsd (operands no longer boxed) and leave through the
+// divergence exit, once per phase-B iteration, and the run stays
+// bit-identical to native execution.
 func TestJITDeoptMidTrace(t *testing.T) {
-	jit := newRig(t, buildDeoptLoop(t, 60), jitLoopCfg(1, false), true)
-	jitOut := jit.run(t)
-	interp := newRig(t, buildDeoptLoop(t, 60), jitLoopCfg(1, true), true)
-	interpOut := interp.run(t)
+	const n = 60
+	img := buildDeoptLoop(t, n)
+	native := runNativeRig(t, img)
+	r := newRig(t, img, traceLoopCfg(false), true)
+	out := r.run(t)
 
-	if jitOut != interpOut {
-		t.Fatalf("deopt path changed output:\n jit:    %q\n interp: %q", jitOut, interpOut)
+	if out != native {
+		t.Fatalf("divergence exit changed output:\n fpvm:   %q\n native: %q", out, native)
 	}
-	if jc, ic := jit.p.M.Cycles, interp.p.M.Cycles; jc != ic {
-		t.Errorf("deopt path changed virtual cycles: jit %d, interp %d", jc, ic)
+	if r.rt.JITCompiles == 0 {
+		t.Fatal("the loop trace was never compiled")
 	}
-	if jit.rt.Tel.JITDeopts == 0 {
-		t.Error("phase-B guard failures produced no jit_deopt")
+	if r.rt.Tel.TraceDivergences == 0 {
+		t.Error("phase-B guard failures produced no divergence exit")
 	}
-	if jit.rt.Tel.JITDeopts > jit.rt.Tel.JITExecs {
-		t.Errorf("JITDeopts %d exceed JITExecs %d", jit.rt.Tel.JITDeopts, jit.rt.Tel.JITExecs)
+	if r.rt.Tel.TraceDivergences > r.rt.Tel.TraceHits {
+		t.Errorf("TraceDivergences %d exceed TraceHits %d", r.rt.Tel.TraceDivergences, r.rt.Tel.TraceHits)
 	}
-	if jit.rt.Tel.JITDeopts > jit.rt.Tel.TraceDivergences {
-		t.Errorf("JITDeopts %d exceed TraceDivergences %d",
-			jit.rt.Tel.JITDeopts, jit.rt.Tel.TraceDivergences)
-	}
-	if jit.rt.Tel.TraceDivergences != interp.rt.Tel.TraceDivergences {
-		t.Errorf("tiering changed divergence count: jit %d, interp %d",
-			jit.rt.Tel.TraceDivergences, interp.rt.Tel.TraceDivergences)
+	if r.rt.Tel.TraceDivergences != n {
+		t.Errorf("TraceDivergences = %d, want %d (one per phase-B iteration)", r.rt.Tel.TraceDivergences, n)
 	}
 }
 
 // TestJITAltOpFaultInCompiledBody: probabilistic alt.op faults (fixed
-// seed, so the schedule is deterministic and identical across tiers) land
-// inside compiled steps. Bursts that drain the retry budget degrade to
-// native IEEE, each degradation invalidates the traces through the
-// instruction (dropping the compiled body), and the trace rebuilds and
-// re-promotes on later traps — so compilation must happen more than once.
-// Output must stay bit-exact with the interpreted tier under the same
-// schedule, and both ledgers must reconcile. (An every-check rule would
-// never let a trace survive one replay, keeping the JIT cold — the gaps
-// between bursts are what promotion needs.)
+// seed, so the schedule is deterministic) land inside compiled steps.
+// Bursts that drain the retry budget degrade to native IEEE, each
+// degradation invalidates the traces through the instruction (dropping
+// the compiled body), and the trace rebuilds and compiles again on a
+// later replay — so compilation must happen more than once. Output must
+// stay bit-exact with native execution (Boxed IEEE degrades to the same
+// IEEE result), and both ledgers must reconcile. (An every-check rule
+// would never let a rebuilt trace reach a replay — the gaps between
+// bursts are what recompilation needs.)
 func TestJITAltOpFaultInCompiledBody(t *testing.T) {
-	run := func(noJIT bool) (*rig, string) {
-		inj := faultinject.New(3)
-		inj.Arm(faultinject.SiteAltOp, faultinject.Rule{Prob: 0.5})
-		cfg := jitLoopCfg(1, noJIT)
-		cfg.Inject = inj
-		r := newRig(t, buildTraceLoop(t, 200), cfg, true)
-		out := r.run(t)
-		if !r.rt.Tel.FaultsReconciled() {
-			t.Errorf("fault ledger broken (noJIT=%v): %s", noJIT, r.rt.Tel.FaultLine())
-		}
-		if !inj.Reconciled() {
-			t.Errorf("injector ledger broken (noJIT=%v):\n%s", noJIT, inj.Report())
-		}
-		return r, out
+	img := buildTraceLoop(t, 200)
+	native := runNativeRig(t, img)
+	inj := faultinject.New(3)
+	inj.Arm(faultinject.SiteAltOp, faultinject.Rule{Prob: 0.5})
+	cfg := traceLoopCfg(false)
+	cfg.Inject = inj
+	r := newRig(t, img, cfg, true)
+	out := r.run(t)
+	if !r.rt.Tel.FaultsReconciled() {
+		t.Errorf("fault ledger broken: %s", r.rt.Tel.FaultLine())
 	}
-	jit, jitOut := run(false)
-	_, interpOut := run(true)
+	if !inj.Reconciled() {
+		t.Errorf("injector ledger broken:\n%s", inj.Report())
+	}
 
-	if jitOut != interpOut {
-		t.Fatalf("alt.op faults in compiled bodies changed output:\n jit:    %q\n interp: %q",
-			jitOut, interpOut)
+	if out != native {
+		t.Fatalf("alt.op faults in compiled bodies changed output:\n fpvm:   %q\n native: %q",
+			out, native)
 	}
-	if jit.rt.Degradations == 0 {
+	if r.rt.Degradations == 0 {
 		t.Fatal("alt.op fault bursts produced no degradations")
 	}
-	if jit.rt.Cache().Stats.TraceInvalidations == 0 {
+	if r.rt.Cache().Stats.TraceInvalidations == 0 {
 		t.Error("degradations never invalidated a compiled trace")
 	}
-	if jit.rt.Tel.JITExecs == 0 {
-		t.Error("JIT never engaged under alt.op faults")
+	if r.rt.Tel.TraceHits == 0 {
+		t.Error("no trace replayed under alt.op faults")
 	}
-	if jit.rt.JITCompiles < 2 {
-		t.Errorf("JITCompiles = %d, want >= 2 (invalidated traces must re-promote)",
-			jit.rt.JITCompiles)
+	if r.rt.JITCompiles < 2 {
+		t.Errorf("JITCompiles = %d, want >= 2 (invalidated traces must compile again)",
+			r.rt.JITCompiles)
 	}
-	if jit.rt.Detached() {
+	if r.rt.Detached() {
 		t.Error("degradable alt.op faults escalated to detach")
 	}
 }
 
 // TestJITInvalidationDropsBody: InvalidateTraces drops the trace object
 // and its compiled body together — no trace reachable from the cache
-// afterwards carries a stale body, and replay re-promotes from scratch.
+// afterwards carries a stale body, and a rebuilt trace compiles afresh.
 func TestJITInvalidationDropsBody(t *testing.T) {
-	r := newRig(t, buildTraceLoop(t, 400), jitLoopCfg(1, false), true)
+	r := newRig(t, buildTraceLoop(t, 400), traceLoopCfg(false), true)
 	r.run(t)
 	c := r.rt.Cache()
 	var compiled int
@@ -227,11 +214,11 @@ func TestJITInvalidationDropsBody(t *testing.T) {
 
 // TestJITForkChildRecompiles: fork clones the trace table without the
 // parent's compiled bodies (they capture nothing of the parent, but the
-// per-VM rule is absolute); the child re-promotes against its inherited
-// replay counters and counts its own compiles.
+// per-VM rule is absolute); the child compiles each trace on its own
+// first replay and counts its own compiles.
 func TestJITForkChildRecompiles(t *testing.T) {
 	img := buildTraceLoop(t, 400)
-	parent := newRig(t, img, jitLoopCfg(1, false), true)
+	parent := newRig(t, img, traceLoopCfg(false), true)
 	parent.run(t)
 	if parent.rt.JITCompiles == 0 {
 		t.Fatal("parent never compiled")

@@ -46,11 +46,12 @@ type Runtime struct {
 	SeqLimitHit    uint64
 	ThreadContexts uint64 // per-thread FPVM contexts created (§2.1)
 
-	// JITCompiles counts tier-1 trace bodies compiled by this VM
-	// (jit.go). Deliberately a process-local stat, not a telemetry
-	// counter: compiled bodies do not survive snapshot/fork/adoption, so
-	// a resumed or forked run legitimately recompiles and its compile
-	// count differs from an uninterrupted run's.
+	// JITCompiles counts trace bodies compiled by this VM (jit.go), one
+	// per trace on its first replay here. Deliberately a process-local
+	// stat, not a telemetry counter: compiled bodies do not survive
+	// snapshot/fork/adoption, so a resumed or forked run legitimately
+	// recompiles and its compile count differs from an uninterrupted
+	// run's.
 	JITCompiles uint64
 
 	// Recovery ladder stats (see recovery.go).
@@ -82,12 +83,6 @@ type Runtime struct {
 	// causes; the engine reads curRIP back through its bound runtime to
 	// pick the numeric tier for each operation.
 	pol *PolicyEngine
-
-	// Tier-1 JIT state (jit.go): jitOn gates promotion (it requires the
-	// trace cache), jitThreshold is the Trace.Hits count at which a trace
-	// compiles.
-	jitOn        bool
-	jitThreshold uint64
 
 	// Reusable GC root buffers: root sets are rebuilt on every collection
 	// (registers change between traps) but the backing arrays are hot-path
@@ -153,11 +148,6 @@ func Attach(p *kernel.Process, cfg Config) (*Runtime, error) {
 		r.pol = pe
 	}
 	r.traceOn = cfg.Seq && !cfg.NoTraceCache
-	r.jitOn = r.traceOn && !cfg.NoJIT
-	r.jitThreshold = DefaultJITThreshold
-	if cfg.JITThreshold > 0 {
-		r.jitThreshold = uint64(cfg.JITThreshold)
-	}
 	r.inject = cfg.Inject
 	r.alloc.MaxLive = cfg.MaxLiveBoxes
 	p.Inject = cfg.Inject
@@ -235,11 +225,9 @@ func (r *Runtime) ForkChild(child *kernel.Process) *Runtime {
 	}
 	c.flt = r.flt
 	c.traceOn = r.traceOn
-	// JIT gating is inherited, but not JITCompiles: the cloned trace
-	// table carries no compiled bodies (snapshotKeepCounters clears
-	// them), so the child re-promotes and counts its own compiles.
-	c.jitOn = r.jitOn
-	c.jitThreshold = r.jitThreshold
+	// JITCompiles is not inherited: the cloned trace table carries no
+	// compiled bodies, so the child compiles on its own first replays and
+	// counts them.
 	// The recovery ladder's state is inherited but independent: the child
 	// starts from the parent's counters and budgets (it is a copy of the
 	// parent's process image) and diverges from there; faults in one never

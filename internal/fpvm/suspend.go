@@ -104,11 +104,9 @@ func (r *Runtime) captureCache() checkpoint.CacheImage {
 	}
 	for _, t := range r.cache.TracesInOrder() {
 		ti := checkpoint.TraceImage{
-			Start:       t.Start,
-			EndRIP:      t.EndRIP,
-			Reason:      uint8(t.Reason),
-			Hits:        t.Hits,
-			Divergences: t.Divergences,
+			Start:  t.Start,
+			EndRIP: t.EndRIP,
+			Reason: uint8(t.Reason),
 		}
 		for _, e := range t.Entries {
 			ti.EntryRIPs = append(ti.EntryRIPs, e.Inst.Addr)
@@ -264,11 +262,9 @@ func (r *Runtime) restoreCache(ci *checkpoint.CacheImage) error {
 	}
 	for _, ti := range ci.Traces {
 		t := &dcache.Trace{
-			Start:       ti.Start,
-			EndRIP:      ti.EndRIP,
-			Reason:      dcache.TermReason(ti.Reason),
-			Hits:        ti.Hits,
-			Divergences: ti.Divergences,
+			Start:  ti.Start,
+			EndRIP: ti.EndRIP,
+			Reason: dcache.TermReason(ti.Reason),
 		}
 		for _, rip := range ti.EntryRIPs {
 			e, err := rebuild(rip)

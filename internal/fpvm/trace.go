@@ -2,12 +2,12 @@ package fpvm
 
 // Trace replay (§4.2 software trace cache, L2). A trap at a known
 // sequence start replays the cached pre-decoded sequence straight
-// through: no per-instruction decode-cache lookups, no re-decode, no
-// re-disassembly for profiling. Scalar arithmetic additionally takes an
-// allocation-free fast path when the alt system implements
-// alt.FloatSystem — operands resolve, compute and box as raw float64s,
-// skipping every float64→interface conversion of the generic walk (the
-// dominant allocation source on the trap path).
+// through its compiled body (jit.go): no per-instruction decode-cache
+// lookups, no re-decode, no re-disassembly for profiling. Scalar
+// arithmetic additionally takes an allocation-free fast path when the alt
+// system implements alt.FloatSystem — operands resolve, compute and box
+// as raw float64s, skipping every float64→interface conversion of the
+// generic walk (the dominant allocation source on the trap path).
 //
 // Replay re-evaluates each instruction's boxedness against live state, so
 // results are identical to the walk; it only *ends* where the recorded
@@ -24,40 +24,50 @@ import (
 	"fpvm/internal/dcache"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpmath"
-	"fpvm/internal/isa"
 	"fpvm/internal/kernel"
 	"fpvm/internal/telemetry"
 )
 
-// replayTrace replays tr against uc. It returns true when the trap was
-// fully handled (including fatal detach); false when replay declined
-// before emulating anything — the caller then falls through to the
-// per-instruction walk for this trap.
+// replayTrace replays tr against uc through its compiled body (jit.go),
+// compiling the trace first when it has none: the first replay of any
+// trace this VM built, adopted from a frozen store, restored from a
+// snapshot or inherited through fork. A trace is never compiled at build
+// time, so a sequence that never repeats pays nothing. It returns true
+// when the trap was fully handled (including fatal detach); false when
+// replay declined before emulating anything — the caller then falls
+// through to the per-instruction walk for this trap.
+//
+// Each iteration is an indexed step array walk plus one indirect call —
+// no Entry traversal, no class or operand dispatch. Fault checks are
+// skipped wholesale when no injector is armed (the nil-injector check is
+// side-effect-free), and the watchdog budget is hoisted (it is a pure
+// config read).
 func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart uint64) bool {
-	// Tier-1 promotion: once the trace is hot enough it replays through
-	// its compiled body instead of this interpreted loop (jit.go). Both
-	// tiers charge identical virtual cycles, so the choice is invisible
-	// to the guest, the watchdog and the oracle.
-	if body := r.promoteTrace(tr); body != nil {
-		return r.replayCompiled(uc, tr, body, trapStart)
+	body, ok := tr.Compiled.(*jitBody)
+	if !ok {
+		body = r.compileTrace(tr)
+		tr.Compiled = body
+		r.JITCompiles++
 	}
-
 	r.charge(telemetry.Decache, r.Costs.TraceHit)
 
 	count := 0
 	reason := tr.Reason
 	rip := tr.Start
+	inject := r.inject != nil
+	budget := r.trapCycleBudget()
 
-	for i, e := range tr.Entries {
-		rip = e.Inst.Addr
+	for i := range body.steps {
+		step := &body.steps[i]
+		rip = step.addr
 		r.curRIP = rip
 
 		// The walk checks the decode fault site once per instruction
 		// (decodeAt); replay mirrors that with a trust check on the cached
 		// entry. A fault here models a corrupted trace/decode entry: the
-		// address is invalidated (killing this trace), and the sequence
-		// ends so the next trap re-decodes through the walk.
-		if r.checkFault(faultinject.SiteDecode, rip) {
+		// address is invalidated (killing this trace and its body), and
+		// the sequence ends so the next trap re-decodes through the walk.
+		if inject && r.checkFault(faultinject.SiteDecode, rip) {
 			r.cache.Invalidate(rip)
 			if !r.retryFault(faultinject.SiteDecode) {
 				if i == 0 {
@@ -74,8 +84,8 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		}
 
 		r.charge(telemetry.Decache, r.Costs.TraceInst)
-		r.curEntry, r.phase = e, phaseInst
-		status, err := r.replayInst(uc, e, count == 0)
+		r.curEntry, r.phase = step.entry, phaseInst
+		status, err := step.exec(r, uc)
 		r.curEntry, r.phase = nil, phaseNone
 		if err != nil {
 			if count > 0 {
@@ -91,11 +101,11 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 			return true
 		}
 		if status == emNotWarranted {
-			// Boxedness diverged from the recorded shape: exit to the slow
-			// path at this instruction. The trace stays cached — operands
-			// oscillating between boxed and unboxed is normal (§4.2), and
-			// the prefix replay was still profitable.
-			tr.Divergences++
+			// Boxedness diverged from the recorded shape (a compiled guard
+			// failed): exit to the slow path at this instruction. The trace
+			// and its body stay cached — operands oscillating between boxed
+			// and unboxed is normal (§4.2), and the prefix replay was still
+			// profitable.
 			r.Tel.TraceDivergences++
 			reason = dcache.TermNoBoxedSource
 			break
@@ -103,9 +113,9 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		count++
 		r.Tel.EmulatedInsts++
 		r.Tel.ReplayedInsts++
-		rip = e.Inst.Addr + uint64(e.Inst.Len)
+		rip = step.next
 
-		if r.m.Cycles-trapStart > r.trapCycleBudget() {
+		if r.m.Cycles-trapStart > budget {
 			r.WatchdogAborts++
 			r.Tel.WatchdogAborts++
 			if r.tryRollback(uc, tr.Start) {
@@ -122,14 +132,12 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		return false
 	}
 
-	if count == len(tr.Entries) {
+	if count == len(body.steps) {
 		// Full replay: resume at the end address recorded when the trace
-		// was built, keeping EndRIP authoritative over the per-entry
+		// was built, keeping EndRIP authoritative over the per-step
 		// recomputation (which only early exits need).
 		rip = tr.EndRIP
 	}
-
-	tr.Hits++
 	uc.CPU.RIP = rip
 
 	if r.Profile != nil {
@@ -151,53 +159,6 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 
 	r.maybeGC(uc)
 	return true
-}
-
-// replayInst emulates one pre-decoded instruction on the replay path,
-// dispatching on the class cached at decode time. Scalar arithmetic gets
-// the allocation-free float fast path; every other class shares the
-// generic emulator (which itself reuses the cached class).
-func (r *Runtime) replayInst(uc *kernel.Ucontext, e *dcache.Entry, first bool) (emStatus, error) {
-	if emulClass(e.Class) == classScalarArith && r.flt != nil {
-		return r.replayScalarArith(uc, e, first)
-	}
-	return r.emulateInst(uc, e, first)
-}
-
-// replayScalarArith is the pre-bound scalar arithmetic step: operands were
-// bound at trace build (register numbers and EA shape live in the cached
-// Inst), so binding reduces to register-file reads — with a direct
-// register-register path that skips the operand switch entirely — and the
-// arithmetic runs through the float fast path when every operand resolves
-// as a float64. Semantics, virtual-cycle charges and fault handling are
-// identical to the walk's classScalarArith case.
-func (r *Runtime) replayScalarArith(uc *kernel.Ucontext, e *dcache.Entry, first bool) (emStatus, error) {
-	in := &e.Inst
-	r.charge(telemetry.Bind, r.Costs.BindArith)
-	var srcBits uint64
-	if in.RMOp.Kind == isa.KindXMM {
-		srcBits = uc.CPU.XMM[in.RMOp.Reg][0] // reg-reg: no operand dispatch
-	} else {
-		var err error
-		srcBits, err = r.readOperand(uc, in, in.RMOp, 8)
-		if err != nil {
-			return emOK, err
-		}
-	}
-	dstBits := uc.CPU.XMM[in.RegOp.Reg][0]
-	srcBoxed := r.boxedLive(srcBits)
-	dstBoxed := in.Op != isa.SQRTSD && r.boxedLive(dstBits)
-	if !first && !r.Cfg.EmulateAll && !srcBoxed && !dstBoxed {
-		return emNotWarranted, nil
-	}
-	r.charge(telemetry.Emul, r.Costs.EmulArith)
-	if !r.floatResolvable(srcBits) || (in.Op != isa.SQRTSD && !r.floatResolvable(dstBits)) {
-		// A live box holds a non-float alt value: generic path.
-		uc.CPU.XMM[in.RegOp.Reg][0] = r.altScalar(in.Op, dstBits, srcBits)
-		return emOK, nil
-	}
-	uc.CPU.XMM[in.RegOp.Reg][0] = r.altScalarFloat(in.Op, dstBits, srcBits)
-	return emOK, nil
 }
 
 // floatResolvable reports whether resolveFloat can handle bits without
@@ -246,16 +207,10 @@ func (r *Runtime) resolveFloat(bits uint64) (float64, bool) {
 	return f, false
 }
 
-// altScalarFloat is altScalar on the float fast path: same fault ladder,
-// same NaN-with-unboxed-operands raw-bits rule, same costs — but no
-// alt.Value ever exists, so the operation allocates nothing.
-func (r *Runtime) altScalarFloat(op isa.Op, dstBits, srcBits uint64) uint64 {
-	return r.altScalarFloatOp(scalarToFPOp(op), dstBits, srcBits)
-}
-
-// altScalarFloatOp is altScalarFloat with the fpmath op already mapped —
-// the tier-1 JIT resolves it once at trace compile time instead of on
-// every execution.
+// altScalarFloatOp is altScalar on the float fast path, with the fpmath
+// op mapped once at trace compile time: same fault ladder, same
+// NaN-with-unboxed-operands raw-bits rule, same costs — but no alt.Value
+// ever exists, so the operation allocates nothing.
 func (r *Runtime) altScalarFloatOp(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
 	for r.checkFault(faultinject.SiteAltOp, r.curRIP) {
 		if !r.retryFault(faultinject.SiteAltOp) {

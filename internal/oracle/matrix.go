@@ -24,8 +24,8 @@ import (
 //     the identical final state (mpfr-exit).
 //   - posit/posit32/interval/rational groups: the remaining alt systems,
 //     promoted to the same first-class treatment as mpfr. Each gets a
-//     trap-stream group spanning the acceleration axes (JIT tiering,
-//     checkpointing, fleet sharing — all invisible in the trap stream by
+//     trap-stream group spanning the acceleration axes (checkpointing,
+//     fleet sharing, preemption — all invisible in the trap stream by
 //     construction) plus a trace-off twin joined through an exit group.
 //     Like mpfr, they are internally consistent only: their arithmetic
 //     deliberately differs from IEEE, so no VsNative anchoring. The
@@ -38,13 +38,6 @@ func DefaultMatrix() []Spec {
 		{Name: "boxed/SEQ+ckpt25", Seq: true, Ckpt: 25, Group: "boxed-seq"},
 		{Name: "boxed/SEQ+SHORT+ckpt7", Seq: true, Short: true, Ckpt: 7, Group: "boxed-seq"},
 		{Name: "boxed/SEQ-fleet4", Seq: true, Fleet: 4, Group: "boxed-seq"},
-		// JIT tier axis: the default specs above already run the tier-1
-		// JIT at its stock threshold; jit1 forces every repeated trace
-		// through a compiled body, nojit pins the interpreted tier. All
-		// three share boxed-seq — tiering must be invisible in the trap
-		// stream — and the ablation pair anchors to native at exit too.
-		{Name: "boxed/SEQ-jit1", Seq: true, JITThr: 1, Group: "boxed-seq", VsNative: true},
-		{Name: "boxed/SEQ-nojit", Seq: true, NoJIT: true, Group: "boxed-seq", VsNative: true},
 		// Preemption axis: the same run cut into 50k-cycle slices, either
 		// continuing the live VM each slice or round-tripping it through
 		// snapshot bytes into a fresh VM. Both must be invisible.
@@ -54,17 +47,14 @@ func DefaultMatrix() []Spec {
 		{Name: "boxed/NONE", Group: "boxed-none", VsNative: true},
 		{Name: "boxed/SHORT", Short: true, Group: "boxed-none"},
 		{Name: "mpfr/SEQ", Alt: "mpfr", Seq: true, Group: "mpfr-seq", ExitGroup: "mpfr-exit"},
-		{Name: "mpfr/SEQ-jit1", Alt: "mpfr", Seq: true, JITThr: 1, Group: "mpfr-seq"},
 		{Name: "mpfr/SEQ+ckpt25", Alt: "mpfr", Seq: true, Ckpt: 25, Group: "mpfr-seq"},
 		{Name: "mpfr/SEQ-notrace", Alt: "mpfr", Seq: true, NoTrace: true, ExitGroup: "mpfr-exit"},
 		{Name: "posit/SEQ", Alt: "posit", Seq: true, Group: "posit-seq", ExitGroup: "posit-exit"},
-		{Name: "posit/SEQ-jit1", Alt: "posit", Seq: true, JITThr: 1, Group: "posit-seq"},
 		{Name: "posit/SEQ+ckpt25", Alt: "posit", Seq: true, Ckpt: 25, Group: "posit-seq"},
 		{Name: "posit/SEQ-notrace", Alt: "posit", Seq: true, NoTrace: true, ExitGroup: "posit-exit"},
 		{Name: "posit32/SEQ", Alt: "posit32", Seq: true, Group: "posit32-seq", ExitGroup: "posit32-exit"},
 		{Name: "posit32/SEQ-notrace", Alt: "posit32", Seq: true, NoTrace: true, ExitGroup: "posit32-exit"},
 		{Name: "interval/SEQ", Alt: "interval", Seq: true, Group: "interval-seq", ExitGroup: "interval-exit"},
-		{Name: "interval/SEQ-jit1", Alt: "interval", Seq: true, JITThr: 1, Group: "interval-seq"},
 		{Name: "interval/SEQ-fleet4", Alt: "interval", Seq: true, Fleet: 4, Group: "interval-seq"},
 		{Name: "interval/SEQ-resident", Alt: "interval", Seq: true, Preempt: slice50k, Group: "interval-seq"},
 		{Name: "interval/SEQ-serialize", Alt: "interval", Seq: true, Preempt: slice50k, Serialize: true, Group: "interval-seq"},
@@ -85,15 +75,12 @@ const slice50k = 50_000
 func FuzzMatrix() []Spec {
 	return []Spec{
 		{Name: "boxed/SEQ", Seq: true, Group: "boxed-seq", VsNative: true},
-		{Name: "boxed/SEQ-jit1", Seq: true, JITThr: 1, Group: "boxed-seq", VsNative: true},
-		{Name: "boxed/SEQ-nojit", Seq: true, NoJIT: true, Group: "boxed-seq"},
 		{Name: "boxed/SEQ-notrace", Seq: true, NoTrace: true, VsNative: true},
 		{Name: "boxed/SEQ+SHORT+ckpt5", Seq: true, Short: true, Ckpt: 5, Group: "boxed-seq"},
 		{Name: "boxed/NONE", VsNative: true},
 		{Name: "mpfr/SEQ", Alt: "mpfr", Seq: true, ExitGroup: "mpfr-exit"},
 		{Name: "mpfr/SEQ-notrace", Alt: "mpfr", Seq: true, NoTrace: true, ExitGroup: "mpfr-exit"},
 		{Name: "posit/SEQ", Alt: "posit", Seq: true, Group: "posit-seq", ExitGroup: "posit-exit"},
-		{Name: "posit/SEQ-jit1", Alt: "posit", Seq: true, JITThr: 1, Group: "posit-seq"},
 		{Name: "posit/SEQ-notrace", Alt: "posit", Seq: true, NoTrace: true, ExitGroup: "posit-exit"},
 		{Name: "posit32/SEQ", Alt: "posit32", Seq: true, ExitGroup: "posit32-exit"},
 		{Name: "posit32/SEQ-notrace", Alt: "posit32", Seq: true, NoTrace: true, ExitGroup: "posit32-exit"},

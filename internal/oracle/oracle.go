@@ -65,13 +65,6 @@ type Spec struct {
 	EmulateAll bool
 	FutureHW   bool
 
-	// NoJIT disables the tier-1 trace JIT; JITThr overrides the promotion
-	// threshold (0 = runtime default). Tiering is cycle-exact, so jit-on,
-	// jit-off and low-threshold variants of a config all belong to the
-	// same trap-stream Group — any divergence is a JIT bug.
-	NoJIT  bool
-	JITThr int
-
 	// Ckpt enables the rollback supervisor with this snapshot interval.
 	Ckpt int
 
@@ -358,8 +351,6 @@ func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.Sh
 		Seq:                spec.Seq,
 		Short:              spec.Short,
 		NoTraceCache:       spec.NoTrace,
-		NoJIT:              spec.NoJIT,
-		JITThreshold:       spec.JITThr,
 		EmulateAll:         spec.EmulateAll,
 		FutureHW:           spec.FutureHW,
 		CheckpointInterval: spec.Ckpt,
@@ -525,22 +516,6 @@ func Invariants(c *Capture) error {
 	}
 	if t.ReplayedInsts > t.EmulatedInsts {
 		add("replayed insts %d exceed emulated %d", t.ReplayedInsts, t.EmulatedInsts)
-	}
-	if t.JITExecs > t.TraceHits {
-		add("jit execs %d exceed trace hits %d", t.JITExecs, t.TraceHits)
-	}
-	if t.JITInsts > t.ReplayedInsts {
-		add("jit insts %d exceed replayed %d", t.JITInsts, t.ReplayedInsts)
-	}
-	if t.JITDeopts > t.JITExecs {
-		add("jit deopts %d exceed jit execs %d", t.JITDeopts, t.JITExecs)
-	}
-	if t.JITDeopts > t.TraceDivergences {
-		add("jit deopts %d exceed trace divergences %d", t.JITDeopts, t.TraceDivergences)
-	}
-	if c.Spec.NoJIT && t.JITExecs+t.JITInsts+t.JITDeopts != 0 {
-		add("NoJIT run shows JIT activity: execs %d, insts %d, deopts %d",
-			t.JITExecs, t.JITInsts, t.JITDeopts)
 	}
 	if !c.Detached && t.AbortedTraps == 0 && t.EmulatedInsts < t.Traps {
 		add("emulated insts %d below traps %d (every handled trap emulates at least one)", t.EmulatedInsts, t.Traps)

@@ -247,28 +247,53 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 		ShedHighWater: 0.5,
 	})
 	// A request-sized job runs in about a millisecond, so the whole
-	// burst could drain between two polls of the ladder. Hold each
-	// dispatch long enough that the queue stays saturated while the test
-	// observes the shedding state and submits into it.
-	s.testHookDispatch = func(*job) { time.Sleep(20 * time.Millisecond) }
+	// burst could drain between two polls of the ladder. Gate dispatch
+	// instead: the one worker holds its first job until both probes are
+	// in, so nothing leaves the best-effort queue, it stays at the
+	// high-water mark, and the state stays shedding until the test
+	// releases it.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	held := make(chan struct{}, 1)
+	s.testHookDispatch = func(*job) {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Drain() })
+	t.Cleanup(release) // runs before Drain, which waits for the worker
 	e := registerLorenz(t, s)
 
-	// Saturate: async submissions from the best-effort tenant.
+	// Saturate: blocking submissions from the best-effort tenant. The
+	// worker must hold the first before the rest queue: were it to take
+	// a job from a queue already at the mark, the fill would drop below
+	// it with every later submission already shed.
 	var wg sync.WaitGroup
 	results := make(chan *JobOutcome, 16)
-	for i := 0; i < 12; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			results <- s.Submit(JobRequest{Tenant: "best-effort", ImageID: e.ID, Alt: fpvm.AltBoxed})
 		}()
 	}
+	submit()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker never dispatched the first job")
+	}
+	for i := 1; i < 12; i++ {
+		submit()
+	}
 
-	// Wait until the ladder reports pressure.
+	// Wait until the ladder reports pressure. With dispatch gated the
+	// state cannot leave shedding once it gets there.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.State() != StateShedding && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -277,8 +302,9 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 	var lowPriShed, premiumOK *JobOutcome
 	if shedObserved {
 		lowPriShed = s.Submit(JobRequest{Tenant: "best-effort", ImageID: e.ID, Alt: fpvm.AltBoxed})
-		premiumOK = s.Submit(JobRequest{Tenant: "premium", ImageID: e.ID, Alt: fpvm.AltBoxed})
+		premiumOK = s.SubmitAsync(JobRequest{Tenant: "premium", ImageID: e.ID, Alt: fpvm.AltBoxed})
 	}
+	release()
 	wg.Wait()
 	close(results)
 
@@ -288,8 +314,15 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 	if lowPriShed.Status != StatusShed {
 		t.Fatalf("low-priority tenant under shedding: %s (%s), want shed", lowPriShed.Status, lowPriShed.Detail)
 	}
-	if premiumOK.Status != StatusCompleted {
-		t.Fatalf("premium tenant under shedding: %s (%s), want completed", premiumOK.Status, premiumOK.Detail)
+	if premiumOK.Status != StatusPending {
+		t.Fatalf("premium tenant under shedding: %s (%s), want pending (admitted)", premiumOK.Status, premiumOK.Detail)
+	}
+	waitFor(t, func() bool {
+		cur, ok := s.Outcome(premiumOK.ID)
+		return ok && terminalStatus(cur.Status)
+	})
+	if final, _ := s.Outcome(premiumOK.ID); final.Status != StatusCompleted {
+		t.Fatalf("premium tenant under shedding: %s (%s), want completed", final.Status, final.Detail)
 	}
 	for o := range results {
 		if o.Status != StatusCompleted && o.Status != StatusShed {

@@ -52,7 +52,6 @@ func WritePrometheus(w io.Writer, prefix string, labels map[string]string, b *Br
 	counter("panic_recoveries_total", "emulator panics converted to degradations", b.PanicRecoveries)
 	counter("trace_hits_total", "traps served by trace replay", b.TraceHits)
 	counter("trace_misses_total", "traps that walked per-instruction", b.TraceMisses)
-	counter("jit_execs_total", "replays served by a compiled trace body", b.JITExecs)
 
 	_, err := io.WriteString(w, sb.String())
 	return err

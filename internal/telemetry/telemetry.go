@@ -148,28 +148,6 @@ type Breakdown struct {
 	TraceMisses      uint64
 	TraceDivergences uint64
 	ReplayedInsts    uint64
-
-	// Tier-1 trace JIT activity. JITExecs counts replays served by a
-	// compiled trace body (a subset of TraceHits), JITInsts instructions
-	// executed through compiled steps (a subset of ReplayedInsts), and
-	// JITDeopts compiled replays that deopted back to the interpreter's
-	// divergence exit on a guard failure (a subset of TraceDivergences).
-	// All three are deterministic across snapshot/resume — compiled and
-	// interpreted replay are cycle- and counter-exact, and a restored
-	// cache re-promotes from its preserved replay counters — unlike the
-	// per-process compile count, which lives on the Runtime.
-	JITExecs  uint64
-	JITInsts  uint64
-	JITDeopts uint64
-}
-
-// JITDeoptRate returns the fraction of compiled replays that deopted on a
-// guard failure.
-func (b *Breakdown) JITDeoptRate() float64 {
-	if b.JITExecs == 0 {
-		return 0
-	}
-	return float64(b.JITDeopts) / float64(b.JITExecs)
 }
 
 // TraceHitRate returns the fraction of sequence traps served from the L2
@@ -277,9 +255,6 @@ func (b *Breakdown) Merge(o *Breakdown) {
 	b.TraceMisses += o.TraceMisses
 	b.TraceDivergences += o.TraceDivergences
 	b.ReplayedInsts += o.ReplayedInsts
-	b.JITExecs += o.JITExecs
-	b.JITInsts += o.JITInsts
-	b.JITDeopts += o.JITDeopts
 }
 
 // Total returns the summed FPVM overhead cycles.

@@ -108,22 +108,21 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeRepromotesJIT: compiled tier-1 bodies are per-VM process
-// state — they must not survive CaptureImage/Resume. A run chopped by
-// preemption with an aggressive JIT threshold must (a) stay bit-identical
-// to the uninterrupted run in stdout, cycles, trap stream and telemetry,
-// and (b) actually re-promote after resume: restored traces come back
-// bare but keep their replay counters, so the resumed VM recompiles and
-// keeps executing tier-1.
+// TestResumeRepromotesJIT: compiled bodies are per-VM process state —
+// they must not survive CaptureImage/Resume. A run chopped by preemption
+// must (a) stay bit-identical to the uninterrupted run in stdout, cycles,
+// trap stream and telemetry, and (b) compile again after resume:
+// restored traces come back bare, so the resumed VM compiles each one on
+// its first replay there.
 func TestResumeRepromotesJIT(t *testing.T) {
 	img, err := workloads.Build(workloads.Pendulum, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true, JITThreshold: 1}
+	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
 	ref, refRecs, _ := runObserved(t, img, cfg, "")
-	if ref.JITExecs == 0 {
-		t.Fatalf("workload never engaged the JIT; test is vacuous")
+	if ref.TraceHits == 0 || ref.JITCompiles == 0 {
+		t.Fatalf("workload never replayed a compiled trace; test is vacuous")
 	}
 
 	cfg2 := cfg
@@ -133,8 +132,8 @@ func TestResumeRepromotesJIT(t *testing.T) {
 	if resumes == 0 {
 		t.Fatalf("workload finished inside one quantum; no resumption exercised")
 	}
-	t.Logf("%d resumes; ref compiles=%d execs=%d; resumed final-slice compiles=%d execs=%d",
-		resumes, ref.JITCompiles, ref.JITExecs, res.JITCompiles, res.JITExecs)
+	t.Logf("%d resumes; ref compiles=%d replays=%d; resumed final-slice compiles=%d replays=%d",
+		resumes, ref.JITCompiles, ref.TraceHits, res.JITCompiles, res.TraceHits)
 
 	if res.Stdout != ref.Stdout {
 		t.Errorf("stdout diverged after %d resumes", resumes)
@@ -148,19 +147,20 @@ func TestResumeRepromotesJIT(t *testing.T) {
 	if d := oracle.DiffFinal(ref.Final, res.Final); d != "" {
 		t.Errorf("final architectural state diverged: %s", d)
 	}
-	// JIT telemetry lives in the serialized Breakdown, so the cumulative
-	// counts survive each hop and must match the uninterrupted run exactly
-	// (re-promotion replays the same schedule: restored traces keep Hits).
-	if res.JITExecs != ref.JITExecs || res.JITInsts != ref.JITInsts || res.JITDeopts != ref.JITDeopts {
-		t.Errorf("JIT telemetry diverged: execs %d/%d insts %d/%d deopts %d/%d",
-			res.JITExecs, ref.JITExecs, res.JITInsts, ref.JITInsts, res.JITDeopts, ref.JITDeopts)
+	// Trace telemetry lives in the serialized Breakdown, so the cumulative
+	// counts survive each hop and must match the uninterrupted run exactly.
+	if res.TraceHits != ref.TraceHits || res.ReplayedInsts != ref.ReplayedInsts ||
+		res.TraceDivergences != ref.TraceDivergences {
+		t.Errorf("trace telemetry diverged: hits %d/%d replayed %d/%d divergences %d/%d",
+			res.TraceHits, ref.TraceHits, res.ReplayedInsts, ref.ReplayedInsts,
+			res.TraceDivergences, ref.TraceDivergences)
 	}
 	// JITCompiles is process-local (never serialized): the final slice
 	// started from a snapshot with bare traces, so its compile count proves
-	// the resumed VM re-promoted rather than inheriting a stale body.
+	// the resumed VM compiled again rather than inheriting a stale body.
 	if res.JITCompiles == 0 {
-		t.Errorf("resumed VM never recompiled: final slice ran %d compiled replays with 0 compiles",
-			res.JITExecs)
+		t.Errorf("resumed VM never recompiled: final slice replayed with 0 compiles (%d hits in all)",
+			res.TraceHits)
 	}
 }
 
