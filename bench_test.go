@@ -423,46 +423,48 @@ func BenchmarkAblationPrecision(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures the host-side simulator itself
 // (useful when hacking on the interpreter, not a paper figure) over the
-// three step-loop stages a workload set-up runs: a native run, the
-// profiler's run (ProfileSites) and a virtualized run (Boxed, SEQ,
-// SHORT). host-ns/guest-inst divides host time by the unpatched
-// program's retired instruction count, so the stages share one scale;
-// allocations expose per-step or per-trap garbage.
+// three step-loop stages a workload set-up runs, for each paper
+// workload: a native run, the profiler's run (ProfileSites) and a
+// virtualized run (Boxed, SEQ, SHORT). host-ns/guest-inst divides host
+// time by the unpatched program's retired instruction count, so the
+// stages share one scale; allocations expose per-step or per-trap
+// garbage.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	p := prep(b, workloads.Lorenz)
-	perInst := func(b *testing.B) {
-		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(ns/float64(p.native.Instructions), "host-ns/guest-inst")
+	for _, name := range workloads.All() {
+		b.Run(string(name), func(b *testing.B) {
+			p := prep(b, name)
+			perInst := func(b *testing.B) {
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns/float64(p.native.Instructions), "host-ns/guest-inst")
+			}
+			b.Run("native", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := fpvm.RunNative(p.orig); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(p.native.Instructions), "guest-insts/run")
+				perInst(b)
+			})
+			b.Run("profile", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := fpvm.ProfileSites(p.orig); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perInst(b)
+			})
+			b.Run("fpvm", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					runCfg(b, p, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true})
+				}
+				perInst(b)
+			})
+		})
 	}
-	b.Run("native", func(b *testing.B) {
-		b.ReportAllocs()
-		var insts uint64
-		for i := 0; i < b.N; i++ {
-			res, err := fpvm.RunNative(p.img)
-			if err != nil {
-				b.Fatal(err)
-			}
-			insts = res.Instructions
-		}
-		b.ReportMetric(float64(insts), "guest-insts/run")
-		perInst(b)
-	})
-	b.Run("profile", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fpvm.ProfileSites(p.orig); err != nil {
-				b.Fatal(err)
-			}
-		}
-		perInst(b)
-	})
-	b.Run("fpvm", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runCfg(b, p, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true})
-		}
-		perInst(b)
-	})
 }
 
 // BenchmarkFutureHW evaluates the paper's §8 future-work hardware model

@@ -21,6 +21,7 @@ package fpvm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fpvm/internal/alt"
 	"fpvm/internal/checkpoint"
@@ -737,32 +738,31 @@ func (vm *VM) RunSlice() (*Result, error) {
 	if maxSteps == 0 {
 		maxSteps = defaultMaxSteps
 	}
+	// A VM restored at or past its step limit runs one boundary, then
+	// fails.
+	budget := uint64(1)
+	if vm.steps < maxSteps {
+		budget = maxSteps - vm.steps
+	}
+	// Once this slice has consumed the preemption quantum on the virtual
+	// clock, the run suspends at the next event boundary (a point where
+	// no trap is in flight and machine.CPU is authoritative).
+	until := uint64(math.MaxUint64)
+	if q := cfg.PreemptQuantum; q > 0 && m.Cycles < math.MaxUint64-q {
+		until = m.Cycles + q
+	}
+	n := p.RunFor(budget, until)
+	vm.steps += n
 
-	// The step loop mirrors kernel.Process.Run but watches the virtual
-	// clock: once this slice has consumed the preemption quantum, the run
-	// suspends at the next event boundary (a point where no trap is in
-	// flight and machine.CPU is authoritative).
 	var runErr error
 	preempted := false
-	steps := vm.steps // a local keeps the hot loop's counter in a register
-	sliceStart := m.Cycles
-	for p.Step() {
-		steps++
-		if maxSteps != 0 && steps >= maxSteps {
-			runErr = fmt.Errorf("kernel: process %s exceeded %d steps", p.Name, maxSteps)
-			break
+	if n == budget {
+		runErr = fmt.Errorf("kernel: process %s exceeded %d steps", p.Name, maxSteps)
+	} else {
+		preempted = !p.Exited // RunFor stopped on the clock
+		if runErr = p.Err; runErr == nil {
+			runErr = rt.Err()
 		}
-		if cfg.PreemptQuantum > 0 && m.Cycles-sliceStart >= cfg.PreemptQuantum && !p.Exited {
-			preempted = true
-			break
-		}
-	}
-	vm.steps = steps
-	if runErr == nil {
-		runErr = p.Err
-	}
-	if runErr == nil {
-		runErr = rt.Err()
 	}
 
 	res := vm.result()

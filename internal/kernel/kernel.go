@@ -12,6 +12,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"fpvm/internal/faultinject"
 	"fpvm/internal/isa"
@@ -283,8 +284,9 @@ func (p *Process) injectDeliveryFaults() {
 	}
 }
 
-// deliverFPTrap routes a #XF event to user space.
-func (p *Process) deliverFPTrap(ev machine.Event) error {
+// deliverFPTrap routes a #XF event, which raised the unmasked
+// exception bits flags, to user space.
+func (p *Process) deliverFPTrap(flags uint32) error {
 	k := p.K
 	k.Stats.FPTraps++
 	p.injectDeliveryFaults()
@@ -294,7 +296,7 @@ func (p *Process) deliverFPTrap(ev machine.Event) error {
 		// the kernel is never involved.
 		k.Stats.HWUserDeliveries++
 		p.M.Charge(k.Costs.HWUserDeliver)
-		uc := p.snapshot(SIGFPE, ev.FPFlags)
+		uc := p.snapshot(SIGFPE, flags)
 		p.hwUserEntry(uc)
 		p.restore(uc)
 		p.M.Charge(k.Costs.HWUserReturn)
@@ -311,7 +313,7 @@ func (p *Process) deliverFPTrap(ev machine.Event) error {
 		k.Stats.ShortCircuits++
 		cost := k.Costs.ShortDeliver + k.Costs.LandingPad
 		p.M.Charge(cost)
-		uc := p.snapshot(SIGFPE, ev.FPFlags)
+		uc := p.snapshot(SIGFPE, flags)
 		p.fpvmEntry(uc)
 		p.restore(uc)
 		ret := k.Costs.LandingPad + k.Costs.ShortReturn
@@ -322,11 +324,11 @@ func (p *Process) deliverFPTrap(ev machine.Event) error {
 
 	h, ok := p.handlers[SIGFPE]
 	if !ok {
-		return fmt.Errorf("kernel: unhandled SIGFPE at %#x (flags %#x)", p.M.CPU.RIP, ev.FPFlags)
+		return fmt.Errorf("kernel: unhandled SIGFPE at %#x (flags %#x)", p.M.CPU.RIP, flags)
 	}
 	k.Stats.SignalsFPE++
 	p.M.Charge(k.Costs.SignalDeliver)
-	uc := p.snapshot(SIGFPE, ev.FPFlags)
+	uc := p.snapshot(SIGFPE, flags)
 	h(uc)
 	p.restore(uc)
 	p.M.Charge(k.Costs.Sigreturn)
@@ -414,55 +416,58 @@ func (p *Process) hostCall(addr uint64) error {
 	return nil
 }
 
+// deliverBoxEscape routes a hardware box-escape event for the NaN-boxed
+// word at addr to its handler; the faulting load then re-executes.
+func (p *Process) deliverBoxEscape(addr uint64) error {
+	if p.boxEscapeHook == nil {
+		return fmt.Errorf("box escape at %#x without a handler", addr)
+	}
+	p.K.Stats.BoxEscapes++
+	p.M.Charge(p.K.Costs.HWUserDeliver + p.K.Costs.HWUserReturn)
+	uc := p.snapshot(SIGTRAP, 0)
+	if err := p.boxEscapeHook(uc, addr); err != nil {
+		return err
+	}
+	p.restore(uc)
+	p.M.WaiveNextEscape(addr)
+	return nil
+}
+
 // Step advances the process by one machine event boundary. It returns
 // false when the process has exited (or died with p.Err set).
 func (p *Process) Step() bool {
 	if p.Exited {
 		return false
 	}
-	ev := p.M.Step()
-	switch ev.Kind {
-	case machine.EvNone:
-		p.maybeReschedule()
-		return true
+	_, k := p.M.RunFor(1, math.MaxUint64)
+	return p.dispatch(k)
+}
+
+// dispatch completes the event boundary at which the machine stopped
+// with k (EvNone: an instruction retired): it handles the event, then
+// lets the scheduler count the boundary. It returns false when the
+// process has exited (or died with p.Err set).
+func (p *Process) dispatch(k machine.EventKind) bool {
+	var err error
+	switch k {
 	case machine.EvFPTrap:
-		if err := p.deliverFPTrap(ev); err != nil {
-			p.die(err)
-			return false
-		}
+		err = p.deliverFPTrap(p.M.LastEvent().FPFlags)
 	case machine.EvBreakpoint:
-		if err := p.deliverBreakpoint(); err != nil {
-			p.die(err)
-			return false
-		}
+		err = p.deliverBreakpoint()
 	case machine.EvSyscall:
-		if err := p.syscall(); err != nil {
-			p.die(err)
-			return false
-		}
+		err = p.syscall()
 	case machine.EvHostCall:
-		if err := p.hostCall(ev.HostAddr); err != nil {
-			p.die(err)
-			return false
-		}
+		err = p.hostCall(p.M.LastEvent().HostAddr)
 	case machine.EvHalt:
 		p.Exited = true
 	case machine.EvBoxEscape:
-		if p.boxEscapeHook == nil {
-			p.die(fmt.Errorf("box escape at %#x without a handler", ev.EscapeAddr))
-			return false
-		}
-		p.K.Stats.BoxEscapes++
-		p.M.Charge(p.K.Costs.HWUserDeliver + p.K.Costs.HWUserReturn)
-		uc := p.snapshot(SIGTRAP, 0)
-		if err := p.boxEscapeHook(uc, ev.EscapeAddr); err != nil {
-			p.die(err)
-			return false
-		}
-		p.restore(uc)
-		p.M.WaiveNextEscape(ev.EscapeAddr)
+		err = p.deliverBoxEscape(p.M.LastEvent().EscapeAddr)
 	case machine.EvFault:
-		p.die(ev.Err)
+		p.die(p.M.LastEvent().Err)
+		return false
+	}
+	if err != nil {
+		p.die(err)
 		return false
 	}
 	p.maybeReschedule()
@@ -475,15 +480,51 @@ func (p *Process) die(err error) {
 	p.Err = fmt.Errorf("process %s died: %w (rip=%#x)", p.Name, err, p.M.CPU.RIP)
 }
 
+// RunFor advances the process until it exits, max event boundaries have
+// passed, or the virtual clock reaches until, which is checked at every
+// boundary; the first boundary runs whatever the clock says. It returns
+// the boundaries passed, counted as `for p.Step() { n++ }` counts them:
+// a retired instruction is one, a handled event is one, and the boundary
+// at which the process exits is not counted.
+//
+// A single-threaded process runs in the machine's inner loop and comes
+// out only at events. With more than one thread the scheduler rotates
+// every threadQuantum boundaries, so RunFor steps one boundary at a time.
+func (p *Process) RunFor(max, until uint64) uint64 {
+	var n uint64
+	for n < max && !p.Exited {
+		if len(p.threads) > 1 {
+			if !p.Step() {
+				break
+			}
+			n++
+		} else {
+			r, k := p.M.RunFor(max-n, until)
+			n += r
+			if k == machine.EvNone {
+				break // the budget or the clock ran out
+			}
+			if !p.dispatch(k) {
+				break
+			}
+			n++
+		}
+		if p.M.Cycles >= until {
+			break
+		}
+	}
+	return n
+}
+
 // Run steps the process until exit or maxSteps event boundaries (0 =
 // unlimited). It returns the process error, if any.
 func (p *Process) Run(maxSteps uint64) error {
-	n := uint64(0)
-	for p.Step() {
-		n++
-		if maxSteps != 0 && n >= maxSteps {
-			return fmt.Errorf("kernel: process %s exceeded %d steps", p.Name, maxSteps)
-		}
+	budget := maxSteps
+	if budget == 0 {
+		budget = math.MaxUint64
+	}
+	if p.RunFor(budget, math.MaxUint64) == budget {
+		return fmt.Errorf("kernel: process %s exceeded %d steps", p.Name, maxSteps)
 	}
 	return p.Err
 }

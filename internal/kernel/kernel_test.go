@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -251,6 +252,70 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 }
 
+// TestRunBudgetEdges pins how Run and RunFor count event boundaries: a
+// retired instruction is one, a handled event is one, and the boundary
+// at which the process exits is not counted. Run fails after exactly
+// maxSteps live boundaries, and not when the process exits at the next
+// one.
+func TestRunBudgetEdges(t *testing.T) {
+	// Live boundaries: two movs, one write syscall (an event), one nop;
+	// the trailing hlt is the exit boundary.
+	build := func() (*kernel.Process, *kernel.Kernel) {
+		k := kernel.New()
+		return buildProcess(t, k,
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RAX), kernel.SysWrite),
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RDX), 0),
+			isa.MakeNullary(isa.SYSCALL),
+			isa.MakeNullary(isa.NOP),
+		), k
+	}
+	for _, c := range []struct {
+		max       uint64
+		fail      bool
+		insts     uint64 // instructions retired when Run returns
+		syscalls  uint64
+		exitAfter bool
+	}{
+		{max: 2, fail: true, insts: 2},
+		{max: 3, fail: true, insts: 3, syscalls: 1},
+		{max: 4, fail: true, insts: 4, syscalls: 1},
+		{max: 5, insts: 5, syscalls: 1, exitAfter: true},
+		{max: 0, insts: 5, syscalls: 1, exitAfter: true},
+	} {
+		p, k := build()
+		err := p.Run(c.max)
+		if (err != nil) != c.fail || p.M.Instructions != c.insts || k.Stats.Syscalls != c.syscalls || p.Exited != c.exitAfter {
+			t.Errorf("Run(%d): err %v, %d instructions, %d syscalls, exited %v; want fail %v, %d, %d, %v",
+				c.max, err, p.M.Instructions, k.Stats.Syscalls, p.Exited, c.fail, c.insts, c.syscalls, c.exitAfter)
+		}
+	}
+
+	// RunFor reports the live boundaries, stops on the clock at the
+	// first boundary that reaches it, and a clock at MaxUint64 never
+	// stops it.
+	p, _ := build()
+	if n := p.RunFor(3, math.MaxUint64); n != 3 || p.M.Instructions != 3 {
+		t.Errorf("RunFor(3): %d boundaries, %d instructions", n, p.M.Instructions)
+	}
+	if n := p.RunFor(100, math.MaxUint64); n != 1 || !p.Exited {
+		t.Errorf("RunFor to the exit: %d boundaries, exited %v", n, p.Exited)
+	}
+	if n := p.RunFor(100, math.MaxUint64); n != 0 {
+		t.Errorf("RunFor after the exit: %d boundaries", n)
+	}
+	p, _ = build()
+	if n := p.RunFor(100, p.M.Cycles+1); n != 1 || p.M.Instructions != 1 {
+		t.Errorf("one cycle of clock: %d boundaries, %d instructions", n, p.M.Instructions)
+	}
+	if n := p.RunFor(100, p.M.Cycles); n != 1 {
+		t.Errorf("clock already reached: %d boundaries, want the first one", n)
+	}
+	// The syscall boundary is where the clock runs out.
+	if n := p.RunFor(100, p.M.Cycles+2); n != 1 || p.K.Stats.Syscalls != 1 {
+		t.Errorf("clock inside the syscall: %d boundaries, %d syscalls", n, p.K.Stats.Syscalls)
+	}
+}
+
 // trappingProcess builds a process whose first instruction is a divsd that
 // raises an unmasked #XF every time it runs.
 func trappingProcess(t *testing.T, k *kernel.Kernel) *kernel.Process {
@@ -286,6 +351,15 @@ func TestFPTrapDeliveryAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("short=%v: %v allocs per delivery, want 0", short, allocs)
+		}
+		// RunFor delivers the same traps from its own loop.
+		allocs = testing.AllocsPerRun(10, func() {
+			if n := p.RunFor(100, math.MaxUint64); n != 100 {
+				t.Fatalf("RunFor passed %d boundaries, want 100: %v", n, p.Err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("short=%v: %v allocs per 100 deliveries through RunFor, want 0", short, allocs)
 		}
 		if k.Stats.FPTraps < 100 || k.Stats.ShortCircuits+k.Stats.SignalsFPE != k.Stats.FPTraps {
 			t.Errorf("short=%v: stats %+v", short, k.Stats)
@@ -333,6 +407,14 @@ func TestStepAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs per step, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		if n := p.RunFor(1000, math.MaxUint64); n != 1000 {
+			t.Fatalf("RunFor passed %d boundaries, want 1000: %v", n, p.Err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per 1000 boundaries through RunFor, want 0", allocs)
 	}
 }
 

@@ -1,18 +1,21 @@
 package kernel_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"fpvm/internal/isa"
 	"fpvm/internal/kernel"
+	"fpvm/internal/machine"
 )
 
-// buildThreadProgram: main spawns a worker that adds its tid-scaled value
-// into a shared cell, then both threads exit. Layout:
+// buildThreadProgram: main spawns a worker that stores 7 into a shared
+// cell and writes the cell to stdout, then both threads exit. Layout:
 //
 //	main:   mov rdi, worker; mov rsi, childStack; mov rax, 56; syscall
 //	        (rax = tid) ; spin until [cell] != 0 ; exit(0)
-//	worker: mov [cell], 7 ; exit(0)
+//	worker: mov [cell], 7 ; write(1, cell, 8) ; exit(0)
 func buildThreadProgram(t *testing.T, k *kernel.Kernel) *kernel.Process {
 	t.Helper()
 	const cell = 0x800000
@@ -35,6 +38,11 @@ func buildThreadProgram(t *testing.T, k *kernel.Kernel) *kernel.Process {
 			// worker:
 			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RCX), 7),
 			isa.MakeRM(isa.MOV64MR, isa.GPR(isa.RCX), isa.MemAbs(cell)),
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RAX), kernel.SysWrite),
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RDI), 1),
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RSI), cell),
+			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RDX), 8),
+			isa.MakeNullary(isa.SYSCALL),
 			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RAX), kernel.SysExit),
 			isa.MakeMI(isa.MOV64RI, isa.GPR(isa.RDI), 0),
 			isa.MakeNullary(isa.SYSCALL),
@@ -221,5 +229,98 @@ func TestThreadSnapshotRoundTrip(t *testing.T) {
 	p.RestoreThreads(st)
 	if p.M.CPU.RIP != wantRIP {
 		t.Error("snapshot not reusable for a second restore")
+	}
+}
+
+// threadEnd is where a run of the thread program ended.
+type threadEnd struct {
+	cpu        machine.CPU
+	cycles     uint64
+	insts      uint64
+	stats      kernel.Stats
+	stdout     string
+	boundaries uint64
+}
+
+// TestRunForMatchesStepLoop: a clone() program ends in the same state
+// (CPU, cycles, context switches, stdout) after the same count of
+// boundaries whether it runs through Run, one RunFor, RunFor cut into
+// short clock slices, or a p.Step() loop that checks the clock after
+// every boundary. RunFor crosses from the machine's inner loop to
+// boundary-by-boundary stepping when clone() adds the second thread, so
+// the scheduler still rotates every 64 boundaries.
+func TestRunForMatchesStepLoop(t *testing.T) {
+	const maxBoundaries = 100_000 // the program exits after under 100
+	// run drives a fresh copy of the program; drive returns the
+	// boundaries of each slice it ran.
+	run := func(drive func(p *kernel.Process) []uint64) (threadEnd, []uint64) {
+		k := kernel.New()
+		p := buildThreadProgram(t, k)
+		slices := drive(p)
+		if p.Err != nil || !p.Exited {
+			t.Fatalf("exited %v, err %v", p.Exited, p.Err)
+		}
+		var n uint64
+		for _, s := range slices {
+			n += s
+		}
+		return threadEnd{p.M.CPU, p.M.Cycles, p.M.Instructions, k.Stats, p.Stdout.String(), n}, slices
+	}
+	// sliced runs the program in slices of 3 cycles (a slice ends at
+	// nearly every boundary) until it exits.
+	sliced := func(slice func(p *kernel.Process, until uint64) uint64) func(p *kernel.Process) []uint64 {
+		return func(p *kernel.Process) []uint64 {
+			var slices []uint64
+			for len(slices) < maxBoundaries && !p.Exited {
+				slices = append(slices, slice(p, p.M.Cycles+3))
+			}
+			return slices
+		}
+	}
+	stepUntil := func(p *kernel.Process, until uint64) uint64 {
+		var n uint64
+		for n < maxBoundaries && p.Step() {
+			n++
+			if p.M.Cycles >= until {
+				break
+			}
+		}
+		return n
+	}
+
+	want, _ := run(func(p *kernel.Process) []uint64 {
+		return []uint64{stepUntil(p, math.MaxUint64)}
+	})
+	if want.stats.ContextSwitches == 0 || want.stdout != "\x07\x00\x00\x00\x00\x00\x00\x00" {
+		t.Fatalf("reference run: %d context switches, stdout %q", want.stats.ContextSwitches, want.stdout)
+	}
+	got, _ := run(func(p *kernel.Process) []uint64 {
+		if err := p.Run(maxBoundaries); err != nil {
+			t.Fatal(err)
+		}
+		return []uint64{want.boundaries} // Run does not count
+	})
+	if got != want {
+		t.Errorf("Run:\n got %+v\nwant %+v", got, want)
+	}
+	got, _ = run(func(p *kernel.Process) []uint64 {
+		return []uint64{p.RunFor(maxBoundaries, math.MaxUint64)}
+	})
+	if got != want {
+		t.Errorf("RunFor:\n got %+v\nwant %+v", got, want)
+	}
+
+	gotSliced, gotSlices := run(sliced(func(p *kernel.Process, until uint64) uint64 {
+		return p.RunFor(maxBoundaries, until)
+	}))
+	wantSliced, wantSlices := run(sliced(stepUntil))
+	if len(wantSlices) < 20 || wantSliced != want {
+		t.Fatalf("stepped in %d slices:\n got %+v\nwant %+v", len(wantSlices), wantSliced, want)
+	}
+	if !slices.Equal(gotSlices, wantSlices) {
+		t.Errorf("boundaries per slice:\nRunFor %v\nStep   %v", gotSlices, wantSlices)
+	}
+	if gotSliced != want {
+		t.Errorf("sliced RunFor:\n got %+v\nwant %+v", gotSliced, want)
 	}
 }

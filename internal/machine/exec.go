@@ -22,10 +22,11 @@ func exactInt64(v int64) bool {
 	return sig <= 53
 }
 
-// execute runs one decoded instruction. Faulting FP instructions leave RIP
-// and the destination untouched (x64 fault semantics); int3 and syscall
-// advance RIP before reporting (trap semantics).
-func (m *Machine) execute(in *isa.Inst) Event {
+// execute runs one decoded instruction and returns the event it raised,
+// if any. Faulting FP instructions leave RIP and the destination
+// untouched (x64 fault semantics); int3 and syscall advance RIP before
+// reporting (trap semantics).
+func (m *Machine) execute(in *isa.Inst) EventKind {
 	op := in.Op
 	next := in.Addr + uint64(in.Len)
 
@@ -39,15 +40,15 @@ func (m *Machine) execute(in *isa.Inst) Event {
 
 	case isa.HLT:
 		m.retire(in, next)
-		return Event{Kind: EvHalt}
+		return m.raise(EvHalt)
 
 	case isa.INT3:
 		m.retire(in, next)
-		return Event{Kind: EvBreakpoint}
+		return m.raise(EvBreakpoint)
 
 	case isa.SYSCALL:
 		m.retire(in, next)
-		return Event{Kind: EvSyscall}
+		return m.raise(EvSyscall)
 
 	case isa.RET:
 		target, err := m.pop()
@@ -55,10 +56,7 @@ func (m *Machine) execute(in *isa.Inst) Event {
 			return m.fault(err)
 		}
 		m.retire(in, target)
-		if IsHostAddr(target) {
-			return Event{Kind: EvHostCall, HostAddr: target}
-		}
-		return Event{Kind: EvNone}
+		return m.jumped(target)
 
 	case isa.CALL, isa.CALLR:
 		var target uint64
@@ -75,14 +73,11 @@ func (m *Machine) execute(in *isa.Inst) Event {
 			return m.fault(err)
 		}
 		m.retire(in, target)
-		if IsHostAddr(target) {
-			return Event{Kind: EvHostCall, HostAddr: target}
-		}
-		return Event{Kind: EvNone}
+		return m.jumped(target)
 
 	case isa.JMP:
 		m.retire(in, in.BranchTarget())
-		return Event{Kind: EvNone}
+		return EvNone
 
 	case isa.JMPR:
 		v, err := m.readRM(in, in.RMOp, false)
@@ -90,10 +85,7 @@ func (m *Machine) execute(in *isa.Inst) Event {
 			return m.fault(err)
 		}
 		m.retire(in, v)
-		if IsHostAddr(v) {
-			return Event{Kind: EvHostCall, HostAddr: v}
-		}
-		return Event{Kind: EvNone}
+		return m.jumped(v)
 
 	case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE,
 		isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS, isa.JP, isa.JNP:
@@ -102,17 +94,14 @@ func (m *Machine) execute(in *isa.Inst) Event {
 		} else {
 			m.retire(in, next)
 		}
-		return Event{Kind: EvNone}
+		return EvNone
 
 	default:
-		if ev := m.executeData(in, next); ev.Kind != EvNone {
-			return ev
-		}
-		return Event{Kind: EvNone}
+		return m.executeData(in, next)
 	}
 
 	m.retire(in, next)
-	return Event{Kind: EvNone}
+	return EvNone
 }
 
 // retire commits an instruction: advances RIP, charges latency, counts.
@@ -122,29 +111,31 @@ func (m *Machine) retire(in *isa.Inst, nextRIP uint64) {
 	m.Instructions++
 }
 
-// executeData handles moves and integer ALU.
-func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
-	op := in.Op
-	cpu := &m.CPU
-
-	writeRM := func(o isa.Operand, v uint64, size int, xmm, fpTyped bool) error {
-		if o.Kind == isa.KindMem {
-			addr := m.effectiveAddr(in, o)
-			if err := m.writeMem(addr, size, v); err != nil {
-				return err
-			}
-			if m.Tracer != nil {
-				m.Tracer.OnStore(in.Addr, addr, size, xmm, fpTyped)
-			}
-			return nil
+// writeRM writes v to the r/m operand o of in with the given memory
+// width, reporting stores to the tracer.
+func (m *Machine) writeRM(in *isa.Inst, o isa.Operand, v uint64, size int, xmm, fpTyped bool) error {
+	if o.Kind == isa.KindMem {
+		addr := m.effectiveAddr(in, o)
+		if err := m.writeMem(addr, size, v); err != nil {
+			return err
 		}
-		if o.Kind == isa.KindXMM {
-			cpu.XMM[o.Reg][0] = v
-			return nil
+		if m.Tracer != nil {
+			m.Tracer.OnStore(in.Addr, addr, size, xmm, fpTyped)
 		}
-		cpu.GPR[o.Reg] = v
 		return nil
 	}
+	if o.Kind == isa.KindXMM {
+		m.CPU.XMM[o.Reg][0] = v
+		return nil
+	}
+	m.CPU.GPR[o.Reg] = v
+	return nil
+}
+
+// executeData handles moves and integer ALU.
+func (m *Machine) executeData(in *isa.Inst, next uint64) EventKind {
+	op := in.Op
+	cpu := &m.CPU
 
 	switch op {
 	// ----- GPR moves -----
@@ -155,11 +146,11 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		}
 		cpu.GPR[in.RegOp.Reg] = v
 	case isa.MOV64MR:
-		if err := writeRM(in.RMOp, cpu.GPR[in.RegOp.Reg], 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, cpu.GPR[in.RegOp.Reg], 8, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOV64RI:
-		if err := writeRM(in.RMOp, uint64(in.Imm), 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, uint64(in.Imm), 8, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOV32RR, isa.MOV32RM:
@@ -169,11 +160,11 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		}
 		cpu.GPR[in.RegOp.Reg] = uint64(uint32(v))
 	case isa.MOV32MR:
-		if err := writeRM(in.RMOp, uint64(uint32(cpu.GPR[in.RegOp.Reg])), 4, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, uint64(uint32(cpu.GPR[in.RegOp.Reg])), 4, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOV32RI:
-		if err := writeRM(in.RMOp, uint64(uint32(in.Imm)), 4, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, uint64(uint32(in.Imm)), 4, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOV16RM, isa.MOVZX16:
@@ -183,7 +174,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		}
 		cpu.GPR[in.RegOp.Reg] = uint64(uint16(v))
 	case isa.MOV16MR:
-		if err := writeRM(in.RMOp, uint64(uint16(cpu.GPR[in.RegOp.Reg])), 2, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, uint64(uint16(cpu.GPR[in.RegOp.Reg])), 2, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOV8RM, isa.MOVZX8:
@@ -193,7 +184,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		}
 		cpu.GPR[in.RegOp.Reg] = uint64(uint8(v))
 	case isa.MOV8MR:
-		if err := writeRM(in.RMOp, uint64(uint8(cpu.GPR[in.RegOp.Reg])), 1, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, uint64(uint8(cpu.GPR[in.RegOp.Reg])), 1, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOVSX8:
@@ -229,7 +220,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		if err != nil {
 			return m.fault(err)
 		}
-		if err := writeRM(in.RMOp, v, 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, v, 8, false, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.XCHG64:
@@ -239,7 +230,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		}
 		old := cpu.GPR[in.RegOp.Reg]
 		cpu.GPR[in.RegOp.Reg] = v
-		if err := writeRM(in.RMOp, old, 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, old, 8, false, false); err != nil {
 			return m.fault(err)
 		}
 
@@ -311,7 +302,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 			m.setLogicFlags(res)
 		}
 		if write {
-			if err := writeRM(in.RMOp, res, 8, false, false); err != nil {
+			if err := m.writeRM(in, in.RMOp, res, 8, false, false); err != nil {
 				return m.fault(err)
 			}
 		}
@@ -347,7 +338,7 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 			res = uint64(int64(a) >> amt)
 		}
 		m.setIntFlags(res)
-		if err := writeRM(in.RMOp, res, 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, res, 8, false, false); err != nil {
 			return m.fault(err)
 		}
 
@@ -375,16 +366,16 @@ func (m *Machine) executeData(in *isa.Inst, next uint64) Event {
 		case isa.NOT64:
 			res = ^a
 		}
-		if err := writeRM(in.RMOp, res, 8, false, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, res, 8, false, false); err != nil {
 			return m.fault(err)
 		}
 
 	default:
-		return m.executeXMMMove(in, writeRM)
+		return m.executeXMMMove(in, next)
 	}
 
 	m.retire(in, next)
-	return Event{Kind: EvNone}
+	return EvNone
 }
 
 // readXMM128 reads the full 128-bit r/m operand.
@@ -427,10 +418,9 @@ func (m *Machine) writeXMM128(in *isa.Inst, o isa.Operand, v [2]uint64, fpTyped 
 }
 
 // executeXMMMove handles all XMM move/shuffle/logical forms.
-func (m *Machine) executeXMMMove(in *isa.Inst, writeRM func(isa.Operand, uint64, int, bool, bool) error) Event {
+func (m *Machine) executeXMMMove(in *isa.Inst, next uint64) EventKind {
 	op := in.Op
 	cpu := &m.CPU
-	next := in.Addr + uint64(in.Len)
 
 	switch op {
 	case isa.MOVSDXX:
@@ -443,12 +433,12 @@ func (m *Machine) executeXMMMove(in *isa.Inst, writeRM func(isa.Operand, uint64,
 		}
 		cpu.XMM[in.RegOp.Reg] = [2]uint64{v, 0}
 	case isa.MOVSDMX:
-		if err := writeRM(in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, true); err != nil {
+		if err := m.writeRM(in, in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, true); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOVQMX:
 		// movq store is integer-typed: the profiler must not mark it.
-		if err := writeRM(in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, false); err != nil {
+		if err := m.writeRM(in, in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, false); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOVAPDXX, isa.MOVDQAXX:
@@ -488,7 +478,7 @@ func (m *Machine) executeXMMMove(in *isa.Inst, writeRM func(isa.Operand, uint64,
 		}
 		cpu.XMM[in.RegOp.Reg][1] = v
 	case isa.MOVHPDMX:
-		if err := writeRM(in.RMOp, cpu.XMM[in.RegOp.Reg][1], 8, true, true); err != nil {
+		if err := m.writeRM(in, in.RMOp, cpu.XMM[in.RegOp.Reg][1], 8, true, true); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOVLPDXM:
@@ -498,7 +488,7 @@ func (m *Machine) executeXMMMove(in *isa.Inst, writeRM func(isa.Operand, uint64,
 		}
 		cpu.XMM[in.RegOp.Reg][0] = v
 	case isa.MOVLPDMX:
-		if err := writeRM(in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, true); err != nil {
+		if err := m.writeRM(in, in.RMOp, cpu.XMM[in.RegOp.Reg][0], 8, true, true); err != nil {
 			return m.fault(err)
 		}
 	case isa.MOVDDUP:
@@ -572,32 +562,16 @@ func (m *Machine) executeXMMMove(in *isa.Inst, writeRM func(isa.Operand, uint64,
 	}
 
 	m.retire(in, next)
-	return Event{Kind: EvNone}
+	return EvNone
 }
 
 // executeFP handles SSE arithmetic/compare/convert with precise exception
 // semantics: compute, collect IEEE flags, and if any unmasked exception is
 // raised, set the MXCSR status bits and fault without writing the
 // destination or advancing RIP.
-func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
+func (m *Machine) executeFP(in *isa.Inst, next uint64) EventKind {
 	op := in.Op
 	cpu := &m.CPU
-
-	commit := func(flags uint32, write func() error) Event {
-		if raised := m.unmasked(flags); raised != 0 {
-			cpu.MXCSR |= flags & MXCSRStatusMask
-			return Event{Kind: EvFPTrap, FPFlags: raised}
-		}
-		cpu.MXCSR |= flags & MXCSRStatusMask
-		if write != nil {
-			if err := write(); err != nil {
-				return m.fault(err)
-			}
-		}
-		m.retire(in, next)
-		m.FPInstructions++
-		return Event{Kind: EvNone}
-	}
 
 	switch {
 	case op == isa.CVTSI2SD:
@@ -611,10 +585,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 		if !exactInt64(iv) {
 			flags |= fpmath.ExPrecision
 		}
-		return commit(flags, func() error {
-			cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(f)
-			return nil
-		})
+		if m.fpTrap(flags) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(f)
+		return m.retireFP(in, next)
 
 	case op == isa.CVTSD2SI || op == isa.CVTTSD2SI:
 		v, err := m.readRM(in, in.RMOp, true)
@@ -640,10 +615,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 				flags |= fpmath.ExPrecision
 			}
 		}
-		return commit(flags, func() error {
-			cpu.GPR[in.RegOp.Reg] = uint64(res)
-			return nil
-		})
+		if m.fpTrap(flags) {
+			return EvFPTrap
+		}
+		cpu.GPR[in.RegOp.Reg] = uint64(res)
+		return m.retireFP(in, next)
 
 	case op == isa.ROUNDSD:
 		v, err := m.readRM(in, in.RMOp, true)
@@ -673,10 +649,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 				flags |= fpmath.ExPrecision
 			}
 		}
-		return commit(flags, func() error {
-			cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(r)
-			return nil
-		})
+		if m.fpTrap(flags) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(r)
+		return m.retireFP(in, next)
 
 	case op == isa.UCOMISD || op == isa.COMISD:
 		bv, err := m.readRM(in, in.RMOp, true)
@@ -686,19 +663,20 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 		a := fpmath.FromBits(cpu.XMM[in.RegOp.Reg][0])
 		b := fpmath.FromBits(bv)
 		cr := fpmath.Compare(a, b, op == isa.COMISD)
-		return commit(cr.Flags, func() error {
-			f := cpu.RFLAGS &^ (FlagZF | FlagPF | FlagCF | FlagOF | FlagSF)
-			switch {
-			case cr.Unordered:
-				f |= FlagZF | FlagPF | FlagCF
-			case cr.Less:
-				f |= FlagCF
-			case cr.Equal:
-				f |= FlagZF
-			}
-			cpu.RFLAGS = f
-			return nil
-		})
+		if m.fpTrap(cr.Flags) {
+			return EvFPTrap
+		}
+		f := cpu.RFLAGS &^ (FlagZF | FlagPF | FlagCF | FlagOF | FlagSF)
+		switch {
+		case cr.Unordered:
+			f |= FlagZF | FlagPF | FlagCF
+		case cr.Less:
+			f |= FlagCF
+		case cr.Equal:
+			f |= FlagZF
+		}
+		cpu.RFLAGS = f
+		return m.retireFP(in, next)
 
 	case op.IsCmpPredicate() && op.IsFPScalar():
 		bv, err := m.readRM(in, in.RMOp, true)
@@ -707,10 +685,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 		}
 		av := cpu.XMM[in.RegOp.Reg][0]
 		mask, flags := cmpPredicate(op, av, bv)
-		return commit(flags, func() error {
-			cpu.XMM[in.RegOp.Reg][0] = mask
-			return nil
-		})
+		if m.fpTrap(flags) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg][0] = mask
+		return m.retireFP(in, next)
 
 	case op.IsCmpPredicate() && op.IsFPPacked():
 		bv, err := m.readXMM128(in, in.RMOp)
@@ -720,10 +699,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 		av := cpu.XMM[in.RegOp.Reg]
 		m0, f0 := cmpPredicate(packedToScalarCmp(op), av[0], bv[0])
 		m1, f1 := cmpPredicate(packedToScalarCmp(op), av[1], bv[1])
-		return commit(f0|f1, func() error {
-			cpu.XMM[in.RegOp.Reg] = [2]uint64{m0, m1}
-			return nil
-		})
+		if m.fpTrap(f0 | f1) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg] = [2]uint64{m0, m1}
+		return m.retireFP(in, next)
 
 	case op.IsFPScalar():
 		// addsd/subsd/mulsd/divsd/sqrtsd/minsd/maxsd
@@ -739,10 +719,11 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 			b = fpmath.FromBits(bv)
 		}
 		res := fpmath.Eval(scalarFPOp(op), a, b)
-		return commit(res.Flags, func() error {
-			cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(res.Value)
-			return nil
-		})
+		if m.fpTrap(res.Flags) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg][0] = fpmath.Bits(res.Value)
+		return m.retireFP(in, next)
 
 	case op.IsFPPacked():
 		bv, err := m.readXMM128(in, in.RMOp)
@@ -759,12 +740,33 @@ func (m *Machine) executeFP(in *isa.Inst, next uint64) Event {
 			r0 = fpmath.Eval(fop, fpmath.FromBits(av[0]), fpmath.FromBits(bv[0]))
 			r1 = fpmath.Eval(fop, fpmath.FromBits(av[1]), fpmath.FromBits(bv[1]))
 		}
-		return commit(r0.Flags|r1.Flags, func() error {
-			cpu.XMM[in.RegOp.Reg] = [2]uint64{fpmath.Bits(r0.Value), fpmath.Bits(r1.Value)}
-			return nil
-		})
+		if m.fpTrap(r0.Flags | r1.Flags) {
+			return EvFPTrap
+		}
+		cpu.XMM[in.RegOp.Reg] = [2]uint64{fpmath.Bits(r0.Value), fpmath.Bits(r1.Value)}
+		return m.retireFP(in, next)
 	}
 	return m.fault(&isa.DecodeError{Addr: in.Addr, Msg: "unimplemented FP opcode " + op.String()})
+}
+
+// fpTrap folds an FP instruction's IEEE flags into the MXCSR status bits
+// and reports whether any of them is unmasked, recording the #XF: the
+// instruction then faults, its destination unwritten.
+func (m *Machine) fpTrap(flags uint32) bool {
+	raised := m.unmasked(flags)
+	m.CPU.MXCSR |= flags & MXCSRStatusMask
+	if raised == 0 {
+		return false
+	}
+	m.event = Event{Kind: EvFPTrap, FPFlags: raised}
+	return true
+}
+
+// retireFP commits an FP instruction whose destination is written.
+func (m *Machine) retireFP(in *isa.Inst, next uint64) EventKind {
+	m.retire(in, next)
+	m.FPInstructions++
+	return EvNone
 }
 
 func scalarFPOp(op isa.Op) fpmath.Op {

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -297,8 +298,8 @@ func TestMachineHelpers(t *testing.T) {
 	if !strings.Contains(m.DumpState(), "rip=") {
 		t.Error("DumpState")
 	}
-	if ev := m.Run(1); ev.Kind != machine.EvNone && ev.Kind != machine.EvHalt {
-		t.Errorf("Run: %v", ev.Kind)
+	if n, k := m.RunFor(1, math.MaxUint64); n != 1 || k != machine.EvNone {
+		t.Errorf("RunFor(1): %d retired, %v", n, k)
 	}
 	m.Reset()
 	if m.Cycles != 0 || m.CPU.MXCSR != machine.MXCSRDefault {

@@ -4,14 +4,16 @@
 // semantics (#XF raised before the destination is written), int3
 // breakpoints (#BP), syscalls, and virtual cycle accounting.
 //
-// The machine itself is kernel-agnostic: Step returns an Event and the
-// simulated kernel (internal/kernel) decides how to dispatch it, exactly
-// as hardware raises exceptions for the OS to route.
+// The machine itself is kernel-agnostic: RunFor executes instructions
+// until one raises an event and the simulated kernel (internal/kernel)
+// decides how to dispatch it, exactly as hardware raises exceptions for
+// the OS to route.
 package machine
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fpvm/internal/fpmath"
 	"fpvm/internal/isa"
@@ -96,7 +98,7 @@ func (k EventKind) String() string {
 	return "event?"
 }
 
-// Event reports why Step stopped.
+// Event reports why the machine stopped: the kind and its details.
 type Event struct {
 	Kind EventKind
 
@@ -156,18 +158,30 @@ type Machine struct {
 	escWaiveAddr  uint64
 	escWaiveValid bool
 
-	// icache caches decoded instructions by address. It is a host-side
-	// cache with no virtual-cycle cost (real hardware decodes in the
-	// pipeline): each instruction is decoded once and execute runs the
-	// cached *isa.Inst in place, so a step copies no instruction. It
-	// must be invalidated when code changes (InvalidateICache) — the
-	// binary rewriter always produces fresh images, so self-modifying
-	// code is not supported.
-	icache map[uint64]*isa.Inst
+	// event holds the details of the last event an instruction raised;
+	// every non-EvNone kind overwrites all of it (LastEvent).
+	event Event
+
+	// icache caches decoded instructions by address: a table per code
+	// page, indexed by the offset in the page, behind a front for the
+	// last page used, so straight-line code indexes an array. It is a
+	// host-side cache with no virtual-cycle cost (real hardware decodes
+	// in the pipeline): each instruction is decoded once and execute
+	// runs the cached *isa.Inst in place, so a step copies no
+	// instruction. It must be invalidated when code changes
+	// (InvalidateICache) — the binary rewriter always produces fresh
+	// images, so self-modifying code is not supported.
+	icache map[uint64]*icachePage
+	icPN   uint64      // page number of icPage
+	icPage *icachePage // last page used; nil when empty
 
 	// scratch decode buffer
 	fetchBuf [isa.MaxInstLen]byte
 }
+
+// icachePage holds the decoded instructions starting in one code page,
+// by offset; nil where nothing is cached.
+type icachePage [mem.PageSize]*isa.Inst
 
 // New returns a machine over as with default (all-masked) MXCSR.
 func New(as *mem.AddressSpace) *Machine {
@@ -199,7 +213,11 @@ func (m *Machine) FetchDecode(addr uint64) (isa.Inst, error) {
 
 // InvalidateICache drops all host-side cached decodes (call after
 // loading or patching code).
-func (m *Machine) InvalidateICache() { m.icache = nil }
+func (m *Machine) InvalidateICache() { m.icache, m.icPage = nil, nil }
+
+// LastEvent returns the details of the event that last stopped the
+// machine (RunFor's or Step's non-EvNone kind).
+func (m *Machine) LastEvent() Event { return m.event }
 
 // WaiveNextEscape lets the next integer load of the 8-byte block at addr
 // proceed without the box-escape check (the hardware resume-after-handler
@@ -213,34 +231,67 @@ func (m *Machine) WaiveNextEscape(addr uint64) {
 // other kind describes the trap/exit. Faulting FP instructions do not
 // retire (RIP unchanged, destination unwritten), matching x64.
 func (m *Machine) Step() Event {
-	if in := m.icache[m.CPU.RIP]; in != nil {
-		return m.execute(in)
+	if _, k := m.RunFor(1, math.MaxUint64); k != EvNone {
+		return m.event
 	}
-	in, err := m.FetchDecode(m.CPU.RIP)
-	if err != nil {
-		return Event{Kind: EvFault, Err: err}
-	}
-	if m.icache == nil {
-		m.icache = make(map[uint64]*isa.Inst)
-	}
-	m.icache[m.CPU.RIP] = &in
-	return m.execute(&in)
+	return Event{}
 }
 
-// Run steps until an event other than EvNone occurs or the cycle budget
-// maxInstr (0 = unlimited) instructions retire.
-func (m *Machine) Run(maxInstr uint64) Event {
-	n := uint64(0)
-	for {
-		ev := m.Step()
-		if ev.Kind != EvNone {
-			return ev
+// RunFor executes instructions until one raises an event, max of them
+// have retired, or the virtual clock reaches until, checked after every
+// retired instruction; the first instruction runs whatever the clock.
+// It returns how many retired without an event and the kind of the
+// event that stopped it (EvNone when a budget did), whose details
+// LastEvent holds. The instruction that raises the event is not
+// counted, even when it retired (int3, syscall, a call into the host
+// bridge).
+func (m *Machine) RunFor(max, until uint64) (retired uint64, k EventKind) {
+	for retired < max {
+		rip := m.CPU.RIP
+		var in *isa.Inst
+		if pg := m.icPage; pg != nil && rip/mem.PageSize == m.icPN {
+			in = pg[rip&mem.PageMask]
 		}
-		n++
-		if maxInstr != 0 && n >= maxInstr {
-			return Event{Kind: EvNone}
+		if in == nil {
+			if in = m.decode(rip); in == nil {
+				return retired, EvFault
+			}
+		}
+		if k = m.execute(in); k != EvNone {
+			return retired, k
+		}
+		retired++
+		if m.Cycles >= until {
+			break
 		}
 	}
+	return retired, EvNone
+}
+
+// decode returns the instruction at rip from its icache page, decoding
+// and caching it on a miss, and makes that page the front. A failed
+// decode is not cached: it returns nil with the EvFault recorded.
+func (m *Machine) decode(rip uint64) *isa.Inst {
+	pn := rip / mem.PageSize
+	page := m.icache[pn]
+	if page == nil {
+		if m.icache == nil {
+			m.icache = make(map[uint64]*icachePage)
+		}
+		page = new(icachePage)
+		m.icache[pn] = page
+	}
+	m.icPN, m.icPage = pn, page
+	slot := &page[rip&mem.PageMask]
+	if *slot == nil {
+		in, err := m.FetchDecode(rip)
+		if err != nil {
+			m.event = Event{Kind: EvFault, Err: err}
+			return nil
+		}
+		*slot = &in
+	}
+	return *slot
 }
 
 // effectiveAddr computes the address of a memory operand for instruction
@@ -451,14 +502,34 @@ func (m *Machine) unmasked(flags uint32) uint32 {
 // IsHostAddr reports whether addr falls in the host bridge range.
 func IsHostAddr(addr uint64) bool { return addr >= obj.HostBase }
 
-func (m *Machine) fault(err error) Event {
+// fault records a failed access or decode as EvFault, or as EvBoxEscape
+// for a hardware box-escape hit.
+func (m *Machine) fault(err error) EventKind {
 	var ef *escapeFault
 	if errors.As(err, &ef) {
 		// Precise, like #XF: RIP unchanged, destination unwritten; the
 		// handler demotes the word and the load re-executes.
-		return Event{Kind: EvBoxEscape, EscapeAddr: ef.addr}
+		m.event = Event{Kind: EvBoxEscape, EscapeAddr: ef.addr}
+		return EvBoxEscape
 	}
-	return Event{Kind: EvFault, Err: err}
+	m.event = Event{Kind: EvFault, Err: err}
+	return EvFault
+}
+
+// raise records an event that carries no details.
+func (m *Machine) raise(k EventKind) EventKind {
+	m.event = Event{Kind: k}
+	return k
+}
+
+// jumped reports a retired control transfer to target: EvHostCall when
+// it enters the host bridge range, else EvNone.
+func (m *Machine) jumped(target uint64) EventKind {
+	if IsHostAddr(target) {
+		m.event = Event{Kind: EvHostCall, HostAddr: target}
+		return EvHostCall
+	}
+	return EvNone
 }
 
 // DumpState renders a compact register dump for diagnostics.

@@ -464,3 +464,132 @@ func TestCycleAccounting(t *testing.T) {
 		t.Error("Charge did not add")
 	}
 }
+
+// TestRunForStops checks the three ways the inner loop stops: an event
+// (reported, not counted as retired), the instruction budget, and the
+// virtual clock, which is checked after every retired instruction, so
+// the first instruction runs whatever the clock says.
+func TestRunForStops(t *testing.T) {
+	nops := []isa.Inst{isa.MakeNullary(isa.NOP), isa.MakeNullary(isa.NOP),
+		isa.MakeNullary(isa.NOP), isa.MakeNullary(isa.NOP)}
+	m := newMachine(t, nops...)
+	if n, k := m.RunFor(2, math.MaxUint64); n != 2 || k != machine.EvNone || m.Instructions != 2 {
+		t.Fatalf("budget 2: %d retired, %v, %d instructions", n, k, m.Instructions)
+	}
+	if n, k := m.RunFor(100, math.MaxUint64); n != 2 || k != machine.EvHalt {
+		t.Fatalf("to the hlt: %d retired, %v", n, k)
+	}
+	if ev := m.LastEvent(); ev.Kind != machine.EvHalt {
+		t.Errorf("LastEvent after hlt: %v", ev.Kind)
+	}
+
+	m = newMachine(t, nops...)
+	if n, _ := m.RunFor(100, 0); n != 1 {
+		t.Errorf("clock already past: %d retired, want 1", n)
+	}
+	lat := m.Cycles
+	if n, _ := m.RunFor(100, m.Cycles+2*lat); n != 2 || m.Instructions != 3 {
+		t.Errorf("two instructions of clock: %d retired, %d instructions", n, m.Instructions)
+	}
+	if n, k := m.RunFor(0, math.MaxUint64); n != 0 || k != machine.EvNone || m.Instructions != 3 {
+		t.Errorf("budget 0 ran %d instructions (%v)", n, k)
+	}
+}
+
+// TestLastEventHasNoStaleDetail: every event overwrites all of the
+// details, so a halt after a host call reports no host address, and a
+// fault after that no stale kind.
+func TestLastEventHasNoStaleDetail(t *testing.T) {
+	callr := isa.MakeM(isa.CALLR, isa.GPR(isa.RAX))
+	m := newMachine(t, callr)
+	m.CPU.GPR[isa.RAX] = 0x7000_0000_0010
+	if _, k := m.RunFor(10, math.MaxUint64); k != machine.EvHostCall || m.LastEvent().HostAddr != 0x7000_0000_0010 {
+		t.Fatalf("call: %v at %#x", k, m.LastEvent().HostAddr)
+	}
+	l, _ := isa.EncodedLen(&callr)
+	m.CPU.RIP = codeBase + uint64(l) // the hlt
+	if ev := m.Step(); ev != (machine.Event{Kind: machine.EvHalt}) {
+		t.Errorf("hlt after a host call: %+v", ev)
+	}
+	m.CPU.RIP = 0xDEAD0000
+	if ev := m.Step(); ev.Kind != machine.EvFault || ev.Err == nil || ev.HostAddr != 0 {
+		t.Errorf("fetch from an unmapped page: %+v", ev)
+	}
+}
+
+// TestICachePages runs code that alternates between two pages, so the
+// last-page front switches on every jump; checks that a decode that
+// failed is not cached; and that InvalidateICache drops both the page
+// table and the front.
+func TestICachePages(t *testing.T) {
+	const pageB = codeBase + mem.PageSize
+	as := mem.NewAddressSpace()
+	as.Map("code", codeBase, 2*mem.PageSize, mem.PermRWX)
+	as.Map("stack", stackTop-0x10000, 0x10000, mem.PermRW)
+	put := func(addr uint64, insts ...isa.Inst) {
+		for i := range insts {
+			insts[i].Addr = addr
+			enc, err := isa.Encode(&insts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := as.Write(addr, enc); err != nil {
+				t.Fatal(err)
+			}
+			addr += uint64(len(enc))
+		}
+	}
+	jmp := func(from, to uint64) isa.Inst {
+		j := isa.MakeRel(isa.JMP, 0)
+		l, _ := isa.EncodedLen(&j)
+		j.Imm = int64(to) - int64(from+uint64(l))
+		return j
+	}
+	// A: add rax, 1; jmp B.   B: add rax, 10; jmp A+0x100.
+	// A+0x100: add rax, 100; hlt.
+	add := func(v int64) isa.Inst { return isa.MakeMI(isa.ADD64I, isa.GPR(isa.RAX), v) }
+	add1 := add(1)
+	addLen, _ := isa.EncodedLen(&add1)
+	put(codeBase, add1, jmp(codeBase+uint64(addLen), pageB))
+	put(pageB, add(10), jmp(pageB+uint64(addLen), codeBase+0x100))
+	put(codeBase+0x100, add(100), isa.MakeNullary(isa.HLT))
+
+	m := machine.New(as)
+	for round := 0; round < 3; round++ {
+		m.CPU.RIP, m.CPU.GPR[isa.RAX] = codeBase, 0
+		if _, k := m.RunFor(100, math.MaxUint64); k != machine.EvHalt || m.CPU.GPR[isa.RAX] != 111 {
+			t.Fatalf("round %d: %v, rax %d", round, k, m.CPU.GPR[isa.RAX])
+		}
+	}
+
+	// Patch every add, in both pages: the cached decodes keep running
+	// until invalidated, and the first runs from page A, the front.
+	put(codeBase, add(2))
+	put(pageB, add(20))
+	put(codeBase+0x100, add(200))
+	m.CPU.RIP, m.CPU.GPR[isa.RAX] = codeBase, 0
+	m.RunFor(100, math.MaxUint64)
+	if m.CPU.GPR[isa.RAX] != 111 {
+		t.Fatalf("before invalidation rax %d, want the cached 111", m.CPU.GPR[isa.RAX])
+	}
+	m.InvalidateICache()
+	m.CPU.RIP, m.CPU.GPR[isa.RAX] = codeBase, 0
+	m.RunFor(100, math.MaxUint64)
+	if m.CPU.GPR[isa.RAX] != 222 {
+		t.Fatalf("after invalidation rax %d, want 222", m.CPU.GPR[isa.RAX])
+	}
+
+	// A fetch fault is not cached: once the page is mapped and holds
+	// code, the same address decodes.
+	const pageC = codeBase + 4*mem.PageSize
+	m.CPU.RIP = pageC
+	if _, k := m.RunFor(100, math.MaxUint64); k != machine.EvFault {
+		t.Fatalf("unmapped fetch: %v", k)
+	}
+	as.Map("late", pageC, mem.PageSize, mem.PermRWX)
+	put(pageC, isa.MakeNullary(isa.HLT))
+	m.CPU.RIP = pageC
+	if _, k := m.RunFor(100, math.MaxUint64); k != machine.EvHalt {
+		t.Fatalf("after mapping: %v", k)
+	}
+}

@@ -73,8 +73,15 @@ type page struct {
 }
 
 // tlbSize is the number of entries in an address space's page TLB (a
-// power of two, indexed by the low bits of the page number).
+// power of two; see tlbSlot).
 const tlbSize = 64
+
+// tlbSlot returns the TLB entry that caches page number pn. The segment
+// bases are 2 MiB-aligned (512 pages), so the low bits of the page
+// number alone would put the first page of .text, .rodata, .data and the
+// heap in one slot; folding in the 2 MiB region number gives each its
+// own.
+func tlbSlot(pn uint64) uint64 { return (pn ^ pn>>9) % tlbSize }
 
 // tlbEntry caches one page-number translation; p is nil when empty.
 type tlbEntry struct {
@@ -143,7 +150,7 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	last := (addr + size + PageSize - 1) / PageSize
 	for pn := first; pn < last; pn++ {
 		delete(as.pages, pn)
-		if e := &as.tlb[pn%tlbSize]; e.pn == pn {
+		if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
 			*e = tlbEntry{}
 		}
 		as.markDirty(pn)
@@ -176,7 +183,7 @@ func (as *AddressSpace) Mapped(addr uint64) bool {
 
 func (as *AddressSpace) lookup(addr uint64, want Perm) (*page, error) {
 	pn := addr / PageSize
-	e := &as.tlb[pn%tlbSize]
+	e := &as.tlb[tlbSlot(pn)]
 	p := e.p
 	if p == nil || e.pn != pn {
 		var ok bool

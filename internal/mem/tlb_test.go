@@ -22,7 +22,12 @@ func TestTLBAliasedPages(t *testing.T) {
 	// access must still reach its own page, and unmapping one must not
 	// drop the other.
 	as := NewAddressSpace()
-	a, b := uint64(0x10000), uint64(0x10000+tlbSize*PageSize)
+	a := uint64(0x10000)
+	pb := a/PageSize + 1
+	for tlbSlot(pb) != tlbSlot(a/PageSize) {
+		pb++
+	}
+	b := pb * PageSize
 	as.Map("a", a, PageSize, PermRW)
 	as.Map("b", b, PageSize, PermRW)
 	for i := uint64(0); i < 4; i++ {
