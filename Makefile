@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check fmt build test vet race bench bench-check bench-module fleet-soak crash-soak service-soak fuzz fuzz-smoke cover cover-flow
 
-check: fmt vet build race bench-check fuzz-smoke service-soak
+check: fmt vet build race bench-check bench-module fuzz-smoke service-soak
 
 # Formatting gate: fails, listing the files, when any Go file in the
 # tree is not gofmt-clean, and fails when gofmt itself fails (missing,
@@ -27,14 +27,13 @@ race:
 # (BENCH_7.json: cold decode vs compiled replay, ns/op informational,
 # virtual cycles exact), the fleet
 # shared-vs-private throughput artifact (BENCH_4.json), and the fpvmd
-# serving artifacts (BENCH_8.json: 1000 concurrent HTTP jobs at nominal
-# load plus 2x overload with shedding; BENCH_9.json: warm VM pool vs
-# cold per-job construction with the pool hit rate).
+# serving artifact (BENCH_8.json: 1000 concurrent HTTP jobs at nominal
+# load plus 2x overload with shedding).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 	$(GO) run ./cmd/fpvm-bench -fig trace -json BENCH_7.json
 	$(GO) run ./cmd/fpvm-bench -fig fleet -json BENCH_4.json
-	$(GO) run ./cmd/fpvm-bench -fig service -json BENCH_8.json -pool-json BENCH_9.json
+	$(GO) run ./cmd/fpvm-bench -fig service -json BENCH_8.json
 
 # Bounded race-enabled fleet soak: the concurrency surface (worker
 # pool, many VMs adopting from one frozen shared cache, concurrent jobs
@@ -72,7 +71,8 @@ bench-check:
 # The benchmark in fpvmbench/ is its own Go module (it imports this one
 # through a replace), so the root `go build ./...` never compiles it.
 # Vet and test it against the current tree, so an API change it depends
-# on fails here rather than only when the benchmark runs.
+# on fails here rather than only when the benchmark runs. Part of
+# `make check`.
 bench-module:
 	cd fpvmbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 

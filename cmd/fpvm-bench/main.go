@@ -34,7 +34,6 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	rank := flag.Int("rank", 3, "trace rank for -fig 7")
 	jsonPath := flag.String("json", "", "write -fig trace results to this JSON file")
-	poolJSON := flag.String("pool-json", "", "write -fig service warm-pool results to this JSON file (BENCH_9)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	verbose := flag.Bool("v", false, "print per-run progress")
@@ -53,7 +52,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(fig, scale, rank, jsonPath, poolJSON, verbose); err != nil {
+	if err := run(fig, scale, rank, jsonPath, verbose); err != nil {
 		if *cpuProfile != "" {
 			pprof.StopCPUProfile()
 		}
@@ -74,7 +73,7 @@ func main() {
 	}
 }
 
-func run(fig *string, scale, rank *int, jsonPath, poolJSON *string, verbose *bool) error {
+func run(fig *string, scale, rank *int, jsonPath *string, verbose *bool) error {
 	var progress io.Writer
 	if *verbose {
 		progress = os.Stderr
@@ -247,18 +246,6 @@ func run(fig *string, scale, rank *int, jsonPath, poolJSON *string, verbose *boo
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-		poolRows, err := experiments.ServicePoolBench(600**scale, progress)
-		if err != nil {
-			return err
-		}
-		experiments.ServicePoolTable(out, poolRows)
-		fmt.Fprintln(out)
-		if *poolJSON != "" {
-			if err := experiments.WritePoolJSON(*poolJSON, poolRows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *poolJSON)
 		}
 	}
 	return nil

@@ -29,12 +29,12 @@ func TestRunFigures(t *testing.T) {
 
 	for _, fig := range []string{"conform", "frontier"} {
 		fig := fig
-		if err := run(&fig, &scale, &rank, &empty, &empty, &verbose); err != nil {
+		if err := run(&fig, &scale, &rank, &empty, &verbose); err != nil {
 			t.Fatalf("run -fig %s: %v", fig, err)
 		}
 	}
 	fig := "coverflow"
-	if err := run(&fig, &scale, &rank, &jsonPath, &empty, &verbose); err != nil {
+	if err := run(&fig, &scale, &rank, &jsonPath, &verbose); err != nil {
 		t.Fatalf("run -fig coverflow: %v", err)
 	}
 	if _, err := os.Stat(jsonPath); err != nil {

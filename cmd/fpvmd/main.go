@@ -9,7 +9,7 @@
 //	fpvmd [-addr :8037] [-state DIR] [-workers N] [-quantum CYCLES]
 //	      [-deadline CYCLES] [-rate R] [-burst B] [-depth D]
 //	      [-tenant name:key=val,...]... [-inject SPEC] [-inject-seed N]
-//	      [-preload] [-pool N] [-no-pool]
+//	      [-preload]
 //
 // API:
 //
@@ -20,9 +20,9 @@
 //	GET  /v1/jobs/{id}/events                                     -> SSE status stream (?poll=1 long-polls)
 //	GET  /healthz, /readyz, /metrics
 //
-// With -preload, registered images also get their warm VM pools filled
-// at startup, so the first request is already served by a prebuilt
-// shell.
+// -preload registers every request-sized micro workload at startup and
+// logs each image ID, so clients can submit jobs without registering
+// first. Every job's VM is built when the job is dispatched.
 //
 // On SIGTERM or SIGINT the daemon stops admitting, snapshots every
 // in-flight job at its next trap boundary, journals it, and exits.
@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"fpvm"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/service"
 	"fpvm/internal/workloads"
@@ -74,9 +73,7 @@ func run() int {
 	depth := flag.Int("depth", 0, "default tenant queue depth (0 = default)")
 	inject := flag.String("inject", "", "fault-injection spec (site:prob=P,every=N,...; sites include svc.*)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault-injection seed")
-	preload := flag.Bool("preload", false, "register every micro workload at startup (and prewarm their VM pools) and log the image IDs")
-	poolSize := flag.Int("pool", 0, "warm VM shells to keep per image (0 = worker count)")
-	noPool := flag.Bool("no-pool", false, "disable warm VM pooling; construct every VM cold")
+	preload := flag.Bool("preload", false, "register every micro workload at startup and log the image IDs")
 
 	tenants := map[string]service.TenantConfig{}
 	flag.Func("tenant", "per-tenant policy name:rate=R,burst=B,depth=D,priority=P (repeatable)", func(v string) error {
@@ -112,9 +109,7 @@ func run() int {
 			Burst:      *burst,
 			QueueDepth: *depth,
 		},
-		Tenants:  tenants,
-		PoolSize: *poolSize,
-		NoPool:   *noPool,
+		Tenants: tenants,
 	})
 	recovered, err := s.Start()
 	if err != nil {
@@ -133,9 +128,6 @@ func run() int {
 				continue
 			}
 			logger.Printf("preloaded %s as %s", name, e.ID)
-		}
-		if shells := s.WarmPools(fpvm.AltBoxed, 0); shells > 0 {
-			logger.Printf("prewarmed %d VM shell(s)", shells)
 		}
 	}
 

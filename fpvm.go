@@ -520,9 +520,10 @@ func ConfigSignature(cfg Config) string {
 // further call fails. It is not safe for concurrent use, but may be
 // handed from one goroutine to another between slices.
 //
-// Prepare is split from execution for warm pooling: a serving layer can
-// construct VMs ahead of demand (off the request path) and hand each job
-// a pre-built shell. Everything captured at Prepare time is semantic
+// Prepare is split from execution so a caller can restore a snapshot
+// into a fresh VM, or set its quantum, before the first slice. fpvmd
+// builds one VM per job when the job is dispatched and drops it when the
+// job ends. Everything captured at Prepare time is semantic
 // configuration; the preemption quantum is a scheduling knob
 // (deliberately outside ConfigSignature) and may be adjusted per slice
 // with SetPreemptQuantum.

@@ -20,8 +20,8 @@ func NewPosit() *PositSystem { return &PositSystem{width: 64} }
 // NewPosit32 returns the posit32 system.
 func NewPosit32() *PositSystem { return &PositSystem{width: 32} }
 
-// Name distinguishes the widths: a posit32 snapshot or warm-pool entry
-// must never validate against a posit64 run.
+// Name distinguishes the widths: a posit32 snapshot must never validate
+// against a posit64 run.
 func (s *PositSystem) Name() string {
 	if s.width == 32 {
 		return "posit32"

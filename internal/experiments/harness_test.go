@@ -88,9 +88,9 @@ func TestAccuracyMetric(t *testing.T) {
 	}
 }
 
-// TestServiceBenchSmoke drives both serving benchmarks at a small offered
+// TestServiceBenchSmoke drives the serving benchmark at a small offered
 // load: every response must carry a deliberate status (Other == 0), the
-// overload phase must shed rather than collapse, and the JSON artifacts
+// overload phase must shed rather than collapse, and the JSON artifact
 // must round-trip.
 func TestServiceBenchSmoke(t *testing.T) {
 	rows, err := ServiceBench(8, nil)
@@ -121,17 +121,6 @@ func TestServiceBenchSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertJSONRows(t, path, len(rows))
-
-	poolRows, err := ServicePoolBench(8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ServicePoolTable(io.Discard, poolRows)
-	poolPath := filepath.Join(t.TempDir(), "pool.json")
-	if err := WritePoolJSON(poolPath, poolRows); err != nil {
-		t.Fatal(err)
-	}
-	assertJSONRows(t, poolPath, len(poolRows))
 }
 
 // TestMicroFigures: the trap-delivery and correctness microbenchmark

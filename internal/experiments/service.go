@@ -214,183 +214,6 @@ func serviceBenchPhase(phase string, jobs, depth int, logf func(string, ...any))
 	return row, nil
 }
 
-// ServicePoolRow is one mode of the warm-pool ablation: the same
-// request-sized job stream against a daemon with warm VM pooling
-// (prewarmed free-lists, async refill) and against one constructing
-// every VM cold (Config.NoPool). Latencies are wall-clock and
-// host-dependent; the structural regression signals are the pool hit
-// rate and that everything still completes in both modes.
-type ServicePoolRow struct {
-	Mode      string `json:"mode"` // "warm" | "cold"
-	Jobs      int    `json:"jobs"`
-	Workers   int    `json:"workers"`
-	PoolSize  int    `json:"pool_size"` // 0 in cold mode
-	Prewarmed int    `json:"prewarmed_shells"`
-
-	Completed int `json:"completed"`
-
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	WallSec    float64 `json:"wall_sec"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-
-	PoolHits    uint64  `json:"pool_hits"`
-	PoolMisses  uint64  `json:"pool_misses"`
-	PoolHitRate float64 `json:"pool_hit_rate"`
-}
-
-// servicePoolSize is the warm mode's per-image free-list target.
-const servicePoolSize = 8
-
-// ServicePoolBench runs the warm-vs-cold VM pool comparison: `jobs`
-// request-sized submissions (micro workload mix, Boxed IEEE) driven
-// straight into Service.Submit with exactly Workers concurrent clients,
-// so per-job latency measures service time — VM construction plus the
-// step loop — rather than queueing. The warm phase prewarms every
-// image's free-list first; the cold phase disables pooling outright.
-func ServicePoolBench(jobs int, progress io.Writer) ([]ServicePoolRow, error) {
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, format, args...)
-		}
-	}
-	if jobs <= 0 {
-		jobs = 600
-	}
-	var rows []ServicePoolRow
-	for _, mode := range []string{"cold", "warm"} {
-		row, err := servicePoolPhase(mode, jobs, logf)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
-}
-
-func servicePoolPhase(mode string, jobs int, logf func(string, ...any)) (*ServicePoolRow, error) {
-	cfg := service.Config{Workers: serviceBenchWorkers}
-	if mode == "cold" {
-		cfg.NoPool = true
-	} else {
-		cfg.PoolSize = servicePoolSize
-	}
-	s := service.New(cfg)
-	if _, err := s.Start(); err != nil {
-		return nil, err
-	}
-	defer s.Drain()
-
-	var imageIDs []string
-	for _, name := range workloads.MicroAll() {
-		e, err := s.Registry().Register(string(name))
-		if err != nil {
-			return nil, fmt.Errorf("pool bench: registering %s: %w", name, err)
-		}
-		imageIDs = append(imageIDs, e.ID)
-	}
-	prewarmed := 0
-	if mode == "warm" {
-		prewarmed = s.WarmPools(fpvm.AltBoxed, 0)
-	}
-	logf("== pool bench: %s, %d jobs, %d workers, %d prewarmed shells\n",
-		mode, jobs, serviceBenchWorkers, prewarmed)
-
-	latencies := make([]time.Duration, jobs)
-	statuses := make([]service.Status, jobs)
-	sem := make(chan struct{}, serviceBenchWorkers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			o := s.Submit(service.JobRequest{
-				Tenant:  "load",
-				ImageID: imageIDs[i%len(imageIDs)],
-				Alt:     fpvm.AltBoxed,
-			})
-			latencies[i] = time.Since(t0)
-			statuses[i] = o.Status
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	row := &ServicePoolRow{
-		Mode: mode, Jobs: jobs, Workers: serviceBenchWorkers,
-		Prewarmed: prewarmed, WallSec: wall.Seconds(),
-	}
-	if mode == "warm" {
-		row.PoolSize = servicePoolSize
-	}
-	for i, st := range statuses {
-		if st != service.StatusCompleted {
-			return nil, fmt.Errorf("pool bench (%s): job %d ended %s", mode, i, st)
-		}
-		row.Completed++
-	}
-	row.P50Ms = percentileMs(latencies, 0.50)
-	row.P99Ms = percentileMs(latencies, 0.99)
-	if wall > 0 {
-		row.JobsPerSec = float64(row.Completed) / wall.Seconds()
-	}
-
-	ps := s.PoolStats()
-	row.PoolHits, row.PoolMisses = ps.Hits, ps.Misses
-	if total := ps.Hits + ps.Misses; total > 0 {
-		row.PoolHitRate = float64(ps.Hits) / float64(total)
-	}
-	if mode == "warm" && row.PoolHits == 0 {
-		return nil, fmt.Errorf("pool bench (warm): prewarmed pool served no hits")
-	}
-	if mode == "cold" && (row.PoolHits != 0 || row.PoolMisses != 0) {
-		return nil, fmt.Errorf("pool bench (cold): NoPool daemon reported pool traffic")
-	}
-
-	logf("   %d completed in %.1fs; p50 %.2fms p99 %.2fms; hit rate %.2f (%d/%d)\n",
-		row.Completed, row.WallSec, row.P50Ms, row.P99Ms,
-		row.PoolHitRate, row.PoolHits, row.PoolHits+row.PoolMisses)
-	return row, nil
-}
-
-// ServicePoolTable prints the warm-vs-cold pool comparison.
-func ServicePoolTable(w io.Writer, rows []ServicePoolRow) {
-	fmt.Fprintln(w, "fpvmd warm VM pool ablation: request-sized jobs, warm prebuilt shells vs cold per-job construction")
-	fmt.Fprintln(w, "latencies are wall-clock (host-dependent); the regression signal is the hit rate and full completion")
-	fmt.Fprintf(w, "%6s %7s %8s %10s %10s %9s %9s %10s %9s\n",
-		"mode", "jobs", "workers", "prewarmed", "completed", "p50-ms", "p99-ms", "jobs/s", "hit-rate")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6s %7d %8d %10d %10d %9.2f %9.2f %10.1f %9.2f\n",
-			r.Mode, r.Jobs, r.Workers, r.Prewarmed, r.Completed,
-			r.P50Ms, r.P99Ms, r.JobsPerSec, r.PoolHitRate)
-	}
-}
-
-// WritePoolJSON writes the pool rows as the BENCH_9.json regression
-// artifact.
-func WritePoolJSON(path string, rows []ServicePoolRow) error {
-	doc := struct {
-		Benchmark string           `json:"benchmark"`
-		Config    string           `json:"config"`
-		Host      string           `json:"host"`
-		Rows      []ServicePoolRow `json:"rows"`
-	}{
-		Benchmark: "fpvmd-warm-pool",
-		Config:    "SEQ SHORT, Boxed IEEE, micro workloads via Service.Submit, warm pool vs NoPool",
-		Host:      fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
-		Rows:      rows,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func percentileMs(ds []time.Duration, p float64) float64 {
 	if len(ds) == 0 {
 		return 0

@@ -14,7 +14,7 @@ import (
 
 // altJobSystems are the alternative arithmetic systems jobs may request
 // beyond boxed/mpfr — promoted into the conformance matrix, so the
-// service must run, pool, and recover them like any first-class system.
+// service must run and recover them like any first-class system.
 var altJobSystems = []fpvm.AltKind{
 	fpvm.AltPosit, fpvm.AltPosit32, fpvm.AltInterval, fpvm.AltRational,
 }
@@ -61,71 +61,6 @@ func TestJobAltSystems(t *testing.T) {
 	o := s.Submit(JobRequest{Tenant: "alt", ImageID: e.ID, Alt: "no-such-system"})
 	if o.Status != StatusFailed || !strings.Contains(o.Detail, "no-such-system") {
 		t.Fatalf("bogus alt system: %s (%s), want clean failure naming it", o.Status, o.Detail)
-	}
-}
-
-// TestPoolKeySeparatesAltSystems pins the warm pool's fungibility rule:
-// shells are keyed by (image, alt, precision), so a checkout for one
-// system must never be served a shell built for another — and distinct
-// mpfr precisions are distinct keys too.
-func TestPoolKeySeparatesAltSystems(t *testing.T) {
-	r := NewRegistry()
-	e, err := r.Register("lorenz_attractor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newVMPool(2)
-	defer p.close()
-
-	if n := p.prewarm(e, fpvm.AltBoxed, 0); n != 2 {
-		t.Fatalf("prewarm built %d boxed shells, want 2", n)
-	}
-	// A posit checkout must miss — the parked boxed shells are not
-	// fungible across systems.
-	if vm := p.checkout(e, fpvm.AltPosit, 0); vm != nil {
-		t.Fatal("posit checkout was served a shell while only boxed shells were parked")
-	}
-	// The boxed free-list is untouched by the posit miss.
-	if vm := p.checkout(e, fpvm.AltBoxed, 0); vm == nil {
-		t.Fatal("boxed checkout missed though boxed shells were parked")
-	}
-	// Same system, different precision: also a distinct key.
-	if n := p.prewarm(e, fpvm.AltMPFR, 100); n == 0 {
-		t.Fatal("prewarm built no mpfr@100 shells")
-	}
-	if vm := p.checkout(e, fpvm.AltMPFR, 200); vm != nil {
-		t.Fatal("mpfr@200 checkout was served an mpfr@100 shell")
-	}
-
-	st := p.stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("pool counters hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
-	}
-}
-
-// TestWarmPoolServesAltJobsBitIdentically: an alt-system job served from
-// a warm shell must be indistinguishable from one constructed cold.
-func TestWarmPoolServesAltJobsBitIdentically(t *testing.T) {
-	s := startService(t, Config{Workers: 1, PoolSize: 2})
-	e := registerLorenz(t, s)
-
-	req := JobRequest{Tenant: "p", ImageID: e.ID, Alt: fpvm.AltInterval}
-	cold := s.Submit(req) // first interval job: pool miss, kicks a refill
-	if cold.Status != StatusCompleted {
-		t.Fatalf("cold run: %s (%s)", cold.Status, cold.Detail)
-	}
-	waitFor(t, func() bool { return s.PoolStats().Shells > 0 })
-
-	warm := s.Submit(req)
-	if warm.Status != StatusCompleted {
-		t.Fatalf("warm run: %s (%s)", warm.Status, warm.Detail)
-	}
-	if st := s.PoolStats(); st.Hits == 0 {
-		t.Fatalf("second interval job never hit the warm pool: %+v", st)
-	}
-	if warm.Stdout != cold.Stdout || warm.Digest != cold.Digest {
-		t.Fatalf("warm shell diverged from cold construction:\n got %q/%s\nwant %q/%s",
-			warm.Stdout, warm.Digest, cold.Stdout, cold.Digest)
 	}
 }
 

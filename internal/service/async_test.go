@@ -12,73 +12,6 @@ import (
 	"fpvm"
 )
 
-// A prewarmed pool must serve checkouts warm — and a pooled shell must
-// not change the job's result: same stdout and final-state digest as a
-// cold (pool-disabled) run.
-func TestWarmPoolServesHitsBitIdentically(t *testing.T) {
-	cold := startService(t, Config{Workers: 2, NoPool: true})
-	ec := registerLorenz(t, cold)
-	ref := cold.Submit(JobRequest{Tenant: "t", ImageID: ec.ID, Alt: fpvm.AltBoxed})
-	if ref.Status != StatusCompleted {
-		t.Fatalf("cold reference: %s (%s)", ref.Status, ref.Detail)
-	}
-	if cold.PoolStats() != (PoolStats{}) {
-		t.Fatal("NoPool service reports pool activity")
-	}
-
-	s := startService(t, Config{Workers: 2, PoolSize: 4})
-	e := registerLorenz(t, s)
-	built := s.WarmPools(fpvm.AltBoxed, 0)
-	if built == 0 {
-		t.Fatal("WarmPools built nothing")
-	}
-	ps := s.PoolStats()
-	if ps.Shells != built || ps.Refills != uint64(built) {
-		t.Fatalf("prewarm accounting: built %d, stats %+v", built, ps)
-	}
-
-	o := s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed})
-	if o.Status != StatusCompleted {
-		t.Fatalf("warm submission: %s (%s)", o.Status, o.Detail)
-	}
-	if o.Stdout != ref.Stdout || o.Digest != ref.Digest || o.ExitCode != ref.ExitCode {
-		t.Fatal("pooled run diverged from the cold run")
-	}
-	if got := s.PoolStats(); got.Hits == 0 {
-		t.Fatalf("prewarmed pool served no hits: %+v", got)
-	}
-}
-
-// Quarantine must invalidate every warm shell of the image, through
-// whichever path it arrives (operator call here; worker panics funnel
-// through the same registry hook). A distrusted image's pre-built state
-// is never served.
-func TestQuarantineInvalidatesWarmPool(t *testing.T) {
-	s := startService(t, Config{Workers: 1, PoolSize: 3})
-	e := registerLorenz(t, s)
-	built := s.WarmPools(fpvm.AltBoxed, 0)
-	if built == 0 {
-		t.Fatal("WarmPools built nothing")
-	}
-
-	s.Registry().Quarantine(e.ID, "operator distrust")
-
-	ps := s.PoolStats()
-	if ps.Invalidations != uint64(built) {
-		t.Fatalf("quarantine invalidated %d shells, want %d", ps.Invalidations, built)
-	}
-	if ps.Shells != 0 {
-		t.Fatalf("%d warm shells survive quarantine", ps.Shells)
-	}
-	if o := s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed}); o.Reason != ReasonQuarantined {
-		t.Fatalf("post-quarantine submission: %s/%s, want quarantined refusal", o.Status, o.Reason)
-	}
-	// And prewarming skips the quarantined image outright.
-	if n := s.WarmPools(fpvm.AltBoxed, 0); n != 0 {
-		t.Fatalf("WarmPools built %d shells for a quarantined image", n)
-	}
-}
-
 // The async lifecycle in-process: SubmitAsync answers with the pending
 // phase before the job runs, Outcome tracks the phases, and the event
 // log records the full pending → running → terminal sequence with dense

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -75,6 +76,31 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBody bounds the JSON body of POST /v1/images and
+// POST /v1/jobs. A job request with an inject spec is well under 1 KiB;
+// without a bound, one POST of a multi-GB string would make the daemon
+// buffer all of it.
+const maxRequestBody = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response — 413
+// for an oversized body, otherwise 400 with the decode error prefixed
+// by badRequest — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, badRequest string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]any{"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": badRequest + err.Error()})
+	default:
+		return true
+	}
+	return false
+}
+
 type registerRequest struct {
 	Workload string `json:"workload"`
 }
@@ -86,9 +112,13 @@ type registerResponse struct {
 }
 
 func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
+	const usage = "body must be {\"workload\": \"<name>\"}"
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Workload == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "body must be {\"workload\": \"<name>\"}"})
+	if !decodeBody(w, r, &req, usage+": ") {
+		return
+	}
+	if req.Workload == "" {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": usage})
 		return
 	}
 	entry, err := s.reg.Register(req.Workload)
@@ -102,8 +132,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed job request: " + err.Error()})
+	if !decodeBody(w, r, &req, "malformed job request: ") {
 		return
 	}
 	if req.Tenant == "" {
@@ -242,11 +271,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// Serve runs the HTTP API on addr until the listener fails or the
-// server is shut down externally; cmd/fpvmd wires signals around it.
-func (s *Service) Serve(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	return srv.ListenAndServe()
 }

@@ -30,6 +30,7 @@ type metrics struct {
 	recoveryRejects  uint64
 	panics           uint64
 	asyncSubmissions uint64
+	vmBuilds         uint64
 
 	breakdown telemetry.Breakdown
 }
@@ -118,6 +119,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"recovery_rejects_total", "snapshot files rejected during recovery", s.met.recoveryRejects},
 		{"worker_panics_total", "worker panics contained (image quarantined)", s.met.panics},
 		{"async_submissions_total", "jobs submitted through the async API", s.met.asyncSubmissions},
+		{"vm_builds_total", "VMs built for jobs: one per job run, one more per rejected snapshot", s.met.vmBuilds},
 	}
 	for _, c := range internals {
 		fmt.Fprintf(&sb, "# HELP fpvmd_%s %s\n# TYPE fpvmd_%s counter\nfpvmd_%s %d\n",
@@ -132,25 +134,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	fmt.Fprintf(&sb, "# HELP fpvmd_queued_jobs jobs waiting in tenant queues\n# TYPE fpvmd_queued_jobs gauge\nfpvmd_queued_jobs %d\n", queued)
 	fmt.Fprintf(&sb, "# HELP fpvmd_inflight_jobs jobs currently executing\n# TYPE fpvmd_inflight_jobs gauge\nfpvmd_inflight_jobs %d\n", inflight)
 	fmt.Fprintf(&sb, "# HELP fpvmd_state degradation ladder position (0=full 1=shedding 2=draining)\n# TYPE fpvmd_state gauge\nfpvmd_state %d\n", int(state))
-
-	if s.pool != nil {
-		ps := s.pool.stats()
-		poolCounters := []struct {
-			name, help string
-			v          uint64
-		}{
-			{"pool_hits_total", "jobs whose VM was a warm pooled shell", ps.Hits},
-			{"pool_misses_total", "jobs whose VM was constructed cold", ps.Misses},
-			{"pool_refills_total", "warm shells built by the pool", ps.Refills},
-			{"pool_invalidations_total", "warm shells dropped by quarantine invalidation", ps.Invalidations},
-			{"pool_build_failures_total", "warm shell constructions that failed", ps.BuildFailures},
-		}
-		for _, c := range poolCounters {
-			fmt.Fprintf(&sb, "# HELP fpvmd_%s %s\n# TYPE fpvmd_%s counter\nfpvmd_%s %d\n",
-				c.name, c.help, c.name, c.name, c.v)
-		}
-		fmt.Fprintf(&sb, "# HELP fpvmd_pool_shells warm VM shells currently parked\n# TYPE fpvmd_pool_shells gauge\nfpvmd_pool_shells %d\n", ps.Shells)
-	}
 
 	if _, err := io.WriteString(w, sb.String()); err != nil {
 		return err

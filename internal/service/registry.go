@@ -44,17 +44,14 @@ func (e *ImageEntry) Quarantined() (bool, string) {
 	return e.quarantined, e.reason
 }
 
-// quarantine marks the entry; reports whether this call made the
-// transition (re-quarantining keeps the first reason and returns false).
-func (e *ImageEntry) quarantine(reason string) bool {
+// quarantine marks the entry; re-quarantining keeps the first reason.
+func (e *ImageEntry) quarantine(reason string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.quarantined {
-		return false
+	if !e.quarantined {
+		e.quarantined = true
+		e.reason = reason
 	}
-	e.quarantined = true
-	e.reason = reason
-	return true
 }
 
 // Registry is the content-addressed image store. Guests are referenced
@@ -63,9 +60,21 @@ func (e *ImageEntry) quarantine(reason string) bool {
 type Registry struct {
 	mu   sync.Mutex
 	byID map[string]*ImageEntry
-	// onQuarantine callbacks fire once per image when it transitions
-	// into quarantine (warm-pool invalidation hangs off this).
-	onQuarantine []func(id string)
+}
+
+// jobVMConfig is the one VM configuration the service runs guests
+// under: Register trains each image's shared cache with it (boxed,
+// precision 0) and execute builds every job's VM from it, so a job
+// differs from the training run only in the alt system and precision it
+// asks for.
+func jobVMConfig(e *ImageEntry, alt fpvm.AltKind, precision uint) fpvm.Config {
+	return fpvm.Config{
+		Alt:       alt,
+		Precision: precision,
+		Seq:       true,
+		Short:     true,
+		Shared:    e.Shared,
+	}
 }
 
 // NewRegistry returns an empty registry.
@@ -122,38 +131,11 @@ func (r *Registry) Get(id string) (*ImageEntry, bool) {
 	return e, ok
 }
 
-// OnQuarantine registers fn to run whenever an image transitions into
-// quarantine (at most once per image). The service wires warm-pool
-// invalidation through this so no path that quarantines an image can
-// leave its pre-built VM shells serveable.
-func (r *Registry) OnQuarantine(fn func(id string)) {
-	r.mu.Lock()
-	r.onQuarantine = append(r.onQuarantine, fn)
-	r.mu.Unlock()
-}
-
 // Quarantine marks an image untrusted (a job running it panicked the
 // worker). Subsequent submissions against it are rejected with a
 // distinct status until the daemon restarts.
 func (r *Registry) Quarantine(id, reason string) {
-	r.mu.Lock()
-	e, ok := r.byID[id]
-	fns := r.onQuarantine
-	r.mu.Unlock()
-	if ok && e.quarantine(reason) {
-		for _, fn := range fns {
-			fn(id)
-		}
+	if e, ok := r.Get(id); ok {
+		e.quarantine(reason)
 	}
-}
-
-// entries snapshots the registered images (pool pre-warm iteration).
-func (r *Registry) entries() []*ImageEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	es := make([]*ImageEntry, 0, len(r.byID))
-	for _, e := range r.byID {
-		es = append(es, e)
-	}
-	return es
 }

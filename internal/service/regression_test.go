@@ -177,6 +177,10 @@ func TestRecoveryRunsFreshPastTornSnapshot(t *testing.T) {
 			if s.met.recoveryRejects != 1 {
 				t.Fatalf("recovery_rejects_total = %d, want 1 for the %s snapshot", s.met.recoveryRejects, tc.name)
 			}
+			// One VM to try the snapshot on, one to run the job fresh.
+			if got := s.PoolStats().Misses; got != 2 {
+				t.Fatalf("%d VM builds for a job whose snapshot was rejected; want 2", got)
+			}
 			o, ok := s.Outcome(id)
 			if !ok {
 				t.Fatalf("recovered job %s has no outcome", id)
@@ -321,6 +325,10 @@ func TestQuarantineRecheckedAtDispatch(t *testing.T) {
 	}
 	if !strings.Contains(o.Detail, "between admission and dispatch") {
 		t.Fatalf("refusal does not name the dispatch re-check: %q", o.Detail)
+	}
+	// The operator's quarantine holds for every later submission too.
+	if o := s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed}); o.Reason != ReasonQuarantined {
+		t.Fatalf("post-quarantine submission: %s/%s, want quarantined refusal", o.Status, o.Reason)
 	}
 }
 
@@ -506,9 +514,9 @@ func TestDeadlinePreemptionIsNotPersisted(t *testing.T) {
 	}
 }
 
-// Every slice of a job runs on the VM it was dispatched with: one pool
-// checkout per job, however many slices the job takes.
-func TestOnePoolCheckoutPerJob(t *testing.T) {
+// Every slice of a job runs on the VM built when it was dispatched: one
+// VM build per job, however many slices the job takes.
+func TestOneVMPerJob(t *testing.T) {
 	s := startService(t, Config{Workers: 1, PreemptQuantum: 50_000})
 	e := registerLorenz(t, s)
 	const jobs = 3
@@ -517,9 +525,8 @@ func TestOnePoolCheckoutPerJob(t *testing.T) {
 			t.Fatalf("job %d ended %s (%s)", i, o.Status, o.Detail)
 		}
 	}
-	st := s.PoolStats()
-	if got := st.Hits + st.Misses; got != jobs {
-		t.Fatalf("%d pool checkouts for %d multi-slice jobs; want one per job", got, jobs)
+	if got := s.PoolStats().Misses; got != jobs {
+		t.Fatalf("%d VM builds for %d multi-slice jobs; want one per job", got, jobs)
 	}
 }
 

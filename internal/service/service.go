@@ -159,17 +159,6 @@ type Config struct {
 	// Clock is the admission clock (nil = time.Now). Injectable so
 	// quota tests don't sleep.
 	Clock func() time.Time
-
-	// PoolSize is the warm VM pool's free-list target per registered
-	// image (and alt/precision variant): that many pre-built VM shells
-	// stay parked, refilled asynchronously after checkouts, so
-	// steady-state jobs skip VM construction (0 = Workers). A job checks
-	// out one VM and runs all its slices on it.
-	PoolSize int
-
-	// NoPool disables warm VM pooling entirely — every job constructs
-	// its VM cold. The ablation baseline for the warm-vs-cold bench.
-	NoPool bool
 }
 
 func (c *Config) workers() int {
@@ -219,13 +208,6 @@ func (c *Config) maxTenants() int {
 		return 1024
 	}
 	return c.MaxTrackedTenants
-}
-
-func (c *Config) poolSize() int {
-	if c.PoolSize <= 0 {
-		return c.workers()
-	}
-	return c.PoolSize
 }
 
 // JobRequest is one job submission.
@@ -283,12 +265,11 @@ type job struct {
 
 // Service is the multi-tenant FP-virtualization daemon core.
 type Service struct {
-	cfg  Config
-	reg  *Registry
-	adm  *admission
-	met  *metrics
-	jnl  *journal
-	pool *vmPool // nil when Config.NoPool
+	cfg Config
+	reg *Registry
+	adm *admission
+	met *metrics
+	jnl *journal
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -354,46 +335,34 @@ func New(cfg Config) *Service {
 		outcomes: make(map[string]*JobOutcome),
 		tracks:   make(map[string]*jobTrack),
 	}
-	if !cfg.NoPool {
-		s.pool = newVMPool(cfg.poolSize())
-	}
-	// Every quarantine — worker panic, dispatch re-check, operator call —
-	// funnels through the registry, so this one hook guarantees no
-	// quarantined image keeps warm shells.
-	s.reg.OnQuarantine(func(id string) {
-		if s.pool != nil {
-			s.pool.invalidate(id)
-		}
-	})
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// PoolStats snapshots the warm VM pool's counters (zero when pooling is
-// disabled).
-func (s *Service) PoolStats() PoolStats {
-	if s.pool == nil {
-		return PoolStats{}
-	}
-	return s.pool.stats()
+// PoolStats counts the VMs the service built for jobs as misses of a
+// pool that no longer exists: Hits is always 0.
+//
+// Deprecated: every job's VM is built at dispatch; read
+// fpvmd_vm_builds_total from /metrics.
+type PoolStats struct {
+	Hits   uint64
+	Misses uint64
 }
 
-// WarmPools synchronously fills every registered image's warm free-list
-// for the given alt/precision variant and reports how many shells were
-// built. Startup and bench helper — demand warms pools lazily otherwise.
-func (s *Service) WarmPools(alt fpvm.AltKind, precision uint) int {
-	if s.pool == nil {
-		return 0
-	}
-	built := 0
-	for _, e := range s.reg.entries() {
-		if q, _ := e.Quarantined(); q {
-			continue
-		}
-		built += s.pool.prewarm(e, alt, precision)
-	}
-	return built
+// PoolStats reports the VMs built for jobs so far as Misses.
+//
+// Deprecated: every job's VM is built at dispatch; read
+// fpvmd_vm_builds_total from /metrics.
+func (s *Service) PoolStats() PoolStats {
+	s.met.mu.Lock()
+	defer s.met.mu.Unlock()
+	return PoolStats{Misses: s.met.vmBuilds}
 }
+
+// WarmPools builds nothing and returns 0.
+//
+// Deprecated: there is no warm VM pool to fill.
+func (s *Service) WarmPools(alt fpvm.AltKind, precision uint) int { return 0 }
 
 // Registry exposes the image registry (the HTTP layer registers through
 // it).
@@ -844,7 +813,8 @@ func (s *Service) execute(j *job) {
 		}
 		cfg.Inject = inj
 	}
-	vm, err := s.jobVM(j, cfg)
+	s.met.bump(&s.met.vmBuilds)
+	vm, err := fpvm.Prepare(j.entry.Image, cfg)
 	if err == nil && j.snap != nil {
 		// A recovered job resumes from the snapshot its dead instance
 		// persisted last. Restore is the only validator: torn or corrupt
@@ -852,7 +822,8 @@ func (s *Service) execute(j *job) {
 		// are rejected, and the job runs fresh on a new VM.
 		if rerr := vm.Restore(j.snap); rerr != nil {
 			s.met.bump(&s.met.recoveryRejects)
-			vm, err = s.jobVM(j, cfg)
+			s.met.bump(&s.met.vmBuilds)
+			vm, err = fpvm.Prepare(j.entry.Image, cfg)
 		}
 		j.snap = nil
 	}
@@ -862,11 +833,12 @@ func (s *Service) execute(j *job) {
 		return
 	}
 
-	// One VM per job: every slice continues it in place. It is local to
-	// this call, so every way out — terminal status, deadline, drain,
-	// panic — drops it, and no job's state ever reaches another job. The
-	// deadline budget counts on the VM's own clock, so a restored job's
-	// first slice gets only what its dead instance left of the budget.
+	// One VM per job, built above at dispatch: every slice continues it
+	// in place. It is local to this call, so every way out — terminal
+	// status, deadline, drain, panic — drops it, and no job's state ever
+	// reaches another job. The deadline budget counts on the VM's own
+	// clock, so a restored job's first slice gets only what its dead
+	// instance left of the budget.
 	for {
 		q := s.cfg.quantum()
 		if j.deadline > 0 {
@@ -918,18 +890,6 @@ func (s *Service) execute(j *job) {
 		s.finish(j, s.outcomeFrom(j, res, st, detail))
 		return
 	}
-}
-
-// jobVM checks a VM for j out of the warm pool, or builds one cold.
-// Per-job fault injection changes the VM config, so those jobs bypass
-// the pool: a pooled shell must be exactly jobVMConfig.
-func (s *Service) jobVM(j *job, cfg fpvm.Config) (*fpvm.VM, error) {
-	if s.pool != nil && cfg.Inject == nil {
-		if vm := s.pool.checkout(j.entry, j.req.Alt, j.req.Precision); vm != nil {
-			return vm, nil
-		}
-	}
-	return fpvm.Prepare(j.entry.Image, cfg)
 }
 
 func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string) *JobOutcome {
@@ -1059,8 +1019,8 @@ func (s *Service) isDraining() bool {
 
 // Drain gracefully shuts the service down: admission stops, workers
 // suspend in-flight jobs at their next trap boundary (snapshot + journal
-// keep them recoverable), queued jobs are flushed as suspended, the warm
-// pool is emptied and the journal closed. Returns the number of jobs
+// keep them recoverable), queued jobs are flushed as suspended and the
+// journal is closed. Returns the number of jobs
 // suspended — counted directly at each suspension, never by scanning the
 // bounded outcome store (FIFO eviction would under-count on a busy
 // daemon). Concurrent callers wait for the first drain and report the
@@ -1110,9 +1070,6 @@ func (s *Service) Drain() int {
 		j.done <- o
 	}
 
-	if s.pool != nil {
-		s.pool.close()
-	}
 	if s.jnl != nil {
 		s.jnl.Close()
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -756,6 +758,40 @@ func TestTenantCardinalityBounded(t *testing.T) {
 	s.adm.mu.Unlock()
 	if buckets > 4 {
 		t.Fatalf("admission holds %d token buckets with cap 4", buckets)
+	}
+}
+
+// A request body past maxRequestBody is refused with 413 without being
+// decoded whole. The job body is a valid request for a registered image,
+// padded through its tenant name, so decoded whole it would be admitted
+// and journaled; refused, it leaves no job record.
+func TestOversizedBodyRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := startService(t, Config{Workers: 1, SnapshotDir: dir})
+	e := registerLorenz(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	pad := strings.Repeat("x", 2*maxRequestBody)
+	job, _ := json.Marshal(JobRequest{Tenant: pad, ImageID: e.ID, Alt: fpvm.AltBoxed})
+	image, _ := json.Marshal(registerRequest{Workload: pad})
+	for path, body := range map[string][]byte{"/v1/jobs": job, "/v1/images": image} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: HTTP %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"op":"job"`) {
+		t.Fatalf("the refused job was journaled:\n%.200s", data)
 	}
 }
 
