@@ -53,14 +53,16 @@ crash-soak:
 # Race-enabled chaos soak of the fpvmd serving stack: mixed tenants
 # with quotas, priorities and deadlines, async submissions racing the
 # blocking path, faults injected at every service site plus per-job VM
-# fault storms, a mid-flight SIGKILL with bit-identical recovery, and
-# drain/restart resume — including async jobs and deadline twins across
-# the restart, a recovered deadline counted from the restored clock, and
-# the journal compacted at every boot, and the shedding ladder under
-# queue pressure. Every response must carry a deliberate status and the
-# fault ledgers must reconcile. Wired into `make check`, which CI runs.
+# fault storms, a mid-flight SIGKILL with bit-identical recovery,
+# drain/restart resume (async jobs and deadline twins across the
+# restart, a recovered deadline counted from the restored clock, job
+# IDs that stay unique across it, the journal compacted at every boot),
+# the snapshot cadence (one write per persist interval, one at drain),
+# and the shedding ladder under queue pressure. Every response must
+# carry a deliberate status and the fault ledgers must reconcile. Wired
+# into `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
 # survives one iteration, so a benchmark whose run fails fails

@@ -2,10 +2,10 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"fpvm"
@@ -33,9 +33,12 @@ func digestOf(t *testing.T, res *fpvm.Result) string {
 // TestJobAltSystems: a job may request any promoted alt system via the
 // `alt` request param, and the service's run is indistinguishable from a
 // direct fpvm.Run under the same config — same stdout, same final-state
-// digest. A bogus system fails cleanly, never crashes a worker.
+// digest. A request the job's VM could not be built from — a bogus
+// system, a precision past maxPrecision, an inject spec that does not
+// parse — is refused at admission with 400 and never journaled.
 func TestJobAltSystems(t *testing.T) {
-	s := startService(t, Config{Workers: 2})
+	dir := t.TempDir()
+	s := startService(t, Config{Workers: 2, SnapshotDir: dir})
 	e := registerLorenz(t, s)
 
 	for _, a := range altJobSystems {
@@ -58,9 +61,32 @@ func TestJobAltSystems(t *testing.T) {
 		})
 	}
 
-	o := s.Submit(JobRequest{Tenant: "alt", ImageID: e.ID, Alt: "no-such-system"})
-	if o.Status != StatusFailed || !strings.Contains(o.Detail, "no-such-system") {
-		t.Fatalf("bogus alt system: %s (%s), want clean failure naming it", o.Status, o.Detail)
+	for _, bad := range []struct {
+		field string
+		req   JobRequest
+		named string // what the refusal's detail must name
+	}{
+		{"alt", JobRequest{Alt: "no-such-system"}, "no-such-system"},
+		{"precision", JobRequest{Alt: fpvm.AltMPFR, Precision: maxPrecision + 1}, fmt.Sprint(maxPrecision + 1)},
+		{"inject", JobRequest{Alt: fpvm.AltBoxed, InjectSpec: "no-such-site:every=1"}, "no-such-site"},
+	} {
+		req := bad.req
+		req.Tenant, req.ImageID = "alt", e.ID
+		o := s.Submit(req)
+		if o.Status != StatusFailed || o.Reason != ReasonInvalid || !strings.Contains(o.Detail, bad.named) {
+			t.Fatalf("bad %s: %s/%s (%s), want failed/%s naming %q",
+				bad.field, o.Status, o.Reason, o.Detail, ReasonInvalid, bad.named)
+		}
+		if got := httpStatus(o); got != http.StatusBadRequest {
+			t.Fatalf("bad %s maps to HTTP %d, want 400", bad.field, got)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), o.ID) {
+			t.Fatalf("the request with a bad %s was journaled as %s", bad.field, o.ID)
+		}
 	}
 }
 
@@ -88,12 +114,7 @@ func TestDrainRestartAltBitIdentity(t *testing.T) {
 			// the worker until the drain flag flips, so the job's first
 			// preemption boundary lands inside the drain window and the
 			// worker suspends it with a snapshot.
-			started := make(chan struct{})
-			var once sync.Once
-			s.testHookDispatch = func(*job) {
-				once.Do(func() { close(started) })
-				waitFor(t, s.isDraining)
-			}
+			started := holdDispatchUntilDrain(s)
 
 			out := make(chan *JobOutcome, 1)
 			go func() {

@@ -36,6 +36,8 @@ func httpStatus(o *JobOutcome) int {
 			return http.StatusNotFound
 		case ReasonQuarantined:
 			return http.StatusUnprocessableEntity
+		case ReasonInvalid:
+			return http.StatusBadRequest
 		}
 		return http.StatusInternalServerError
 	}

@@ -26,6 +26,7 @@ type metrics struct {
 	respondRetries   uint64
 	persistDegraded  uint64
 	persistFailures  uint64
+	snapshotsWritten uint64
 	journalFailures  uint64
 	recoveryRejects  uint64
 	panics           uint64
@@ -115,6 +116,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{"respond_retries_total", "injected respond faults resolved by retry", s.met.respondRetries},
 		{"persist_degraded_total", "snapshot persists degraded by injected faults", s.met.persistDegraded},
 		{"persist_failures_total", "snapshot persists that failed on real I/O", s.met.persistFailures},
+		{"snapshots_persisted_total", "job snapshots written: at each persist interval a job runs past, and at drain", s.met.snapshotsWritten},
 		{"journal_failures_total", "journal appends and boot compactions that failed (durability degraded)", s.met.journalFailures},
 		{"recovery_rejects_total", "snapshot files rejected during recovery", s.met.recoveryRejects},
 		{"worker_panics_total", "worker panics contained (image quarantined)", s.met.panics},

@@ -425,22 +425,19 @@ func TestRefundSurvivesBucketEviction(t *testing.T) {
 	}
 }
 
-// A drained job's snapshot is persisted once per preemption. Pre-fix,
-// execute persisted the preemption and suspend then persisted the same
-// bytes again: two more fsyncs, and a second svc.persist fault check, so
-// a single injected persist fault could never forfeit a drained job's
-// snapshot. The injector arms no rule here; it only counts the checks.
+// A drained job's snapshot is persisted once. Pre-fix, execute persisted
+// the preemption and suspend then persisted the same bytes again: two
+// more fsyncs, and a second svc.persist fault check, so a single injected
+// persist fault could never forfeit a drained job's snapshot. The
+// service persists at every preemption here, so the drained preemption
+// is due under the interval rule and the drain rule both, and must still
+// be written once. The injector arms no rule; it only counts the checks.
 func TestDrainPersistsSuspendedJobOnce(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.New(1)
 	s := New(Config{Workers: 1, PreemptQuantum: 50_000, SnapshotDir: dir, Inject: inj})
-	dispatched := make(chan struct{})
-	s.testHookDispatch = func(*job) {
-		close(dispatched)
-		for !s.isDraining() {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	s.persistEvery = 1
+	dispatched := holdDispatchUntilDrain(s)
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,11 +462,12 @@ func TestDrainPersistsSuspendedJobOnce(t *testing.T) {
 }
 
 // The preemption that blows a deadline ends the job, so it is never
-// persisted: a job cancelled at its k-th preemption consults svc.persist
-// k−1 times. Pre-fix, execute persisted every preemption and finish
-// deleted the last file at once — a Snapshot, a temp write, two fsyncs, a
-// rename and a remove thrown away per deadline job. The injector arms no
-// rule; it only counts the checks.
+// persisted: a job cancelled at its k-th preemption of a service that
+// persists at every preemption consults svc.persist k−1 times. Pre-fix,
+// execute persisted every preemption and finish deleted the last file at
+// once — a Snapshot, a temp write, two fsyncs, a rename and a remove
+// thrown away per deadline job. The injector arms no rule; it only
+// counts the checks.
 func TestDeadlinePreemptionIsNotPersisted(t *testing.T) {
 	probe := startService(t, Config{Workers: 1})
 	e := registerLorenz(t, probe)
@@ -505,6 +503,7 @@ func TestDeadlinePreemptionIsNotPersisted(t *testing.T) {
 
 	inj := faultinject.New(1)
 	s := startService(t, Config{Workers: 1, PreemptQuantum: quantum, SnapshotDir: t.TempDir(), Inject: inj})
+	s.persistEvery = 1
 	o := s.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, s).ID, Alt: fpvm.AltBoxed, DeadlineCycles: deadline})
 	if o.Status != StatusDeadline {
 		t.Fatalf("job ended %s (%s), want deadline-exceeded", o.Status, o.Detail)
@@ -682,11 +681,11 @@ func TestJournalCompactedAtBoot(t *testing.T) {
 	}
 }
 
-// fpvmd persists a snapshot at every preemption a job continues past, so
-// a snapshot must cost what the guest changed: zero pages travel as their
-// addresses and the heap is packed. Every micro image at the default
-// 250k quantum snapshots under 64 KiB; with every writable page written
-// out in full, each was ~409 KiB.
+// A snapshot must cost what the guest changed: zero pages travel as
+// their addresses and the heap is packed. Every micro image at the
+// default 250k quantum snapshots under 64 KiB at every preemption, where
+// a drain may persist it; with every writable page written out in full,
+// each was ~409 KiB.
 func TestMicroSnapshotsStaySmall(t *testing.T) {
 	const quantum, limit = 250_000, 64 << 10
 	reg := NewRegistry()
@@ -721,5 +720,133 @@ func TestMicroSnapshotsStaySmall(t *testing.T) {
 	}
 	if snaps == 0 {
 		t.Fatal("no micro image was preempted; nothing was measured")
+	}
+}
+
+// fpvmd persists a job each time its VM clock runs persistInterval cycles
+// past the job's last persist point, and once at drain; never at every
+// preemption. Under the defaults (250k quantum, 16M-cycle interval) no
+// boxed micro job writes a snapshot; a long job, enzo at mpfr 1,000 bits,
+// writes exactly the count a reference RunSlice loop at the same quantum
+// derives from the rule; and a drained job that never persisted is
+// written exactly once and resumes bit-identically on the next instance.
+// fpvmd_snapshots_persisted_total reports each count.
+func TestPersistCadence(t *testing.T) {
+	written := func(s *Service) uint64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := s.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "fpvmd_snapshots_persisted_total "); ok {
+				var n uint64
+				if _, err := fmt.Sscan(v, &n); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("/metrics has no fpvmd_snapshots_persisted_total")
+		return 0
+	}
+	var defaults Config
+	quantum := defaults.quantum()
+	dir := t.TempDir()
+	// The injector arms no rule; it counts persist attempts, written or not.
+	inj := faultinject.New(1)
+	s := startService(t, Config{Workers: 1, SnapshotDir: dir, Inject: inj})
+	attempts := func() uint64 { return inj.Stats(faultinject.SiteSvcPersist).Checks }
+	register := func(name workloads.Name) *ImageEntry {
+		t.Helper()
+		e, err := s.Registry().Register(string(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	preempted := 0
+	for _, name := range workloads.MicroAll() {
+		o := s.Submit(JobRequest{Tenant: "t", ImageID: register(name).ID, Alt: fpvm.AltBoxed})
+		if o.Status != StatusCompleted {
+			t.Fatalf("%s: %s (%s)", name, o.Status, o.Detail)
+		}
+		if o.Cycles > quantum {
+			preempted++
+		}
+	}
+	if preempted == 0 {
+		t.Fatal("no micro job ran past one quantum; the interval went untested")
+	}
+	if got, tried := written(s), attempts(); got != 0 || tried != 0 {
+		t.Fatalf("micro jobs persisted %d snapshots in %d attempts, want 0", got, tried)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "job-*.snap*")); len(snaps) != 0 {
+		t.Fatalf("micro jobs left %v", snaps)
+	}
+
+	// The long job: its persist points, derived on a VM of its own.
+	const precision = 1000
+	enzo := register(workloads.Enzo)
+	vm, err := fpvm.Prepare(enzo.Image, jobVMConfig(enzo, fpvm.AltMPFR, precision))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.SetPreemptQuantum(quantum)
+	var want, last uint64
+	for {
+		res, err := vm.RunSlice()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Preempted {
+			break
+		}
+		if res.Cycles-last >= persistInterval {
+			want, last = want+1, res.Cycles
+		}
+	}
+	if want == 0 {
+		t.Fatal("the enzo job never reaches a persist point; the interval went untested")
+	}
+	o := s.Submit(JobRequest{Tenant: "t", ImageID: enzo.ID, Alt: fpvm.AltMPFR, Precision: precision})
+	if o.Status != StatusCompleted || o.Cycles != vm.Cycles() {
+		t.Fatalf("enzo mpfr job: %s at %d cycles (%s), want completed at %d", o.Status, o.Cycles, o.Detail, vm.Cycles())
+	}
+	if got, tried := written(s), attempts(); got != want || tried != want {
+		t.Fatalf("a %d-cycle job persisted %d snapshots in %d attempts, want %d (one per %d cycles)",
+			o.Cycles, got, tried, want, persistInterval)
+	}
+	t.Logf("enzo at mpfr %d bits: %d cycles, %d snapshots persisted", precision, o.Cycles, want)
+
+	// The drained job: held at dispatch until the drain, so it is
+	// suspended at its first preemption, before any persist point.
+	ddir := t.TempDir()
+	d := New(Config{Workers: 1, SnapshotDir: ddir})
+	dispatched := holdDispatchUntilDrain(d)
+	if _, err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lorenz := registerLorenz(t, d)
+	held := d.SubmitAsync(JobRequest{Tenant: "t", ImageID: lorenz.ID, Alt: fpvm.AltBoxed})
+	<-dispatched
+	if n := d.Drain(); n != 1 {
+		t.Fatalf("drain suspended %d jobs, want 1", n)
+	}
+	if got := written(d); got != 1 {
+		t.Fatalf("the drained job persisted %d snapshots, want 1", got)
+	}
+	d2 := startService(t, Config{Workers: 1, SnapshotDir: ddir})
+	rec, ok := d2.Outcome(held.ID)
+	if !ok || rec.Status != StatusRecovered || !strings.Contains(rec.Detail, "resumed from snapshot") {
+		t.Fatalf("drained job after restart: %+v (ok=%v), want recovered from its snapshot", rec, ok)
+	}
+	ref, err := fpvm.Run(lorenz.Image, jobVMConfig(lorenz, fpvm.AltBoxed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Stdout != ref.Stdout || rec.Digest != digestOf(t, ref) || rec.Cycles != ref.Cycles {
+		t.Fatal("the resumed job diverged from an uninterrupted run")
 	}
 }

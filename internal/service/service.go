@@ -74,7 +74,34 @@ const (
 	ReasonUnknownImage Reason = "unknown-image"
 	// ReasonQuarantined: the image is quarantined after a panic (422).
 	ReasonQuarantined Reason = "quarantined"
+	// ReasonInvalid: the request names an unknown alt system, a
+	// precision past maxPrecision or an unparsable inject spec (400).
+	ReasonInvalid Reason = "invalid-request"
 )
+
+// maxPrecision bounds a job's precision in bits. MPFR host time grows
+// quadratically with precision (Lorenz on a 2-vCPU host: 5 ms at 1,000
+// bits, 149 ms at 16,000, 1.7 s at 64,000) and no deadline applies by
+// default, so an unbounded request could hold a worker for hours and
+// stall a drain at every trap boundary. 4,096 bits is 4× the largest
+// precision the repository sweeps (1,024).
+const maxPrecision = 4096
+
+// persistInterval is how far a job's VM clock advances, in virtual
+// cycles, between the snapshots fpvmd persists for it. A snapshot is a
+// progress cache, not a record: the journal makes an accepted job
+// durable, Restore validates whatever file survives, and a job without
+// one reruns fresh to the same digest. So the interval weighs a write's
+// cost against the work a crash may lose. Young's first-order optimum
+// (J. W. Young, "A first order approximation to the optimum checkpoint
+// interval", CACM 17(9), 1974), √(2 × write cost × MTBF), is far longer
+// than a request-sized job for any MTBF of minutes, so the binding limit
+// is the progress a crash may cost. 16M cycles is 7–11 ms of host work
+// at 460–705 ns per kcycle against ~0.7–0.8 ms per persist (2-vCPU
+// host): a long job spends 6–11% of its host time on durability, and a
+// micro job (0.17M–9.8M cycles) writes nothing unless it is drained.
+// Counted on the VM clock, persist points are deterministic.
+const persistInterval = 16_000_000
 
 // State is the degradation ladder's position.
 type State int32
@@ -117,9 +144,10 @@ type Config struct {
 	// deadline (0 = none).
 	DefaultDeadlineCycles uint64
 
-	// SnapshotDir, when set, enables crash durability: preemption
-	// snapshots and the submission journal land here, and startup
-	// recovers unfinished jobs from it. "" disables persistence.
+	// SnapshotDir, when set, enables crash durability: job snapshots
+	// (one each persistInterval cycles a job runs, and one at drain) and
+	// the submission journal land here, and startup recovers unfinished
+	// jobs from it. "" disables persistence.
 	SnapshotDir string
 
 	// Inject, when set, arms the service-layer fault sites (svc.admit,
@@ -260,7 +288,10 @@ type job struct {
 	deadline  uint64
 	recovered bool
 	snap      []byte
-	done      chan *JobOutcome
+	// inject is the job's VM fault injector, parsed from its request at
+	// admission (nil without a spec, and for a recovered job).
+	inject *faultinject.Injector
+	done   chan *JobOutcome
 }
 
 // Service is the multi-tenant FP-virtualization daemon core.
@@ -320,20 +351,24 @@ type Service struct {
 	// has been placed on its queue, before workers are signalled — the
 	// journal-ordering test's probe point.
 	testHookPreSignal func(*job)
+	// persistEvery is the persist interval in virtual cycles:
+	// persistInterval, which tests lower to persist at every preemption.
+	persistEvery uint64
 }
 
 // New builds a Service. Call Start to recover journaled work and launch
 // the worker pool.
 func New(cfg Config) *Service {
 	s := &Service{
-		cfg:      cfg,
-		reg:      NewRegistry(),
-		adm:      newAdmission(cfg.DefaultTenant, cfg.Tenants, cfg.Clock, cfg.maxTenants()),
-		met:      newMetrics(cfg.maxTenants()),
-		gen:      1,
-		queues:   make(map[string][]*job),
-		outcomes: make(map[string]*JobOutcome),
-		tracks:   make(map[string]*jobTrack),
+		cfg:          cfg,
+		reg:          NewRegistry(),
+		adm:          newAdmission(cfg.DefaultTenant, cfg.Tenants, cfg.Clock, cfg.maxTenants()),
+		met:          newMetrics(cfg.maxTenants()),
+		gen:          1,
+		queues:       make(map[string][]*job),
+		outcomes:     make(map[string]*JobOutcome),
+		tracks:       make(map[string]*jobTrack),
+		persistEvery: persistInterval,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -499,13 +534,23 @@ func (s *Service) SubmitAsync(req JobRequest) *JobOutcome {
 }
 
 // accept is the shared front half of Submit and SubmitAsync: mint an ID,
-// admit, enqueue. (nil, outcome) is a refusal; (job, nil) an accepted
-// job the worker pool now owns.
+// validate, admit, enqueue. (nil, outcome) is a refusal; (job, nil) an
+// accepted job the worker pool now owns.
 func (s *Service) accept(req JobRequest) (*job, *JobOutcome) {
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("j%d_%05d_%s", s.gen, s.seq, sanitizeID(req.Tenant))
 	s.mu.Unlock()
+
+	// A malformed request is refused before it costs a quota token or a
+	// journal fsync: it would only fail at dispatch.
+	inj, err := validate(req)
+	if err != nil {
+		out := &JobOutcome{ID: id, Tenant: req.Tenant, Status: StatusFailed,
+			Reason: ReasonInvalid, Detail: err.Error()}
+		s.record(out)
+		return nil, out
+	}
 
 	entry, out := s.admit(id, req)
 	if out != nil {
@@ -518,6 +563,7 @@ func (s *Service) accept(req JobRequest) (*job, *JobOutcome) {
 		req:      req,
 		entry:    entry,
 		deadline: req.DeadlineCycles,
+		inject:   inj,
 		done:     make(chan *JobOutcome, 1),
 	}
 	if j.deadline == 0 {
@@ -529,6 +575,27 @@ func (s *Service) accept(req JobRequest) (*job, *JobOutcome) {
 		return nil, out
 	}
 	return j, nil
+}
+
+// validate checks the request fields a job's VM is built from: the alt
+// system must exist, the precision must not pass maxPrecision, and the
+// inject spec must parse. It returns the parsed injector (nil without a
+// spec).
+func validate(req JobRequest) (*faultinject.Injector, error) {
+	if req.Precision > maxPrecision {
+		return nil, fmt.Errorf("precision %d bits exceeds the %d-bit bound", req.Precision, maxPrecision)
+	}
+	if _, err := fpvm.NewAltSystem(req.Alt, req.Precision); err != nil {
+		return nil, err
+	}
+	if req.InjectSpec == "" {
+		return nil, nil
+	}
+	inj, err := faultinject.ParseSpec(req.InjectSpec, req.InjectSeed)
+	if err != nil {
+		return nil, fmt.Errorf("bad inject spec: %w", err)
+	}
+	return inj, nil
 }
 
 // admit runs the admission pipeline; a nil outcome means admitted, and
@@ -804,15 +871,7 @@ func (s *Service) execute(j *job) {
 		Status: StatusRunning, Detail: "executing"})
 
 	cfg := jobVMConfig(j.entry, j.req.Alt, j.req.Precision)
-	if j.req.InjectSpec != "" {
-		inj, err := faultinject.ParseSpec(j.req.InjectSpec, j.req.InjectSeed)
-		if err != nil {
-			s.finish(j, &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Workload: j.entry.Workload,
-				Status: StatusFailed, Detail: "bad inject spec: " + err.Error()})
-			return
-		}
-		cfg.Inject = inj
-	}
+	cfg.Inject = j.inject
 	s.met.bump(&s.met.vmBuilds)
 	vm, err := fpvm.Prepare(j.entry.Image, cfg)
 	if err == nil && j.snap != nil {
@@ -836,9 +895,11 @@ func (s *Service) execute(j *job) {
 	// One VM per job, built above at dispatch: every slice continues it
 	// in place. It is local to this call, so every way out — terminal
 	// status, deadline, drain, panic — drops it, and no job's state ever
-	// reaches another job. The deadline budget counts on the VM's own
-	// clock, so a restored job's first slice gets only what its dead
-	// instance left of the budget.
+	// reaches another job. The deadline budget and the persist interval
+	// both count on the VM's own clock, so a restored job's first slice
+	// gets only what its dead instance left of the budget, and its next
+	// persist comes an interval after the state it restored.
+	persisted := vm.Cycles()
 	for {
 		q := s.cfg.quantum()
 		if j.deadline > 0 {
@@ -864,10 +925,16 @@ func (s *Service) execute(j *job) {
 					fmt.Sprintf("deadline %d cycles exceeded at %d", j.deadline, res.Cycles)))
 				return
 			}
-			s.persist(j, vm)
 			if s.isDraining() {
+				// Drain writes the slice it suspends exactly once, whether
+				// or not the interval is also due.
+				s.persist(j, vm)
 				s.suspend(j, res)
 				return
+			}
+			if res.Cycles-persisted >= s.persistEvery {
+				s.persist(j, vm)
+				persisted = res.Cycles
 			}
 			continue
 		}
@@ -910,9 +977,14 @@ func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string
 }
 
 // persist serializes a preempted job's VM and writes the snapshot for
-// crash durability — once per preemption the job continues past, drain
-// included. An injected persist fault (or a real capture or write
-// failure) degrades durability only: the live VM keeps the job running.
+// crash durability. execute calls it at a preemption the job continues
+// past once the VM clock has advanced persistEvery cycles since the
+// job's last persist point (or since its VM was built or restored), and
+// once more at the preemption a drain suspends; never at the preemption
+// that ends a job. An injected persist fault (or a real capture or write
+// failure) degrades durability only: the live VM keeps the job running,
+// any earlier snapshot of the job stays in place, and the next persist
+// point still comes an interval later.
 func (s *Service) persist(j *job, vm *fpvm.VM) {
 	if s.cfg.SnapshotDir == "" {
 		return
@@ -928,7 +1000,9 @@ func (s *Service) persist(j *job, vm *fpvm.VM) {
 	}
 	if err != nil {
 		s.met.bump(&s.met.persistFailures)
+		return
 	}
+	s.met.bump(&s.met.snapshotsWritten)
 }
 
 // suspend parks an in-flight job during drain: its last preemption's

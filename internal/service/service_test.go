@@ -333,6 +333,21 @@ func TestSheddingLadderUnderPressure(t *testing.T) {
 	}
 }
 
+// holdDispatchUntilDrain makes the first job s dispatches wait at
+// dispatch until a drain has begun, so its first preemption is the one
+// the drain suspends; the returned channel closes at that dispatch.
+func holdDispatchUntilDrain(s *Service) <-chan struct{} {
+	dispatched := make(chan struct{})
+	var once sync.Once
+	s.testHookDispatch = func(*job) {
+		once.Do(func() { close(dispatched) })
+		for !s.isDraining() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return dispatched
+}
+
 func TestDrainSuspendsAndJournals(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{Workers: 1, PreemptQuantum: 2_000, SnapshotDir: dir})
@@ -341,17 +356,21 @@ func TestDrainSuspendsAndJournals(t *testing.T) {
 	}
 	e := registerLorenz(t, s)
 
-	// A stack of slow submissions, then drain mid-flight.
-	outs := make(chan *JobOutcome, 6)
+	// A stack of submissions, then drain with one in flight (held at
+	// dispatch) and the rest queued behind it.
+	const jobs = 6
+	dispatched := holdDispatchUntilDrain(s)
+	outs := make(chan *JobOutcome, jobs)
 	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
+	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			outs <- s.Submit(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed})
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
+	<-dispatched
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.queued == jobs-1 })
 	suspended := s.Drain()
 	wg.Wait()
 	close(outs)
@@ -381,8 +400,8 @@ func TestDrainSuspendsAndJournals(t *testing.T) {
 	if len(pending) != suspended {
 		t.Fatalf("journal holds %d pending jobs, Drain reported %d suspended", len(pending), suspended)
 	}
-	if suspended+completed == 0 {
-		t.Fatal("test exercised nothing: no job completed or suspended")
+	if suspended != jobs || completed != 0 {
+		t.Fatalf("drain suspended %d jobs and %d completed; want all %d suspended", suspended, completed, jobs)
 	}
 
 	s2 := New(Config{Workers: 2, SnapshotDir: dir})
@@ -518,18 +537,24 @@ func TestJobIDsUniqueAcrossRestart(t *testing.T) {
 		note(o)
 	}
 
-	// Jobs caught by a drain: journaled pending for the next instance.
-	outs := make(chan *JobOutcome, 3)
+	// Jobs caught by a drain, one in flight and two queued: journaled
+	// pending for the next instance.
+	const caught = 3
+	dispatched := holdDispatchUntilDrain(s)
+	outs := make(chan *JobOutcome, caught)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := 0; i < caught; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			outs <- s.Submit(JobRequest{Tenant: "a", ImageID: e.ID, Alt: fpvm.AltBoxed})
 		}()
 	}
-	time.Sleep(10 * time.Millisecond)
-	s.Drain()
+	<-dispatched
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.queued == caught-1 })
+	if n := s.Drain(); n != caught {
+		t.Fatalf("drain suspended %d jobs, want %d", n, caught)
+	}
 	wg.Wait()
 	close(outs)
 	for o := range outs {
@@ -540,8 +565,8 @@ func TestJobIDsUniqueAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) == 0 {
-		t.Fatal("test exercised nothing: no job left pending for recovery")
+	if len(pending) != caught {
+		t.Fatalf("journal holds %d pending jobs, want the %d the drain suspended", len(pending), caught)
 	}
 
 	s2 := New(Config{Workers: 1, SnapshotDir: dir})
@@ -569,6 +594,9 @@ func TestJobIDsUniqueAcrossRestart(t *testing.T) {
 		if !o.Recovered {
 			t.Fatalf("outcome for %s was overwritten by a new submission: %s (%s)",
 				rec.ID, o.Status, o.Detail)
+		}
+		if o.Status != StatusRecovered {
+			t.Fatalf("recovered job %s ended %s (%s), want recovered", rec.ID, o.Status, o.Detail)
 		}
 	}
 }
@@ -809,6 +837,7 @@ func TestHTTPStatusSwitchesOnReason(t *testing.T) {
 		{JobOutcome{Status: StatusShed, Reason: ReasonFault}, http.StatusServiceUnavailable},
 		{JobOutcome{Status: StatusFailed, Reason: ReasonUnknownImage}, http.StatusNotFound},
 		{JobOutcome{Status: StatusFailed, Reason: ReasonQuarantined}, http.StatusUnprocessableEntity},
+		{JobOutcome{Status: StatusFailed, Reason: ReasonInvalid}, http.StatusBadRequest},
 		{JobOutcome{Status: StatusFailed}, http.StatusInternalServerError},
 	}
 	for _, c := range cases {

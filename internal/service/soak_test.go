@@ -42,6 +42,9 @@ func TestServiceChaosSoak(t *testing.T) {
 			"beta":  {QueueDepth: 4, Priority: 0},
 		},
 	})
+	// Persist at every preemption: request-sized jobs never reach the
+	// default interval, and the storm must keep reaching svc.persist.
+	s.persistEvery = 1
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +187,9 @@ func TestServiceChaosSoak(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("no service-site fault fired — the soak injected nothing")
 	}
+	if inj.Stats(faultinject.SiteSvcPersist).Fired == 0 {
+		t.Fatal("no svc.persist fault fired — the storm never reached the persist path")
+	}
 }
 
 // Kill-recovery harness, the service's version of the fleet's crash
@@ -212,8 +218,8 @@ func svcCrashVariants() []svcCrashVariant {
 }
 
 // TestServiceCrashHelper is the child half: submit one job per variant
-// with a tiny quantum (many slices, many persisted snapshots), then
-// hang until the parent kills the process.
+// with a tiny quantum and a snapshot persisted at every preemption (many
+// slices, many snapshots), then hang until the parent kills the process.
 func TestServiceCrashHelper(t *testing.T) {
 	if os.Getenv(svcCrashHelperEnv) != "1" {
 		t.Skip("harness child; run via TestServiceKillRecover")
@@ -223,6 +229,7 @@ func TestServiceCrashHelper(t *testing.T) {
 		PreemptQuantum: 500,
 		SnapshotDir:    os.Getenv(svcCrashDirEnv),
 	})
+	s.persistEvery = 1
 	if _, err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
