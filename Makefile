@@ -58,11 +58,12 @@ crash-soak:
 # restart, a recovered deadline counted from the restored clock, job
 # IDs that stay unique across it, the journal compacted at every boot),
 # the snapshot cadence (one write per persist interval, one at drain),
-# and the shedding ladder under queue pressure. Every response must
+# a fault-injected job recovered as its live twin, and the shedding
+# ladder under queue pressure. Every response must
 # carry a deliberate status and the fault ledgers must reconcile. Wired
 # into `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart|TestInjectedJobRecoversAsLiveTwin' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
 # survives one iteration, so a benchmark whose run fails fails

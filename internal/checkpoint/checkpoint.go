@@ -138,12 +138,13 @@ func (m *Manager) Restore(p *kernel.Process, cloneVal func(any) any) (
 		panic("checkpoint: Restore called with no saved snapshot (check Has() first)")
 	}
 	for _, pa := range m.as.DirtyPages() {
-		data, ok := m.as.PageData(pa)
-		if !ok {
+		if !m.as.Mapped(pa) {
 			continue // dirtied then unmapped; nothing to rewind
 		}
 		if buf, ok := snap.pages[pa]; ok {
-			copy(data, buf)
+			// Through OverwritePage, never into PageData's bytes: an
+			// untouched page's are the shared zero page.
+			m.as.OverwritePage(pa, buf)
 		}
 	}
 	m.as.ResetDirty() // memory now equals the image again

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"testing"
 
 	"fpvm/internal/heap"
@@ -220,4 +221,50 @@ func mustGet(t *testing.T, a *heap.Allocator, h uint64) any {
 		t.Fatalf("handle %#x not live", h)
 	}
 	return v
+}
+
+// TestRestoreOverUntouchedPageKeepsZeroPageZero: a page that is dirty
+// but untouched at Restore (its bytes dropped by OverwritePage(nil)
+// after the Save) reads as the shared zero page, so Restore must give it
+// bytes of its own rather than copy the snapshot into PageData's slice.
+// Two VMs restore at once, so under -race a write to the one shared
+// page is also reported as a race.
+func TestRestoreOverUntouchedPageKeepsZeroPageZero(t *testing.T) {
+	const pa = 0x1000
+	done := make(chan error, 2)
+	for vm := 0; vm < 2; vm++ {
+		p, as := newVM(t)
+		go func() {
+			mgr := New(as)
+			if err := as.WriteUint64(pa+8, 0xFEED); err != nil {
+				done <- err
+				return
+			}
+			mgr.Save(machine.CPU{}, p, heap.New(0), cloneMut, telemetry.Breakdown{}, nil)
+			as.OverwritePage(pa, nil) // dirty and untouched
+			if as.Allocated(pa) {
+				done <- fmt.Errorf("page allocated after OverwritePage(nil)")
+				return
+			}
+			mgr.Restore(p, cloneMut)
+			if v, err := as.ReadUint64(pa + 8); err != nil || v != 0xFEED {
+				done <- fmt.Errorf("restored word %#x, %v; want 0xfeed", v, err)
+				return
+			}
+			done <- nil
+		}()
+	}
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Any untouched page of a fresh space reads the shared zero page.
+	_, fresh := newVM(t)
+	data, _ := fresh.PageData(pa)
+	for i, b := range data {
+		if b != 0 {
+			t.Fatalf("the shared zero page holds %#x at offset %d", b, i)
+		}
+	}
 }

@@ -255,10 +255,10 @@ func (r *Runtime) demoteRoots(cpu *machine.CPU) {
 func (r *Runtime) demoteMemory() {
 	as := r.m.Mem
 	for _, pa := range as.WritablePages() {
-		data, ok := as.PageData(pa)
-		if !ok {
-			continue
+		if !as.Allocated(pa) {
+			continue // untouched: reads as zeros, holds no box
 		}
+		data, _ := as.PageData(pa)
 		for off := 0; off+8 <= len(data); off += 8 {
 			bits := leUint64(data[off:])
 			if r.boxedLive(bits) {

@@ -55,18 +55,17 @@ func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint6
 
 	// An all-zero page travels as its address alone: most writable pages
 	// of a suspended guest (an untouched stack, an unused heap) are zero,
-	// and restore zero-fills them.
+	// and restore zero-fills them. A page the guest never wrote is not
+	// even compared.
 	as := r.p.M.Mem
 	writable := as.WritablePages()
 	pages := make([]checkpoint.Page, 0, len(writable))
 	for _, pa := range writable {
-		data, ok := as.PageData(pa)
-		if !ok {
-			continue
-		}
 		pg := checkpoint.Page{Addr: pa}
-		if !bytes.Equal(data, zeroPage[:]) {
-			pg.Data = append([]byte(nil), data...)
+		if as.Allocated(pa) {
+			if data, _ := as.PageData(pa); !bytes.Equal(data, zeroPage[:]) {
+				pg.Data = append([]byte(nil), data...)
+			}
 		}
 		pages = append(pages, pg)
 	}

@@ -216,12 +216,15 @@ func (a *Allocator) Collect(as *mem.AddressSpace, roots ...*Roots) (freed int, c
 		cycles += a.Costs.PerRoot * 48
 	}
 
+	// The charge is per mapped writable page; the host reads only the
+	// allocated ones, since an untouched page reads as zeros and holds
+	// no box.
 	pages := as.WritablePages()
 	for _, pa := range pages {
-		data, ok := as.PageData(pa)
-		if !ok {
+		if !as.Allocated(pa) {
 			continue
 		}
+		data, _ := as.PageData(pa)
 		for off := 0; off+8 <= len(data); off += 8 {
 			mark(binary.LittleEndian.Uint64(data[off:]))
 		}

@@ -154,3 +154,39 @@ func TestReset(t *testing.T) {
 		t.Error("live after reset")
 	}
 }
+
+// TestCollectChargesMappedPagesNotAllocatedOnes: the §5 charge is per
+// mapped writable page, so a collection costs the same cycles and counts
+// the same PagesScanned whether the space's zero pages are untouched or
+// were written with zeros, and frees the same boxes.
+func TestCollectChargesMappedPagesNotAllocatedOnes(t *testing.T) {
+	run := func(allocate bool) (int, uint64, Stats) {
+		as := mem.NewAddressSpace()
+		as.Map("rw", 0x10000, 8*mem.PageSize, mem.PermRW)
+		as.Map("ro", 0x30000, mem.PageSize, mem.PermRead)
+		if allocate {
+			for pa := uint64(0x10000); pa < 0x18000; pa += mem.PageSize {
+				if err := as.WriteUint64(pa, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		a := New(0)
+		keep := a.Alloc("kept")
+		a.Alloc("dropped")
+		if err := as.WriteUint64(0x13008, nanbox.Box(keep)); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(as.WritablePages()); n != 8 {
+			t.Fatalf("%d writable pages, want 8", n)
+		}
+		freed, cycles := a.Collect(as, &Roots{})
+		return freed, cycles, a.Stats
+	}
+	f0, c0, s0 := run(false)
+	f1, c1, s1 := run(true)
+	if f0 != 1 || f1 != 1 || c0 != c1 || s0 != s1 || s0.PagesScanned != 8 {
+		t.Errorf("untouched: freed %d, %d cycles, %+v; allocated: freed %d, %d cycles, %+v",
+			f0, c0, s0, f1, c1, s1)
+	}
+}

@@ -11,6 +11,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -164,13 +165,15 @@ type Machine struct {
 
 	// icache caches decoded instructions by address: a table per code
 	// page, indexed by the offset in the page, behind a front for the
-	// last page used, so straight-line code indexes an array. It is a
-	// host-side cache with no virtual-cycle cost (real hardware decodes
-	// in the pipeline): each instruction is decoded once and execute
-	// runs the cached *isa.Inst in place, so a step copies no
-	// instruction. It must be invalidated when code changes
-	// (InvalidateICache) — the binary rewriter always produces fresh
-	// images, so self-modifying code is not supported.
+	// last page used, so straight-line code indexes an array. Each slot
+	// holds the decoded instruction together with the handler decode
+	// chose for it from its opcode and r/m kind (see handlers), so a
+	// step is one indirect call on a cached slot: no opcode switch runs
+	// and no instruction is copied. It is a host-side cache with no
+	// virtual-cycle cost (real hardware decodes in the pipeline). It must
+	// be invalidated when code changes (InvalidateICache) — the binary
+	// rewriter always produces fresh images, so self-modifying code is
+	// not supported.
 	icache map[uint64]*icachePage
 	icPN   uint64      // page number of icPage
 	icPage *icachePage // last page used; nil when empty
@@ -181,7 +184,7 @@ type Machine struct {
 
 // icachePage holds the decoded instructions starting in one code page,
 // by offset; nil where nothing is cached.
-type icachePage [mem.PageSize]*isa.Inst
+type icachePage [mem.PageSize]*decoded
 
 // New returns a machine over as with default (all-masked) MXCSR.
 func New(as *mem.AddressSpace) *Machine {
@@ -248,16 +251,16 @@ func (m *Machine) Step() Event {
 func (m *Machine) RunFor(max, until uint64) (retired uint64, k EventKind) {
 	for retired < max {
 		rip := m.CPU.RIP
-		var in *isa.Inst
+		var d *decoded
 		if pg := m.icPage; pg != nil && rip/mem.PageSize == m.icPN {
-			in = pg[rip&mem.PageMask]
+			d = pg[rip&mem.PageMask]
 		}
-		if in == nil {
-			if in = m.decode(rip); in == nil {
+		if d == nil {
+			if d = m.decode(rip); d == nil {
 				return retired, EvFault
 			}
 		}
-		if k = m.execute(in); k != EvNone {
+		if k = d.exec(m, d); k != EvNone {
 			return retired, k
 		}
 		retired++
@@ -269,9 +272,10 @@ func (m *Machine) RunFor(max, until uint64) (retired uint64, k EventKind) {
 }
 
 // decode returns the instruction at rip from its icache page, decoding
-// and caching it on a miss, and makes that page the front. A failed
-// decode is not cached: it returns nil with the EvFault recorded.
-func (m *Machine) decode(rip uint64) *isa.Inst {
+// it and choosing its handler on a miss, and makes that page the front.
+// A failed decode is not cached: it returns nil with the EvFault
+// recorded.
+func (m *Machine) decode(rip uint64) *decoded {
 	pn := rip / mem.PageSize
 	page := m.icache[pn]
 	if page == nil {
@@ -289,7 +293,7 @@ func (m *Machine) decode(rip uint64) *isa.Inst {
 			m.event = Event{Kind: EvFault, Err: err}
 			return nil
 		}
-		*slot = &in
+		*slot = newDecoded(in)
 	}
 	return *slot
 }
@@ -324,73 +328,156 @@ func (e *escapeFault) Error() string {
 	return fmt.Sprintf("nan-box escape at %#x", e.addr)
 }
 
-// readRM reads the r/m operand with the instruction's memory width,
-// zero-extended to 64 bits, reporting loads to the tracer.
-func (m *Machine) readRM(in *isa.Inst, o isa.Operand, xmm bool) (uint64, error) {
-	if o.Kind == isa.KindMem {
-		addr := m.effectiveAddr(in, o)
-		size := in.Op.MemBytes()
-		if m.BoxEscapeCheck && !xmm {
-			block := addr &^ 7
-			if m.escWaiveValid && m.escWaiveAddr == block {
-				m.escWaiveValid = false
-			} else if w, err := m.Mem.ReadUint64(block); err == nil && nanbox.IsBoxPattern(w) {
-				return 0, &escapeFault{addr: block}
-			}
+// ea returns the address of d's memory operand.
+func (m *Machine) ea(d *decoded) uint64 { return m.effectiveAddr(&d.Inst, d.RMOp) }
+
+// load reads d's memory operand, d.size bytes wide (8 where the opcode
+// names no width), zero-extended to 64 bits. An integer load (xmm false)
+// runs the box-escape check first when it is on; the tracer sees a load
+// once it has succeeded.
+func (m *Machine) load(d *decoded, xmm bool) (uint64, error) {
+	addr := m.ea(d)
+	if m.BoxEscapeCheck && !xmm {
+		block := addr &^ 7
+		if m.escWaiveValid && m.escWaiveAddr == block {
+			m.escWaiveValid = false
+		} else if w, err := m.Mem.ReadUint64(block); err == nil && nanbox.IsBoxPattern(w) {
+			return 0, &escapeFault{addr: block}
 		}
-		v, err := m.readMem(addr, size)
-		if err != nil {
-			return 0, err
-		}
-		if m.Tracer != nil {
-			m.Tracer.OnLoad(in.Addr, addr, size, xmm)
-		}
-		return v, nil
 	}
-	if o.Kind == isa.KindXMM {
-		return m.CPU.XMM[o.Reg][0], nil
+	v, err := m.read(addr, d.size)
+	if err != nil {
+		return 0, err
 	}
-	return m.CPU.GPR[o.Reg], nil
+	if m.Tracer != nil {
+		m.Tracer.OnLoad(d.Addr, addr, int(d.size), xmm)
+	}
+	return v, nil
 }
 
-func (m *Machine) readMem(addr uint64, size int) (uint64, error) {
+// store writes v to d's memory operand, d.size bytes wide, and reports
+// it to the tracer once it has succeeded.
+func (m *Machine) store(d *decoded, v uint64, xmm, fpTyped bool) error {
+	addr := m.ea(d)
+	if err := m.write(addr, d.size, v); err != nil {
+		return err
+	}
+	if m.Tracer != nil {
+		m.Tracer.OnStore(d.Addr, addr, int(d.size), xmm, fpTyped)
+	}
+	return nil
+}
+
+// load128 reads d's 128-bit memory operand as two 8-byte loads, low lane
+// first.
+func (m *Machine) load128(d *decoded) ([2]uint64, error) {
+	addr := m.ea(d)
+	lo, err := m.read(addr, 8)
+	if err != nil {
+		return [2]uint64{}, err
+	}
+	hi, err := m.read(addr+8, 8)
+	if err != nil {
+		return [2]uint64{}, err
+	}
+	if m.Tracer != nil {
+		m.Tracer.OnLoad(d.Addr, addr, 16, true)
+	}
+	return [2]uint64{lo, hi}, nil
+}
+
+// store128 writes v to d's 128-bit memory operand as two 8-byte stores,
+// low lane first: a fault in the high lane leaves the low one written.
+func (m *Machine) store128(d *decoded, v [2]uint64, fpTyped bool) error {
+	addr := m.ea(d)
+	if err := m.write(addr, 8, v[0]); err != nil {
+		return err
+	}
+	if err := m.write(addr+8, 8, v[1]); err != nil {
+		return err
+	}
+	if m.Tracer != nil {
+		m.Tracer.OnStore(d.Addr, addr, 16, true, fpTyped)
+	}
+	return nil
+}
+
+// read returns the size-byte little-endian value at addr (8 bytes for
+// size 0). It takes the page-TLB hit in place when the access stays
+// inside one page; a miss, a straddle or a fault goes through the
+// address space's access path, which refills the TLB or reports the
+// fault.
+func (m *Machine) read(addr uint64, size uint8) (uint64, error) {
+	off := addr & mem.PageMask
 	switch size {
 	case 1:
+		if pg := m.Mem.Readable(addr); pg != nil {
+			return uint64(pg[off]), nil
+		}
 		v, err := m.Mem.ReadUint8(addr)
 		return uint64(v), err
 	case 2:
+		if pg := m.Mem.Readable(addr); pg != nil && off <= mem.PageSize-2 {
+			return uint64(binary.LittleEndian.Uint16(pg[off:])), nil
+		}
 		v, err := m.Mem.ReadUint16(addr)
 		return uint64(v), err
 	case 4:
+		if pg := m.Mem.Readable(addr); pg != nil && off <= mem.PageSize-4 {
+			return uint64(binary.LittleEndian.Uint32(pg[off:])), nil
+		}
 		v, err := m.Mem.ReadUint32(addr)
 		return uint64(v), err
-	default:
-		return m.Mem.ReadUint64(addr)
 	}
+	if pg := m.Mem.Readable(addr); pg != nil && off <= mem.PageSize-8 {
+		return binary.LittleEndian.Uint64(pg[off:]), nil
+	}
+	return m.Mem.ReadUint64(addr)
 }
 
-func (m *Machine) writeMem(addr uint64, size int, v uint64) error {
+// write stores the low size bytes of v at addr (8 bytes for size 0),
+// little-endian: in place on a page-TLB hit that stays inside one
+// allocated page, through the access path otherwise, which allocates the
+// page on its first write, marks it dirty, refills the TLB or reports
+// the fault.
+func (m *Machine) write(addr uint64, size uint8, v uint64) error {
+	off := addr & mem.PageMask
 	switch size {
 	case 1:
+		if pg := m.Mem.Writable(addr); pg != nil {
+			pg[off] = uint8(v)
+			return nil
+		}
 		return m.Mem.WriteUint8(addr, uint8(v))
 	case 2:
+		if pg := m.Mem.Writable(addr); pg != nil && off <= mem.PageSize-2 {
+			binary.LittleEndian.PutUint16(pg[off:], uint16(v))
+			return nil
+		}
 		return m.Mem.WriteUint16(addr, uint16(v))
 	case 4:
+		if pg := m.Mem.Writable(addr); pg != nil && off <= mem.PageSize-4 {
+			binary.LittleEndian.PutUint32(pg[off:], uint32(v))
+			return nil
+		}
 		return m.Mem.WriteUint32(addr, uint32(v))
-	default:
-		return m.Mem.WriteUint64(addr, v)
 	}
+	if pg := m.Mem.Writable(addr); pg != nil && off <= mem.PageSize-8 {
+		binary.LittleEndian.PutUint64(pg[off:], v)
+		return nil
+	}
+	return m.Mem.WriteUint64(addr, v)
 }
 
 // push pushes a 64-bit value on the stack.
 func (m *Machine) push(v uint64) error {
 	m.CPU.GPR[isa.RSP] -= 8
-	return m.Mem.WriteUint64(m.CPU.GPR[isa.RSP], v)
+	return m.write(m.CPU.GPR[isa.RSP], 8, v)
 }
 
 // pop pops a 64-bit value from the stack.
 func (m *Machine) pop() (uint64, error) {
-	v, err := m.Mem.ReadUint64(m.CPU.GPR[isa.RSP])
+	v, err := m.read(m.CPU.GPR[isa.RSP], 8)
 	if err != nil {
 		return 0, err
 	}
@@ -450,47 +537,6 @@ func (m *Machine) setSubFlags(a, b, res uint64) {
 func (m *Machine) setLogicFlags(res uint64) {
 	m.setIntFlags(res)
 	m.CPU.RFLAGS &^= FlagCF | FlagOF
-}
-
-// condition evaluates a Jcc predicate against RFLAGS.
-func (m *Machine) condition(op isa.Op) bool {
-	f := m.CPU.RFLAGS
-	zf := f&FlagZF != 0
-	sf := f&FlagSF != 0
-	of := f&FlagOF != 0
-	cf := f&FlagCF != 0
-	pf := f&FlagPF != 0
-	switch op {
-	case isa.JE:
-		return zf
-	case isa.JNE:
-		return !zf
-	case isa.JL:
-		return sf != of
-	case isa.JLE:
-		return zf || sf != of
-	case isa.JG:
-		return !zf && sf == of
-	case isa.JGE:
-		return sf == of
-	case isa.JB:
-		return cf
-	case isa.JBE:
-		return cf || zf
-	case isa.JA:
-		return !cf && !zf
-	case isa.JAE:
-		return !cf
-	case isa.JS:
-		return sf
-	case isa.JNS:
-		return !sf
-	case isa.JP:
-		return pf
-	case isa.JNP:
-		return !pf
-	}
-	return false
 }
 
 // unmasked returns the exception bits of flags that are unmasked in MXCSR.

@@ -2,6 +2,14 @@
 // machine, the kernel, and FPVM's conservative garbage collector (which
 // scans all writable pages for NaN-boxed references, as in §2.5 of the
 // paper).
+//
+// A mapped page gets its own bytes on its first write. Until then it is
+// untouched: every read of it, by the guest or the host, sees one shared
+// zero page, which nothing ever writes — every write path gives the page
+// bytes of its own first, so no address space can observe another's
+// writes through it. Allocation is host-side only: an untouched page is
+// mapped, protected, dirtied, cloned, scanned and captured exactly as an
+// allocated page holding zeros.
 package mem
 
 import (
@@ -68,8 +76,25 @@ func (f *Fault) Error() string {
 }
 
 type page struct {
-	data [PageSize]byte
+	data *[PageSize]byte // &zeroPage until the page's first write
 	perm Perm
+}
+
+// zeroPage backs every untouched page. It is only ever read.
+var zeroPage [PageSize]byte
+
+// newPage returns an untouched page.
+func newPage(perm Perm) *page { return &page{data: &zeroPage, perm: perm} }
+
+// allocated reports whether p has bytes of its own.
+func (p *page) allocated() bool { return p.data != &zeroPage }
+
+// own gives p bytes of its own, if it has none yet, and returns them.
+func (p *page) own() *[PageSize]byte {
+	if p.data == &zeroPage {
+		p.data = new([PageSize]byte)
+	}
+	return p.data
 }
 
 // tlbSize is the number of entries in an address space's page TLB (a
@@ -83,10 +108,14 @@ const tlbSize = 64
 // own.
 func tlbSlot(pn uint64) uint64 { return (pn ^ pn>>9) % tlbSize }
 
-// tlbEntry caches one page-number translation; p is nil when empty.
+// tlbEntry caches one page-number translation; p is nil when empty. r
+// and w are the machine's fast path (Readable, Writable): the page's
+// bytes when it is readable, and when it is writable, allocated and no
+// dirty set is kept; nil otherwise.
 type tlbEntry struct {
-	pn uint64
-	p  *page
+	pn   uint64
+	p    *page
+	r, w *[PageSize]byte
 }
 
 // AddressSpace is a sparse paged address space. The zero value is an empty
@@ -96,9 +125,9 @@ type AddressSpace struct {
 	pages map[uint64]*page // keyed by addr >> 12
 
 	// tlb is a direct-mapped cache of pages in front of the pages map.
-	// It is a host-side cache with no virtual-cycle cost. Permissions
-	// are read through the cached *page, so Protect needs no flush;
-	// Unmap, the only path that removes a *page, invalidates its entry.
+	// It is a host-side cache with no virtual-cycle cost. Every change
+	// to a page's permissions, its bytes pointer or its presence
+	// invalidates the page's entry, as does turning dirty tracking on.
 	tlb [tlbSize]tlbEntry
 
 	// regions records Map calls for introspection ([name, start, size]).
@@ -125,8 +154,10 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // Map creates pages covering [addr, addr+size) with the given permissions.
-// addr and size are rounded out to page boundaries. Mapping over an
-// existing page replaces its permissions but preserves its contents.
+// addr and size are rounded out to page boundaries. New pages are
+// untouched: they get bytes of their own on their first write. Mapping
+// over an existing page replaces its permissions but preserves its
+// contents.
 func (as *AddressSpace) Map(name string, addr, size uint64, perm Perm) {
 	if as.pages == nil {
 		as.pages = make(map[uint64]*page)
@@ -136,8 +167,9 @@ func (as *AddressSpace) Map(name string, addr, size uint64, perm Perm) {
 	for pn := first; pn < last; pn++ {
 		if p, ok := as.pages[pn]; ok {
 			p.perm = perm
+			as.invalidate(pn)
 		} else {
-			as.pages[pn] = &page{perm: perm}
+			as.pages[pn] = newPage(perm)
 		}
 		as.markDirty(pn)
 	}
@@ -150,10 +182,15 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	last := (addr + size + PageSize - 1) / PageSize
 	for pn := first; pn < last; pn++ {
 		delete(as.pages, pn)
-		if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
-			*e = tlbEntry{}
-		}
+		as.invalidate(pn)
 		as.markDirty(pn)
+	}
+}
+
+// invalidate drops page pn's TLB entry, if it has one.
+func (as *AddressSpace) invalidate(pn uint64) {
+	if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
+		*e = tlbEntry{}
 	}
 }
 
@@ -167,6 +204,7 @@ func (as *AddressSpace) Protect(addr, size uint64, perm Perm) error {
 			return &Fault{Addr: pn * PageSize, Kind: FaultUnmapped, Want: perm}
 		}
 		p.perm = perm
+		as.invalidate(pn)
 		as.markDirty(pn)
 	}
 	return nil
@@ -175,12 +213,23 @@ func (as *AddressSpace) Protect(addr, size uint64, perm Perm) error {
 // Regions returns the recorded mapping history.
 func (as *AddressSpace) Regions() []Region { return as.regions }
 
-// Mapped reports whether addr is backed by a page.
+// Mapped reports whether addr is backed by a page, allocated or not.
 func (as *AddressSpace) Mapped(addr uint64) bool {
 	_, ok := as.pages[addr/PageSize]
 	return ok
 }
 
+// Allocated reports whether the page containing addr is mapped and has
+// bytes of its own: it has been written since it was mapped. An
+// untouched page reads as zeros.
+func (as *AddressSpace) Allocated(addr uint64) bool {
+	p, ok := as.pages[addr/PageSize]
+	return ok && p.allocated()
+}
+
+// lookup returns the page containing addr after checking want against
+// its permissions, refilling the TLB on a miss. A write must take the
+// page's bytes through writable.
 func (as *AddressSpace) lookup(addr uint64, want Perm) (*page, error) {
 	pn := addr / PageSize
 	e := &as.tlb[tlbSlot(pn)]
@@ -190,12 +239,62 @@ func (as *AddressSpace) lookup(addr uint64, want Perm) (*page, error) {
 		if p, ok = as.pages[pn]; !ok {
 			return nil, &Fault{Addr: addr, Kind: FaultUnmapped, Want: want}
 		}
-		*e = tlbEntry{pn: pn, p: p}
+		as.fill(e, pn, p)
 	}
 	if p.perm&want != want {
 		return nil, &Fault{Addr: addr, Kind: FaultProtection, Want: want}
 	}
 	return p, nil
+}
+
+// fill points TLB entry e at page p, number pn.
+func (as *AddressSpace) fill(e *tlbEntry, pn uint64, p *page) {
+	*e = tlbEntry{pn: pn, p: p}
+	if p.perm&PermRead != 0 {
+		e.r = p.data
+	}
+	if p.perm&PermWrite != 0 && p.allocated() && as.dirty == nil {
+		e.w = p.data
+	}
+}
+
+// writable returns the bytes of page p, number pn, for a write that
+// passed its permission check: its own, allocated on the page's first
+// write (which refills its TLB entry), with the page marked dirty.
+func (as *AddressSpace) writable(pn uint64, p *page) *[PageSize]byte {
+	if !p.allocated() {
+		p.own()
+		if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
+			as.fill(e, pn, p)
+		}
+	}
+	as.markDirty(pn)
+	return p.data
+}
+
+// Readable returns the bytes of the page containing addr when the page
+// TLB holds that page readable, and nil otherwise. It is the machine's
+// fast path for loads: on nil, the Read methods take the access path,
+// which refills the TLB or reports the fault.
+func (as *AddressSpace) Readable(addr uint64) *[PageSize]byte {
+	pn := addr / PageSize
+	if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
+		return e.r
+	}
+	return nil
+}
+
+// Writable is Readable for stores: the page's own bytes when the TLB
+// holds it writable and allocated and no dirty set is kept, so that a
+// store in place needs nothing more; nil otherwise, and the Write
+// methods take the access path, which allocates the page on its first
+// write, marks it dirty, refills the TLB or reports the fault.
+func (as *AddressSpace) Writable(addr uint64) *[PageSize]byte {
+	pn := addr / PageSize
+	if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
+		return e.w
+	}
+	return nil
 }
 
 // Read copies len(buf) bytes from addr into buf, honoring PermRead.
@@ -237,8 +336,8 @@ func (as *AddressSpace) access(addr uint64, buf []byte, want Perm, write bool) e
 		}
 		off := (addr + uint64(n)) & PageMask
 		if write {
-			as.markDirty((addr + uint64(n)) / PageSize)
-			n += copy(p.data[off:], buf[n:])
+			data := as.writable((addr+uint64(n))/PageSize, p)
+			n += copy(data[off:], buf[n:])
 		} else {
 			n += copy(buf[n:], p.data[off:])
 		}
@@ -257,6 +356,7 @@ func (as *AddressSpace) markDirty(pn uint64) {
 func (as *AddressSpace) EnableDirtyTracking() {
 	if as.dirty == nil {
 		as.dirty = make(map[uint64]struct{})
+		as.tlb = [tlbSize]tlbEntry{} // no entry may skip the dirty mark
 	}
 }
 
@@ -298,10 +398,11 @@ func (as *AddressSpace) inPage(addr uint64, n int, want Perm) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	data := p.data
 	if want&PermWrite != 0 {
-		as.markDirty(addr / PageSize)
+		data = as.writable(addr/PageSize, p)
 	}
-	return p.data[off : off+uint64(n)], nil
+	return data[off : off+uint64(n)], nil
 }
 
 // load reads the little-endian n-byte (1, 2, 4 or 8) value at addr: in
@@ -390,8 +491,9 @@ func (as *AddressSpace) ReadUint8(addr uint64) (uint8, error) {
 // WriteUint8 writes a byte at addr.
 func (as *AddressSpace) WriteUint8(addr uint64, v uint8) error { return as.store(addr, 1, uint64(v)) }
 
-// WritablePages returns the sorted start addresses of all writable pages.
-// FPVM's conservative mark phase scans exactly these.
+// WritablePages returns the sorted start addresses of all writable
+// pages, allocated or untouched. FPVM's conservative mark phase is
+// charged for exactly these.
 func (as *AddressSpace) WritablePages() []uint64 {
 	var out []uint64
 	for pn, p := range as.pages {
@@ -403,9 +505,10 @@ func (as *AddressSpace) WritablePages() []uint64 {
 	return out
 }
 
-// PageData returns the raw backing bytes of the page containing addr
-// (read-only use by the GC scanner and the profiler). ok is false if the
-// page is unmapped.
+// PageData returns the bytes of the page containing addr, for reading
+// only: an untouched page returns the shared zero page, which must never
+// be written (OverwritePage and the Write methods give a page bytes of
+// its own). ok is false if the page is unmapped.
 func (as *AddressSpace) PageData(addr uint64) ([]byte, bool) {
 	p, ok := as.pages[addr/PageSize]
 	if !ok {
@@ -415,11 +518,12 @@ func (as *AddressSpace) PageData(addr uint64) ([]byte, bool) {
 }
 
 // OverwritePage replaces the contents of the page at addr (page-aligned)
-// with data, bypassing permission checks — the snapshot-restore path uses
+// with data, bypassing permission checks — the snapshot-restore paths use
 // it, and restores must not be subject to guest page protections. The
 // page is mapped read-write if absent. data longer than a page is
-// truncated; shorter data zero-fills the remainder, so nil data zeroes
-// the page.
+// truncated; shorter data zero-fills the remainder. Nil data leaves the
+// page untouched, dropping any bytes it had, so a restored VM allocates
+// only the pages its snapshot holds data for.
 func (as *AddressSpace) OverwritePage(addr uint64, data []byte) {
 	if as.pages == nil {
 		as.pages = make(map[uint64]*page)
@@ -427,11 +531,16 @@ func (as *AddressSpace) OverwritePage(addr uint64, data []byte) {
 	pn := addr / PageSize
 	p, ok := as.pages[pn]
 	if !ok {
-		p = &page{perm: PermRW}
+		p = newPage(PermRW)
 		as.pages[pn] = p
 	}
-	n := copy(p.data[:], data)
-	clear(p.data[n:])
+	if data == nil {
+		p.data = &zeroPage
+	} else {
+		n := copy(p.own()[:], data)
+		clear(p.data[n:])
+	}
+	as.invalidate(pn)
 	as.markDirty(pn)
 }
 
@@ -442,8 +551,10 @@ func (as *AddressSpace) PageCount() int { return len(as.pages) }
 func (as *AddressSpace) Clone() *AddressSpace {
 	out := NewAddressSpace()
 	for pn, p := range as.pages {
-		cp := &page{perm: p.perm}
-		cp.data = p.data
+		cp := newPage(p.perm)
+		if p.allocated() {
+			*cp.own() = *p.data
+		}
 		out.pages[pn] = cp
 	}
 	out.regions = append(out.regions, as.regions...)

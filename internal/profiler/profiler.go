@@ -9,6 +9,7 @@
 package profiler
 
 import (
+	"math/bits"
 	"sort"
 
 	"fpvm/internal/hostlib"
@@ -27,11 +28,75 @@ type Stats struct {
 	Sites        int    // distinct patch sites found
 }
 
-// tracer implements machine.Tracer over an 8-byte block shadow map.
+// tracer implements machine.Tracer over the 8-byte block shadow.
 type tracer struct {
-	marked map[uint64]bool
+	marked shadow
 	sites  map[uint64]bool
 	stats  Stats
+}
+
+// shadow records which 8-byte blocks hold a float: one bit per block, in
+// a 512-bit bitmap per page, behind a front for the last page used.
+type shadow struct {
+	pages map[uint64]*pageBits
+	pn    uint64    // page number of front
+	front *pageBits // last page used; nil when none yet
+}
+
+type pageBits [mem.PageSize / 8 / 64]uint64
+
+// page returns the bitmap of the page holding block, making one when
+// create is set; nil when there is none.
+func (s *shadow) page(block uint64, create bool) *pageBits {
+	pn := block / mem.PageSize
+	if s.front != nil && pn == s.pn {
+		return s.front
+	}
+	b := s.pages[pn]
+	if b == nil {
+		if !create {
+			return nil
+		}
+		b = new(pageBits)
+		s.pages[pn] = b
+	}
+	s.pn, s.front = pn, b
+	return b
+}
+
+// bit returns the word index and mask of block within its page bitmap.
+func bit(block uint64) (int, uint64) {
+	i := block & mem.PageMask / 8
+	return int(i / 64), 1 << (i % 64)
+}
+
+func (s *shadow) mark(block uint64) {
+	w, m := bit(block)
+	s.page(block, true)[w] |= m
+}
+
+func (s *shadow) unmark(block uint64) {
+	if b := s.page(block, false); b != nil {
+		w, m := bit(block)
+		b[w] &^= m
+	}
+}
+
+func (s *shadow) marked(block uint64) bool {
+	b := s.page(block, false)
+	w, m := bit(block)
+	return b != nil && b[w]&m != 0
+}
+
+// count returns the number of marked blocks.
+func (s *shadow) count() int {
+	n := 0
+	for _, b := range s.pages {
+		for _, w := range b {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
 }
 
 func blocksOf(addr uint64, size int) (uint64, uint64) {
@@ -45,14 +110,14 @@ func (t *tracer) OnStore(rip, addr uint64, size int, xmm, fpTyped bool) {
 	if fpTyped {
 		t.stats.FPStores++
 		for b := first; b <= last; b += 8 {
-			t.marked[b] = true
+			t.marked.mark(b)
 		}
 		return
 	}
 	// Integer-typed store: the block no longer holds a float.
 	t.stats.IntStores++
 	for b := first; b <= last; b += 8 {
-		delete(t.marked, b)
+		t.marked.unmark(b)
 	}
 }
 
@@ -63,7 +128,7 @@ func (t *tracer) OnLoad(rip, addr uint64, size int, xmm bool) {
 	t.stats.IntLoads++
 	first, last := blocksOf(addr, size)
 	for b := first; b <= last; b += 8 {
-		if t.marked[b] {
+		if t.marked.marked(b) {
 			t.sites[rip] = true
 			return
 		}
@@ -88,7 +153,7 @@ func Profile(img *obj.Image, maxSteps uint64) (*Result, error) {
 	p := kernel.NewProcess(k, m, img.Name+"(profile)")
 	lib := hostlib.Install(p)
 
-	t := &tracer{marked: make(map[uint64]bool), sites: make(map[uint64]bool)}
+	t := &tracer{marked: shadow{pages: make(map[uint64]*pageBits)}, sites: make(map[uint64]bool)}
 	m.Tracer = t
 
 	as.Map("stack", obj.StackTop-obj.StackSize, obj.StackSize, mem.PermRW)
@@ -119,7 +184,7 @@ func Profile(img *obj.Image, maxSteps uint64) (*Result, error) {
 		sites = append(sites, s)
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	t.stats.MarkedBlocks = len(t.marked)
+	t.stats.MarkedBlocks = t.marked.count()
 	t.stats.Sites = len(sites)
 	return &Result{Sites: sites, Stats: t.stats}, nil
 }

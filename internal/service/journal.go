@@ -41,6 +41,10 @@ type journalRecord struct {
 	Precision uint   `json:"precision,omitempty"`
 	Deadline  uint64 `json:"deadline,omitempty"`
 	Status    Status `json:"status,omitempty"`
+	// Inject and InjectSeed are the job's VM fault-injection spec, so a
+	// recovered job is injected as its live twin is.
+	Inject     string `json:"inject,omitempty"`
+	InjectSeed uint64 `json:"inject_seed,omitempty"`
 }
 
 type journal struct {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"fpvm"
+	"fpvm/internal/faultinject"
 )
 
 // recoverJournaled reads the journal, compacts it to the boot records
@@ -14,9 +15,12 @@ import (
 // recovered job for the ordinary job loop. The dead instance already
 // admitted, queued and journaled it, so a recovered job skips all
 // three; it carries the bytes of its job-<id>.snap when one survived,
-// and execute resumes from them. A record whose image no longer rebuilds
-// to the journaled hash is failed here instead of sinking the whole
-// recovery.
+// and execute resumes from them. A job with an inject spec gets its
+// injector back from the record and ignores its snapshot, which holds
+// no injector counters: rerun fresh, it makes its live twin's decisions,
+// and the sweep deletes the file. A record whose image no longer
+// rebuilds to the journaled hash, or whose spec no longer parses, is
+// failed here instead of sinking the whole recovery.
 func (s *Service) recoverJournaled() ([]*job, error) {
 	pending, boots, err := readJournal(s.cfg.SnapshotDir)
 	if err != nil {
@@ -45,36 +49,49 @@ func (s *Service) recoverJournaled() ([]*job, error) {
 
 	var jobs []*job
 	for _, rec := range pending {
-		entry, rerr := s.reg.Register(rec.Workload)
-		if rerr != nil || entry.ID != rec.ImageID {
-			detail := "image no longer reproducible"
-			if rerr != nil {
-				detail = rerr.Error()
-			} else {
-				detail = fmt.Sprintf("rebuilt image hash %s != journaled %s", entry.ID, rec.ImageID)
-			}
+		fail := func(detail string) {
 			s.record(&JobOutcome{ID: rec.ID, Tenant: rec.Tenant, Workload: rec.Workload,
 				Status: StatusFailed, Detail: "recovery: " + detail, Recovered: true})
 			s.journalDone(rec.ID, StatusFailed)
+		}
+		entry, rerr := s.reg.Register(rec.Workload)
+		if rerr != nil {
+			fail(rerr.Error())
 			continue
+		}
+		if entry.ID != rec.ImageID {
+			fail(fmt.Sprintf("rebuilt image hash %s != journaled %s", entry.ID, rec.ImageID))
+			continue
+		}
+		var inj *faultinject.Injector
+		if rec.Inject != "" {
+			var ierr error
+			if inj, ierr = faultinject.ParseSpec(rec.Inject, rec.InjectSeed); ierr != nil {
+				fail("bad inject spec: " + ierr.Error())
+				continue
+			}
 		}
 		j := &job{
 			id: rec.ID,
 			req: JobRequest{Tenant: rec.Tenant, ImageID: rec.ImageID,
-				Alt: fpvm.AltKind(rec.Alt), Precision: rec.Precision},
+				Alt: fpvm.AltKind(rec.Alt), Precision: rec.Precision,
+				InjectSpec: rec.Inject, InjectSeed: rec.InjectSeed},
 			entry:     entry,
 			deadline:  rec.Deadline,
 			recovered: true,
+			inject:    inj,
 			done:      make(chan *JobOutcome, 1),
 		}
 		// An unreadable snapshot forfeits only the progress it held: the
 		// job still runs fresh, which is always correct.
-		snap, serr := os.ReadFile(s.snapPath(rec.ID))
-		switch {
-		case serr == nil:
-			j.snap = snap
-		case !os.IsNotExist(serr):
-			s.met.bump(&s.met.recoveryRejects)
+		if inj == nil {
+			snap, serr := os.ReadFile(s.snapPath(rec.ID))
+			switch {
+			case serr == nil:
+				j.snap = snap
+			case !os.IsNotExist(serr):
+				s.met.bump(&s.met.recoveryRejects)
+			}
 		}
 		jobs = append(jobs, j)
 	}

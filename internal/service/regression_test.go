@@ -850,3 +850,58 @@ func TestPersistCadence(t *testing.T) {
 		t.Fatal("the resumed job diverged from an uninterrupted run")
 	}
 }
+
+// A job's inject spec travels in its journal record, so a recovered job
+// is injected as its live twin is. A boxed lorenz job with
+// decode:every=7, drained after its first 2k-cycle slice and recovered,
+// reruns fresh, since its snapshot holds no injector counters, and ends
+// with the cycles and digest of the same request run live; the sweep
+// deletes the snapshot it ignored.
+func TestInjectedJobRecoversAsLiveTwin(t *testing.T) {
+	req := func(imageID string) JobRequest {
+		return JobRequest{Tenant: "inj", ImageID: imageID, Alt: fpvm.AltBoxed, InjectSpec: "decode:every=7"}
+	}
+	live := startService(t, Config{Workers: 1, PreemptQuantum: 2_000})
+	ref := live.Submit(req(registerLorenz(t, live).ID))
+	if ref.Status != StatusCompleted {
+		t.Fatalf("live run: %s (%s)", ref.Status, ref.Detail)
+	}
+
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, PreemptQuantum: 2_000, SnapshotDir: dir})
+	if _, err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	e := registerLorenz(t, s)
+	block := make(chan struct{})
+	s.testHookDispatch = func(*job) { <-block }
+	o := s.SubmitAsync(req(e.ID))
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.inflight == 1 })
+	drained := make(chan int, 1)
+	go func() { drained <- s.Drain() }()
+	waitFor(t, func() bool { return s.State() == StateDraining })
+	close(block)
+	if n := <-drained; n != 1 {
+		t.Fatalf("drain suspended %d jobs, want 1", n)
+	}
+	if _, err := os.Stat(s.snapPath(o.ID)); err != nil {
+		t.Fatalf("the drained job left no snapshot: %v", err)
+	}
+
+	s2 := New(Config{Workers: 1, PreemptQuantum: 2_000, SnapshotDir: dir})
+	if n, err := s2.Start(); err != nil || n != 1 {
+		t.Fatalf("recovered %d jobs (%v), want 1", n, err)
+	}
+	defer s2.Drain()
+	got, ok := s2.Outcome(o.ID)
+	if !ok {
+		t.Fatalf("recovered job %s has no outcome", o.ID)
+	}
+	if got.Status != StatusRecovered || got.Cycles != ref.Cycles || got.Digest != ref.Digest {
+		t.Fatalf("recovered: %s at %d cycles, digest %s (%s); live: %d cycles, digest %s",
+			got.Status, got.Cycles, got.Digest, got.Detail, ref.Cycles, ref.Digest)
+	}
+	if _, err := os.Stat(s2.snapPath(o.ID)); !os.IsNotExist(err) {
+		t.Errorf("the ignored snapshot survived recovery: %v", err)
+	}
+}

@@ -289,7 +289,8 @@ type job struct {
 	recovered bool
 	snap      []byte
 	// inject is the job's VM fault injector, parsed from its request at
-	// admission (nil without a spec, and for a recovered job).
+	// admission or from its journal record at recovery (nil without a
+	// spec).
 	inject *faultinject.Injector
 	done   chan *JobOutcome
 }
@@ -729,6 +730,7 @@ func (s *Service) journalJob(j *job) {
 		Workload: j.entry.Workload, ImageID: j.entry.ID,
 		Alt: string(j.req.Alt), Precision: j.req.Precision,
 		Deadline: j.deadline,
+		Inject:   j.req.InjectSpec, InjectSeed: j.req.InjectSeed,
 	})
 	if err != nil {
 		s.met.bump(&s.met.journalFailures)
