@@ -428,7 +428,10 @@ func BenchmarkAblationPrecision(b *testing.B) {
 // virtualized run (Boxed, SEQ, SHORT). host-ns/guest-inst divides host
 // time by the unpatched program's retired instruction count, so the
 // stages share one scale; allocations expose per-step or per-trap
-// garbage.
+// garbage. The fpvm stage also reports its traps and emulated
+// instructions per run, and host-ns/emulated-inst: the whole run's host
+// time over the instructions FPVM emulated, the trap path's cost in one
+// number per image.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, name := range workloads.All() {
 		b.Run(string(name), func(b *testing.B) {
@@ -458,10 +461,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			})
 			b.Run("fpvm", func(b *testing.B) {
 				b.ReportAllocs()
+				var res *fpvm.Result
 				for i := 0; i < b.N; i++ {
-					runCfg(b, p, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true})
+					res = runCfg(b, p, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true})
 				}
 				perInst(b)
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(float64(res.Traps), "traps/run")
+				b.ReportMetric(float64(res.EmulatedInsts), "emulated-insts/run")
+				b.ReportMetric(ns/float64(res.EmulatedInsts), "host-ns/emulated-inst")
 			})
 		})
 	}

@@ -43,7 +43,11 @@ func (*BoxedIEEE) Op(op fpmath.Op, a, b Value) (Value, uint64) {
 	}
 	// Masked-arithmetic semantics: compute the IEEE result ignoring the
 	// exception flags (the alternative system owns rounding now).
-	r := fpmath.Eval(op, af, bf)
+	return fpmath.EvalValue(op, af, bf), boxedOpCostOf(op)
+}
+
+// boxedOpCostOf is the virtual-cycle cost of one Boxed IEEE operation.
+func boxedOpCostOf(op fpmath.Op) uint64 {
 	cost := uint64(boxedOpCost)
 	if op == fpmath.OpDiv {
 		cost += 8
@@ -51,7 +55,7 @@ func (*BoxedIEEE) Op(op fpmath.Op, a, b Value) (Value, uint64) {
 	if op == fpmath.OpSqrt {
 		cost += 12
 	}
-	return r.Value, cost
+	return cost
 }
 
 func (*BoxedIEEE) Compare(a, b Value) (fpmath.CompareResult, uint64) {
@@ -78,15 +82,7 @@ func (*BoxedIEEE) PromoteFloat(f float64) (float64, uint64) { return f, boxedPro
 func (*BoxedIEEE) DemoteFloat(f float64) (float64, uint64) { return f, boxedDemoteCost }
 
 func (*BoxedIEEE) OpFloat(op fpmath.Op, a, b float64) (float64, uint64) {
-	r := fpmath.Eval(op, a, b)
-	cost := uint64(boxedOpCost)
-	if op == fpmath.OpDiv {
-		cost += 8
-	}
-	if op == fpmath.OpSqrt {
-		cost += 12
-	}
-	return r.Value, cost
+	return fpmath.EvalValue(op, a, b), boxedOpCostOf(op)
 }
 
 func (*BoxedIEEE) CompareFloat(a, b float64) (fpmath.CompareResult, uint64) {

@@ -117,6 +117,11 @@ type Cache struct {
 	traces     map[uint64]*Trace
 	traceOrder fifo
 	traceCap   int
+	// recent is a direct-mapped cache in front of traces, indexed by
+	// traceSlot(start): a trap at a hot start finds its trace without the
+	// map lookup. unindexTrace clears a trace's slot when the trace leaves
+	// the table, so a slot only ever holds a cached trace.
+	recent [256]*Trace
 	// ripIndex maps every instruction address covered by a cached trace to
 	// the start addresses of the traces containing it, so Invalidate(rip)
 	// can kill all traces through a corrupted or degraded instruction.
@@ -356,7 +361,13 @@ func (t *Trace) EnsureDisassembly(fetchTerm func(rip uint64) (string, bool)) {
 // replay never mutates state another VM can see, and future traps at this
 // start hit locally.
 func (c *Cache) LookupTrace(start uint64) (*Trace, bool) {
+	slot := &c.recent[traceSlot(start)]
+	if t := *slot; t != nil && t.Start == start {
+		c.Stats.TraceHits++
+		return t, true
+	}
 	if t, ok := c.traces[start]; ok {
+		*slot = t
 		c.Stats.TraceHits++
 		return t, true
 	}
@@ -425,8 +436,15 @@ func (c *Cache) InvalidateTraces(rip uint64) int {
 	return n
 }
 
-// unindexTrace removes t's entries from the reverse index.
+// traceSlot is the recent slot of a trace starting at start.
+func traceSlot(start uint64) uint64 { return start * 0x9E3779B97F4A7C15 >> 56 }
+
+// unindexTrace removes t's entries from the reverse index, and t from
+// the recent cache. Every path that drops or replaces a trace calls it.
 func (c *Cache) unindexTrace(t *Trace) {
+	if slot := &c.recent[traceSlot(t.Start)]; *slot == t {
+		*slot = nil
+	}
 	for _, e := range t.Entries {
 		addr := e.Inst.Addr
 		list := c.ripIndex[addr]

@@ -250,6 +250,61 @@ func Eval(op Op, a, b float64) Result {
 	return r
 }
 
+// EvalValue returns Eval(op, a, b).Value, bit for bit, without deciding
+// the exception flags: no 2Sum or FMA residue is computed. It is for
+// callers that own rounding themselves and discard the flags (Boxed
+// IEEE); the machine, which traps on the flags, keeps Eval. NaN handling
+// is Eval's: an sNaN input is quieted (the first operand's NaN first),
+// a qNaN input propagates (min/max return the second operand), and an
+// invalid combination of non-NaN inputs yields the canonical NaN.
+func EvalValue(op Op, a, b float64) float64 {
+	ab, bb := Bits(a), Bits(b)
+	unary := op == OpSqrt
+	if IsSignalingNaNBits(ab) || (!unary && IsSignalingNaNBits(bb)) {
+		return quietedNaN(ab, bb, unary)
+	}
+	if IsNaNBits(ab) || (!unary && IsNaNBits(bb)) {
+		if op == OpMin || op == OpMax {
+			return b
+		}
+		return propagateNaN(ab, bb, unary)
+	}
+	switch op {
+	case OpAdd:
+		return addValue(a, b)
+	case OpSub:
+		return addValue(a, -b)
+	case OpMul:
+		if (math.IsInf(a, 0) && IsZero(b)) || (math.IsInf(b, 0) && IsZero(a)) {
+			return FromBits(CanonicalNaN)
+		}
+		return a * b
+	case OpDiv:
+		if (math.IsInf(a, 0) && math.IsInf(b, 0)) || (IsZero(a) && IsZero(b)) {
+			return FromBits(CanonicalNaN)
+		}
+		return a / b
+	case OpSqrt:
+		if math.Signbit(a) && !IsZero(a) {
+			return FromBits(CanonicalNaN)
+		}
+		return math.Sqrt(a)
+	case OpMin:
+		return evalMinMax(a, b, true).Value
+	case OpMax:
+		return evalMinMax(a, b, false).Value
+	}
+	return 0
+}
+
+// addValue is evalAdd's value: inf + (-inf) is the canonical NaN.
+func addValue(a, b float64) float64 {
+	if math.IsInf(a, 0) && math.IsInf(b, 0) && math.Signbit(a) != math.Signbit(b) {
+		return FromBits(CanonicalNaN)
+	}
+	return a + b
+}
+
 func quietedNaN(ab, bb uint64, unary bool) float64 {
 	if IsNaNBits(ab) {
 		return FromBits(ab | QuietBit)

@@ -168,26 +168,6 @@ func (r *Runtime) demoteForInstruction(cpu *machine.CPU, addr uint64) error {
 	return nil
 }
 
-// demoteTo is demote with the altmath cost attributed to a specific
-// category (correctness demotions count as corr/fcall, not altmath).
-func (r *Runtime) demoteTo(bits uint64, cat telemetry.Category) uint64 {
-	h, ok := nanboxHandle(bits)
-	if !ok {
-		return bits
-	}
-	v, live := r.alloc.Get(h)
-	if !live {
-		return bits
-	}
-	f, cost := r.Cfg.Alt.Demote(v)
-	if bits>>63 != 0 {
-		f = -f // sign-flipped box decodes as the negated value
-	}
-	r.Demotions++
-	r.charge(cat, cost)
-	return bits64(f)
-}
-
 // eaCPU computes an effective address against an arbitrary CPU snapshot.
 func (r *Runtime) eaCPU(cpu *machine.CPU, in *isa.Inst, o isa.Operand) uint64 {
 	if o.RIPRel {

@@ -123,11 +123,7 @@ func (r *Runtime) write128(uc *kernel.Ucontext, in *isa.Inst, o isa.Operand, v [
 // boxedLive reports whether bits is a live FPVM box.
 func (r *Runtime) boxedLive(bits uint64) bool {
 	h, ok := nanboxHandle(bits)
-	if !ok {
-		return false
-	}
-	_, live := r.alloc.Get(h)
-	return live
+	return ok && r.alloc.Has(h)
 }
 
 // emulateInst decodes/binds/emulates one instruction against the
@@ -343,16 +339,21 @@ func (r *Runtime) altScalar(op isa.Op, dstBits, srcBits uint64) uint64 {
 	r.charge(telemetry.Altmath, cost)
 	if r.Cfg.Alt.IsNaN(res) && !aBoxed && !bBoxed {
 		// Ordinary operands produced a real NaN: the result must be an
-		// application-visible NaN, not one of our boxes (§2.3). Write the
-		// exact bits the hardware would have produced — x64 propagates
-		// (quieted) input NaN payloads; 0/0-style invalids yield the
-		// canonical NaN. fpmath.Eval implements precisely that.
-		if fop == fpmath.OpSqrt {
-			return fpmath.Bits(fpmath.Eval(fop, f64(srcBits), 0).Value)
-		}
-		return fpmath.Bits(fpmath.Eval(fop, f64(dstBits), f64(srcBits)).Value)
+		// application-visible NaN, not one of our boxes (§2.3).
+		return nativeBits(fop, dstBits, srcBits)
 	}
 	return r.box(res)
+}
+
+// nativeBits is the bits x64 hardware produces for fop on raw operand
+// bits (b ignored for sqrt): it propagates (quieted) input NaN payloads,
+// and 0/0-style invalids yield the canonical NaN. fpmath.EvalValue
+// implements precisely that.
+func nativeBits(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
+	if fop == fpmath.OpSqrt {
+		return fpmath.Bits(fpmath.EvalValue(fop, f64(srcBits), 0))
+	}
+	return fpmath.Bits(fpmath.EvalValue(fop, f64(dstBits), f64(srcBits)))
 }
 
 // nativeScalar is the degraded arithmetic path: demote the operands and
@@ -366,9 +367,9 @@ func (r *Runtime) nativeScalar(op isa.Op, dstBits, srcBits uint64) uint64 {
 // trace compiler pre-resolves it for the float fast path).
 func (r *Runtime) nativeScalarOp(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
 	if fop == fpmath.OpSqrt {
-		return fpmath.Bits(fpmath.Eval(fop, f64(r.demote(srcBits)), 0).Value)
+		return nativeBits(fop, 0, r.demote(srcBits))
 	}
-	return fpmath.Bits(fpmath.Eval(fop, f64(r.demote(dstBits)), f64(r.demote(srcBits))).Value)
+	return nativeBits(fop, r.demote(dstBits), r.demote(srcBits))
 }
 
 // altCompare compares two lanes through the alternative system.

@@ -25,9 +25,12 @@ package fpvm
 // invalidation path drops the body with its trace.
 
 import (
+	"encoding/binary"
+
 	"fpvm/internal/dcache"
 	"fpvm/internal/isa"
 	"fpvm/internal/kernel"
+	"fpvm/internal/mem"
 	"fpvm/internal/telemetry"
 )
 
@@ -81,6 +84,11 @@ func (r *Runtime) compileStep(e *dcache.Entry, first bool) jitExec {
 		if exec := compileMove(e); exec != nil {
 			return exec
 		}
+		if !r.Cfg.FutureHW {
+			if exec := compileIntMove(e); exec != nil {
+				return exec
+			}
+		}
 	}
 	return compileGeneric(e, first)
 }
@@ -110,25 +118,30 @@ func compileScalarArith(e *dcache.Entry, warranted bool) jitExec {
 		if err != nil {
 			return emOK, err
 		}
-		dstBits := uc.CPU.XMM[dst][0]
-		if !warranted && !r.boxedLive(srcBits) && (sqrt || !r.boxedLive(dstBits)) {
+		// One heap lookup per operand feeds the guard, the path choice
+		// and the resolve. sqrt reads no destination value.
+		src := r.lookupOperand(srcBits)
+		d := operand{bits: uc.CPU.XMM[dst][0]}
+		if !sqrt {
+			d = r.lookupOperand(d.bits)
+		}
+		if !warranted && src.kind == notBox && d.kind == notBox {
 			return emNotWarranted, nil // guard failure: deopt
 		}
 		r.charge(telemetry.Emul, r.Costs.EmulArith)
-		if !r.floatResolvable(srcBits) || (!sqrt && !r.floatResolvable(dstBits)) {
+		if src.kind == genericBox || d.kind == genericBox {
 			// A live box holds a non-float alt value: generic path.
-			uc.CPU.XMM[dst][0] = r.altScalar(op, dstBits, srcBits)
+			uc.CPU.XMM[dst][0] = r.altScalar(op, d.bits, srcBits)
 			return emOK, nil
 		}
-		uc.CPU.XMM[dst][0] = r.altScalarFloatOp(fop, dstBits, srcBits)
+		uc.CPU.XMM[dst][0] = r.altScalarFloatOp(fop, d, src)
 		return emOK, nil
 	}
 }
 
 // compileMove specializes the XMM transport ops — the bulk of non-arith
-// trace entries. Integer moves stay on the generic emulator (they carry
-// the FutureHW escape-demote side channel). Returns nil when the op has
-// no specialization.
+// trace entries. Integer moves are compileIntMove's. Returns nil when the
+// op has no specialization.
 func compileMove(e *dcache.Entry) jitExec {
 	in := &e.Inst
 	d := in.RegOp.Reg
@@ -173,7 +186,7 @@ func compileMove(e *dcache.Entry) jitExec {
 		ea := compileEA(in, in.RMOp)
 		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
 			chargeMove(r)
-			return emOK, r.m.Mem.WriteUint64(ea(uc), uc.CPU.XMM[d][0])
+			return emOK, store64(r.m.Mem, ea(uc), uc.CPU.XMM[d][0])
 		}
 	case isa.MOVQXG:
 		s := in.RMOp.Reg
@@ -202,6 +215,59 @@ func compileMove(e *dcache.Entry) jitExec {
 			chargeMove(r)
 			uc.CPU.GPR[d] = uint64(uint32(uc.CPU.XMM[s][0]))
 			return emOK, nil
+		}
+	}
+	return nil
+}
+
+// compileIntMove specializes the 64-bit integer moves, as emulateMove
+// runs them: a load reads its r/m as readOperand(…, 8) does (so a memory
+// r/m on MOV64RR is an 8-byte load), and a store or immediate writes a
+// GPR or memory r/m. The caller keeps these on the generic emulator under
+// FutureHW, where an integer load first takes the box-escape demotion.
+// Returns nil for other ops, and for a destination r/m that is neither a
+// GPR nor memory.
+func compileIntMove(e *dcache.Entry) jitExec {
+	in := &e.Inst
+	d := in.RegOp.Reg
+	switch in.Op {
+	case isa.MOV64RR, isa.MOV64RM:
+		read := compileRead64(in, in.RMOp)
+		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+			chargeMove(r)
+			v, err := read(r, uc)
+			if err != nil {
+				return emOK, err
+			}
+			uc.CPU.GPR[d] = v
+			return emOK, nil
+		}
+	case isa.MOV64MR:
+		return compileWrite64(in, func(uc *kernel.Ucontext) uint64 { return uc.CPU.GPR[d] })
+	case isa.MOV64RI:
+		imm := uint64(in.Imm)
+		return compileWrite64(in, func(*kernel.Ucontext) uint64 { return imm })
+	}
+	return nil
+}
+
+// compileWrite64 stores the value val yields to in's r/m, a GPR or
+// memory, mirroring writeOperandOrGPR(…, 8, …). It returns nil for any
+// other r/m kind.
+func compileWrite64(in *isa.Inst, val func(*kernel.Ucontext) uint64) jitExec {
+	switch o := in.RMOp; o.Kind {
+	case isa.KindGPR:
+		reg := o.Reg
+		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.GPR[reg] = val(uc)
+			return emOK, nil
+		}
+	case isa.KindMem:
+		ea := compileEA(in, o)
+		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+			chargeMove(r)
+			return emOK, store64(r.m.Mem, ea(uc), val(uc))
 		}
 	}
 	return nil
@@ -257,6 +323,33 @@ func compileRead64(in *isa.Inst, o isa.Operand) func(*Runtime, *kernel.Ucontext)
 	}
 	ea := compileEA(in, o)
 	return func(r *Runtime, uc *kernel.Ucontext) (uint64, error) {
-		return r.m.Mem.ReadUint64(ea(uc))
+		return load64(r.m.Mem, ea(uc))
 	}
+}
+
+// load64 reads the 8 bytes at addr in place from the page the address
+// space's TLB holds readable, as the machine's loads do; a TLB miss, a
+// page straddle or a fault takes the access path, which refills the TLB
+// or reports the fault.
+func load64(as *mem.AddressSpace, addr uint64) (uint64, error) {
+	if pg := as.Readable(addr); pg != nil {
+		if off := addr & mem.PageMask; off <= mem.PageSize-8 {
+			return binary.LittleEndian.Uint64(pg[off:]), nil
+		}
+	}
+	return as.ReadUint64(addr)
+}
+
+// store64 is load64 for stores: in place when the TLB holds the page
+// writable, allocated and not dirty-tracked, through the access path
+// otherwise, which allocates the page on its first write, marks it dirty,
+// refills the TLB or reports the fault.
+func store64(as *mem.AddressSpace, addr, v uint64) error {
+	if pg := as.Writable(addr); pg != nil {
+		if off := addr & mem.PageMask; off <= mem.PageSize-8 {
+			binary.LittleEndian.PutUint64(pg[off:], v)
+			return nil
+		}
+	}
+	return as.WriteUint64(addr, v)
 }

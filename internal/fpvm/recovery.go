@@ -62,10 +62,11 @@ func (s *recoveryState) clone() recoveryState {
 	return out
 }
 
-// resetTrap starts a fresh per-trap retry budget.
+// resetTrap starts a fresh per-trap retry budget. Only a trap that
+// retried leaves anything to clear, so the common trap skips the map.
 func (s *recoveryState) resetTrap() {
-	for k := range s.budget {
-		delete(s.budget, k)
+	if len(s.budget) != 0 {
+		clear(s.budget)
 	}
 }
 
@@ -76,6 +77,11 @@ func (s *recoveryState) resetTrap() {
 // chance (rollback.go). The sentinel is caught by the trap handlers'
 // deferred recover.
 func (r *Runtime) checkFault(site faultinject.Site, rip uint64) bool {
+	return r.inject != nil && r.injectedFault(site, rip)
+}
+
+// injectedFault is checkFault's consultation of an armed injector.
+func (r *Runtime) injectedFault(site faultinject.Site, rip uint64) bool {
 	err := r.inject.Check(site, rip)
 	if err == nil {
 		return false
@@ -93,7 +99,7 @@ func (r *Runtime) checkFault(site faultinject.Site, rip uint64) bool {
 // progress, so fatal faults at these sites exhaust the retry budget like
 // persistent transients and are resolved in place by the caller.
 func (r *Runtime) checkFaultPlain(site faultinject.Site, rip uint64) bool {
-	if r.inject.Check(site, rip) == nil {
+	if r.inject == nil || r.inject.Check(site, rip) == nil {
 		return false
 	}
 	r.Tel.FaultsInjected++

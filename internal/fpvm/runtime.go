@@ -319,7 +319,7 @@ func (r *Runtime) charge(cat telemetry.Category, n uint64) {
 // chargeDelivery records the delegation costs the kernel already charged
 // to the machine clock, attributing them to hw/kernel/ret telemetry.
 func (r *Runtime) chargeDelivery() {
-	c := r.p.K.Costs
+	c := &r.p.K.Costs
 	if r.Cfg.FutureHW {
 		// Direct hardware vector: no kernel involvement at all.
 		r.Tel.Add(telemetry.HW, c.HWUserDeliver)
@@ -673,20 +673,33 @@ func (r *Runtime) box(v alt.Value) uint64 {
 // demote converts lane bits that may be boxed back to a plain IEEE
 // double's bits, charging altmath for the conversion.
 func (r *Runtime) demote(bits uint64) uint64 {
+	return r.demoteTo(bits, telemetry.Altmath)
+}
+
+// demoteTo is demote with the altmath cost attributed to a specific
+// category (correctness demotions count as corr/fcall, not altmath). A
+// float box demotes through the FloatSystem, with no interface value.
+func (r *Runtime) demoteTo(bits uint64, cat telemetry.Category) uint64 {
 	h, ok := isBox(bits)
 	if !ok {
 		return bits
 	}
-	v, live := r.alloc.Get(h)
-	if !live {
+	var f float64
+	var cost uint64
+	switch fv, kind := r.alloc.Lookup(h); {
+	case kind == heap.Dead:
 		return bits
+	case kind == heap.Float && r.flt != nil:
+		f, cost = r.flt.DemoteFloat(fv)
+	default:
+		v, _ := r.alloc.Get(h)
+		f, cost = r.Cfg.Alt.Demote(v)
 	}
-	f, cost := r.Cfg.Alt.Demote(v)
 	if bits>>63 != 0 {
 		f = -f // sign-flipped box: decode as the negated value
 	}
 	r.Demotions++
-	r.charge(telemetry.Altmath, cost)
+	r.charge(cat, cost)
 	return bits64(f)
 }
 

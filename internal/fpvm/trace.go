@@ -24,6 +24,7 @@ import (
 	"fpvm/internal/dcache"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/fpmath"
+	"fpvm/internal/heap"
 	"fpvm/internal/kernel"
 	"fpvm/internal/telemetry"
 )
@@ -38,10 +39,9 @@ import (
 // through to the per-instruction walk for this trap.
 //
 // Each iteration is an indexed step array walk plus one indirect call —
-// no Entry traversal, no class or operand dispatch. Fault checks are
-// skipped wholesale when no injector is armed (the nil-injector check is
-// side-effect-free), and the watchdog budget is hoisted (it is a pure
-// config read).
+// no Entry traversal, no class or operand dispatch. A fault check costs
+// one inlined nil test when no injector is armed, and the watchdog
+// budget is hoisted (it is a pure config read).
 func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart uint64) bool {
 	body, ok := tr.Compiled.(*jitBody)
 	if !ok {
@@ -54,7 +54,6 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 	count := 0
 	reason := tr.Reason
 	rip := tr.Start
-	inject := r.inject != nil
 	budget := r.trapCycleBudget()
 
 	for i := range body.steps {
@@ -67,7 +66,7 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		// entry. A fault here models a corrupted trace/decode entry: the
 		// address is invalidated (killing this trace and its body), and
 		// the sequence ends so the next trap re-decodes through the walk.
-		if inject && r.checkFault(faultinject.SiteDecode, rip) {
+		if r.checkFault(faultinject.SiteDecode, rip) {
 			r.cache.Invalidate(rip)
 			if !r.retryFault(faultinject.SiteDecode) {
 				if i == 0 {
@@ -161,80 +160,84 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 	return true
 }
 
-// floatResolvable reports whether resolveFloat can handle bits without
-// falling back: true unless bits names a live box holding a non-float alt
-// value. (For BoxedIEEE every live box is a float64; other FloatSystem
-// implementations could mix representations.)
-func (r *Runtime) floatResolvable(bits uint64) bool {
-	h, ok := isBox(bits)
-	if !ok {
-		return true // promotes
-	}
-	_, isF, live := r.alloc.GetFloat(h)
-	if !live || isF {
-		return true
-	}
-	v, _ := r.alloc.Get(h)
-	_, isFloat := v.(float64)
-	return isFloat
+// boxKind is what one heap lookup learns about an operand's bits.
+type boxKind uint8
+
+const (
+	notBox     boxKind = iota // plain bits, or a dead handle: promotes
+	floatBox                  // a live box whose value is a float64
+	genericBox                // a live box holding another alt value
+)
+
+// operand is one operand of a compiled arithmetic step, looked up once:
+// the guard, the choice between the float and the generic path, and the
+// resolve all read this result.
+type operand struct {
+	bits uint64
+	val  float64 // the box's value, when kind is floatBox
+	kind boxKind
 }
 
-// resolveFloat is resolve without interface boxing: a live box yields its
-// float64 (negated when the pattern's sign bit is flipped), anything else
-// promotes. Counters and cycle charges mirror resolve exactly.
-func (r *Runtime) resolveFloat(bits uint64) (float64, bool) {
+// lookupOperand looks bits up in the box heap. It charges nothing: the
+// cycles of a resolve are charged by resolveOperand.
+func (r *Runtime) lookupOperand(bits uint64) operand {
+	o := operand{bits: bits}
 	if h, ok := isBox(bits); ok {
-		f, isF, live := r.alloc.GetFloat(h)
-		if live {
-			if !isF {
-				// Pre-checked by floatResolvable: a non-float slot here can
-				// only hold a float64-typed Value. Reading through Get
-				// returns the existing interface — no allocation.
-				v, _ := r.alloc.Get(h)
-				f = v.(float64)
-			}
-			if bits>>63 != 0 {
-				nf, cost := r.flt.NegFloat(f)
-				r.charge(telemetry.Altmath, cost)
-				return nf, true
-			}
-			return f, true
+		switch f, kind := r.alloc.Lookup(h); kind {
+		case heap.Float:
+			o.val, o.kind = f, floatBox
+		case heap.Generic:
+			o.kind = genericBox
 		}
 	}
-	f, cost := r.flt.PromoteFloat(f64(bits))
+	return o
+}
+
+// resolveOperand is resolve without interface boxing, on an operand
+// that is not a genericBox: a float box yields its value (negated when
+// the pattern's sign bit is flipped), anything else promotes. Counters
+// and cycle charges mirror resolve exactly.
+func (r *Runtime) resolveOperand(o operand) (float64, bool) {
+	if o.kind == floatBox {
+		if o.bits>>63 != 0 {
+			nf, cost := r.flt.NegFloat(o.val)
+			r.charge(telemetry.Altmath, cost)
+			return nf, true
+		}
+		return o.val, true
+	}
+	f, cost := r.flt.PromoteFloat(f64(o.bits))
 	r.Promotions++
 	r.charge(telemetry.Altmath, cost)
 	return f, false
 }
 
 // altScalarFloatOp is altScalar on the float fast path, with the fpmath
-// op mapped once at trace compile time: same fault ladder, same
-// NaN-with-unboxed-operands raw-bits rule, same costs — but no alt.Value
-// ever exists, so the operation allocates nothing.
-func (r *Runtime) altScalarFloatOp(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
+// op mapped once at trace compile time and both operands looked up by
+// the caller: same fault ladder, same NaN-with-unboxed-operands raw-bits
+// rule, same costs — but no alt.Value ever exists, so the operation
+// allocates nothing.
+func (r *Runtime) altScalarFloatOp(fop fpmath.Op, dst, src operand) uint64 {
 	for r.checkFault(faultinject.SiteAltOp, r.curRIP) {
 		if !r.retryFault(faultinject.SiteAltOp) {
 			r.degradeFault(faultinject.SiteAltOp)
-			return r.nativeScalarOp(fop, dstBits, srcBits)
+			return r.nativeScalarOp(fop, dst.bits, src.bits)
 		}
 	}
 	var a, b float64
 	var aBoxed, bBoxed bool
 	if fop == fpmath.OpSqrt {
-		a, aBoxed = r.resolveFloat(srcBits)
+		a, aBoxed = r.resolveOperand(src)
 	} else {
-		a, aBoxed = r.resolveFloat(dstBits)
-		b, bBoxed = r.resolveFloat(srcBits)
+		a, aBoxed = r.resolveOperand(dst)
+		b, bBoxed = r.resolveOperand(src)
 	}
 	res, cost := r.flt.OpFloat(fop, a, b)
 	r.charge(telemetry.Altmath, cost)
 	if math.IsNaN(res) && !aBoxed && !bBoxed {
 		// Ordinary operands produced a real NaN: application-visible NaN
 		// bits, never one of our boxes (§2.3) — same rule as altScalar.
-		if fop == fpmath.OpSqrt {
-			return fpmath.Bits(fpmath.Eval(fop, f64(srcBits), 0).Value)
-		}
-		return fpmath.Bits(fpmath.Eval(fop, f64(dstBits), f64(srcBits)).Value)
+		return nativeBits(fop, dst.bits, src.bits)
 	}
 	return r.boxFloat(res)
 }
@@ -260,18 +263,7 @@ func (r *Runtime) boxFloat(f float64) uint64 {
 		f = nf
 		sign = 1 << 63
 	}
-	return r.boxOrDegradeFloat(f, sign)
-}
-
-// plainBitsFloat is plainBits on the float path (degraded storage).
-func (r *Runtime) plainBitsFloat(f float64) uint64 {
-	df, cost := r.flt.DemoteFloat(f)
-	r.charge(telemetry.Altmath, cost)
-	return bits64(df)
-}
-
-// boxOrDegradeFloat is boxOrDegrade for a float-specialized slot.
-func (r *Runtime) boxOrDegradeFloat(f float64, sign uint64) uint64 {
+	// boxOrDegrade's MaxLiveBoxes rung, for a float-specialized slot.
 	if r.alloc.AtCap() {
 		r.forceGC()
 	}
@@ -283,4 +275,11 @@ func (r *Runtime) boxOrDegradeFloat(f float64, sign uint64) uint64 {
 	}
 	r.Boxes++
 	return boxBits(h) | sign
+}
+
+// plainBitsFloat is plainBits on the float path (degraded storage).
+func (r *Runtime) plainBitsFloat(f float64) uint64 {
+	df, cost := r.flt.DemoteFloat(f)
+	r.charge(telemetry.Altmath, cost)
+	return bits64(df)
 }

@@ -77,12 +77,13 @@ func (r *Runtime) InstallWrappers(lib *hostlib.Library) {
 func (r *Runtime) makeWrapper(name string, impl kernel.HostFunc) kernel.HostFunc {
 	isUnary := libmUnary[name]
 	isBinary := libmBinary[name]
+	ms, isMath := r.Cfg.Alt.(alt.MathSystem)
 	return func(p *kernel.Process) error {
 		r.Tel.FCallEvents++
 		r.charge(telemetry.FCall, r.Costs.WrapCall)
 		cpu := &p.M.CPU
 
-		if ms, ok := r.Cfg.Alt.(alt.MathSystem); ok && (isUnary || isBinary) {
+		if isMath && (isUnary || isBinary) {
 			a, _ := r.resolve(cpu.XMM[0][0])
 			var res alt.Value
 			var cost uint64
@@ -100,10 +101,9 @@ func (r *Runtime) makeWrapper(name string, impl kernel.HostFunc) kernel.HostFunc
 			}
 		}
 
+		// demoteTo leaves anything but a live box as it is.
 		for i := 0; i < 8; i++ {
-			if r.boxedLive(cpu.XMM[i][0]) {
-				cpu.XMM[i][0] = r.demoteTo(cpu.XMM[i][0], telemetry.FCall)
-			}
+			cpu.XMM[i][0] = r.demoteTo(cpu.XMM[i][0], telemetry.FCall)
 		}
 		return impl(p)
 	}

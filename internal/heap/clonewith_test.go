@@ -25,8 +25,8 @@ func TestCloneWithDeepCopiesLiveValues(t *testing.T) {
 	}
 	// Float-specialized slots carry no interface value and are copied
 	// verbatim.
-	if f, isF, ok := c.GetFloat(hf); !ok || !isF || f != 2.5 {
-		t.Errorf("float slot after CloneWith: %v/%v/%v, want 2.5/true/true", f, isF, ok)
+	if f, kind := c.Lookup(hf); kind != Float || f != 2.5 {
+		t.Errorf("float slot after CloneWith: %v/%v, want 2.5/Float", f, kind)
 	}
 	// Allocation in the clone must not disturb the original.
 	c.Alloc(&mutVal{n: 5})

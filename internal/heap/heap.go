@@ -9,6 +9,7 @@ package heap
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"fpvm/internal/mem"
 	"fpvm/internal/nanbox"
@@ -44,23 +45,35 @@ func DefaultCostModel() CostModel {
 	return CostModel{PerPage: 768, PerSlot: 4, PerRoot: 2, BaseCost: 400}
 }
 
-type slot struct {
-	val any
-	// Float-specialized storage: the trace-replay fast path stores float64
-	// box values inline instead of through val (a float64→any conversion
-	// heap-allocates on every box). isF marks which representation a live
-	// slot uses; Get bridges float slots back to any for the generic path.
-	fval float64
-	isF  bool
-	live bool
-	mark bool
-}
+// Slot state bits, one byte per handle.
+const (
+	slotLive    uint8 = 1 << iota // allocated and not yet collected
+	slotInline                    // the value is the float64 whose bits are in word
+	slotGeneric                   // stored through Alloc (a generic slot)
+	slotMark                      // reached by the running collection
+)
+
+// noFree ends the free list.
+const noFree = math.MaxUint64
 
 // Allocator is the box allocator. The zero value is not usable; call New.
 type Allocator struct {
-	slots []slot
-	free  []uint64
-	live  int
+	// The store is indexed by handle. state holds each slot's bits. word
+	// holds the bits of every live slot whose value is a float64 (the
+	// float-specialized slots of AllocFloat, and generic slots that were
+	// given a float64), and in a free slot the next handle down the free
+	// list. vals holds the other generic values; it stays nil until the
+	// first such value, so a Boxed IEEE run keeps no interface per slot.
+	// The store is sized once, at the first box (see reserve).
+	state []uint8
+	word  []uint64
+	vals  []any
+
+	// free is the top of the free list, a stack threaded through the
+	// free slots' words (noFree when empty): the most recently freed
+	// handle is reused first.
+	free uint64
+	live int
 
 	// Threshold is the live-box count that makes NeedsGC true. The FPVM
 	// runtime checks it on every trap (§2.5: each SIGFPE may invoke GC).
@@ -82,40 +95,95 @@ func New(threshold int) *Allocator {
 	if threshold == 0 {
 		threshold = 4096
 	}
-	return &Allocator{Threshold: threshold, Costs: DefaultCostModel()}
+	return &Allocator{free: noFree, Threshold: threshold, Costs: DefaultCostModel()}
 }
 
-// Alloc stores v and returns its handle.
+// Alloc stores v in a generic slot and returns its handle. A float64 v
+// is kept in the slot's word, without its interface.
 func (a *Allocator) Alloc(v any) uint64 {
-	return a.alloc(slot{val: v, live: true})
+	h := a.take()
+	a.setGeneric(h, v)
+	return h
 }
 
 // AllocFloat stores f in a float-specialized slot and returns its handle.
-// No interface value is created, so the call itself does not allocate
-// (beyond amortized slot-array growth).
+// It writes the slot's fields in place and creates no interface value,
+// so it does not allocate once the store is sized.
 func (a *Allocator) AllocFloat(f float64) uint64 {
-	return a.alloc(slot{fval: f, isF: true, live: true})
+	h := a.take()
+	a.state[h] = slotLive | slotInline
+	a.word[h] = math.Float64bits(f)
+	return h
 }
 
-func (a *Allocator) alloc(s slot) uint64 {
-	a.Stats.Allocs++
-	var h uint64
-	if n := len(a.free); n > 0 {
-		h = a.free[n-1]
-		a.free = a.free[:n-1]
-		a.slots[h] = s
+// setGeneric makes slot h a live generic slot holding v.
+func (a *Allocator) setGeneric(h uint64, v any) {
+	if f, ok := v.(float64); ok {
+		a.state[h] = slotLive | slotGeneric | slotInline
+		a.word[h] = math.Float64bits(f)
+		v = nil
 	} else {
-		h = uint64(len(a.slots))
+		a.state[h] = slotLive | slotGeneric
+		a.word[h] = 0
+	}
+	if v != nil && a.vals == nil {
+		a.vals = make([]any, len(a.state), cap(a.state))
+	}
+	if a.vals != nil {
+		a.vals[h] = v
+	}
+}
+
+// take returns the handle for a new box: the most recently freed one,
+// else the next unused one. The caller sets the slot's state and word.
+func (a *Allocator) take() uint64 {
+	a.Stats.Allocs++
+	h := a.free
+	if h != noFree {
+		a.free = a.word[h]
+	} else {
+		h = uint64(len(a.state))
 		if h > nanbox.MaxHandle {
 			panic("heap: handle space exhausted")
 		}
-		a.slots = append(a.slots, s)
+		if cap(a.state) == 0 {
+			a.reserve()
+		}
+		a.state = append(a.state, 0)
+		a.word = append(a.word, 0)
+		if a.vals != nil {
+			a.vals = append(a.vals, nil)
+		}
 	}
 	a.live++
 	if a.live > a.Stats.MaxLive {
 		a.Stats.MaxLive = a.live
 	}
 	return h
+}
+
+// reserve sizes the empty store for the population one collection cycle
+// reaches: the live count that triggers a collection (or the MaxLive cap,
+// if lower), plus an eighth for what the trap that crosses it allocates
+// before the runtime collects. A run that outgrows it grows by append.
+func (a *Allocator) reserve() {
+	n := a.Threshold
+	if a.MaxLive > 0 && a.MaxLive < n {
+		n = a.MaxLive
+	}
+	n += n / 8
+	a.state = make([]uint8, 0, n)
+	a.word = make([]uint64, 0, n)
+}
+
+// release puts the live slot h on the free list.
+func (a *Allocator) release(h uint64) {
+	a.state[h] = 0
+	a.word[h] = a.free
+	if a.vals != nil {
+		a.vals[h] = nil
+	}
+	a.free = h
 }
 
 // AtCap reports whether the live population has reached the MaxLive hard
@@ -143,32 +211,47 @@ func (a *Allocator) TryAllocFloat(f float64) (uint64, error) {
 // Get returns the value for handle h. ok is false if h was never
 // allocated or has been collected — the caller must then treat the NaN as
 // an application NaN, per the paper's ours-vs-theirs discrimination.
-// Float-specialized slots are bridged back to any here (this conversion
-// allocates, which is acceptable: Get sits on the generic walk path, not
-// the replay fast path).
+// A float64 value is converted to an interface here, which allocates:
+// Get serves the generic walk path; the replay path reads floats through
+// Lookup.
 func (a *Allocator) Get(h uint64) (any, bool) {
-	if h >= uint64(len(a.slots)) || !a.slots[h].live {
+	if !a.Has(h) {
 		return nil, false
 	}
-	s := &a.slots[h]
-	if s.isF {
-		return s.fval, true
+	if a.state[h]&slotInline != 0 {
+		return math.Float64frombits(a.word[h]), true
 	}
-	return s.val, true
+	if a.vals == nil {
+		return nil, true
+	}
+	return a.vals[h], true
 }
 
-// GetFloat returns the float64 for handle h without creating an interface
-// value. isFloat is false when the slot is live but holds a non-float
-// value (a generic alt-system Value) — the caller must fall back to Get.
-func (a *Allocator) GetFloat(h uint64) (f float64, isFloat, ok bool) {
-	if h >= uint64(len(a.slots)) || !a.slots[h].live {
-		return 0, false, false
+// Kind is what a handle names.
+type Kind uint8
+
+const (
+	Dead    Kind = iota // never allocated, or collected
+	Float               // a live box whose value is a float64
+	Generic             // a live box holding another alt-system value (or nil)
+)
+
+// Lookup reports what handle h names and, for a Float box, its value: a
+// float-specialized slot, or a generic slot that was given a float64. It
+// creates no interface value, so it never allocates.
+func (a *Allocator) Lookup(h uint64) (float64, Kind) {
+	if !a.Has(h) {
+		return 0, Dead
 	}
-	s := &a.slots[h]
-	if s.isF {
-		return s.fval, true, true
+	if a.state[h]&slotInline != 0 {
+		return math.Float64frombits(a.word[h]), Float
 	}
-	return 0, false, true
+	return 0, Generic
+}
+
+// Has reports whether h names a live box.
+func (a *Allocator) Has(h uint64) bool {
+	return h < uint64(len(a.state)) && a.state[h]&slotLive != 0
 }
 
 // Live returns the number of live boxes.
@@ -193,10 +276,11 @@ func (a *Allocator) Collect(as *mem.AddressSpace, roots ...*Roots) (freed int, c
 	a.Stats.Collections++
 	cycles = a.Costs.BaseCost
 
+	state := a.state
 	mark := func(word uint64) {
-		if h, ok := nanbox.Handle(word); ok && h < uint64(len(a.slots)) && a.slots[h].live {
-			if !a.slots[h].mark {
-				a.slots[h].mark = true
+		if h, ok := nanbox.Handle(word); ok && h < uint64(len(state)) {
+			if st := state[h]; st&slotLive != 0 && st&slotMark == 0 {
+				state[h] = st | slotMark
 				a.Stats.WordsMarked++
 			}
 		}
@@ -218,36 +302,28 @@ func (a *Allocator) Collect(as *mem.AddressSpace, roots ...*Roots) (freed int, c
 
 	// The charge is per mapped writable page; the host reads only the
 	// allocated ones, since an untouched page reads as zeros and holds
-	// no box.
-	pages := as.WritablePages()
-	for _, pa := range pages {
-		if !as.Allocated(pa) {
-			continue
-		}
-		data, _ := as.PageData(pa)
+	// no box. Marking is a set union, so page order does not matter.
+	pages := as.ScanWritable(func(data *[mem.PageSize]byte) {
 		for off := 0; off+8 <= len(data); off += 8 {
 			mark(binary.LittleEndian.Uint64(data[off:]))
 		}
-	}
-	a.Stats.PagesScanned += uint64(len(pages))
-	cycles += a.Costs.PerPage * uint64(len(pages))
+	})
+	a.Stats.PagesScanned += uint64(pages)
+	cycles += a.Costs.PerPage * uint64(pages)
 
-	// Sweep.
-	for h := range a.slots {
-		s := &a.slots[h]
-		if s.live && !s.mark {
-			s.val = nil
-			s.fval = 0
-			s.isF = false
-			s.live = false
-			a.free = append(a.free, uint64(h))
+	// Sweep, freeing in handle order: the highest freed handle ends on
+	// top of the free list and is reused first.
+	for h, st := range state {
+		if st&slotLive != 0 && st&slotMark == 0 {
+			a.release(uint64(h))
 			freed++
+			continue
 		}
-		s.mark = false
+		state[h] = st &^ slotMark
 	}
 	a.live -= freed
 	a.Stats.Frees += uint64(freed)
-	cycles += a.Costs.PerSlot * uint64(len(a.slots))
+	cycles += a.Costs.PerSlot * uint64(len(state))
 	return freed, cycles
 }
 
@@ -256,16 +332,13 @@ func (a *Allocator) Collect(as *mem.AddressSpace, roots ...*Roots) (freed int, c
 // safe because boxes are immutable (§2.5: "they must operate as if they
 // were values ... they must be immutable").
 func (a *Allocator) Clone() *Allocator {
-	out := &Allocator{
-		slots:     append([]slot(nil), a.slots...),
-		free:      append([]uint64(nil), a.free...),
-		live:      a.live,
-		Threshold: a.Threshold,
-		MaxLive:   a.MaxLive,
-		Costs:     a.Costs,
-		Stats:     a.Stats,
+	out := *a
+	out.state = append([]uint8(nil), a.state...)
+	out.word = append([]uint64(nil), a.word...)
+	if a.vals != nil {
+		out.vals = append([]any(nil), a.vals...)
 	}
-	return out
+	return &out
 }
 
 // CloneWith is Clone with value isolation: every live generic slot's
@@ -276,10 +349,12 @@ func (a *Allocator) Clone() *Allocator {
 // not alias the snapshot it came from.
 func (a *Allocator) CloneWith(clone func(any) any) *Allocator {
 	out := a.Clone()
-	for h := range out.slots {
-		s := &out.slots[h]
-		if s.live && !s.isF && s.val != nil {
-			s.val = clone(s.val)
+	for h, st := range out.state {
+		if st&(slotLive|slotGeneric) != slotLive|slotGeneric {
+			continue
+		}
+		if v, _ := out.Get(uint64(h)); v != nil {
+			out.setGeneric(uint64(h), clone(v))
 		}
 	}
 	return out
@@ -287,7 +362,11 @@ func (a *Allocator) CloneWith(clone func(any) any) *Allocator {
 
 // Reset drops all boxes (process teardown).
 func (a *Allocator) Reset() {
-	a.slots = a.slots[:0]
-	a.free = a.free[:0]
+	a.state = a.state[:0]
+	a.word = a.word[:0]
+	if a.vals != nil {
+		a.vals = a.vals[:0]
+	}
+	a.free = noFree
 	a.live = 0
 }

@@ -9,6 +9,8 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Slot kinds in a heap Image.
@@ -43,26 +45,28 @@ var ErrBadImage = errors.New("heap: inconsistent allocator image")
 // generic value through encode (an alt.Codec in practice).
 func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 	img := &Image{
-		Kinds:     make([]byte, len(a.slots)),
-		Free:      append([]uint64(nil), a.free...),
+		Kinds:     make([]byte, len(a.state)),
+		Free:      a.freeList(),
 		Live:      a.live,
 		Threshold: a.Threshold,
 		MaxLive:   a.MaxLive,
 		Costs:     a.Costs,
 		Stats:     a.Stats,
 	}
-	for h := range a.slots {
-		s := &a.slots[h]
+	for h, st := range a.state {
 		switch {
-		case !s.live:
+		case st&slotLive == 0:
 			img.Kinds[h] = SlotFree
-		case s.isF:
+		case st&slotGeneric == 0:
 			img.Kinds[h] = SlotFloat
-			img.Floats = append(img.Floats, s.fval)
-		case s.val == nil:
-			img.Kinds[h] = SlotNil
+			img.Floats = append(img.Floats, math.Float64frombits(a.word[h]))
 		default:
-			b, err := encode(s.val)
+			v, _ := a.Get(uint64(h))
+			if v == nil {
+				img.Kinds[h] = SlotNil
+				continue
+			}
+			b, err := encode(v)
 			if err != nil {
 				return nil, fmt.Errorf("heap: encoding box %d: %w", h, err)
 			}
@@ -73,15 +77,28 @@ func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 	return img, nil
 }
 
+// freeList returns the free list bottom of stack first, the order the
+// free handles were pushed in.
+func (a *Allocator) freeList() []uint64 {
+	var top []uint64
+	for h := a.free; h != noFree && len(top) < len(a.state); h = a.word[h] {
+		top = append(top, h)
+	}
+	slices.Reverse(top)
+	return top
+}
+
 // FromImage rebuilds an allocator from an Image, decoding every generic
 // value through decode. The result is behaviourally identical to the
 // captured allocator: same handles, same free-list order, same counters.
 // Kinds and payloads that disagree — a payload missing or left over, or
-// a kind FromImage does not know — fail with ErrBadImage.
+// a kind FromImage does not know — fail with ErrBadImage, as does a
+// free list naming a live slot, a slot out of range or one slot twice.
 func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error) {
 	a := &Allocator{
-		slots:     make([]slot, len(img.Kinds)),
-		free:      append([]uint64(nil), img.Free...),
+		state:     make([]uint8, len(img.Kinds)),
+		word:      make([]uint64, len(img.Kinds)),
+		free:      noFree,
 		live:      img.Live,
 		Threshold: img.Threshold,
 		MaxLive:   img.MaxLive,
@@ -96,11 +113,12 @@ func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error)
 			if len(floats) == 0 {
 				return nil, fmt.Errorf("%w: float slot %d has no payload", ErrBadImage, h)
 			}
-			a.slots[h] = slot{fval: floats[0], isF: true, live: true}
+			a.state[h] = slotLive | slotInline
+			a.word[h] = math.Float64bits(floats[0])
 			floats = floats[1:]
 			live++
 		case SlotNil:
-			a.slots[h] = slot{live: true}
+			a.setGeneric(uint64(h), nil)
 			live++
 		case SlotGeneric:
 			if len(vals) == 0 {
@@ -110,7 +128,7 @@ func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error)
 			if err != nil {
 				return nil, fmt.Errorf("heap: decoding box %d: %w", h, err)
 			}
-			a.slots[h] = slot{val: v, live: true}
+			a.setGeneric(uint64(h), v)
 			vals = vals[1:]
 			live++
 		default:
@@ -124,10 +142,17 @@ func FromImage(img *Image, decode func([]byte) (any, error)) (*Allocator, error)
 	if live != img.Live {
 		return nil, fmt.Errorf("%w: %d live slots, header says %d", ErrBadImage, live, img.Live)
 	}
-	for _, h := range a.free {
-		if h >= uint64(len(a.slots)) || a.slots[h].live {
+	for _, h := range img.Free {
+		// A pushed slot carries slotMark until the list is built, so a
+		// handle listed twice is caught.
+		if h >= uint64(len(a.state)) || a.state[h] != 0 {
 			return nil, fmt.Errorf("%w: free-list entry %d invalid", ErrBadImage, h)
 		}
+		a.release(h)
+		a.state[h] = slotMark
+	}
+	for _, h := range img.Free {
+		a.state[h] = 0
 	}
 	return a, nil
 }

@@ -66,8 +66,8 @@ func TestImagePacksSlotsAndRoundTrips(t *testing.T) {
 	if v, ok := a.Get(2); !ok || v != 42 {
 		t.Fatalf("generic slot 2 rebuilt as %v/%v, want 42", v, ok)
 	}
-	if f, isF, ok := a.GetFloat(4); !ok || !isF || f != -0.25 {
-		t.Fatalf("float slot 4 rebuilt as %v/%v/%v, want -0.25", f, isF, ok)
+	if f, kind := a.Lookup(4); kind != Float || f != -0.25 {
+		t.Fatalf("float slot 4 rebuilt as %v/%v, want -0.25/Float", f, kind)
 	}
 	if h := a.AllocFloat(9); h != 1 {
 		t.Fatalf("first allocation after rebuild took handle %d, want the freed 1", h)
@@ -76,7 +76,10 @@ func TestImagePacksSlotsAndRoundTrips(t *testing.T) {
 
 // Kinds and payloads are separate slices on the wire, so a damaged image
 // can disagree with itself; FromImage must refuse it rather than shift
-// every later payload onto the wrong slot.
+// every later payload onto the wrong slot. The free list lives in the
+// free slots themselves, so a damaged list could make two boxes share a
+// handle or loop forever; a live, out-of-range or repeated entry is
+// refused too.
 func TestFromImageRejectsKindPayloadMismatch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -87,6 +90,9 @@ func TestFromImageRejectsKindPayloadMismatch(t *testing.T) {
 		{"extra value", func(img *Image) { img.Vals = append(img.Vals, []byte("1")) }},
 		{"missing value", func(img *Image) { img.Vals = nil }},
 		{"unknown kind", func(img *Image) { img.Kinds[1] = SlotNil + 1 }},
+		{"free list names a live slot", func(img *Image) { img.Free = []uint64{1, 2} }},
+		{"free list out of range", func(img *Image) { img.Free = []uint64{1, 5} }},
+		{"free list repeats a slot", func(img *Image) { img.Free = []uint64{1, 1} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img := capturedHeap(t)
@@ -95,5 +101,42 @@ func TestFromImageRejectsKindPayloadMismatch(t *testing.T) {
 				t.Fatalf("FromImage = %v, want ErrBadImage", err)
 			}
 		})
+	}
+}
+
+// TestFreeListOrder: a collection frees in handle order and the most
+// recently freed handle is reused first, so handle numbering after a
+// collection, a capture or a rebuild is what the uninterrupted run sees.
+func TestFreeListOrder(t *testing.T) {
+	a := New(0)
+	for i := 0; i < 6; i++ {
+		a.AllocFloat(float64(i))
+	}
+	roots := &Roots{}
+	for i, h := range []uint64{0, 3, 5} {
+		roots.GPR[i] = nanbox.Box(h)
+	}
+	if freed, _ := a.Collect(newSpace(), roots); freed != 3 {
+		t.Fatalf("collect freed %d boxes, want 3", freed)
+	}
+	img, err := a.Capture(encodeInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(img.Free, []uint64{1, 2, 4}) {
+		t.Fatalf("free list %v, want [1 2 4] (bottom first)", img.Free)
+	}
+	b, err := FromImage(img, decodeInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, al := range []*Allocator{a, b} {
+		var got []uint64
+		for i := 0; i < 4; i++ {
+			got = append(got, al.AllocFloat(9))
+		}
+		if !reflect.DeepEqual(got, []uint64{4, 2, 1, 6}) {
+			t.Fatalf("handles after collect %v, want [4 2 1 6]", got)
+		}
 	}
 }

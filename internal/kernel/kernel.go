@@ -257,9 +257,13 @@ func (p *Process) BindHostAuto(fn HostFunc) uint64 {
 }
 
 // snapshot overwrites the process's signal frame with the current CPU
-// state and returns it; a delivery allocates nothing.
+// state and returns it; a delivery allocates nothing. Every field of the
+// frame is assigned on its own: a composite literal would be built in a
+// zeroed temporary and copied twice.
 func (p *Process) snapshot(sig int, flags uint32) *Ucontext {
-	p.frame = Ucontext{CPU: p.M.CPU, Sig: sig, FPFlags: flags}
+	p.frame.CPU = p.M.CPU
+	p.frame.Sig = sig
+	p.frame.FPFlags = flags
 	return &p.frame
 }
 
@@ -289,7 +293,9 @@ func (p *Process) injectDeliveryFaults() {
 func (p *Process) deliverFPTrap(flags uint32) error {
 	k := p.K
 	k.Stats.FPTraps++
-	p.injectDeliveryFaults()
+	if p.Inject != nil {
+		p.injectDeliveryFaults()
+	}
 
 	if p.hwUserEntry != nil {
 		// Future-work hardware: the CPU vectors directly to user space;

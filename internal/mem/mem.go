@@ -505,6 +505,25 @@ func (as *AddressSpace) WritablePages() []uint64 {
 	return out
 }
 
+// ScanWritable calls fn with the bytes of every allocated writable page,
+// in no particular order, and returns the number of writable pages
+// mapped, allocated or not: an untouched page reads as zeros, so fn never
+// sees one. Unlike WritablePages it builds and sorts no list, for
+// callers whose result does not depend on page order. fn must only read.
+func (as *AddressSpace) ScanWritable(fn func(data *[PageSize]byte)) int {
+	n := 0
+	for _, p := range as.pages {
+		if p.perm&PermWrite == 0 {
+			continue
+		}
+		n++
+		if p.allocated() {
+			fn(p.data)
+		}
+	}
+	return n
+}
+
 // PageData returns the bytes of the page containing addr, for reading
 // only: an untouched page returns the shared zero page, which must never
 // be written (OverwritePage and the Write methods give a page bytes of

@@ -84,9 +84,23 @@ func TestServiceChaosSoak(t *testing.T) {
 		refs[v] = ref{stdout: res.Stdout, digest: fmt.Sprintf("%016x-%016x", rec.RIP, rec.Sum), exit: res.ExitCode}
 	}
 
+	// The storm's deadline jobs are all tenant-beta submissions racing
+	// the other 54, and any of them may be shed or refused. One more
+	// deadline job runs first, on the idle service: no queue is full, no
+	// shedding state is set, and every service site is at its first
+	// check, which an every=7 rule never fires on. It takes the last
+	// slot of outs and is held to the same checks as the storm's jobs,
+	// so the deadline path is exercised on every run.
 	const jobs = 72
-	outs := make([]*JobOutcome, jobs)
-	kinds := make([]string, jobs)
+	outs := make([]*JobOutcome, jobs+1)
+	kinds := make([]string, jobs+1)
+	kinds[jobs] = "deadline"
+	outs[jobs] = s.Submit(JobRequest{ImageID: images[variants[jobs%len(variants)]],
+		Alt: variants[jobs%len(variants)].alt, Tenant: "beta", DeadlineCycles: 4_000})
+	if o := outs[jobs]; o.Status != StatusDeadline {
+		t.Fatalf("the pre-storm deadline job ended %s at %d cycles (%s), want %s",
+			o.Status, o.Cycles, o.Detail, StatusDeadline)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		v := variants[i%len(variants)]
@@ -169,8 +183,8 @@ func TestServiceChaosSoak(t *testing.T) {
 	for _, n := range counts {
 		total += n
 	}
-	if total != jobs {
-		t.Fatalf("outcome conservation broken: %d outcomes for %d jobs", total, jobs)
+	if total != len(outs) {
+		t.Fatalf("outcome conservation broken: %d outcomes for %d jobs", total, len(outs))
 	}
 
 	s.Drain()

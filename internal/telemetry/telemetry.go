@@ -6,6 +6,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -195,10 +196,8 @@ func (b *Breakdown) FaultLine() string {
 // NoteTrapCauses records one trap delivery whose raised exception flags
 // are the MXCSR bits in flags (fpmath.Ex* layout).
 func (b *Breakdown) NoteTrapCauses(flags uint32) {
-	for i := 0; i < NumCauses; i++ {
-		if flags&(1<<uint(i)) != 0 {
-			b.TrapCauses[i]++
-		}
+	for f := flags & (1<<NumCauses - 1); f != 0; f &= f - 1 {
+		b.TrapCauses[bits.TrailingZeros32(f)]++
 	}
 }
 
