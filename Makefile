@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build test vet race bench bench-check bench-module fleet-soak crash-soak service-soak fuzz fuzz-smoke cover cover-flow
+.PHONY: check fmt build test vet race bench bench-check bench-module fleet-soak service-soak fuzz fuzz-smoke cover cover-flow
 
 check: fmt vet build race bench-check bench-module fuzz-smoke service-soak
 
@@ -25,30 +25,22 @@ race:
 
 # Full benchmark pass: Go benchmarks plus the trace-cache artifact
 # (BENCH_7.json: cold decode vs compiled replay, ns/op informational,
-# virtual cycles exact), the fleet
-# shared-vs-private throughput artifact (BENCH_4.json), and the fpvmd
-# serving artifact (BENCH_8.json: 1000 concurrent HTTP jobs at nominal
-# load plus 2x overload with shedding).
+# virtual cycles exact) and the fpvmd serving artifact (BENCH_8.json:
+# 1000 concurrent HTTP jobs at nominal load plus 2x overload with
+# shedding).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 	$(GO) run ./cmd/fpvm-bench -fig trace -json BENCH_7.json
-	$(GO) run ./cmd/fpvm-bench -fig fleet -json BENCH_4.json
 	$(GO) run ./cmd/fpvm-bench -fig service -json BENCH_8.json
 
 # Bounded race-enabled fleet soak: the concurrency surface (worker
 # pool, many VMs adopting from one frozen shared cache, concurrent jobs
-# of one image spending equal cycles, forks inside a fleet) under the
-# race detector. Wired into CI alongside make check.
+# of one image spending equal cycles, forks inside a fleet, preemption
+# and migration of live VMs between workers, a panicking job failing
+# alone, a store refusing a second image) under the race detector.
+# Wired into CI alongside make check.
 fleet-soak:
-	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetSharedAdoption|TestFleetMatchesSerial|TestForkInsideFleet|TestSharedCacheSameCyclesAnyOrder|TestSharedConcurrentTorture' ./internal/fleet/ ./internal/fpvm/ ./internal/dcache/ .
-
-# Kill-resume soak: repeatedly SIGKILL a snapshot-persisting fleet
-# mid-run, recover from the surviving files, and assert resumed jobs
-# are bit-identical to uninterrupted references — under the race
-# detector, alongside the preemptive-scheduling and snapshot-rejection
-# tests. Wired into CI.
-crash-soak:
-	$(GO) test -race -count=3 -run 'TestKillResumeRecovery|TestFleetPreemptionMatchesWholeJobs|TestRecoverRejectsForeignSnapshots|TestFleetPanicIsolation' ./internal/fleet/
+	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetMatchesSerial|TestFleetPreemptionMatchesWholeJobs|TestFleetPanicIsolation|TestResidentJobMigratesBitIdentical|TestForkInsideFleet|TestSharedCacheSameCyclesAnyOrder|TestSharedBindRejectsSecondImage|TestSharedConcurrentTorture' ./internal/fleet/ ./internal/fpvm/ ./internal/dcache/ .
 
 # Race-enabled chaos soak of the fpvmd serving stack: mixed tenants
 # with quotas, priorities and deadlines, async submissions racing the

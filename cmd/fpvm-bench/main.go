@@ -2,17 +2,17 @@
 //
 // Usage:
 //
-//	fpvm-bench [-fig all|1|2|3|4|5|6|7|8|9|10|11|12|13|corr|cache|resil|trace|fleet|conform|frontier|coverflow|service]
+//	fpvm-bench [-fig all|1|2|3|4|5|6|7|8|9|10|11|12|13|corr|cache|resil|trace|preempt|conform|frontier|coverflow|service]
 //	           [-scale N] [-json FILE] [-cpuprofile FILE] [-memprofile FILE] [-v]
 //
 // Figures 1-10 run with Boxed IEEE (the paper's worst-case system);
 // figures 11-13 rerun the sweep with the MPFR-like 200-bit system. The
-// trace figure benchmarks the software trace cache on vs off, and the
-// fleet figure benchmarks concurrent multi-VM throughput with a shared
-// decode/trace cache vs private caches; with -json, each writes its
-// BENCH_*.json regression artifact. The conform figure runs the
-// differential conformance oracle's full matrix over the request-sized
-// workloads and exits non-zero on any divergence.
+// trace figure benchmarks the software trace cache on vs off, the preempt
+// figure sweeps the fleet's preemption quantum, and the service figure
+// drives fpvmd over HTTP at nominal load and 2x overload; with -json,
+// trace, coverflow and service write their regression artifact. The
+// conform figure runs the differential conformance oracle's full matrix
+// over the request-sized workloads and exits non-zero on any divergence.
 package main
 
 import (
@@ -30,10 +30,10 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (all, 1-13, corr, cache, resil, trace, fleet, preempt, conform, frontier, coverflow, service)")
+	fig := flag.String("fig", "all", "figure to regenerate (all, 1-13, corr, cache, resil, trace, preempt, conform, frontier, coverflow, service)")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	rank := flag.Int("rank", 3, "trace rank for -fig 7")
-	jsonPath := flag.String("json", "", "write -fig trace results to this JSON file")
+	jsonPath := flag.String("json", "", "write -fig trace, coverflow or service results to this JSON file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	verbose := flag.Bool("v", false, "print per-run progress")
@@ -219,20 +219,6 @@ func run(fig *string, scale, rank *int, jsonPath *string, verbose *bool) error {
 		}
 		experiments.PreemptTable(out, rows)
 		fmt.Fprintln(out)
-	}
-	if need("fleet") {
-		rows, err := experiments.FleetBench(progress)
-		if err != nil {
-			return err
-		}
-		experiments.FleetTable(out, rows)
-		fmt.Fprintln(out)
-		if *jsonPath != "" {
-			if err := experiments.WriteFleetJSON(*jsonPath, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
 	}
 	if need("service") {
 		rows, err := experiments.ServiceBench(1000**scale, progress)

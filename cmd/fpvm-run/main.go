@@ -8,8 +8,7 @@
 //	         [-seq] [-short] [-no-trace] [-native] [-nopatch] [-int3] [-scale N] [-stats]
 //	         [-inject SPEC] [-inject-seed N] [-max-boxes N]
 //	         [-checkpoint-interval N] [-max-rollbacks N]
-//	         [-parallel N] [-jobs M] [-fleet-private]
-//	         [-snapshot-dir DIR] [-preempt-quantum N]
+//	         [-parallel N] [-jobs M] [-preempt-quantum N]
 //
 // With -seq, each trap emulates a whole instruction sequence, and the
 // software trace cache replays a sequence seen before: every trace
@@ -19,23 +18,17 @@
 // off (the §4.2 ablation).
 //
 // Fleet mode (-parallel N with N > 1) executes M copies of the workload
-// (-jobs, default N) on a pool of N concurrent VMs sharing one
-// decode/trace cache — trained by one private run of the workload before
-// dispatch, then read-only, so every copy adopts the same warm decodes
-// and traces and spends the same virtual cycles. -fleet-private gives
-// each VM a private cache instead (the ablation baseline). Guest output is printed once (all copies are
-// identical); the fleet summary goes to stderr, and the exit code is the
-// most severe outcome across the fleet.
+// (-jobs, default N) on a pool of N concurrent VMs, each with its own
+// decode/trace cache, so every copy spends the virtual cycles of a
+// serial run. Guest output is printed once (all copies are identical);
+// the fleet summary goes to stderr, and the exit code is the most severe
+// outcome across the fleet.
 //
-// Durable execution: -preempt-quantum N preempts each VM every ~N
-// virtual cycles at a trap-safe boundary and reschedules it on the
+// Preemption: -preempt-quantum N preempts each VM every ~N virtual
+// cycles at a trap-safe boundary and reschedules it, still live, on the
 // fleet's work-stealing runqueue (long jobs migrate between workers).
-// -snapshot-dir DIR additionally persists every preempted VM's snapshot
-// atomically in DIR; if the process is killed, rerunning the same
-// command resumes the surviving jobs from their last snapshots —
-// bit-identical to an uninterrupted run — and exits 13 when everything
-// else finished clean. Either flag switches to fleet scheduling even
-// with -parallel 1.
+// It switches to fleet scheduling even with -parallel 1. Nothing is
+// written to disk: durable, crash-recoverable jobs are fpvmd's.
 //
 // Fault injection (-inject) arms the runtime's recovery ladder at named
 // pipeline sites. SPEC grammar: "site:key=value[,key=value];site:..."
@@ -57,11 +50,8 @@
 //	11 detached: the fatal rung fired; the guest finished un-virtualized
 //	12 rolled-back: failures occurred but checkpoint rollback recovered
 //	   them all; the run stayed fully virtualized and bit-identical
-//	13 resumed-clean: one or more jobs resumed from on-disk snapshots
-//	   (-snapshot-dir) and the whole fleet finished clean
 //
-// Precedence when several apply: detached > degraded > rolled-back >
-// resumed-clean.
+// Precedence when several apply: detached > degraded > rolled-back.
 package main
 
 import (
@@ -85,7 +75,6 @@ const (
 	exitDegraded   = 10
 	exitDetached   = 11
 	exitRolledBack = 12
-	exitResumed    = 13
 )
 
 func main() {
@@ -109,8 +98,6 @@ func main() {
 	maxRollbacks := flag.Int("max-rollbacks", 0, "bound rollback attempts per run (0 = default 8)")
 	parallel := flag.Int("parallel", 1, "run the workload as a fleet of N concurrent VMs")
 	fleetJobs := flag.Int("jobs", 0, "fleet mode: total job count (0 = -parallel)")
-	fleetPrivate := flag.Bool("fleet-private", false, "fleet mode: per-VM private caches instead of one shared cache")
-	snapshotDir := flag.String("snapshot-dir", "", "persist preempted VM snapshots here and resume surviving jobs on restart")
 	preemptQuantum := flag.Uint64("preempt-quantum", 0, "preempt each VM every ~N virtual cycles (0 = run to completion)")
 	flag.Parse()
 
@@ -160,7 +147,7 @@ func main() {
 		}
 		cfg.Inject = inj
 	}
-	if *parallel > 1 || *snapshotDir != "" || *preemptQuantum > 0 {
+	if *parallel > 1 || *preemptQuantum > 0 {
 		count := *fleetJobs
 		if count <= 0 {
 			count = *parallel
@@ -169,12 +156,7 @@ func main() {
 		for i := range jobs {
 			jobs[i] = fleet.Job{Name: *workload, Image: runImg, Config: cfg}
 		}
-		opts := fleet.Options{
-			Workers:        *parallel,
-			Share:          !*fleetPrivate,
-			PreemptQuantum: *preemptQuantum,
-			SnapshotDir:    *snapshotDir,
-		}
+		opts := fleet.Options{Workers: *parallel, PreemptQuantum: *preemptQuantum}
 		os.Exit(runFleet(os.Stdout, os.Stderr, jobs, opts))
 	}
 	res, err := fpvm.Run(runImg, cfg)
@@ -227,26 +209,10 @@ func main() {
 }
 
 // runFleet executes jobs on a pool of concurrent VMs and returns the
-// exit code (most severe job outcome). With a snapshot directory it
-// first recovers any surviving snapshots from a previous (killed)
-// invocation; a fleet that resumed at least one job and would otherwise
-// exit clean exits 13 (resumed-clean) instead.
+// exit code (most severe job outcome).
 func runFleet(stdout, stderr io.Writer, jobs []fleet.Job, opts fleet.Options) int {
-	var rep *fleet.Report
-	if opts.SnapshotDir != "" {
-		var err error
-		rep, err = fleet.Recover(opts.SnapshotDir, jobs, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "fpvm-run:", err)
-			return exitError
-		}
-	} else {
-		rep = fleet.Run(jobs, opts)
-	}
+	rep := fleet.Run(jobs, opts)
 	exit := fleetExit(stdout, stderr, rep.Results)
-	if exit == exitClean && rep.Resumed > 0 {
-		exit = exitResumed
-	}
 	fmt.Fprint(stderr, rep.Summary())
 	return exit
 }

@@ -152,8 +152,8 @@ func TestFleetExitSeverityRanking(t *testing.T) {
 }
 
 // TestRunFleetHeterogeneous runs a real mixed-severity fleet — one clean
-// job, one that degrades, one that rolls back — through runFleet on a
-// shared cache. The fleet's exit code must be the most severe outcome
+// job, one that degrades, one that rolls back — through runFleet. The
+// fleet's exit code must be the most severe outcome
 // (degraded), the guest output must print once, and the summary must
 // land on stderr.
 func TestRunFleetHeterogeneous(t *testing.T) {
@@ -179,7 +179,7 @@ func TestRunFleetHeterogeneous(t *testing.T) {
 		{Name: "rolled", Image: img, Config: rolled},
 	}
 	var stdout, stderr bytes.Buffer
-	if got := runFleet(&stdout, &stderr, jobs, fleet.Options{Workers: 2, Share: true}); got != exitDegraded {
+	if got := runFleet(&stdout, &stderr, jobs, fleet.Options{Workers: 2}); got != exitDegraded {
 		t.Errorf("heterogeneous fleet exit %d, want %d (degraded outranks rolled-back)\nstderr:\n%s",
 			got, exitDegraded, stderr.String())
 	}

@@ -29,9 +29,8 @@
 // A later fpvmd on the same -state directory resumes the survivors
 // bit-identically; so does one started after a SIGKILL.
 //
-// Exit codes follow the repo's convention: 0 for a clean drain with no
-// interrupted work left behind, 13 (the "resumed/suspended" code) when
-// suspended jobs await a restart, 1 for startup or serve errors.
+// Exit codes: 0 for a clean drain with no interrupted work left behind,
+// 13 when suspended jobs await a restart, 1 for startup or serve errors.
 package main
 
 import (
@@ -55,7 +54,7 @@ import (
 const (
 	exitClean     = 0
 	exitError     = 1
-	exitSuspended = 13 // suspended in-flight jobs await recovery, like fpvm-run's exitResumed
+	exitSuspended = 13 // suspended in-flight jobs await recovery by the next start on -state
 )
 
 func main() {

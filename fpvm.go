@@ -459,39 +459,25 @@ func Run(img *obj.Image, cfg Config) (*Result, error) {
 }
 
 // Resume continues a preempted run from its serialized snapshot (the
-// Snapshot field of a Preempted Result, or the bytes of a snapshot file).
-// img and cfg must match the original run: the snapshot binds to the
-// image's hash, the alt system's name and the semantic configuration, and
-// Resume rejects any mismatch without constructing a VM. The resumed
+// Snapshot field of a Preempted Result, or the bytes of a snapshot file):
+// Prepare followed by VM.Resume. img and cfg must match the original run:
+// the snapshot binds to the image's hash, the alt system's name and the
+// semantic configuration, and Resume rejects any mismatch. The resumed
 // execution is exact — stdout, trap stream and final architectural state
 // are bit-identical to an uninterrupted run.
 func Resume(img *obj.Image, cfg Config, snapshot []byte) (*Result, error) {
-	snap, err := checkpoint.Decode(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := newSystemFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := snap.Validate(img.Hash(), sys.Name(), ConfigSignature(cfg)); err != nil {
-		return nil, err
-	}
 	vm, err := Prepare(img, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := vm.restore(snap); err != nil {
-		return nil, err
-	}
-	return vm.spend()
+	return vm.Resume(snapshot)
 }
 
 // ConfigSignature fingerprints the configuration fields that affect
 // execution semantics (not observation or bookkeeping): a snapshot may
 // only resume under a configuration that would have produced the
-// identical execution. The fleet recovery path uses it to validate
-// on-disk snapshots against the jobs it is about to resume.
+// identical execution. VM.Snapshot writes it into every snapshot, and
+// VM.Restore refuses a snapshot whose signature differs from its VM's.
 func ConfigSignature(cfg Config) string {
 	sig := fmt.Sprintf("seq=%t short=%t magicwraps=%t gc=%d cache=%d seqlim=%d emulall=%t futurehw=%t maxboxes=%d retries=%d watchdog=%d notrace=%t ckpt=%d maxrb=%d prec=%d backoff=%d",
 		cfg.Seq, cfg.Short, cfg.MagicWraps, cfg.GCThreshold, cfg.CacheCapacity,
@@ -641,9 +627,7 @@ func (vm *VM) Run() (*Result, error) {
 }
 
 // Resume restores a serialized snapshot into a fresh VM and runs it like
-// Run, subject to the same bindings as the package-level Resume: the
-// snapshot must match the VM's image hash, alt system and semantic
-// configuration.
+// Run, subject to Restore's bindings.
 func (vm *VM) Resume(snapshot []byte) (*Result, error) {
 	if err := vm.Restore(snapshot); err != nil {
 		return nil, err
@@ -666,11 +650,6 @@ func (vm *VM) Restore(snapshot []byte) error {
 	if err := snap.Validate(vm.img.Hash(), vm.sys.Name(), ConfigSignature(vm.cfg)); err != nil {
 		return err
 	}
-	return vm.restore(snap)
-}
-
-// restore reinstates a decoded, validated snapshot into a fresh VM.
-func (vm *VM) restore(snap *checkpoint.Image) error {
 	// A failed restore leaves the VM half-written: never run it.
 	vm.phase = vmDone
 	if err := vm.rt.RestoreImage(snap); err != nil {

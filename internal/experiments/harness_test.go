@@ -91,9 +91,12 @@ func TestAccuracyMetric(t *testing.T) {
 // TestServiceBenchSmoke drives the serving benchmark at a small offered
 // load: every response must carry a deliberate status (Other == 0), the
 // overload phase must shed rather than collapse, and the JSON artifact
-// must round-trip.
+// must round-trip. The service sheds only when a queue is full, and a
+// micro job finishes in about a millisecond, so the overload phase needs
+// enough clients to outrun 4 workers: 32 offered puts 64 clients against
+// a queue bound of 4.
 func TestServiceBenchSmoke(t *testing.T) {
-	rows, err := ServiceBench(8, nil)
+	rows, err := ServiceBench(32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

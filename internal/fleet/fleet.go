@@ -1,22 +1,12 @@
-// Package fleet executes many independent guest programs concurrently — a
-// worker pool of fully isolated VMs (each job gets its own address space,
-// machine, kernel, heap and Runtime) that optionally share the expensive
-// read-only state: the decode/trace cache. With sharing on, each image
-// that more than one job runs is trained once before dispatch
-// (fpvm.TrainSharedCache, under the first such job's Config), and every
-// VM of that image adopts the trained decodes and traces instead of
-// building its own, which is what makes trap-and-emulate virtualization
-// amortize at serving scale — request-sized guests pay the
-// decode/trace-build warm-up once per image instead of once per VM. The
-// store is frozen, so a job's virtual cycles do not depend on which jobs
-// ran before it or beside it; a lone job runs exactly as with a private
-// cache.
-//
-// Everything else is per-VM by construction: each job gets its own VM
-// from fpvm.Prepare, used by that job alone and dropped when it ends, and
-// job Configs are copied by value. Pre-decoded state is only valid for
-// the image it came from, so each store serves one image, and
-// fpvm.Prepare refuses a store trained on another.
+// Package fleet executes many independent guest programs concurrently on
+// a bounded worker pool: an in-memory scheduler of fully isolated VMs.
+// Each job gets its own VM from fpvm.Prepare (address space, machine,
+// kernel, heap, Runtime and decode/trace cache), used by that job alone
+// and dropped when it ends. A job runs its Config as given, so it spends
+// exactly the virtual cycles fpvm.Run spends on it, whatever runs before
+// or beside it. The fleet trains no shared cache of its own; a Config
+// that carries a trained store (Config.Shared) adopts from it as it
+// would under fpvm.Run.
 //
 // With Options.PreemptQuantum set, jobs no longer own a worker for their
 // whole lifetime: each scheduling turn runs one virtual-cycle slice
@@ -24,33 +14,28 @@
 // work-stealing runqueue ordered by virtual-clock backlog. The next free
 // worker steals the most-behind job and continues its VM in place, so a
 // long-running guest migrates freely between workers without being
-// serialized. With Options.SnapshotDir also set, every preemption also
-// writes the VM's snapshot atomically on disk, and Recover can resume a
-// SIGKILLed fleet from the surviving files, bit-identical to an
-// uninterrupted run.
+// serialized.
+//
+// The fleet keeps nothing on disk: a killed fleet is rerun from the
+// start. Durable jobs — journaled, persisted and recovered bit-identically
+// after a crash — belong to fpvmd (internal/service).
 package fleet
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fpvm"
-	"fpvm/internal/checkpoint"
 	"fpvm/internal/obj"
 	"fpvm/internal/telemetry"
 )
 
 // Job is one guest program execution: an image plus the run configuration
-// for its VM. The Config is copied before use; the runner only ever sets
-// its Shared field (when Options.Share is on and another job runs the
-// same image) and its PreemptQuantum (when Options.PreemptQuantum is on).
+// for its VM. The runner never mutates the Config; Options.PreemptQuantum,
+// when set, overrides its PreemptQuantum for every slice.
 type Job struct {
 	// Name labels the job in reports (e.g. the workload name).
 	Name string
@@ -59,10 +44,7 @@ type Job struct {
 	// image, so many jobs may reference the same *obj.Image.
 	Image *obj.Image
 
-	// Config configures the job's VM. Leave Shared nil — the runner
-	// manages cache sharing fleet-wide via Options.Share. The first job
-	// of an image that several jobs run also configures the image's
-	// training run.
+	// Config configures the job's VM, exactly as for fpvm.Run.
 	Config fpvm.Config
 }
 
@@ -73,23 +55,18 @@ type Options struct {
 	// execute concurrently.
 	Workers int
 
-	// Share backs every VM of an image that two or more jobs run with
-	// that image's trained, read-only decode/trace cache. Off, every VM
-	// decodes and builds traces privately (the ablation baseline).
+	// Share is ignored: the fleet trains no shared decode/trace cache.
+	// Give jobs a trained store through Config.Shared instead.
+	//
+	// Deprecated: kept only so existing callers compile.
 	Share bool
 
 	// PreemptQuantum, when > 0, preempts every job after roughly that
 	// many virtual cycles at the next event boundary and returns it to
 	// the runqueue with its VM still live, so any worker can continue it
-	// (migration). Nothing is serialized unless SnapshotDir is set.
-	// Requires every job's alt system to have a value codec.
+	// (migration). Nothing is serialized. Requires every job's alt
+	// system to have a value codec.
 	PreemptQuantum uint64
-
-	// SnapshotDir, when non-empty, serializes each preempted job's VM
-	// and persists the snapshot there (atomically, one file per job, at
-	// every preemption), removing it when the job completes. After a
-	// crash, Recover scans the directory and resumes the surviving jobs.
-	SnapshotDir string
 }
 
 // DefaultWorkers is the pool size when Options.Workers is 0.
@@ -107,11 +84,9 @@ type JobResult struct {
 
 	// Preemptions counts how many times the job was sliced off a worker;
 	// Migrations counts resumptions on a different worker than the
-	// previous slice. Resumed reports the job started from an on-disk
-	// snapshot (Recover), not from its entry point.
+	// previous slice.
 	Preemptions int
 	Migrations  int
-	Resumed     bool
 }
 
 // Report is the fleet-level roll-up.
@@ -122,12 +97,10 @@ type Report struct {
 	// cycles per category and summed counters.
 	Breakdown telemetry.Breakdown
 
-	// Elapsed is the wall-clock time for the whole fleet, shared-cache
-	// training runs included.
+	// Elapsed is the wall-clock time for the whole fleet.
 	Elapsed time.Duration
 
 	Workers int
-	Shared  bool
 	Jobs    int
 
 	// Failures counts jobs that never produced a completed guest run.
@@ -136,32 +109,14 @@ type Report struct {
 	Failures int
 	Detached int
 
-	// Preemptions / Migrations / Resumed aggregate the per-job counts:
-	// total scheduling slices cut short, total cross-worker moves, and
-	// jobs restarted from on-disk snapshots.
+	// Preemptions / Migrations aggregate the per-job counts: total
+	// scheduling slices cut short and total cross-worker moves.
 	Preemptions int
 	Migrations  int
-	Resumed     int
-
-	// PersistFailures counts snapshots that could not be captured or
-	// written to SnapshotDir. Execution continues on the live VM —
-	// correctness is unaffected, only crash durability is degraded.
-	PersistFailures int
-
-	// RecoveryRejects lists snapshot files Recover refused (torn,
-	// corrupt, or bound to a different image/alt/config/job list), one
-	// human-readable line each. The affected jobs ran fresh.
-	RecoveryRejects []string
 
 	// TotalCycles sums every job's virtual cycle count — the jobs' total
-	// work, independent of scheduling. Shared-cache training runs are not
-	// jobs and are not counted.
+	// work, independent of scheduling.
 	TotalCycles uint64
-
-	// SharedHits / SharedTraceHits count local cache misses served by a
-	// trained store's decode / trace (0 with Share off).
-	SharedHits      uint64
-	SharedTraceHits uint64
 }
 
 // Throughput returns completed jobs per wall-clock second.
@@ -225,12 +180,10 @@ func (r *Report) VirtualThroughput() float64 {
 type task struct {
 	idx         int
 	vm          *fpvm.VM // live VM between slices; nil before the first
-	seed        []byte   // Recover's snapshot, restored into the first VM
 	cycles      uint64   // virtual cycles consumed so far — the backlog key
-	lastWorker  int      // -1: never ran in this process
+	lastWorker  int      // -1: never ran
 	preemptions int
 	migrations  int
-	resumed     bool // started from an on-disk snapshot
 	elapsed     time.Duration
 }
 
@@ -291,105 +244,10 @@ func (s *sched) done() {
 	}
 }
 
-// seed is a validated on-disk snapshot adopted by Recover: the wire
-// bytes plus the virtual clock they carry (the task's scheduling key).
-type seed struct {
-	data   []byte
-	cycles uint64
-}
-
 // Run executes every job on a pool of opts.Workers workers and returns
 // the fleet report. Results are positional: Results[i] is jobs[i]'s
 // outcome regardless of scheduling order.
 func Run(jobs []Job, opts Options) *Report {
-	return run(jobs, opts, nil)
-}
-
-// Recover resumes a fleet from dir: every parseable, checksum-clean
-// snapshot whose bindings (program image hash, alt system, semantic
-// configuration, job name) match the corresponding job is adopted, and
-// that job continues from its last preemption point instead of its
-// entry point. Torn, corrupt or mismatched files are rejected — listed
-// in Report.RecoveryRejects, never partially restored — and their jobs
-// run fresh. An empty or missing directory is not an error: every job
-// simply runs fresh. The error return is reserved for an unreadable
-// directory.
-func Recover(dir string, jobs []Job, opts Options) (*Report, error) {
-	opts.SnapshotDir = dir
-	resume := make(map[int]seed)
-	var rejects []string
-
-	entries, err := os.ReadDir(dir)
-	if err != nil && !os.IsNotExist(err) {
-		// An unreadable snapshot dir (permissions, not-a-directory, I/O
-		// error) must not take recovery down with it: every job can still
-		// run fresh. Record the reason and continue with no seeds.
-		rejects = append(rejects, fmt.Sprintf("%s: %v", dir, err))
-		entries = nil
-	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() {
-			continue
-		}
-		if strings.Contains(name, ".snap.tmp") {
-			// Debris from a crash mid-write; the rename never happened, so
-			// nothing references it.
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasPrefix(name, "fleet-") || !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		reject := func(why string) {
-			rejects = append(rejects, fmt.Sprintf("%s: %s", name, why))
-		}
-		idx, jobName, ok := parseSnapshotName(name)
-		if !ok {
-			reject("unparseable snapshot filename")
-			continue
-		}
-		if idx < 0 || idx >= len(jobs) {
-			reject(fmt.Sprintf("job index %d out of range (fleet has %d jobs)", idx, len(jobs)))
-			continue
-		}
-		job := &jobs[idx]
-		if jobName != sanitizeName(job.Name) {
-			reject(fmt.Sprintf("job %d is now %q; snapshot is for %q", idx, job.Name, jobName))
-			continue
-		}
-		if _, dup := resume[idx]; dup {
-			reject("duplicate snapshot for job")
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			reject(err.Error())
-			continue
-		}
-		img, err := checkpoint.Decode(data)
-		if err != nil {
-			reject(err.Error())
-			continue
-		}
-		sys, err := fpvm.NewAltSystem(job.Config.Alt, job.Config.Precision)
-		if err != nil {
-			reject(err.Error())
-			continue
-		}
-		if err := img.Validate(job.Image.Hash(), sys.Name(), fpvm.ConfigSignature(job.Config)); err != nil {
-			reject(err.Error())
-			continue
-		}
-		resume[idx] = seed{data: data, cycles: img.MachCycles}
-	}
-
-	rep := run(jobs, opts, resume)
-	rep.RecoveryRejects = rejects
-	return rep, nil
-}
-
-func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers
@@ -401,39 +259,18 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 	rep := &Report{
 		Results: make([]JobResult, len(jobs)),
 		Workers: workers,
-		Shared:  opts.Share,
 		Jobs:    len(jobs),
 	}
 	if len(jobs) == 0 {
 		return rep
 	}
 
-	snapDir := opts.SnapshotDir
-	if snapDir != "" {
-		if err := os.MkdirAll(snapDir, 0o755); err != nil {
-			snapDir = "" // degrade to in-memory scheduling; correctness unaffected
-			rep.PersistFailures++
-		}
-	}
-
 	start := time.Now()
-	var shared map[*obj.Image]*fpvm.SharedCache
-	if opts.Share {
-		shared = trainShared(jobs)
-	}
-
 	s := newSched(len(jobs))
 	for i := range jobs {
-		t := &task{idx: i, lastWorker: -1}
-		if sd, ok := resume[i]; ok {
-			t.seed = sd.data
-			t.cycles = sd.cycles
-			t.resumed = true
-		}
-		s.queue = append(s.queue, t)
+		s.queue = append(s.queue, &task{idx: i, lastWorker: -1})
 	}
 
-	var persistFailures atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -455,15 +292,12 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 				t.lastWorker = w
 
 				t0 := time.Now()
-				res, err := runSlice(job, t, shared[job.Image], q)
+				res, err := runSlice(job, t, q)
 				t.elapsed += time.Since(t0)
 
 				if err == nil && res.Preempted {
 					t.preemptions++
 					t.cycles = res.Cycles
-					if snapDir != "" && persist(t.vm, snapshotPath(snapDir, t.idx, job.Name)) != nil {
-						persistFailures.Add(1)
-					}
 					s.put(t)
 					continue
 				}
@@ -476,10 +310,6 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 					Elapsed:     t.elapsed,
 					Preemptions: t.preemptions,
 					Migrations:  t.migrations,
-					Resumed:     t.resumed,
-				}
-				if snapDir != "" {
-					os.Remove(snapshotPath(snapDir, t.idx, job.Name))
 				}
 				s.done()
 			}
@@ -487,7 +317,6 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	rep.PersistFailures += int(persistFailures.Load())
 
 	for i := range rep.Results {
 		jr := &rep.Results[i]
@@ -496,9 +325,6 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 		}
 		rep.Preemptions += jr.Preemptions
 		rep.Migrations += jr.Migrations
-		if jr.Resumed {
-			rep.Resumed++
-		}
 		if jr.Result == nil {
 			continue
 		}
@@ -507,41 +333,15 @@ func run(jobs []Job, opts Options, resume map[int]seed) *Report {
 		}
 		rep.Breakdown.Merge(jr.Result.Breakdown)
 		rep.TotalCycles += jr.Result.Cycles
-		rep.SharedHits += jr.Result.SharedHits
-		rep.SharedTraceHits += jr.Result.SharedTraceHits
 	}
 	return rep
 }
 
-// trainShared trains one store for each image that two or more jobs run,
-// under the first such job's Config. A lone job gets no store, and so runs
-// exactly as with a private cache. An image whose training run fails gets
-// no store either: its jobs run privately and report their own errors.
-func trainShared(jobs []Job) map[*obj.Image]*fpvm.SharedCache {
-	count := make(map[*obj.Image]int)
-	for i := range jobs {
-		count[jobs[i].Image]++
-	}
-	shared := make(map[*obj.Image]*fpvm.SharedCache)
-	for i := range jobs {
-		img := jobs[i].Image
-		if count[img] < 2 {
-			continue
-		}
-		count[img] = 0 // later jobs of img are not its first
-		if s, err := fpvm.TrainSharedCache(img, jobs[i].Config); err == nil {
-			shared[img] = s
-		}
-	}
-	return shared
-}
-
 // runSlice executes one scheduling turn of a job on its VM — built on
-// the first turn (and loaded from a Recover seed, if any), continued in
-// place after that — with panic isolation: a worker that panics inside
-// the VM stack reports the panic as that job's error instead of taking
-// down the whole fleet.
-func runSlice(job *Job, t *task, shared *fpvm.SharedCache, quantum uint64) (res *fpvm.Result, err error) {
+// the first turn, continued in place after that — with panic isolation:
+// a worker that panics inside the VM stack reports the panic as that
+// job's error instead of taking down the whole fleet.
+func runSlice(job *Job, t *task, quantum uint64) (res *fpvm.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
@@ -549,17 +349,9 @@ func runSlice(job *Job, t *task, shared *fpvm.SharedCache, quantum uint64) (res 
 		}
 	}()
 	if t.vm == nil {
-		cfg := job.Config // copy: never mutate the caller's Config
-		cfg.Shared = shared
-		vm, err := fpvm.Prepare(job.Image, cfg)
+		vm, err := fpvm.Prepare(job.Image, job.Config)
 		if err != nil {
 			return nil, err
-		}
-		if t.seed != nil {
-			if err := vm.Restore(t.seed); err != nil {
-				return nil, err
-			}
-			t.seed = nil
 		}
 		t.vm = vm
 	}
@@ -567,98 +359,18 @@ func runSlice(job *Job, t *task, shared *fpvm.SharedCache, quantum uint64) (res 
 	return t.vm.RunSlice()
 }
 
-// persist writes vm's snapshot to path atomically. A panic while
-// capturing is contained like runSlice's and counts as a failed persist:
-// capture only reads the VM, so the job can continue.
-func persist(vm *fpvm.VM, path string) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("fleet: snapshot capture panicked: %v", p)
-		}
-	}()
-	data, err := vm.Snapshot()
-	if err != nil {
-		return err
-	}
-	return checkpoint.WriteFileAtomic(path, data)
-}
-
-// snapshotPath names job idx's snapshot file: fleet-<idx>-<name>.snap.
-// The index pins the file to its submission slot; the sanitized name
-// lets Recover detect a reordered or edited job list.
-func snapshotPath(dir string, idx int, name string) string {
-	return filepath.Join(dir, fmt.Sprintf("fleet-%04d-%s.snap", idx, sanitizeName(name)))
-}
-
-// sanitizeName maps a job name onto the filename-safe alphabet.
-func sanitizeName(name string) string {
-	var sb strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			sb.WriteRune(r)
-		default:
-			sb.WriteByte('_')
-		}
-	}
-	if sb.Len() == 0 {
-		return "job"
-	}
-	return sb.String()
-}
-
-// parseSnapshotName inverts snapshotPath's base name.
-func parseSnapshotName(base string) (idx int, name string, ok bool) {
-	rest, found := strings.CutPrefix(base, "fleet-")
-	if !found {
-		return 0, "", false
-	}
-	rest, found = strings.CutSuffix(rest, ".snap")
-	if !found {
-		return 0, "", false
-	}
-	numStr, name, found := strings.Cut(rest, "-")
-	if !found || numStr == "" {
-		return 0, "", false
-	}
-	idx, err := strconv.Atoi(numStr)
-	if err != nil {
-		return 0, "", false
-	}
-	return idx, name, true
-}
-
 // Summary renders the fleet report as a short human-readable block.
 func (r *Report) Summary() string {
 	var sb strings.Builder
-	mode := "private caches"
-	if r.Shared {
-		mode = "shared cache"
-	}
-	fmt.Fprintf(&sb, "fleet: %d jobs on %d workers (%s)\n", r.Jobs, r.Workers, mode)
+	fmt.Fprintf(&sb, "fleet: %d jobs on %d workers\n", r.Jobs, r.Workers)
 	fmt.Fprintf(&sb, "  wall %v  throughput %.1f jobs/s  total work %d cycles\n",
 		r.Elapsed.Round(time.Microsecond), r.Throughput(), r.TotalCycles)
 	fmt.Fprintf(&sb, "  virtual makespan %d cycles  virtual throughput %.2f jobs/Gcycle\n",
 		r.VirtualMakespan(), r.VirtualThroughput())
-	fmt.Fprintf(&sb, "  traps %d  emulated %d  trace hit rate %.3f",
+	fmt.Fprintf(&sb, "  traps %d  emulated %d  trace hit rate %.3f\n",
 		r.Breakdown.Traps, r.Breakdown.EmulatedInsts, r.Breakdown.TraceHitRate())
-	if r.Shared {
-		fmt.Fprintf(&sb, "  shared adoptions: %d decodes, %d traces",
-			r.SharedHits, r.SharedTraceHits)
-	}
-	sb.WriteString("\n")
-	if r.Preemptions > 0 || r.Resumed > 0 {
-		fmt.Fprintf(&sb, "  preemptions %d  migrations %d  resumed from snapshots %d\n",
-			r.Preemptions, r.Migrations, r.Resumed)
-	}
-	if r.PersistFailures > 0 {
-		fmt.Fprintf(&sb, "  snapshot persist failures: %d\n", r.PersistFailures)
-	}
-	if len(r.RecoveryRejects) > 0 {
-		fmt.Fprintf(&sb, "  rejected snapshots: %d\n", len(r.RecoveryRejects))
-		for _, line := range r.RecoveryRejects {
-			fmt.Fprintf(&sb, "    %s\n", line)
-		}
+	if r.Preemptions > 0 {
+		fmt.Fprintf(&sb, "  preemptions %d  migrations %d\n", r.Preemptions, r.Migrations)
 	}
 	if r.Detached > 0 {
 		fmt.Fprintf(&sb, "  detached (guest completed natively): %d\n", r.Detached)

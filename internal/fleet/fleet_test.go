@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"strings"
 	"testing"
 
 	"fpvm"
@@ -36,167 +37,78 @@ func microJobs(imgs map[workloads.Name]*obj.Image, repeats int, cfg fpvm.Config)
 	return jobs
 }
 
-// TestFleetMatchesSerial checks that concurrent fleet execution — shared
-// cache or private — produces byte-identical guest output to a serial
-// fpvm.Run of the same image, for every job.
+// TestFleetMatchesSerial checks that concurrent fleet execution produces
+// byte-identical guest output to a serial fpvm.Run of the same image, for
+// every job, and that each job spends exactly the virtual cycles of that
+// serial run: the fleet runs a job's Config as given.
 func TestFleetMatchesSerial(t *testing.T) {
 	imgs := microImages(t)
 	cfg := fpvm.Config{Seq: true, Short: true}
 
-	want := make(map[string]string)
+	want := make(map[string]*fpvm.Result)
 	for name, img := range imgs {
 		res, err := fpvm.Run(img, cfg)
 		if err != nil {
 			t.Fatalf("serial %s: %v", name, err)
 		}
-		want[string(name)] = res.Stdout
+		want[string(name)] = res
 	}
 
-	for _, share := range []bool{false, true} {
-		rep := fleet.Run(microJobs(imgs, 3, cfg), fleet.Options{Workers: 4, Share: share})
-		if rep.Failures != 0 {
-			t.Fatalf("share=%v: %d failures:\n%s", share, rep.Failures, rep.Summary())
-		}
-		for _, jr := range rep.Results {
-			if jr.Result.Stdout != want[jr.Name] {
-				t.Errorf("share=%v %s: stdout diverged from serial run\n got: %q\nwant: %q",
-					share, jr.Name, jr.Result.Stdout, want[jr.Name])
-			}
-		}
-	}
-}
-
-// TestFleetSharedAdoption checks the point of sharing: with a shared
-// cache, every VM adopts the decodes and traces of the image's training
-// run, and the fleet's total virtual work drops below the private-cache
-// fleet (fewer full decodes, more replays). The store is frozen, so every
-// job of the image spends the same cycles. Virtual cycles are
-// deterministic, so this asserts the saving exactly where wall-clock
-// could not.
-func TestFleetSharedAdoption(t *testing.T) {
-	img, err := workloads.BuildMicro(workloads.Lorenz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fpvm.Config{Seq: true, Short: true}
-	jobs := make([]fleet.Job, 12)
-	for i := range jobs {
-		jobs[i] = fleet.Job{Name: "lorenz", Image: img, Config: cfg}
-	}
-
-	private := fleet.Run(jobs, fleet.Options{Workers: 4, Share: false})
-	sharedR := fleet.Run(jobs, fleet.Options{Workers: 4, Share: true})
-	if private.Failures != 0 || sharedR.Failures != 0 {
-		t.Fatalf("failures: private %d shared %d", private.Failures, sharedR.Failures)
-	}
-
-	if private.SharedHits != 0 || private.SharedTraceHits != 0 {
-		t.Errorf("private fleet reported shared adoptions: %d/%d",
-			private.SharedHits, private.SharedTraceHits)
-	}
-	if sharedR.SharedTraceHits == 0 {
-		t.Error("shared fleet adopted no traces")
-	}
-	for i, jr := range sharedR.Results {
-		if c, c0 := jr.Result.Cycles, sharedR.Results[0].Result.Cycles; c != c0 {
-			t.Errorf("job %d spent %d cycles, job 0 spent %d on the same frozen store", i, c, c0)
-		}
-	}
-	if sharedR.TotalCycles >= private.TotalCycles {
-		t.Errorf("shared fleet did not reduce total work: shared %d >= private %d cycles",
-			sharedR.TotalCycles, private.TotalCycles)
-	}
-	// The deterministic headline figure: the shared fleet finishes the
-	// pool schedule in fewer virtual cycles, so jobs/Gcycle goes up.
-	if sharedR.VirtualThroughput() <= private.VirtualThroughput() {
-		t.Errorf("shared fleet virtual throughput did not improve: %.3f <= %.3f jobs/Gcycle",
-			sharedR.VirtualThroughput(), private.VirtualThroughput())
-	}
-	if ms := sharedR.VirtualMakespan(); ms == 0 || ms > sharedR.TotalCycles {
-		t.Errorf("virtual makespan %d out of range (total %d)", ms, sharedR.TotalCycles)
-	}
-	// Adopted work must still be *correct* work: identical trap totals.
-	if sharedR.Breakdown.Traps != private.Breakdown.Traps ||
-		sharedR.Breakdown.EmulatedInsts != private.Breakdown.EmulatedInsts {
-		t.Errorf("shared fleet emulation diverged: traps %d vs %d, insts %d vs %d",
-			sharedR.Breakdown.Traps, private.Breakdown.Traps,
-			sharedR.Breakdown.EmulatedInsts, private.Breakdown.EmulatedInsts)
-	}
-
-	// With the trace cache on, trace adoption subsumes decode adoption
-	// (an adopted trace replays without ever walking decodeAt). Decode
-	// adoption engages when traps walk per-instruction: NONE config.
-	noneJobs := make([]fleet.Job, 8)
-	for i := range noneJobs {
-		noneJobs[i] = fleet.Job{Name: "lorenz", Image: img, Config: fpvm.Config{}}
-	}
-	nonePriv := fleet.Run(noneJobs, fleet.Options{Workers: 4, Share: false})
-	noneShared := fleet.Run(noneJobs, fleet.Options{Workers: 4, Share: true})
-	if nonePriv.Failures != 0 || noneShared.Failures != 0 {
-		t.Fatalf("NONE failures: private %d shared %d", nonePriv.Failures, noneShared.Failures)
-	}
-	if noneShared.SharedHits == 0 {
-		t.Error("NONE-config shared fleet adopted no decode entries")
-	}
-	if noneShared.TotalCycles >= nonePriv.TotalCycles {
-		t.Errorf("NONE-config shared fleet did not reduce total work: %d >= %d cycles",
-			noneShared.TotalCycles, nonePriv.TotalCycles)
-	}
-}
-
-// TestFleetMixedImages checks that a shared fleet over several distinct
-// images keeps one shared cache per image (fpvm.Prepare refuses a store
-// trained on another image, failing the job), and that an image with a
-// single job runs exactly as with a private cache.
-func TestFleetMixedImages(t *testing.T) {
-	imgs := microImages(t)
-	cfg := fpvm.Config{Seq: true, Short: true}
-	jobs := microJobs(imgs, 2, cfg)
-	lone := fleet.Job{Name: "lone-enzo", Image: imgs[workloads.Enzo].Clone(), Config: cfg}
-	rep := fleet.Run(append(jobs, lone), fleet.Options{Workers: 4, Share: true})
+	rep := fleet.Run(microJobs(imgs, 3, cfg), fleet.Options{Workers: 4})
 	if rep.Failures != 0 {
 		t.Fatalf("%d failures:\n%s", rep.Failures, rep.Summary())
 	}
-	if rep.SharedTraceHits == 0 {
-		t.Error("mixed-image shared fleet adopted no traces")
-	}
-	private, err := fpvm.Run(lone.Image, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rep.Results[len(jobs)].Result
-	if got.Cycles != private.Cycles || got.SharedHits != 0 || got.SharedTraceHits != 0 {
-		t.Errorf("lone job: %d cycles, %d/%d adoptions; private run %d cycles",
-			got.Cycles, got.SharedHits, got.SharedTraceHits, private.Cycles)
+	for _, jr := range rep.Results {
+		ref := want[jr.Name]
+		if jr.Result.Stdout != ref.Stdout {
+			t.Errorf("%s: stdout diverged from serial run\n got: %q\nwant: %q",
+				jr.Name, jr.Result.Stdout, ref.Stdout)
+		}
+		if jr.Result.Cycles != ref.Cycles {
+			t.Errorf("%s: %d cycles in the fleet, %d serially", jr.Name, jr.Result.Cycles, ref.Cycles)
+		}
 	}
 }
 
-// TestFleetSharedBindRejectsSecondImage pins the safety property directly:
-// a store trained on one image refuses to serve a different one.
-func TestFleetSharedBindRejectsSecondImage(t *testing.T) {
-	a, err := workloads.BuildMicro(workloads.Lorenz)
-	if err != nil {
+// TestFleetMixedImages checks that a fleet over several distinct images
+// leaves each job's Config alone: a job with a private cache and a job
+// whose Config carries a store trained on its image each spend exactly
+// the cycles fpvm.Run spends on the same Config, and only the latter
+// adopts from a store.
+func TestFleetMixedImages(t *testing.T) {
+	imgs := microImages(t)
+	cfg := fpvm.Config{Seq: true, Short: true}
+	trained := cfg
+	var err error
+	if trained.Shared, err = fpvm.TrainSharedCache(imgs[workloads.Enzo], cfg); err != nil {
 		t.Fatal(err)
 	}
-	b, err := workloads.BuildMicro(workloads.Pendulum)
-	if err != nil {
-		t.Fatal(err)
+	jobs := append(microJobs(imgs, 2, cfg),
+		fleet.Job{Name: "trained-enzo", Image: imgs[workloads.Enzo], Config: trained})
+	rep := fleet.Run(jobs, fleet.Options{Workers: 4})
+	if rep.Failures != 0 {
+		t.Fatalf("%d failures:\n%s", rep.Failures, rep.Summary())
 	}
-	sc, err := fpvm.TrainSharedCache(a, fpvm.Config{Seq: true})
-	if err != nil {
-		t.Fatalf("training on the first image: %v", err)
-	}
-	if _, err := fpvm.Run(a, fpvm.Config{Seq: true, Shared: sc}); err != nil {
-		t.Fatalf("first image: %v", err)
-	}
-	if _, err := fpvm.Run(b, fpvm.Config{Seq: true, Shared: sc}); err == nil {
-		t.Fatal("second image on a store trained on the first did not error")
+	for i, jr := range rep.Results {
+		ref, err := fpvm.Run(jobs[i].Image, jobs[i].Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := jr.Result
+		if got.Cycles != ref.Cycles || got.Stdout != ref.Stdout {
+			t.Errorf("%s: %d cycles in the fleet, %d under fpvm.Run", jr.Name, got.Cycles, ref.Cycles)
+		}
+		hasStore := jobs[i].Config.Shared != nil
+		if adopted := got.SharedHits+got.SharedTraceHits > 0; adopted != hasStore {
+			t.Errorf("%s: %d decode and %d trace adoptions, store given: %v",
+				jr.Name, got.SharedHits, got.SharedTraceHits, hasStore)
+		}
 	}
 }
 
 // TestFleetEmpty checks the degenerate inputs.
 func TestFleetEmpty(t *testing.T) {
-	rep := fleet.Run(nil, fleet.Options{Workers: 4, Share: true})
+	rep := fleet.Run(nil, fleet.Options{Workers: 4})
 	if rep.Jobs != 0 || rep.Failures != 0 || len(rep.Results) != 0 {
 		t.Fatalf("empty fleet: %+v", rep)
 	}
@@ -207,22 +119,37 @@ func TestFleetEmpty(t *testing.T) {
 
 // TestFleetSoak is the bounded race soak: a larger mixed-image job list on
 // more workers than cores, with profiling on (exercising the lazy
-// disassembly backfill across VMs). Run under -race via `make check` / CI.
+// disassembly backfill across VMs), every job of an image adopting from
+// one frozen store trained for it. Adopted traces arrive without compiled
+// bodies and compile per VM on their first replay, inside the
+// race-detected soak. Run under -race via `make fleet-soak` / CI.
 func TestFleetSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short")
 	}
 	imgs := microImages(t)
-	// Adopted traces arrive from the frozen store without compiled bodies
-	// and compile per VM on their first replay, inside the race-detected
-	// soak.
 	cfg := fpvm.Config{Seq: true, Short: true, Profile: true}
-	rep := fleet.Run(microJobs(imgs, 8, cfg), fleet.Options{Workers: 8, Share: true})
+	jobs := microJobs(imgs, 8, cfg)
+	stores := make(map[*obj.Image]*fpvm.SharedCache)
+	for i := range jobs {
+		img := jobs[i].Image
+		if stores[img] == nil {
+			s, err := fpvm.TrainSharedCache(img, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[img] = s
+		}
+		jobs[i].Config.Shared = stores[img]
+	}
+	rep := fleet.Run(jobs, fleet.Options{Workers: 8})
 	if rep.Failures != 0 {
 		t.Fatalf("%d failures:\n%s", rep.Failures, rep.Summary())
 	}
-	if rep.SharedTraceHits == 0 {
-		t.Error("soak adopted no traces")
+	for _, jr := range rep.Results {
+		if jr.Result.SharedTraceHits == 0 {
+			t.Errorf("%s adopted no traces from its store", jr.Name)
+		}
 	}
 }
 
@@ -254,7 +181,7 @@ func TestFleetDetachedIsNotFailure(t *testing.T) {
 			Config: fpvm.Config{Seq: true, Short: true, Inject: inj},
 		}
 	}
-	rep := fleet.Run(jobs, fleet.Options{Workers: 2, Share: true})
+	rep := fleet.Run(jobs, fleet.Options{Workers: 2})
 	if rep.Failures != 0 {
 		t.Fatalf("detached jobs counted as failures:\n%s", rep.Summary())
 	}
@@ -273,56 +200,165 @@ func TestFleetDetachedIsNotFailure(t *testing.T) {
 	}
 }
 
-// TestResidentJobMigratesBitIdentical: without a snapshot directory a
-// preempted job keeps its live VM, and a migration hands that VM to
-// another worker. Jobs that migrated must still match their unsliced
-// runs bit for bit: stdout, virtual cycles, trap stream and final state.
-// Private caches keep each job's cycle accounting independent of what
-// its neighbours decoded first.
+// TestResidentJobMigratesBitIdentical: a preempted job keeps its live
+// VM, and a migration hands that VM to another worker. Jobs that migrated
+// must still match their unsliced runs bit for bit: stdout, virtual
+// cycles, trap stream and final state.
+//
+// Whether any job migrates depends on the host scheduling both workers
+// while the fleet runs (about 20 ms): a worker descheduled while it holds
+// a job lets the other worker finish every other job. So the fleet is
+// rerun, up to migrationFleets times, until some job migrates; every
+// migrated job of every run is checked, and the test fails if no run
+// migrates.
 func TestResidentJobMigratesBitIdentical(t *testing.T) {
+	const migrationFleets = 5
 	imgs := microImages(t)
 	cfg := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
 	jobs := microJobs(imgs, 2, cfg)
-	streams := make([][]oracle.TrapRec, len(jobs))
-	for i := range jobs {
-		i := i
-		jobs[i].Config.Observer = func(st *fpvm.TrapState) { streams[i] = append(streams[i], oracle.Digest(st)) }
-	}
-	rep := fleet.Run(jobs, fleet.Options{Workers: 2, PreemptQuantum: 100_000})
-	if rep.Failures != 0 {
-		t.Fatalf("resident fleet failed:\n%s", rep.Summary())
-	}
 
-	migrated := 0
-	for i, jr := range rep.Results {
-		if jr.Migrations == 0 {
-			continue
+	// The unsliced reference of each image, run once on first need.
+	type reference struct {
+		res  *fpvm.Result
+		recs []oracle.TrapRec
+	}
+	refs := make(map[*obj.Image]*reference)
+	refFor := func(img *obj.Image) *reference {
+		if ref := refs[img]; ref != nil {
+			return ref
 		}
-		migrated++
-		var refRecs []oracle.TrapRec
+		ref := &reference{}
 		refCfg := cfg
-		refCfg.Observer = func(st *fpvm.TrapState) { refRecs = append(refRecs, oracle.Digest(st)) }
-		ref, err := fpvm.Run(jobs[i].Image, refCfg)
+		refCfg.Observer = func(st *fpvm.TrapState) { ref.recs = append(ref.recs, oracle.Digest(st)) }
+		res, err := fpvm.Run(img, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := jr.Result
-		if res.Stdout != ref.Stdout || res.Cycles != ref.Cycles || res.ExitCode != ref.ExitCode {
-			t.Errorf("%s (%d migrations): observables diverged (cycles %d vs %d)",
-				jr.Name, jr.Migrations, res.Cycles, ref.Cycles)
+		ref.res = res
+		refs[img] = ref
+		return ref
+	}
+
+	migrated := 0
+	for run := 1; run <= migrationFleets && migrated == 0; run++ {
+		streams := make([][]oracle.TrapRec, len(jobs))
+		for i := range jobs {
+			i := i
+			jobs[i].Config.Observer = func(st *fpvm.TrapState) { streams[i] = append(streams[i], oracle.Digest(st)) }
 		}
-		if k := oracle.CompareStreams(refRecs, streams[i]); k != -1 {
-			t.Errorf("%s: trap stream diverged at trap #%d", jr.Name, k+1)
+		rep := fleet.Run(jobs, fleet.Options{Workers: 2, PreemptQuantum: 100_000})
+		if rep.Failures != 0 {
+			t.Fatalf("resident fleet failed:\n%s", rep.Summary())
 		}
-		if d := oracle.DiffFinal(ref.Final, res.Final); d != "" {
-			t.Errorf("%s: final state diverged: %s", jr.Name, d)
+		for i, jr := range rep.Results {
+			if jr.Migrations == 0 {
+				continue
+			}
+			migrated++
+			ref := refFor(jobs[i].Image)
+			res := jr.Result
+			if res.Stdout != ref.res.Stdout || res.Cycles != ref.res.Cycles || res.ExitCode != ref.res.ExitCode {
+				t.Errorf("fleet %d, %s (%d migrations): observables diverged (cycles %d vs %d)",
+					run, jr.Name, jr.Migrations, res.Cycles, ref.res.Cycles)
+			}
+			if k := oracle.CompareStreams(ref.recs, streams[i]); k != -1 {
+				t.Errorf("fleet %d, %s: trap stream diverged at trap #%d", run, jr.Name, k+1)
+			}
+			if d := oracle.DiffFinal(ref.res.Final, res.Final); d != "" {
+				t.Errorf("fleet %d, %s: final state diverged: %s", run, jr.Name, d)
+			}
+			if res.Resumed {
+				t.Errorf("fleet %d, %s: a resident job reports Resumed (its state never came from bytes)", run, jr.Name)
+			}
 		}
-		if res.Resumed {
-			t.Errorf("%s: a resident job reports Resumed (its state never came from bytes)", jr.Name)
-		}
+		t.Logf("fleet %d: %d of %d jobs migrated; %d preemptions, %d migrations",
+			run, migrated, len(jobs), rep.Preemptions, rep.Migrations)
 	}
 	if migrated == 0 {
-		t.Fatalf("no job migrated (%d preemptions); the test exercised nothing", rep.Preemptions)
+		t.Fatalf("no job migrated in %d fleets; the test exercised nothing", migrationFleets)
 	}
-	t.Logf("%d of %d jobs migrated; %d preemptions, %d migrations", migrated, len(jobs), rep.Preemptions, rep.Migrations)
+}
+
+// altJobs is one pendulum job per alt system fast enough for a preemptive
+// fleet under -race (mpfr's exactness is covered by TestResumeBitIdentical
+// at the repo root).
+func altJobs(t *testing.T) []fleet.Job {
+	t.Helper()
+	img, err := workloads.Build(workloads.Pendulum, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []fpvm.AltKind{fpvm.AltBoxed, fpvm.AltPosit, fpvm.AltInterval, fpvm.AltRational}
+	jobs := make([]fleet.Job, len(kinds))
+	for i, kind := range kinds {
+		jobs[i] = fleet.Job{
+			Name:   "pendulum_" + string(kind),
+			Image:  img,
+			Config: fpvm.Config{Alt: kind, Seq: true, Short: true},
+		}
+	}
+	return jobs
+}
+
+// TestFleetPreemptionMatchesWholeJobs: the preemptive work-stealing
+// schedule must not change any per-job observable versus the
+// run-to-completion schedule.
+func TestFleetPreemptionMatchesWholeJobs(t *testing.T) {
+	const quantum = 250_000
+	jobs := altJobs(t)
+	plain := fleet.Run(jobs, fleet.Options{Workers: 2})
+	pre := fleet.Run(jobs, fleet.Options{Workers: 2, PreemptQuantum: quantum})
+
+	if pre.Preemptions == 0 {
+		t.Fatalf("quantum %d produced no preemptions", quantum)
+	}
+	t.Logf("preemptions %d, migrations %d", pre.Preemptions, pre.Migrations)
+	if plain.Failures != 0 || pre.Failures != 0 {
+		t.Fatalf("fleet failed:\n%s\n%s", plain.Summary(), pre.Summary())
+	}
+	for i := range jobs {
+		a, b := plain.Results[i].Result, pre.Results[i].Result
+		if a.Stdout != b.Stdout || a.Cycles != b.Cycles || a.ExitCode != b.ExitCode {
+			t.Errorf("%s: preemptive schedule changed observables (cycles %d vs %d)",
+				jobs[i].Name, a.Cycles, b.Cycles)
+		}
+		if a.Traps != b.Traps || a.EmulatedInsts != b.EmulatedInsts {
+			t.Errorf("%s: telemetry diverged: traps %d/%d, emulated %d/%d",
+				jobs[i].Name, a.Traps, b.Traps, a.EmulatedInsts, b.EmulatedInsts)
+		}
+		if d := oracle.DiffFinal(a.Final, b.Final); d != "" {
+			t.Errorf("%s: final state diverged under preemption: %s", jobs[i].Name, d)
+		}
+	}
+}
+
+// TestFleetPanicIsolation: a job whose VM stack panics (here: a nil
+// image) must fail alone — the worker survives, every other job
+// completes, and the panic is reported as that job's error.
+func TestFleetPanicIsolation(t *testing.T) {
+	img, err := workloads.BuildMicro(workloads.Pendulum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true}
+	jobs := []fleet.Job{
+		{Name: "good-0", Image: img, Config: good},
+		{Name: "bad", Image: nil, Config: good},
+		{Name: "good-1", Image: img, Config: good},
+		{Name: "good-2", Image: img, Config: good},
+	}
+	rep := fleet.Run(jobs, fleet.Options{Workers: 2})
+	if rep.Failures != 1 {
+		t.Fatalf("failures = %d, want exactly the panicking job\n%s", rep.Failures, rep.Summary())
+	}
+	bad := rep.Results[1]
+	if bad.Err == nil || !strings.Contains(bad.Err.Error(), "panicked") {
+		t.Errorf("panicking job error = %v, want a reported panic", bad.Err)
+	}
+	for _, i := range []int{0, 2, 3} {
+		jr := rep.Results[i]
+		if jr.Err != nil || jr.Result == nil || jr.Result.Stdout == "" {
+			t.Errorf("%s: did not complete cleanly alongside the panicking job: %v", jr.Name, jr.Err)
+		}
+	}
 }

@@ -15,18 +15,32 @@ import (
 // all spend the same cycles and print the same output, for every micro
 // image under boxed and mpfr. Pre-fix, jobs published into the store as
 // they ran, so the first job on an image paid for what later ones
-// adopted, and concurrent jobs raced to publish.
+// adopted, and concurrent jobs raced to publish. The store is worth
+// having: every job on it spends fewer cycles than a private-cache run.
+// With the trace cache on, trace adoption subsumes decode adoption (an
+// adopted trace replays without decoding); under NONE every trap decodes
+// its one instruction, so there jobs adopt decodes.
 func TestSharedCacheSameCyclesAnyOrder(t *testing.T) {
 	const concurrent = 4
-	for _, alt := range []fpvm.AltKind{fpvm.AltBoxed, fpvm.AltMPFR} {
+	configs := []fpvm.Config{
+		{Alt: fpvm.AltBoxed, Seq: true, Short: true},
+		{Alt: fpvm.AltMPFR, Seq: true, Short: true},
+		{Alt: fpvm.AltBoxed}, // NONE
+	}
+	for _, base := range configs {
 		for _, name := range workloads.MicroAll() {
+			cfg := base // each image trains its own store
+			label := cfg.ConfigName() + "/" + string(cfg.Alt) + "/" + string(name)
 			img, err := workloads.BuildMicro(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := fpvm.Config{Alt: alt, Seq: true, Short: true}
+			private, err := fpvm.Run(img, cfg)
+			if err != nil {
+				t.Fatalf("%s: private run: %v", label, err)
+			}
 			if cfg.Shared, err = fpvm.TrainSharedCache(img, cfg); err != nil {
-				t.Fatalf("%s/%s: training: %v", alt, name, err)
+				t.Fatalf("%s: training: %v", label, err)
 			}
 			results := make([]*fpvm.Result, 2+concurrent)
 			errs := make([]error, len(results))
@@ -42,16 +56,46 @@ func TestSharedCacheSameCyclesAnyOrder(t *testing.T) {
 
 			for i, res := range results {
 				if errs[i] != nil {
-					t.Fatalf("%s/%s job %d: %v", alt, name, i, errs[i])
+					t.Fatalf("%s job %d: %v", label, i, errs[i])
 				}
 				if res.SharedHits+res.SharedTraceHits == 0 {
-					t.Errorf("%s/%s job %d adopted nothing from the trained store", alt, name, i)
+					t.Errorf("%s job %d adopted nothing from the trained store", label, i)
+				}
+				if !cfg.Seq && res.SharedHits == 0 {
+					t.Errorf("%s job %d adopted no decode entries", label, i)
 				}
 				if res.Cycles != results[0].Cycles || res.Stdout != results[0].Stdout {
-					t.Errorf("%s/%s job %d: %d cycles, cold-first job %d", alt, name, i, res.Cycles, results[0].Cycles)
+					t.Errorf("%s job %d: %d cycles, cold-first job %d", label, i, res.Cycles, results[0].Cycles)
 				}
 			}
+			if results[0].Cycles >= private.Cycles || results[0].Stdout != private.Stdout {
+				t.Errorf("%s: %d cycles on the trained store, %d with a private cache",
+					label, results[0].Cycles, private.Cycles)
+			}
 		}
+	}
+}
+
+// TestSharedBindRejectsSecondImage pins the store's safety property: a
+// store trained on one image refuses to serve a different one.
+func TestSharedBindRejectsSecondImage(t *testing.T) {
+	a, err := workloads.BuildMicro(workloads.Lorenz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := workloads.BuildMicro(workloads.Pendulum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := fpvm.TrainSharedCache(a, fpvm.Config{Seq: true})
+	if err != nil {
+		t.Fatalf("training on the first image: %v", err)
+	}
+	if _, err := fpvm.Run(a, fpvm.Config{Seq: true, Shared: sc}); err != nil {
+		t.Fatalf("first image: %v", err)
+	}
+	if _, err := fpvm.Run(b, fpvm.Config{Seq: true, Shared: sc}); err == nil {
+		t.Fatal("second image on a store trained on the first did not error")
 	}
 }
 
