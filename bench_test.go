@@ -22,6 +22,7 @@ import (
 	"fpvm"
 	"fpvm/internal/alt"
 	"fpvm/internal/experiments"
+	"fpvm/internal/faultinject"
 	fpvmrt "fpvm/internal/fpvm"
 	"fpvm/internal/hostlib"
 	"fpvm/internal/kernel"
@@ -404,6 +405,26 @@ func BenchmarkAblationWrapStyle(b *testing.B) {
 			b.ReportMetric(float64(res.Cycles), "total-cycles")
 		})
 	}
+}
+
+// BenchmarkAblationRollback prices the rollback supervisor's host time:
+// paper lorenz under SEQ SHORT with a snapshot every 25 traps and one
+// fatal alt.op fault, which one rollback absorbs. Virtual cycles are the
+// same on any host; ns/op is what the saves and the restore cost the
+// simulator.
+func BenchmarkAblationRollback(b *testing.B) {
+	p := prep(b, workloads.Lorenz)
+	var res *fpvm.Result
+	for i := 0; i < b.N; i++ {
+		inj := faultinject.New(0xF417)
+		inj.Arm(faultinject.SiteAltOp, faultinject.Rule{Every: 997, Limit: 1, Fatal: true})
+		res = runCfg(b, p, fpvm.Config{Alt: fpvm.AltBoxed, Seq: true, Short: true, Inject: inj, CheckpointInterval: 25})
+	}
+	if res.Rollbacks == 0 || res.Detached {
+		b.Fatalf("fatal fault not rolled back: %d rollbacks, detached %v", res.Rollbacks, res.Detached)
+	}
+	b.ReportMetric(float64(res.Checkpoints), "checkpoints")
+	b.ReportMetric(float64(res.Rollbacks), "rollbacks")
 }
 
 // BenchmarkAblationPrecision sweeps MPFR precision: altmath cost grows
