@@ -17,12 +17,12 @@
 // the "jit:" line the bodies compiled. -no-trace turns the trace cache
 // off (the §4.2 ablation).
 //
-// Fleet mode (-parallel N with N > 1) executes M copies of the workload
-// (-jobs, default N) on a pool of N concurrent VMs, each with its own
-// decode/trace cache, so every copy spends the virtual cycles of a
-// serial run. Guest output is printed once (all copies are identical);
-// the fleet summary goes to stderr, and the exit code is the most severe
-// outcome across the fleet.
+// Fleet mode (-parallel N with N > 1, or -jobs M with M > 1) executes M
+// copies of the workload (-jobs, default N) on a pool of N concurrent
+// VMs, each with its own decode/trace cache, so every copy spends the
+// virtual cycles of a serial run. Guest output is printed once (all
+// copies are identical); the fleet summary goes to stderr, and the exit
+// code is the most severe outcome across the fleet.
 //
 // Preemption: -preempt-quantum N preempts each VM every ~N virtual
 // cycles at a trap-safe boundary and reschedules it, still live, on the
@@ -147,11 +147,7 @@ func main() {
 		}
 		cfg.Inject = inj
 	}
-	if *parallel > 1 || *preemptQuantum > 0 {
-		count := *fleetJobs
-		if count <= 0 {
-			count = *parallel
-		}
+	if count, ok := fleetJobCount(*parallel, *fleetJobs, *preemptQuantum); ok {
 		jobs := make([]fleet.Job, count)
 		for i := range jobs {
 			jobs[i] = fleet.Job{Name: *workload, Image: runImg, Config: cfg}
@@ -206,6 +202,20 @@ func main() {
 		}
 	}
 	os.Exit(outcomeExit(res))
+}
+
+// fleetJobCount picks the run mode from the -parallel, -jobs and
+// -preempt-quantum flags: a fleet of jobs copies (default one per
+// worker) when they ask for more than one worker, more than one job or
+// preemption, and otherwise (ok false) one serial fpvm.Run.
+func fleetJobCount(parallel, jobs int, quantum uint64) (count int, ok bool) {
+	if parallel <= 1 && jobs <= 1 && quantum == 0 {
+		return 0, false
+	}
+	if jobs <= 0 {
+		jobs = max(parallel, 1)
+	}
+	return jobs, true
 }
 
 // runFleet executes jobs on a pool of concurrent VMs and returns the

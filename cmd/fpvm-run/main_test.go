@@ -195,3 +195,29 @@ func TestRunFleetHeterogeneous(t *testing.T) {
 		t.Error("fleet summary missing from stderr")
 	}
 }
+
+// TestFleetJobCount: -jobs above 1 selects a fleet on its own, as do
+// -parallel above 1 and a preemption quantum; a job count defaults to
+// one per worker, and the default flags run one serial job.
+func TestFleetJobCount(t *testing.T) {
+	for _, tc := range []struct {
+		parallel, jobs int
+		quantum        uint64
+		want           int
+		fleet          bool
+	}{
+		{parallel: 1, jobs: 0, want: 0, fleet: false},
+		{parallel: 1, jobs: 1, want: 0, fleet: false},
+		{parallel: 1, jobs: 8, want: 8, fleet: true},
+		{parallel: 4, jobs: 0, want: 4, fleet: true},
+		{parallel: 4, jobs: 2, want: 2, fleet: true},
+		{parallel: 1, jobs: 0, quantum: 500_000, want: 1, fleet: true},
+		{parallel: 0, jobs: 0, quantum: 500_000, want: 1, fleet: true},
+	} {
+		got, fleet := fleetJobCount(tc.parallel, tc.jobs, tc.quantum)
+		if got != tc.want || fleet != tc.fleet {
+			t.Errorf("fleetJobCount(-parallel %d, -jobs %d, -preempt-quantum %d) = %d, %v; want %d, %v",
+				tc.parallel, tc.jobs, tc.quantum, got, fleet, tc.want, tc.fleet)
+		}
+	}
+}

@@ -72,8 +72,9 @@ type Config struct {
 	// interval bounds grow wide escalate further to MPFR (decaying back
 	// once bounds stay tight). Requires Alt to be AltBoxed (or empty) —
 	// the engine layers boxed/interval/MPFR itself. Precision sets the
-	// escalated MPFR precision. Policy runs cannot be preempted/resumed:
-	// site state is process-local.
+	// escalated MPFR precision. Policy runs can roll back, but cannot be
+	// preempted or snapshotted: the per-site tier table is not in the
+	// snapshot image.
 	PrecisionPolicy bool
 
 	// Seq enables instruction sequence emulation (§4).
@@ -163,8 +164,8 @@ type Config struct {
 	// returns a Result with Preempted set and Snapshot holding the
 	// serialized VM, which Resume continues from — in this process or
 	// another one; VM.RunSlice instead keeps the preempted VM live and
-	// continues it in place. Requires an alt system with a value codec
-	// (every shipped system has one; the precision policy does not).
+	// continues it in place. Refused for PrecisionPolicy runs, whose
+	// per-site tier table is not in the snapshot image.
 	PreemptQuantum uint64
 
 	// Observer, when set, receives a NaN-box-normalized architectural
@@ -708,7 +709,9 @@ func (vm *VM) RunSlice() (*Result, error) {
 	}
 	cfg, m, p, rt := vm.cfg, vm.m, vm.p, vm.rt
 	if cfg.PreemptQuantum > 0 && !rt.CanSuspend() {
-		return nil, fmt.Errorf("fpvm: PreemptQuantum requires an alt system with a value codec (%q has none)", vm.sys.Name())
+		// Every AltKind has a value codec, so the one VM that cannot
+		// suspend is a precision-policy run.
+		return nil, fmt.Errorf("fpvm: PreemptQuantum cannot suspend %q: the precision policy's per-site tier table is not in the snapshot image", vm.sys.Name())
 	}
 	// Done until the slice ends in a clean preemption: a slice that
 	// errors (or panics) leaves nothing to continue.

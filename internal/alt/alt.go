@@ -52,13 +52,6 @@ type System interface {
 	// allocates beyond its result. MPFR allocates more temporaries than
 	// Boxed IEEE, which the paper observes as higher gc overhead (§6.4).
 	TempsPerOp() int
-
-	// CloneValue returns a copy of v that remains valid if the original
-	// is later mutated in place. Systems with immutable (or value-typed)
-	// representations may return v unchanged. The checkpoint subsystem
-	// uses this to serialize live box contents into a snapshot and to
-	// restore them without aliasing the running heap.
-	CloneValue(v Value) Value
 }
 
 // FloatSystem is an optional extension: systems whose Value representation
@@ -89,13 +82,15 @@ type FloatSystem interface {
 }
 
 // Codec is an optional extension: systems whose values can round-trip
-// through a byte encoding. The checkpoint wire format uses it to walk the
-// NaN-box heap into a tagged per-system serialization, which is what makes
-// snapshots durable across process death — CloneValue alone only protects
-// against in-place mutation within one process. Encode/decode must be
-// exact: a decoded value must be bit-identical in behaviour (arithmetic,
-// comparison, demotion) to the original, or a resumed run diverges from
-// its uninterrupted twin.
+// through a byte encoding. Every image of the VM holds the NaN-box heap
+// through it: the checkpoint wire format, which makes snapshots durable
+// across process death, and the rollback supervisor's in-memory
+// checkpoint, whose decoded values share nothing with the live ones (so
+// a later in-place mutation of either cannot reach the other). The
+// runtime refuses rollback for a system without one. Encode/decode must
+// be exact: a decoded value must be bit-identical in behaviour
+// (arithmetic, comparison, demotion) to the original, or a resumed or
+// rolled-back run diverges from its uninterrupted twin.
 type Codec interface {
 	// EncodeValue serializes v. The encoding needs no framing of its own;
 	// the wire format length-prefixes it.

@@ -70,9 +70,6 @@ func (*BoxedIEEE) Neg(v Value) (Value, uint64) { return -v.(float64), 4 }
 
 func (*BoxedIEEE) Signbit(v Value) bool { return math.Signbit(v.(float64)) }
 
-// CloneValue: float64 values are immutable, so the identity copy is safe.
-func (*BoxedIEEE) CloneValue(v Value) Value { return v }
-
 // FloatSystem implementation: Boxed IEEE's representation is a float64, so
 // the allocation-free variants are the generic methods minus the interface
 // conversions. Costs match the generic methods exactly.

@@ -227,13 +227,3 @@ func (*IntervalSystem) Signbit(v Value) bool {
 
 // Signbit reports a negative rational.
 func (*RationalSystem) Signbit(v Value) bool { return v.(*rational.Rational).Sign() < 0 }
-
-// CloneValue: posits are immutable value types.
-func (s *PositSystem) CloneValue(v Value) Value { return v }
-
-// CloneValue: intervals are immutable value types.
-func (*IntervalSystem) CloneValue(v Value) Value { return v }
-
-// CloneValue deep-copies the big.Rat backing so a snapshot survives any
-// later in-place mutation of the live value.
-func (*RationalSystem) CloneValue(v Value) Value { return v.(*rational.Rational).Clone() }

@@ -50,5 +50,3 @@ func (f *Flaky) Signbit(v Value) bool { return f.Sys.Signbit(v) }
 func (f *Flaky) IsNaN(v Value) bool { return f.Sys.IsNaN(v) }
 
 func (f *Flaky) TempsPerOp() int { return f.Sys.TempsPerOp() }
-
-func (f *Flaky) CloneValue(v Value) Value { return f.Sys.CloneValue(v) }

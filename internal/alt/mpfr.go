@@ -110,10 +110,6 @@ func (m *MPFR) Neg(v Value) (Value, uint64) {
 
 func (m *MPFR) Signbit(v Value) bool { return v.(*bigfp.Float).Signbit() }
 
-// CloneValue deep-copies the bigfp.Float — bigfp operations mutate their
-// receiver, so a snapshot must not alias a live value.
-func (m *MPFR) CloneValue(v Value) Value { return v.(*bigfp.Float).Clone() }
-
 // libm cost model: a 200-bit transcendental runs dozens of limb
 // multiplications (series terms); quadratic in limbs like mul.
 func (m *MPFR) libmCost() uint64 {

@@ -1,6 +1,12 @@
-// On-disk serialization of a suspended VM. The wire format is what makes
-// FPVM's snapshots durable: a versioned, CRC-guarded image of everything
-// a resumed run can observe that a freshly prepared VM cannot rebuild —
+// Package checkpoint is the image of a suspended VM and its on-disk
+// serialization. The runtime captures guest state into an Image in one
+// place (internal/fpvm's suspend.go): the rollback supervisor keeps such
+// an image in memory, never encoded, and preemption completes it with
+// the machine, cache and runtime counters for the wire.
+//
+// The wire format is what makes FPVM's snapshots durable: a versioned,
+// CRC-guarded image of everything a resumed run can observe that a
+// freshly prepared VM cannot rebuild —
 // CPU (including MXCSR), thread table, the full stdout prefix, the
 // writable pages (an all-zero page as its address alone, any other with
 // its 4 KiB), the NaN-box heap packed as one kind byte per slot plus the
@@ -22,7 +28,6 @@
 // is refused with ErrVersion, never translated: its job runs fresh. Files
 // are written with an atomic temp-file + fsync + rename dance so a crash
 // mid-save leaves the previous good snapshot intact.
-
 package checkpoint
 
 import (
@@ -135,7 +140,9 @@ type RuntimeImage struct {
 	CkptInterval int
 }
 
-// Image is one serializable suspended VM.
+// Image is one suspended VM. A wire image fills every field; the
+// rollback supervisor's in-memory checkpoint fills only the guest state
+// (CPU, Threads, Stdout, Tel, Heap and Pages).
 type Image struct {
 	// Binding: a snapshot only resumes against the exact program image,
 	// alternative arithmetic system and semantic configuration that wrote

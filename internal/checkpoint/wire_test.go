@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"fpvm/internal/heap"
@@ -217,23 +216,4 @@ func TestReadImageFileMissing(t *testing.T) {
 			t.Errorf("missing-file error %v must not claim corruption class %v", err, s)
 		}
 	}
-}
-
-// TestRestoreWithoutSavePanics: rewinding to nothing would hand back a
-// zero CPU and nil heap; the manager must refuse loudly (satellite of
-// the durable-checkpoint work — the rollback call site checks Has()).
-func TestRestoreWithoutSavePanics(t *testing.T) {
-	p, as := newVM(t)
-	mgr := New(as)
-
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Restore without a Save did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "no saved snapshot") {
-			t.Errorf("panic %v does not carry the diagnostic", r)
-		}
-	}()
-	mgr.Restore(p, func(v any) any { return v })
 }

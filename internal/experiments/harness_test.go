@@ -49,6 +49,44 @@ func TestFrontierTableAdaptiveDominates(t *testing.T) {
 	}
 }
 
+// TestResilienceTableHeadline: for both workloads, the fatal alt.op
+// fault ends rolled back and undegraded once checkpoints are taken, and
+// detached without them, and every row's fault ledger reconciles.
+func TestResilienceTableHeadline(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ResilienceTable(&buf, "boxed", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	rows := map[string][]string{} // "workload/scenario" -> injected..undegr
+	for _, line := range strings.Split(out, "\n") {
+		for _, sc := range resilScenarios {
+			if i := strings.Index(line, " "+sc.name+" "); i > 0 {
+				rows[strings.TrimSpace(line[:i])+"/"+sc.name] = strings.Fields(line[i+len(sc.name)+2:])
+			}
+		}
+	}
+	for _, w := range []string{"lorenz_attractor", "three_body_simulation"} {
+		for _, sc := range resilScenarios {
+			if f := rows[w+"/"+sc.name]; len(f) != 9 || f[5] != "yes" {
+				t.Errorf("%s %s: recon not yes in %q", w, sc.name, f)
+			}
+		}
+		// Columns: injected retried rlbk degr fatal recon ckpts outcome undegr.
+		ck := rows[w+"/fatal alt.op ckpt"]
+		if len(ck) != 9 || ck[7] != "rolledback" || ck[8] != "yes" || ck[6] == "0" {
+			t.Errorf("%s fatal alt.op ckpt: %q, want rolledback/yes with checkpoints", w, ck)
+		}
+		no := rows[w+"/fatal alt.op no-ckpt"]
+		if len(no) != 9 || no[7] != "detached" || no[8] != "NO" {
+			t.Errorf("%s fatal alt.op no-ckpt: %q, want detached/NO", w, no)
+		}
+	}
+	if t.Failed() {
+		t.Logf("table:\n%s", out)
+	}
+}
+
 // TestParseFloats pins the stdout scraper the frontier scores with.
 func TestParseFloats(t *testing.T) {
 	got := parseFloats("x=1.50 y=-0.25e+2 n=7 z=3.0E-1 inf nan")

@@ -29,11 +29,6 @@ type Config struct {
 	// not loaded, FPVM falls back to signals (and reports it).
 	Short bool
 
-	// MagicTraps uses call-based kernel-bypass correctness traps (§5.2)
-	// instead of int3+SIGTRAP. This takes effect in the binary patcher;
-	// the runtime serves whichever mechanism the binary carries.
-	MagicTraps bool
-
 	// MagicWraps uses symbol-table rewriting for foreign function
 	// wrappers (§5.3) instead of LD_PRELOAD-order forward wrapping. The
 	// two have identical runtime cost; the knob exists for the ablation.
@@ -108,11 +103,13 @@ type Config struct {
 	NoTraceCache bool
 
 	// CheckpointInterval enables the rollback supervisor: every N traps
-	// the runtime captures a crash-consistent snapshot of the full VM
-	// (registers, memory, box heap, thread table), and fatal-rung
+	// the runtime captures a crash-consistent snapshot of the guest
+	// (registers, memory, box heap, thread table, stdout), and fatal-rung
 	// failures restore the last snapshot and re-execute with the
-	// distrusted RIP quarantined instead of detaching. 0 (the default)
-	// disables checkpointing; the ladder then behaves as before.
+	// distrusted RIP quarantined instead of detaching. The snapshot holds
+	// the heap through the alt system's value codec, so Attach refuses a
+	// system without one. 0 (the default) disables checkpointing; the
+	// ladder then behaves as before.
 	CheckpointInterval int
 
 	// MaxRollbacks bounds rollback attempts per run (0 = default 8).

@@ -200,9 +200,9 @@ func TestForkInheritsRecoveryState(t *testing.T) {
 // fork. The parent runs (and snapshots) to completion; the child — whose
 // "step" was patched to 2 at the fork — then hits a fatal alt.op fault.
 // Its supervisor must roll back to a snapshot of the CHILD's own state
-// (fork-safe Clone: a child-side re-snapshot overlays the parent image
-// with the child's dirty pages), so the restore keeps the patched step
-// and does not alias or disturb the parent's heap or memory.
+// (the child inherits the parent's image, which it only reads, and its
+// own saves replace it), so the restore keeps the patched step and does
+// not alias or disturb the parent's heap or memory.
 func TestForkCheckpointRollback(t *testing.T) {
 	b := asm.NewBuilder("forked-ckpt")
 	b.RoDouble("one", 1)

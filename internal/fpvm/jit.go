@@ -341,9 +341,9 @@ func load64(as *mem.AddressSpace, addr uint64) (uint64, error) {
 }
 
 // store64 is load64 for stores: in place when the TLB holds the page
-// writable, allocated and not dirty-tracked, through the access path
-// otherwise, which allocates the page on its first write, marks it dirty,
-// refills the TLB or reports the fault.
+// writable and allocated, through the access path otherwise, which
+// allocates the page on its first write, refills the TLB or reports the
+// fault.
 func store64(as *mem.AddressSpace, addr, v uint64) error {
 	if pg := as.Writable(addr); pg != nil {
 		if off := addr & mem.PageMask; off <= mem.PageSize-8 {

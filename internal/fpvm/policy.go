@@ -1,6 +1,7 @@
 package fpvm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -94,10 +95,12 @@ type polSite struct {
 // Values are tier-tagged by their concrete type (float64, interval.Interval,
 // *bigfp.Float); an operand produced at one tier and consumed at another is
 // converted through binary64, with both conversions charged. The engine is
-// deterministic for a fixed guest and configuration. It deliberately does
-// not implement alt.Codec: site state is process-local, so a suspended and
-// resumed run would not replay identically — the runtime therefore refuses
-// to preempt it, and it is excluded from the oracle conformance matrix.
+// deterministic for a fixed guest and configuration. Its alt.Codec writes
+// a value's tier byte and then that tier's encoding, which is what the
+// rollback supervisor's checkpoint needs. The per-site table is not in
+// any image, so a suspended and resumed run would not replay identically:
+// the runtime refuses to preempt or snapshot it (CanSuspend), and it is
+// excluded from the oracle conformance matrix.
 type PolicyEngine struct {
 	cfg   PolicyConfig
 	boxed *alt.BoxedIEEE
@@ -328,6 +331,23 @@ func (e *PolicyEngine) TempsPerOp() int {
 	return e.sys(e.curSite().tier).TempsPerOp()
 }
 
-func (e *PolicyEngine) CloneValue(v alt.Value) alt.Value {
-	return e.sys(tierOfVal(v)).CloneValue(v)
+// EncodeValue serializes v as its tier byte followed by that tier's
+// encoding: the boxed bit pattern, the interval's endpoints or the MPFR
+// limbs.
+func (e *PolicyEngine) EncodeValue(v alt.Value) ([]byte, error) {
+	t := tierOfVal(v)
+	b, err := e.sys(t).(alt.Codec).EncodeValue(v)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte{byte(t)}, b...), nil
+}
+
+// DecodeValue reconstructs an EncodeValue payload, refusing a tier byte
+// the engine does not have.
+func (e *PolicyEngine) DecodeValue(b []byte) (alt.Value, error) {
+	if len(b) == 0 || precTier(b[0]) > tierMPFR {
+		return nil, errors.New("fpvm: policy codec: value has no valid tier tag")
+	}
+	return e.sys(precTier(b[0])).(alt.Codec).DecodeValue(b[1:])
 }

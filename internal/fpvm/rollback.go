@@ -3,7 +3,6 @@ package fpvm
 import (
 	"fmt"
 
-	"fpvm/internal/alt"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/kernel"
 	"fpvm/internal/telemetry"
@@ -21,7 +20,9 @@ import (
 // Snapshots are captured at trap boundaries (maybeCheckpoint), where the
 // register file is untouched by emulation and RIP still points at the
 // faulting instruction — restoring one simply makes the guest re-trap
-// there. Rollback attempts are bounded (Config.MaxRollbacks) and each
+// there. A snapshot is the guest-visible part of the suspend image
+// (captureState in suspend.go), kept in memory and never encoded.
+// Rollback attempts are bounded (Config.MaxRollbacks) and each
 // successful rollback doubles the snapshot interval, so a persistently
 // faulty run backs off exponentially instead of live-locking.
 
@@ -74,7 +75,7 @@ func (r *Runtime) failTrap(uc *kernel.Ucontext, rip uint64, site faultinject.Sit
 // (re-executing would fail the same way). distrust is the RIP whose
 // handling caused the fatal failure.
 func (r *Runtime) tryRollback(uc *kernel.Ucontext, distrust uint64) bool {
-	if r.ckpt == nil {
+	if r.ckptInterval == 0 {
 		return false
 	}
 	fail := func() bool {
@@ -82,7 +83,7 @@ func (r *Runtime) tryRollback(uc *kernel.Ucontext, distrust uint64) bool {
 		r.Tel.RollbackFailures++
 		return false
 	}
-	if uc == nil || !r.ckpt.Has() || r.Rollbacks >= r.maxRollbacks() {
+	if uc == nil || r.ckpt == nil || r.Rollbacks >= r.maxRollbacks() {
 		return fail()
 	}
 	// The quarantine pin serves the distrusted instruction via nativeInst,
@@ -103,11 +104,12 @@ func (r *Runtime) tryRollback(uc *kernel.Ucontext, distrust uint64) bool {
 			return fail()
 		}
 	}
-	cpu, alloc, tel, _ := r.ckpt.Restore(r.p, r.cloneValue)
-	r.alloc = alloc
-	r.restoreTimeline(tel)
+	if r.restoreState(r.ckpt) != nil {
+		return fail() // the heap would not decode; nothing was changed
+	}
+	r.restoreTimeline(r.ckpt.Tel)
 	r.charge(telemetry.Kernel, r.Costs.CkptRestore)
-	uc.CPU = cpu
+	uc.CPU = r.ckpt.CPU
 	r.quarantine(distrust)
 	r.Rollbacks++
 	r.Tel.Rollbacks++
@@ -139,9 +141,10 @@ func (r *Runtime) quarantine(rip uint64) {
 // maybeCheckpoint captures a snapshot at the current trap boundary once
 // the interval has elapsed. ckpt.save faults retry on their budget; a
 // persistent failure skips this snapshot (the previous image stays valid
-// — a later rollback just rewinds further) and the next trap tries again.
+// — a later rollback just rewinds further) and the next trap tries again,
+// as it does after a value the codec refuses.
 func (r *Runtime) maybeCheckpoint(uc *kernel.Ucontext) {
-	if r.ckpt == nil {
+	if r.ckptInterval == 0 {
 		return
 	}
 	r.trapsSince++
@@ -155,7 +158,11 @@ func (r *Runtime) maybeCheckpoint(uc *kernel.Ucontext) {
 		}
 	}
 	r.charge(telemetry.Kernel, r.Costs.CkptSave)
-	r.ckpt.Save(uc.CPU, r.p, r.alloc, r.cloneValue, r.Tel, nil)
+	img, err := r.captureState(uc.CPU)
+	if err != nil {
+		return
+	}
+	r.ckpt = img
 	r.trapsSince = 0
 	r.Checkpoints++
 	r.Tel.Checkpoints++
@@ -196,12 +203,6 @@ func (r *Runtime) maxRollbacks() uint64 {
 		return uint64(r.Cfg.MaxRollbacks)
 	}
 	return DefaultMaxRollbacks
-}
-
-// cloneValue adapts the alt system's CloneValue hook to the checkpoint
-// package's untyped signature.
-func (r *Runtime) cloneValue(v any) any {
-	return r.Cfg.Alt.CloneValue(v.(alt.Value))
 }
 
 // restoreTimeline rewinds the telemetry counters that describe the

@@ -7,6 +7,9 @@ import (
 	"fpvm/internal/alt"
 	"fpvm/internal/faultinject"
 	fpvmrt "fpvm/internal/fpvm"
+	"fpvm/internal/kernel"
+	"fpvm/internal/machine"
+	"fpvm/internal/mem"
 )
 
 // TestRollbackRecoversFatalFault is the headline robustness property: a
@@ -190,3 +193,55 @@ func TestCheckpointRestoreFaultEscalates(t *testing.T) {
 		t.Errorf("injector ledger broken:\n%s", inj.Report())
 	}
 }
+
+// TestRollbackWithoutCheckpointDetaches: a fatal fault before any
+// checkpoint exists (every save faults and is skipped) has nothing to
+// roll back to, so the supervisor declines, counts a rollback failure,
+// and the fault falls through to detach.
+func TestRollbackWithoutCheckpointDetaches(t *testing.T) {
+	img, err := buildChain(t, 8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(1)
+	inj.Arm(faultinject.SiteCkptSave, faultinject.Rule{Every: 1})
+	inj.Arm(faultinject.SiteAltOp, faultinject.Rule{Every: 10, Limit: 1, Fatal: true})
+	r := newRig(t, img, fpvmrt.Config{
+		Alt: alt.NewBoxedIEEE(), Seq: true, Inject: inj, CheckpointInterval: 1,
+	}, true)
+	if err := r.p.Run(10_000_000); err != nil {
+		t.Fatalf("guest did not survive: %v", err)
+	}
+	if r.rt.Checkpoints != 0 || r.rt.Rollbacks != 0 {
+		t.Errorf("checkpoints %d, rollbacks %d, want 0/0", r.rt.Checkpoints, r.rt.Rollbacks)
+	}
+	if r.rt.RollbackFailures == 0 || !r.rt.Detached() {
+		t.Errorf("rollback failures %d, detached %v; want a declined rollback and a detach",
+			r.rt.RollbackFailures, r.rt.Detached())
+	}
+	if !strings.HasPrefix(r.p.Stdout.String(), "3") {
+		t.Errorf("guest printed %q, want native 3.0", r.p.Stdout.String())
+	}
+}
+
+// TestCheckpointNeedsCodec: a rollback checkpoint holds the heap as
+// encoded values, so Attach refuses CheckpointInterval for an alt system
+// without a codec, and accepts the same system without checkpoints.
+func TestCheckpointNeedsCodec(t *testing.T) {
+	img, err := buildChain(t, 2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := codecless{alt.NewBoxedIEEE()}
+	as := mem.NewAddressSpace()
+	p := kernel.NewProcess(kernel.New(), machine.New(as), img.Name)
+	if _, err := fpvmrt.Attach(p, fpvmrt.Config{Alt: sys, CheckpointInterval: 5}); err == nil ||
+		!strings.Contains(err.Error(), "value codec") {
+		t.Errorf("Attach with a codec-less system and checkpoints: %v, want a value-codec refusal", err)
+	}
+	newRig(t, img, fpvmrt.Config{Alt: sys, Seq: true}, true).run(t)
+}
+
+// codecless strips the codec from a system: embedding the System
+// interface promotes only its methods.
+type codecless struct{ alt.System }

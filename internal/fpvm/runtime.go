@@ -104,13 +104,15 @@ type Runtime struct {
 	curEntry *dcache.Entry    // decode of that instruction, once known
 	phase    trapPhase
 
-	// Rollback supervisor state (Config.CheckpointInterval > 0): ckpt
-	// owns the crash-consistent snapshot, trapsSince counts traps toward
-	// the next save, ckptInterval is the current snapshot interval
-	// (doubled after every rollback — exponential backoff under repeated
-	// faults), and quarantined maps distrusted RIPs to the per-RIP
-	// native-execute pin installed by a rollback.
-	ckpt         *checkpoint.Manager
+	// Rollback supervisor state (Config.CheckpointInterval > 0): ckpt is
+	// the last crash-consistent snapshot (nil until the first save; an
+	// unencoded image, only ever read once taken), trapsSince counts
+	// traps toward the next save, ckptInterval is the current snapshot
+	// interval (0 when the supervisor is off; doubled after every
+	// rollback — exponential backoff under repeated faults), and
+	// quarantined maps distrusted RIPs to the per-RIP native-execute pin
+	// installed by a rollback.
+	ckpt         *checkpoint.Image
 	trapsSince   int
 	ckptInterval int
 	quarantined  map[uint64]bool
@@ -126,6 +128,10 @@ type Runtime struct {
 func Attach(p *kernel.Process, cfg Config) (*Runtime, error) {
 	if cfg.Alt == nil {
 		return nil, fmt.Errorf("fpvm: Config.Alt is required")
+	}
+	if _, ok := cfg.Alt.(alt.Codec); cfg.CheckpointInterval > 0 && !ok {
+		// A rollback checkpoint holds the heap as encoded values.
+		return nil, fmt.Errorf("fpvm: CheckpointInterval needs an alt system with a value codec (%q has none)", cfg.Alt.Name())
 	}
 	if cfg.SeqLimit == 0 {
 		cfg.SeqLimit = 256
@@ -152,7 +158,6 @@ func Attach(p *kernel.Process, cfg Config) (*Runtime, error) {
 	r.alloc.MaxLive = cfg.MaxLiveBoxes
 	p.Inject = cfg.Inject
 	if cfg.CheckpointInterval > 0 {
-		r.ckpt = checkpoint.New(p.M.Mem)
 		r.ckptInterval = cfg.CheckpointInterval
 		// The first trap is the earliest crash-consistent point (the
 		// register file only becomes meaningful once the image is loaded
@@ -245,10 +250,10 @@ func (r *Runtime) ForkChild(child *kernel.Process) *Runtime {
 	c.FatalDetaches = r.FatalDetaches
 	c.Aborted = r.Aborted
 	// The rollback supervisor forks with the process: the snapshot is
-	// shared (immutable page buffers and heap image; each side's restore
-	// clones before use — see checkpoint.Manager.Clone), the quarantine
-	// set and interval/backoff state are copied.
-	c.ckpt = r.ckpt.Clone(child.M.Mem)
+	// shared (a restore only reads it, decoding a fresh heap and copying
+	// pages and stdout out of it), the quarantine set and
+	// interval/backoff state are copied.
+	c.ckpt = r.ckpt
 	c.trapsSince = r.trapsSince
 	c.ckptInterval = r.ckptInterval
 	if r.quarantined != nil {

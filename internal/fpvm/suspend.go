@@ -5,11 +5,16 @@
 // constructed VM. Resumption is exact: a resumed run's stdout, trap
 // stream and final architectural state are bit-identical to the
 // uninterrupted run's, which the kill-resume harness enforces.
+//
+// The guest-visible half of that image (captureState, restoreState) is
+// also the rollback supervisor's checkpoint (rollback.go): one capture
+// and one restore of guest state serve both.
 
 package fpvm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -17,14 +22,20 @@ import (
 	"fpvm/internal/checkpoint"
 	"fpvm/internal/dcache"
 	"fpvm/internal/heap"
+	"fpvm/internal/machine"
 	"fpvm/internal/mem"
 )
 
-// zeroPage is what CaptureImage compares each writable page against.
+// zeroPage is what captureState compares each writable page against.
 var zeroPage [mem.PageSize]byte
 
-// Codec returns the alt system's value codec, or an error if the system
-// cannot serialize its values (suspension is then impossible).
+// errPolicySites refuses to suspend a precision-policy run: the engine's
+// per-site tier table is not part of the image, so a resumed run would
+// start every site over at the boxed tier.
+var errPolicySites = errors.New("fpvm: a precision-policy run cannot be suspended: its per-site tier table is not in the snapshot image")
+
+// valueCodec returns the alt system's value codec, or an error if the
+// system cannot serialize its values (no image can then hold its heap).
 func (r *Runtime) valueCodec() (alt.Codec, error) {
 	if c, ok := r.Cfg.Alt.(alt.Codec); ok {
 		return c, nil
@@ -33,17 +44,28 @@ func (r *Runtime) valueCodec() (alt.Codec, error) {
 		r.Cfg.Alt.Name())
 }
 
-// CanSuspend reports whether the configured alt system supports heap
-// serialization.
-func (r *Runtime) CanSuspend() bool {
-	_, ok := r.Cfg.Alt.(alt.Codec)
-	return ok
+// suspendErr reports why the VM cannot be suspended into a wire image:
+// the precision policy's site table is not in it, and a system without a
+// value codec cannot serialize its heap.
+func (r *Runtime) suspendErr() error {
+	if r.pol != nil {
+		return errPolicySites
+	}
+	_, err := r.valueCodec()
+	return err
 }
 
-// CaptureImage serializes the suspended VM into a wire image. It must be
-// called at an event boundary (between kernel.Process.Step calls): no
-// trap is in flight, so machine.CPU is the authoritative register file.
-func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint64) (*checkpoint.Image, error) {
+// CanSuspend reports whether the VM can be suspended into a wire image:
+// its alt system has a value codec and it is not a precision-policy run.
+func (r *Runtime) CanSuspend() bool { return r.suspendErr() == nil }
+
+// captureState records what the guest can observe: cpu (the register
+// file at the capture point, which lives in machine.CPU between steps and
+// in the trap's ucontext inside a handler), the thread table, stdout, the
+// writable pages (an all-zero page as its address alone), the heap (each
+// generic value through the alt system's codec) and the telemetry. The
+// image shares nothing with the running VM.
+func (r *Runtime) captureState(cpu machine.CPU) (*checkpoint.Image, error) {
 	codec, err := r.valueCodec()
 	if err != nil {
 		return nil, err
@@ -53,10 +75,9 @@ func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint6
 		return nil, err
 	}
 
-	// An all-zero page travels as its address alone: most writable pages
-	// of a suspended guest (an untouched stack, an unused heap) are zero,
-	// and restore zero-fills them. A page the guest never wrote is not
-	// even compared.
+	// Most writable pages of a guest (an untouched stack, an unused heap)
+	// are zero, and restore zero-fills them. A page the guest never wrote
+	// is not even compared.
 	as := r.p.M.Mem
 	writable := as.WritablePages()
 	pages := make([]checkpoint.Page, 0, len(writable))
@@ -70,28 +91,73 @@ func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint6
 		pages = append(pages, pg)
 	}
 
-	img := &checkpoint.Image{
-		ImageHash: imageHash,
-		AltName:   r.Cfg.Alt.Name(),
-		ConfigSig: configSig,
-
-		CPU:     r.m.CPU,
+	return &checkpoint.Image{
+		CPU:     cpu,
 		Threads: r.p.SnapshotThreads(),
 		Stdout:  append([]byte(nil), r.p.Stdout.Bytes()...),
-		Steps:   steps,
+		Tel:     r.Tel,
+		Heap:    hp,
+		Pages:   pages,
+	}, nil
+}
 
-		MachCycles:         r.m.Cycles,
-		MachInstructions:   r.m.Instructions,
-		MachFPInstructions: r.m.FPInstructions,
-		KernelStats:        r.p.K.Stats,
-		Tel:                r.Tel,
-
-		Heap:  hp,
-		Pages: pages,
-
-		Cache: r.captureCache(),
-		RT:    r.captureRT(),
+// restoreState reinstalls what captureState recorded, except the
+// register file and the telemetry, which each caller installs its own
+// way: every recorded page is overwritten (a page without data is
+// zero-filled), and the thread table, stdout and heap are reinstated.
+// The image is only read, so it can be restored any number of times,
+// and by a fork child as well as its parent. The heap is decoded before
+// anything changes, so a heap that fails to decode leaves the VM as it
+// was.
+func (r *Runtime) restoreState(img *checkpoint.Image) error {
+	codec, err := r.valueCodec()
+	if err != nil {
+		return err
 	}
+	alloc, err := heap.FromImage(img.Heap, func(b []byte) (any, error) { return codec.DecodeValue(b) })
+	if err != nil {
+		return err
+	}
+	alloc.Threshold = r.alloc.Threshold
+	alloc.MaxLive = r.alloc.MaxLive
+
+	as := r.p.M.Mem
+	for _, pg := range img.Pages {
+		if len(pg.Data) != 0 && len(pg.Data) != mem.PageSize {
+			return fmt.Errorf("fpvm: snapshot page %#x has %d bytes", pg.Addr, len(pg.Data))
+		}
+		as.OverwritePage(pg.Addr, pg.Data) // no data: a zero page
+	}
+	r.p.RestoreThreads(img.Threads)
+	r.p.Stdout.Reset()
+	r.p.Stdout.Write(img.Stdout)
+	r.alloc = alloc
+	return nil
+}
+
+// CaptureImage serializes the suspended VM into a wire image. It must be
+// called at an event boundary (between kernel.Process.Step calls): no
+// trap is in flight, so machine.CPU is the authoritative register file.
+// The image completes captureState's with its bindings, the machine and
+// kernel counters, the cache shape and the runtime's counters.
+func (r *Runtime) CaptureImage(imageHash [32]byte, configSig string, steps uint64) (*checkpoint.Image, error) {
+	if err := r.suspendErr(); err != nil {
+		return nil, err
+	}
+	img, err := r.captureState(r.m.CPU)
+	if err != nil {
+		return nil, err
+	}
+	img.ImageHash = imageHash
+	img.AltName = r.Cfg.Alt.Name()
+	img.ConfigSig = configSig
+	img.Steps = steps
+	img.MachCycles = r.m.Cycles
+	img.MachInstructions = r.m.Instructions
+	img.MachFPInstructions = r.m.FPInstructions
+	img.KernelStats = r.p.K.Stats
+	img.Cache = r.captureCache()
+	img.RT = r.captureRT()
 	return img, nil
 }
 
@@ -149,41 +215,21 @@ func (r *Runtime) captureRT() checkpoint.RuntimeImage {
 }
 
 // RestoreImage reinstalls a wire image into a freshly constructed (and
-// loaded) VM: every writable page is overwritten (a page recorded without
-// data is zero-filled), the register file, thread table, stdout prefix,
-// heap, caches and counters are reinstated, and the instruction cache is
-// invalidated. The caller is responsible for having validated the
-// image's bindings first.
+// loaded) VM: restoreState's guest state, the register file, the caches
+// and counters, with the instruction cache invalidated. The caller is
+// responsible for having validated the image's bindings first.
 func (r *Runtime) RestoreImage(img *checkpoint.Image) error {
-	codec, err := r.valueCodec()
-	if err != nil {
+	if err := r.suspendErr(); err != nil {
 		return err
 	}
-	alloc, err := heap.FromImage(img.Heap, func(b []byte) (any, error) { return codec.DecodeValue(b) })
-	if err != nil {
+	// CPU first: restoring a non-empty thread table reinstates the
+	// current thread's registers into machine.CPU itself.
+	r.m.CPU = img.CPU
+	if err := r.restoreState(img); err != nil {
 		return err
-	}
-	alloc.Threshold = r.alloc.Threshold
-	alloc.MaxLive = r.alloc.MaxLive
-
-	as := r.p.M.Mem
-	for _, pg := range img.Pages {
-		if len(pg.Data) != 0 && len(pg.Data) != mem.PageSize {
-			return fmt.Errorf("fpvm: snapshot page %#x has %d bytes", pg.Addr, len(pg.Data))
-		}
-		as.OverwritePage(pg.Addr, pg.Data) // no data: a zero page
 	}
 	r.m.InvalidateICache()
 
-	// CPU first, then the thread table: restoring a non-empty table
-	// reinstates the current thread's registers into machine.CPU itself.
-	r.m.CPU = img.CPU
-	r.p.RestoreThreads(img.Threads)
-
-	r.p.Stdout.Reset()
-	r.p.Stdout.Write(img.Stdout)
-
-	r.alloc = alloc
 	r.Tel = img.Tel
 	r.m.Cycles = img.MachCycles
 	r.m.Instructions = img.MachInstructions
@@ -229,9 +275,9 @@ func (r *Runtime) restoreRT(ri *checkpoint.RuntimeImage) {
 		}
 	}
 
-	// The in-memory rollback snapshot does not survive the process; a
-	// resumed run re-establishes it at its next trap.
-	if r.ckpt != nil {
+	// The rollback checkpoint is not part of the wire image; a resumed
+	// run takes a new one at its next trap.
+	if r.ckptInterval > 0 {
 		if ri.CkptInterval > 0 {
 			r.ckptInterval = ri.CkptInterval
 		}

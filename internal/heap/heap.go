@@ -341,25 +341,6 @@ func (a *Allocator) Clone() *Allocator {
 	return &out
 }
 
-// CloneWith is Clone with value isolation: every live generic slot's
-// value is passed through clone, so the copy shares no mutable alt-system
-// state with the original. Float-specialized slots copy by value. The
-// checkpoint subsystem uses this (with alt.System.CloneValue) so a
-// snapshot survives in-place mutation of live values and a restore does
-// not alias the snapshot it came from.
-func (a *Allocator) CloneWith(clone func(any) any) *Allocator {
-	out := a.Clone()
-	for h, st := range out.state {
-		if st&(slotLive|slotGeneric) != slotLive|slotGeneric {
-			continue
-		}
-		if v, _ := out.Get(uint64(h)); v != nil {
-			out.setGeneric(uint64(h), clone(v))
-		}
-	}
-	return out
-}
-
 // Reset drops all boxes (process teardown).
 func (a *Allocator) Reset() {
 	a.state = a.state[:0]

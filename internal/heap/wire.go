@@ -44,8 +44,22 @@ var ErrBadImage = errors.New("heap: inconsistent allocator image")
 // Capture dumps the allocator into an Image, serializing every live
 // generic value through encode (an alt.Codec in practice).
 func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
+	// Size the payload slices once: a live slot is a float slot unless it
+	// is generic.
+	floats, generics := 0, 0
+	for _, st := range a.state {
+		if st&slotLive != 0 {
+			if st&slotGeneric == 0 {
+				floats++
+			} else {
+				generics++
+			}
+		}
+	}
 	img := &Image{
 		Kinds:     make([]byte, len(a.state)),
+		Floats:    make([]float64, 0, floats),
+		Vals:      make([][]byte, 0, generics),
 		Free:      a.freeList(),
 		Live:      a.live,
 		Threshold: a.Threshold,
@@ -80,7 +94,7 @@ func (a *Allocator) Capture(encode func(any) ([]byte, error)) (*Image, error) {
 // freeList returns the free list bottom of stack first, the order the
 // free handles were pushed in.
 func (a *Allocator) freeList() []uint64 {
-	var top []uint64
+	top := make([]uint64, 0, len(a.state)-a.live) // every free slot is on it
 	for h := a.free; h != noFree && len(top) < len(a.state); h = a.word[h] {
 		top = append(top, h)
 	}

@@ -438,8 +438,7 @@ func (m *Machine) read(addr uint64, size uint8) (uint64, error) {
 // write stores the low size bytes of v at addr (8 bytes for size 0),
 // little-endian: in place on a page-TLB hit that stays inside one
 // allocated page, through the access path otherwise, which allocates the
-// page on its first write, marks it dirty, refills the TLB or reports
-// the fault.
+// page on its first write, refills the TLB or reports the fault.
 func (m *Machine) write(addr uint64, size uint8, v uint64) error {
 	off := addr & mem.PageMask
 	switch size {

@@ -97,13 +97,12 @@ func TestFirstStoreAllocatesThatPage(t *testing.T) {
 }
 
 // TestUntouchedPagesBehaveAsAllocated runs Protect, Unmap, Clone,
-// Mapped, PageCount, WritablePages and DirtyPages over a space whose
-// pages are untouched and over one whose pages were written with zeros,
-// and expects the same answers from both.
+// Mapped, PageCount and WritablePages over a space whose pages are
+// untouched and over one whose pages were written with zeros, and
+// expects the same answers from both.
 func TestUntouchedPagesBehaveAsAllocated(t *testing.T) {
 	for _, written := range []bool{false, true} {
 		as := NewAddressSpace()
-		as.EnableDirtyTracking()
 		as.Map("d", lazyBase, 4*PageSize, PermRW)
 		if written {
 			for pg := uint64(0); pg < 4; pg++ {
@@ -114,24 +113,17 @@ func TestUntouchedPagesBehaveAsAllocated(t *testing.T) {
 		}
 		name := map[bool]string{false: "untouched", true: "allocated"}[written]
 
-		if d := as.DirtyPages(); len(d) != 4 {
-			t.Errorf("%s: Map dirtied %d pages, want 4", name, len(d))
-		}
-		as.ResetDirty()
 		if !as.Mapped(lazyBase) || as.PageCount() != 4 || len(as.WritablePages()) != 4 {
 			t.Errorf("%s: mapped %v, %d pages, %d writable", name, as.Mapped(lazyBase), as.PageCount(), len(as.WritablePages()))
 		}
 
-		// Protect: read-only pages read zero, refuse stores, and dirty.
+		// Protect: read-only pages read zero and refuse stores.
 		if err := as.Protect(lazyBase, PageSize, PermRead); err != nil {
 			t.Fatal(err)
 		}
 		wantFault(t, as.WriteUint32(lazyBase+12, 1), FaultProtection, lazyBase+12)
 		if v, err := as.ReadUint64(lazyBase); err != nil || v != 0 {
 			t.Errorf("%s: read-only page reads %#x, %v", name, v, err)
-		}
-		if d := as.DirtyPages(); len(d) != 1 || d[0] != lazyBase {
-			t.Errorf("%s: Protect dirtied %#x", name, d)
 		}
 		if len(as.WritablePages()) != 3 {
 			t.Errorf("%s: %d writable pages after Protect, want 3", name, len(as.WritablePages()))
@@ -154,9 +146,6 @@ func TestUntouchedPagesBehaveAsAllocated(t *testing.T) {
 		if child.Allocated(lazyBase+3*PageSize) != written {
 			t.Errorf("%s: the clone allocated page 3: %v", name, child.Allocated(lazyBase+3*PageSize))
 		}
-		if cd := child.DirtyPages(); len(cd) != 2 || cd[0] != lazyBase || cd[1] != lazyBase+PageSize {
-			t.Errorf("%s: clone's dirty set %#x, want the parent's page and its own", name, cd)
-		}
 
 		// Unmap: gone, even from a warm TLB.
 		if _, err := as.ReadUint64(lazyBase + 3*PageSize); err != nil {
@@ -167,9 +156,6 @@ func TestUntouchedPagesBehaveAsAllocated(t *testing.T) {
 		wantFault(t, err, FaultUnmapped, lazyBase+3*PageSize)
 		if as.Mapped(lazyBase+3*PageSize) || as.PageCount() != 3 {
 			t.Errorf("%s: unmapped page still mapped (%d pages)", name, as.PageCount())
-		}
-		if d := as.DirtyPages(); len(d) != 3 || d[2] != lazyBase+3*PageSize {
-			t.Errorf("%s: dirty set after Unmap %#x", name, d)
 		}
 	}
 }
@@ -225,11 +211,10 @@ func TestOverwritePageNilLeavesPageUntouched(t *testing.T) {
 	}
 }
 
-// TestWritableFollowsPermissionsAndDirtyTracking: the in-place store
-// pointer is dropped when a page stops being writable and when dirty
-// tracking starts, so no store can skip a permission check or a dirty
-// mark.
-func TestWritableFollowsPermissionsAndDirtyTracking(t *testing.T) {
+// TestWritableFollowsPermissions: the in-place store pointer is dropped
+// when a page stops being writable, so no store can skip a permission
+// check.
+func TestWritableFollowsPermissions(t *testing.T) {
 	as := NewAddressSpace()
 	as.Map("d", lazyBase, 2*PageSize, PermRW)
 	for _, a := range []uint64{lazyBase, lazyBase + PageSize} {
@@ -246,14 +231,7 @@ func TestWritableFollowsPermissionsAndDirtyTracking(t *testing.T) {
 	if as.Writable(lazyBase) != nil {
 		t.Error("a read-only page is writable in place")
 	}
-	as.EnableDirtyTracking()
-	if as.Writable(lazyBase+PageSize) != nil {
-		t.Error("a page is writable in place while dirty tracking is on")
-	}
-	if err := as.WriteUint64(lazyBase+PageSize, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d := as.DirtyPages(); len(d) != 1 || d[0] != lazyBase+PageSize {
-		t.Errorf("dirty pages %#x, want the written page", d)
+	if as.Writable(lazyBase+PageSize) == nil {
+		t.Error("its writable neighbour lost its in-place pointer")
 	}
 }

@@ -8,14 +8,14 @@
 // zero page, which nothing ever writes — every write path gives the page
 // bytes of its own first, so no address space can observe another's
 // writes through it. Allocation is host-side only: an untouched page is
-// mapped, protected, dirtied, cloned, scanned and captured exactly as an
+// mapped, protected, cloned, scanned and captured exactly as an
 // allocated page holding zeros.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageSize is the size of a virtual page in bytes.
@@ -110,8 +110,8 @@ func tlbSlot(pn uint64) uint64 { return (pn ^ pn>>9) % tlbSize }
 
 // tlbEntry caches one page-number translation; p is nil when empty. r
 // and w are the machine's fast path (Readable, Writable): the page's
-// bytes when it is readable, and when it is writable, allocated and no
-// dirty set is kept; nil otherwise.
+// bytes when it is readable, and when it is writable and allocated; nil
+// otherwise.
 type tlbEntry struct {
 	pn   uint64
 	p    *page
@@ -127,17 +127,11 @@ type AddressSpace struct {
 	// tlb is a direct-mapped cache of pages in front of the pages map.
 	// It is a host-side cache with no virtual-cycle cost. Every change
 	// to a page's permissions, its bytes pointer or its presence
-	// invalidates the page's entry, as does turning dirty tracking on.
+	// invalidates the page's entry.
 	tlb [tlbSize]tlbEntry
 
 	// regions records Map calls for introspection ([name, start, size]).
 	regions []Region
-
-	// dirty, when non-nil, accumulates the page numbers of pages written
-	// (or remapped) since the last ResetDirty. The checkpoint subsystem
-	// uses it for incremental snapshots; when nil (the default) writes
-	// pay only a nil check.
-	dirty map[uint64]struct{}
 }
 
 // Region describes a mapped region (for debugging and /proc-like listings).
@@ -171,7 +165,6 @@ func (as *AddressSpace) Map(name string, addr, size uint64, perm Perm) {
 		} else {
 			as.pages[pn] = newPage(perm)
 		}
-		as.markDirty(pn)
 	}
 	as.regions = append(as.regions, Region{Name: name, Start: addr, Size: size, Perm: perm})
 }
@@ -183,7 +176,6 @@ func (as *AddressSpace) Unmap(addr, size uint64) {
 	for pn := first; pn < last; pn++ {
 		delete(as.pages, pn)
 		as.invalidate(pn)
-		as.markDirty(pn)
 	}
 }
 
@@ -205,7 +197,6 @@ func (as *AddressSpace) Protect(addr, size uint64, perm Perm) error {
 		}
 		p.perm = perm
 		as.invalidate(pn)
-		as.markDirty(pn)
 	}
 	return nil
 }
@@ -253,14 +244,14 @@ func (as *AddressSpace) fill(e *tlbEntry, pn uint64, p *page) {
 	if p.perm&PermRead != 0 {
 		e.r = p.data
 	}
-	if p.perm&PermWrite != 0 && p.allocated() && as.dirty == nil {
+	if p.perm&PermWrite != 0 && p.allocated() {
 		e.w = p.data
 	}
 }
 
 // writable returns the bytes of page p, number pn, for a write that
 // passed its permission check: its own, allocated on the page's first
-// write (which refills its TLB entry), with the page marked dirty.
+// write (which refills its TLB entry).
 func (as *AddressSpace) writable(pn uint64, p *page) *[PageSize]byte {
 	if !p.allocated() {
 		p.own()
@@ -268,7 +259,6 @@ func (as *AddressSpace) writable(pn uint64, p *page) *[PageSize]byte {
 			as.fill(e, pn, p)
 		}
 	}
-	as.markDirty(pn)
 	return p.data
 }
 
@@ -285,10 +275,10 @@ func (as *AddressSpace) Readable(addr uint64) *[PageSize]byte {
 }
 
 // Writable is Readable for stores: the page's own bytes when the TLB
-// holds it writable and allocated and no dirty set is kept, so that a
-// store in place needs nothing more; nil otherwise, and the Write
-// methods take the access path, which allocates the page on its first
-// write, marks it dirty, refills the TLB or reports the fault.
+// holds it writable and allocated, so that a store in place needs
+// nothing more; nil otherwise, and the Write methods take the access
+// path, which allocates the page on its first write, refills the TLB or
+// reports the fault.
 func (as *AddressSpace) Writable(addr uint64) *[PageSize]byte {
 	pn := addr / PageSize
 	if e := &as.tlb[tlbSlot(pn)]; e.pn == pn {
@@ -345,49 +335,9 @@ func (as *AddressSpace) access(addr uint64, buf []byte, want Perm, write bool) e
 	return nil
 }
 
-func (as *AddressSpace) markDirty(pn uint64) {
-	if as.dirty != nil {
-		as.dirty[pn] = struct{}{}
-	}
-}
-
-// EnableDirtyTracking starts recording which pages are written. It is
-// idempotent; tracking stays on for the life of the address space.
-func (as *AddressSpace) EnableDirtyTracking() {
-	if as.dirty == nil {
-		as.dirty = make(map[uint64]struct{})
-		as.tlb = [tlbSize]tlbEntry{} // no entry may skip the dirty mark
-	}
-}
-
-// DirtyTracking reports whether dirty-page tracking is enabled.
-func (as *AddressSpace) DirtyTracking() bool { return as.dirty != nil }
-
-// DirtyPages returns the sorted start addresses of pages written (or
-// remapped) since the last ResetDirty. Pages that were unmapped since
-// then are included as addresses that may no longer be mapped; callers
-// taking snapshots must tolerate a stale entry.
-func (as *AddressSpace) DirtyPages() []uint64 {
-	if len(as.dirty) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, len(as.dirty))
-	for pn := range as.dirty {
-		out = append(out, pn*PageSize)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ResetDirty clears the dirty-page set (tracking stays enabled).
-func (as *AddressSpace) ResetDirty() {
-	for pn := range as.dirty {
-		delete(as.dirty, pn)
-	}
-}
-
 // inPage returns the n bytes at addr straight from their page's backing
-// array, after the permission check (a write also marks the page dirty).
+// array, after the permission check (a write gives the page its own
+// bytes first).
 // It returns nil and no error when the access straddles a page boundary.
 func (as *AddressSpace) inPage(addr uint64, n int, want Perm) ([]byte, error) {
 	off := addr & PageMask
@@ -501,7 +451,7 @@ func (as *AddressSpace) WritablePages() []uint64 {
 			out = append(out, pn*PageSize)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -560,7 +510,6 @@ func (as *AddressSpace) OverwritePage(addr uint64, data []byte) {
 		clear(p.data[n:])
 	}
 	as.invalidate(pn)
-	as.markDirty(pn)
 }
 
 // PageCount returns the number of mapped pages.
@@ -577,11 +526,5 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		out.pages[pn] = cp
 	}
 	out.regions = append(out.regions, as.regions...)
-	if as.dirty != nil {
-		out.dirty = make(map[uint64]struct{}, len(as.dirty))
-		for pn := range as.dirty {
-			out.dirty[pn] = struct{}{}
-		}
-	}
 	return out
 }

@@ -455,9 +455,8 @@ func gotSlots(img *obj.Image) map[uint64]bool {
 	return slots
 }
 
-// capturePages copies every writable page (the full content sweep makes
-// checkpoint-enabled runs comparable — the rollback supervisor consumes
-// the address space's dirty accounting internally), rewriting live NaN
+// capturePages copies every writable page (a full content sweep, so
+// every run is compared on the same pages), rewriting live NaN
 // boxes to their IEEE values when norm is non-nil so images are
 // comparable across runs whose heap handles differ. Two kinds of
 // non-architectural bytes are masked to zero: GOT slots (host bridge
@@ -598,7 +597,7 @@ func diffFinal(a, b *fpvmrt.TrapState, withMXCSR, withRIP bool) string {
 	return strings.Join(diffs, ", ")
 }
 
-// diffMem compares normalized dirty-memory images. Returns "" when equal.
+// diffMem compares normalized memory images. Returns "" when equal.
 func diffMem(a, b []Page) string {
 	am := make(map[uint64][]byte, len(a))
 	for _, p := range a {

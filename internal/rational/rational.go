@@ -41,15 +41,6 @@ func FromFloat64(x float64) *Rational {
 // IsNaN reports the invalid flag.
 func (q *Rational) IsNaN() bool { return q.nan }
 
-// Clone returns a deep copy sharing no big.Rat state with q.
-func (q *Rational) Clone() *Rational {
-	out := &Rational{nan: q.nan, inf: q.inf}
-	if q.r != nil {
-		out.r = new(big.Rat).Set(q.r)
-	}
-	return out
-}
-
 // Float64 converts to the nearest float64.
 func (q *Rational) Float64() float64 {
 	switch {

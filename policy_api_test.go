@@ -62,8 +62,12 @@ func TestPrecisionPolicyConfigRules(t *testing.T) {
 	if _, err := fpvm.Run(img, fpvm.Config{PrecisionPolicy: true, Alt: fpvm.AltMPFR}); err == nil {
 		t.Error("PrecisionPolicy with Alt=mpfr did not error")
 	}
+	// The per-site tier table is not in the snapshot image, so a policy
+	// run cannot suspend, and the refusal says why.
 	if _, err := fpvm.Run(img, fpvm.Config{PrecisionPolicy: true, PreemptQuantum: 10_000, Seq: true}); err == nil {
-		t.Error("PrecisionPolicy with PreemptQuantum did not error (no codec, must refuse suspend)")
+		t.Error("PrecisionPolicy with PreemptQuantum did not error")
+	} else if !strings.Contains(err.Error(), "per-site tier table") {
+		t.Errorf("PrecisionPolicy with PreemptQuantum refused without naming the site state: %v", err)
 	}
 	plain := fpvm.ConfigSignature(fpvm.Config{Seq: true})
 	pol := fpvm.ConfigSignature(fpvm.Config{Seq: true, PrecisionPolicy: true})
