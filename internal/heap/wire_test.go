@@ -140,3 +140,44 @@ func TestFreeListOrder(t *testing.T) {
 		}
 	}
 }
+
+type mutVal struct{ n int }
+
+// TestFromImageDeepCopiesLiveValues: a heap rebuilt from an image holds
+// values of its own — mutating the captured allocator's value in place
+// does not reach it — float slots come back verbatim, and allocating in
+// the rebuilt heap leaves the captured one alone.
+func TestFromImageDeepCopiesLiveValues(t *testing.T) {
+	a := New(0)
+	live := &mutVal{n: 1}
+	h := a.Alloc(live)
+	hf := a.AllocFloat(2.5)
+
+	img, err := a.Capture(func(v any) ([]byte, error) { return []byte(strconv.Itoa(v.(*mutVal).n)), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := FromImage(img, func(b []byte) (any, error) {
+		n, err := strconv.Atoi(string(b))
+		return &mutVal{n: n}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live.n = 99 // mutate the original in place
+	got, ok := c.Get(h)
+	if !ok {
+		t.Fatal("rebuilt heap lost the live slot")
+	}
+	if got.(*mutVal).n != 1 {
+		t.Errorf("rebuilt heap observed in-place mutation: n=%d, want 1", got.(*mutVal).n)
+	}
+	if f, kind := c.Lookup(hf); kind != Float || f != 2.5 {
+		t.Errorf("float slot after FromImage: %v/%v, want 2.5/Float", f, kind)
+	}
+	c.Alloc(&mutVal{n: 5})
+	if a.Live() != 2 {
+		t.Errorf("original live count %d after an alloc in the rebuilt heap, want 2", a.Live())
+	}
+}
