@@ -98,6 +98,6 @@ cover:
 # shape x alt system) cell, covered iff the biased program delivered a
 # trap carrying the class's MXCSR bit. FLOWCOV.json is the CI artifact;
 # TestFlowCoverageNonRegression holds every run to the checked-in
-# baseline (internal/analysis/testdata/flowcov_baseline.json).
+# baseline (internal/experiments/testdata/flowcov_baseline.json).
 cover-flow:
 	$(GO) run ./cmd/fpvm-bench -fig coverflow -json FLOWCOV.json

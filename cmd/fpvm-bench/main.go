@@ -2,8 +2,10 @@
 //
 // Usage:
 //
-//	fpvm-bench [-fig all|1|2|3|4|5|6|7|8|9|10|11|12|13|corr|cache|resil|trace|preempt|conform|frontier|coverflow|service]
-//	           [-scale N] [-json FILE] [-cpuprofile FILE] [-memprofile FILE] [-v]
+//	fpvm-bench [-fig all|NAME] [-scale N] [-json FILE] [-cpuprofile FILE] [-memprofile FILE] [-v]
+//
+// where NAME is one of figureNames (-h prints them); any other name is an
+// error.
 //
 // Figures 1-10 run with Boxed IEEE (the paper's worst-case system);
 // figures 11-13 rerun the sweep with the MPFR-like 200-bit system. The
@@ -22,15 +24,20 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"fpvm"
-	"fpvm/internal/analysis"
 	"fpvm/internal/experiments"
 	"fpvm/internal/workloads"
 )
 
+// figureNames lists every -fig name besides "all".
+var figureNames = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13",
+	"corr", "cache", "resil", "trace", "preempt", "conform", "frontier", "coverflow", "service"}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (all, 1-13, corr, cache, resil, trace, preempt, conform, frontier, coverflow, service)")
+	fig := flag.String("fig", "all", "figure to regenerate: all, or one of "+strings.Join(figureNames, ", "))
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	rank := flag.Int("rank", 3, "trace rank for -fig 7")
 	jsonPath := flag.String("json", "", "write -fig trace, coverflow or service results to this JSON file")
@@ -74,6 +81,9 @@ func main() {
 }
 
 func run(fig *string, scale, rank *int, jsonPath *string, verbose *bool) error {
+	if *fig != "all" && !slices.Contains(figureNames, *fig) {
+		return fmt.Errorf("unknown -fig %q: want all or one of %s", *fig, strings.Join(figureNames, ", "))
+	}
 	var progress io.Writer
 	if *verbose {
 		progress = os.Stderr
@@ -199,14 +209,14 @@ func run(fig *string, scale, rank *int, jsonPath *string, verbose *bool) error {
 		fmt.Fprintln(out)
 	}
 	if need("coverflow") {
-		rep, err := analysis.FlowCoverage(progress)
+		rep, err := experiments.FlowCoverage(progress)
 		if err != nil {
 			return err
 		}
-		analysis.FlowTable(out, rep)
+		experiments.FlowTable(out, rep)
 		fmt.Fprintln(out)
 		if *jsonPath != "" {
-			if err := analysis.WriteFlowJSON(*jsonPath, rep); err != nil {
+			if err := experiments.WriteFlowJSON(*jsonPath, rep); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n", *jsonPath)

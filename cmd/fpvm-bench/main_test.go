@@ -57,3 +57,38 @@ func TestRunFigures(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsUnknownFigure: a -fig name no figure answers to (the
+// coverflow artifact's own name, a typo, an empty name) is an error that
+// lists every valid name, and nothing is printed.
+func TestRunRejectsUnknownFigure(t *testing.T) {
+	outFile, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = outFile
+	defer func() { os.Stdout = old; outFile.Close() }()
+
+	scale, rank := 1, 1
+	verbose := false
+	empty := ""
+	for _, fig := range []string{"flowcov", "confrom", ""} {
+		err := run(&fig, &scale, &rank, &empty, &verbose)
+		if err == nil {
+			t.Fatalf("run -fig %q: no error", fig)
+		}
+		for _, name := range append([]string{"all"}, figureNames...) {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("run -fig %q: error %q does not list %q", fig, err, name)
+			}
+		}
+	}
+	st, err := outFile.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != 0 {
+		t.Errorf("unknown figures printed %d bytes", st.Size())
+	}
+}

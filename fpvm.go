@@ -616,6 +616,14 @@ func (vm *VM) SetPreemptQuantum(q uint64) { vm.cfg.PreemptQuantum = q }
 // the snapshot's clock right after Restore.
 func (vm *VM) Cycles() uint64 { return vm.m.Cycles }
 
+// Memory returns the guest address space and the function that demotes
+// a live NaN box to the IEEE double bits it stands for (any other bits
+// pass through), so a harness can compare guest memory across runs
+// whose box handles differ. Neither charges cycles.
+func (vm *VM) Memory() (*mem.AddressSpace, func(bits uint64) uint64) {
+	return vm.m.Mem, vm.rt.NormalizeBits
+}
+
 // Run executes a fresh VM from its entry point: to completion, or until
 // the preemption quantum expires, in which case the Result carries the
 // serialized VM in Snapshot and this VM is spent (Resume continues from

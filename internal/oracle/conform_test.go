@@ -3,16 +3,13 @@ package oracle_test
 import (
 	"testing"
 
-	_ "fpvm" // registers the VM API the preemption-axis specs slice through
 	"fpvm/internal/oracle"
 	"fpvm/internal/workloads"
 )
 
 // TestMicroWorkloadsConform runs the full default matrix over every
 // request-sized workload and requires zero divergences — the in-tree
-// version of the `fpvm-bench -fig conform` acceptance gate. It lives in
-// the external test package because the matrix's preemption axis runs
-// through package fpvm, which imports the oracle.
+// version of the `fpvm-bench -fig conform` acceptance gate.
 func TestMicroWorkloadsConform(t *testing.T) {
 	for _, name := range workloads.MicroAll() {
 		name := name

@@ -207,7 +207,7 @@ func Check(prog Program, opt Options) *Report {
 				}
 			}
 			if spec.VsNative {
-				sameText := prog.Patched == nil || spec.FutureHW
+				sameText := prog.image(spec) == prog.Native
 				if d := compareNative(native, c, name, sameText); d != nil {
 					row.OK = false
 					diverge(d)

@@ -35,17 +35,13 @@ import (
 	"strings"
 	"sync"
 
-	"fpvm/internal/alt"
-	"fpvm/internal/dcache"
-	fpvmrt "fpvm/internal/fpvm"
+	"fpvm"
 	"fpvm/internal/hostlib"
 	"fpvm/internal/isa"
 	"fpvm/internal/kernel"
 	"fpvm/internal/machine"
 	"fpvm/internal/mem"
 	"fpvm/internal/obj"
-	"fpvm/internal/profiler"
-	"fpvm/internal/rewrite"
 	"fpvm/internal/telemetry"
 )
 
@@ -53,10 +49,12 @@ import (
 type Spec struct {
 	Name string
 
-	// Alt selects the arithmetic system: "" or "boxed" for Boxed IEEE,
-	// "mpfr" for the arbitrary-precision bigfp system, "posit"/"posit32"
-	// for 64/32-bit posits (es=2), "interval" for outward-rounded interval
-	// arithmetic, "rational" for exact (denominator-bounded) rationals.
+	// Alt names the arithmetic system as an fpvm.AltKind: "" or "boxed"
+	// for Boxed IEEE, "mpfr" for the arbitrary-precision bigfp system,
+	// "posit"/"posit32" for 64/32-bit posits (es=2), "interval" for
+	// outward-rounded interval arithmetic, "rational" for exact
+	// (denominator-bounded) rationals. Any other name fails the spec
+	// with a run error.
 	Alt string
 
 	Seq        bool
@@ -69,17 +67,17 @@ type Spec struct {
 	Ckpt int
 
 	// Fleet, when > 1, runs this many concurrent copies of the VM on one
-	// shared decode/trace cache; every copy must produce the group's
-	// exact trap stream and final state.
+	// shared decode/trace cache (fpvm.TrainSharedCache); every copy must
+	// produce the group's exact trap stream and final state.
 	Fleet int
 
-	// Preempt, when > 0, is the preemption axis: the spec runs through
-	// package fpvm's VM API in slices of this many virtual cycles. By
-	// default every slice continues the live VM (VM.RunSlice, resident
-	// slicing); Serialize instead hands each preempted VM off as
-	// snapshot bytes and resumes them in a fresh VM (VM.Run, then
-	// VM.Resume per slice). Slicing is invisible to the guest, so both
-	// belong to their unsliced twin's Group.
+	// Preempt, when > 0, is the preemption axis: the spec's VM runs in
+	// slices of this many virtual cycles. By default every slice
+	// continues the live VM (VM.RunSlice, resident slicing); Serialize
+	// instead hands each preempted VM off as snapshot bytes and resumes
+	// them in a fresh VM (VM.Run, then VM.Resume per slice). Slicing is
+	// invisible to the guest, so both belong to their unsliced twin's
+	// Group.
 	Preempt   uint64
 	Serialize bool
 
@@ -114,29 +112,30 @@ type Program struct {
 	Patched *obj.Image
 }
 
-// NewProgram profiles img for memory-escape sites and prepares the
-// magic-trap patched twin the FPVM configurations run.
+// NewProgram profiles img for memory-escape sites and patches them with
+// magic traps (fpvm.PrepareForFPVM): the twin the FPVM configurations
+// run. An image without such sites has no twin.
 func NewProgram(name string, img *obj.Image) (Program, error) {
-	res, err := profiler.Profile(img, 0)
+	patched, err := fpvm.PrepareForFPVM(img, true)
 	if err != nil {
-		return Program{}, fmt.Errorf("oracle: profile %s: %w", name, err)
+		return Program{}, fmt.Errorf("oracle: prepare %s: %w", name, err)
 	}
 	p := Program{Name: name, Native: img}
-	if len(res.Sites) > 0 {
-		patched, err := rewrite.Patch(img, res.Sites, rewrite.Magic)
-		if err != nil {
-			return Program{}, fmt.Errorf("oracle: patch %s: %w", name, err)
-		}
+	if patched != img {
 		p.Patched = patched
 	}
 	return p, nil
 }
 
-func (p Program) fpvmImage() *obj.Image {
-	if p.Patched != nil {
-		return p.Patched
+// image returns the image spec runs: the patched twin, or Native when
+// there is none or when the spec models the future-work hardware, which
+// detects box escapes in silicon (its trap RIPs differ from the patched
+// twin's, so FutureHW specs must not share a Group with it).
+func (p Program) image(spec Spec) *obj.Image {
+	if p.Patched == nil || spec.FutureHW {
+		return p.Native
 	}
-	return p.Native
+	return p.Patched
 }
 
 // Options tunes a conformance check.
@@ -176,18 +175,14 @@ type Capture struct {
 	Detached bool
 
 	Recs   []TrapRec
-	Final  fpvmrt.TrapState
+	Final  fpvm.TrapState
 	Mem    []Page
 	Tel    telemetry.Breakdown
 	Cycles uint64 // the VM's virtual clock at exit
 
-	// cache is the run's decode/trace cache at exit, which a fleet spec
-	// freezes into the store its copies share.
-	cache *dcache.Cache
-
 	// Full is the complete state at the requested trap index when the
 	// runner was asked for one (divergence re-runs); nil otherwise.
-	Full *fpvmrt.TrapState
+	Full *fpvm.TrapState
 }
 
 // Divergence describes the first observed disagreement between two runs.
@@ -214,7 +209,7 @@ func (d *Divergence) String() string {
 // digestState folds a normalized trap record into an FNV-1a sum. The trap
 // ordinal is positional (implied by the stream index) and virtual cycles
 // are configuration-dependent by design, so neither is hashed.
-func digestState(st *fpvmrt.TrapState) uint64 {
+func digestState(st *fpvm.TrapState) uint64 {
 	const offset, prime = 0xcbf29ce484222325, 0x100000001b3
 	h := uint64(offset)
 	mix := func(v uint64) {
@@ -253,25 +248,27 @@ func (o Options) precision() uint {
 	return 96
 }
 
-func (s Spec) altSystem(prec uint) alt.System {
-	switch s.Alt {
-	case "mpfr":
-		return alt.NewMPFR(prec)
-	case "posit":
-		return alt.NewPosit()
-	case "posit32":
-		return alt.NewPosit32()
-	case "interval":
-		return alt.NewInterval()
-	case "rational":
-		return alt.NewRational()
+// config is the fpvm.Config spec runs under.
+func (s Spec) config(opt Options) fpvm.Config {
+	return fpvm.Config{
+		Alt:                fpvm.AltKind(s.Alt),
+		Precision:          opt.precision(),
+		Seq:                s.Seq,
+		Short:              s.Short,
+		NoTraceCache:       s.NoTrace,
+		EmulateAll:         s.EmulateAll,
+		FutureHW:           s.FutureHW,
+		CheckpointInterval: s.Ckpt,
+		MaxSteps:           opt.maxSteps(),
+		PreemptQuantum:     s.Preempt,
 	}
-	return alt.NewBoxedIEEE()
 }
 
 // RunNative executes prog's original image without FPVM and captures its
 // final state and dirtied memory (raw — native words need no box
-// normalization).
+// normalization). It builds its own machine rather than use
+// fpvm.Prepare, so the baseline is a reference independent of the VM
+// under test.
 func RunNative(prog Program, maxSteps uint64) *Capture {
 	if maxSteps == 0 {
 		maxSteps = defaultMaxSteps
@@ -280,9 +277,17 @@ func RunNative(prog Program, maxSteps uint64) *Capture {
 	m := machine.New(as)
 	p := kernel.NewProcess(kernel.New(), m, prog.Name)
 	lib := hostlib.Install(p)
-	mapStackHeap(as)
+	as.Map("stack", obj.StackTop-obj.StackSize, obj.StackSize, mem.PermRW)
+	as.Map("heap", obj.HeapBase, obj.HeapSize, mem.PermRW)
 	c := &Capture{Spec: Spec{Name: "native"}}
-	if err := prog.Native.Load(as, baseResolver(prog.Native, lib)); err != nil {
+	resolve := func(name string) (uint64, bool) {
+		if sym, ok := prog.Native.Lookup(name); ok {
+			return sym.Addr, true
+		}
+		a, ok := lib.Exports[name]
+		return a, ok
+	}
+	if err := prog.Native.Load(as, resolve); err != nil {
 		c.RunErr = err
 		return c
 	}
@@ -297,22 +302,20 @@ func RunNative(prog Program, maxSteps uint64) *Capture {
 	return c
 }
 
-// Run executes prog under spec and captures the per-trap digest stream,
-// final normalized state, normalized dirtied memory and telemetry.
-// Preemption-axis specs run through the registered SliceRunner.
+// Run builds prog's VM for spec with fpvm.Prepare, runs it and captures
+// the per-trap digest stream, final normalized state, normalized dirtied
+// memory and telemetry. A preemption-axis spec runs slice by slice: on
+// the one live VM, or, for Serialize, through snapshot bytes into a fresh
+// VM per slice; the capture comes from the VM that ran the last slice.
 // wantIdx, when non-zero, additionally retains the complete TrapState at
 // that trap ordinal (divergence re-runs). shared, when non-nil, backs the
 // VM's cache (fleet specs).
-func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.SharedCache) *Capture {
-	img := prog.fpvmImage()
-	if spec.FutureHW {
-		// Future-work hardware detects box escapes in silicon; it runs
-		// the unpatched image (and its trap RIPs differ from the patched
-		// twin's, so FutureHW specs must not share a Group with it).
-		img = prog.Native
-	}
+func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *fpvm.SharedCache) *Capture {
+	img := prog.image(spec)
 	c := &Capture{Spec: spec}
-	observe := func(st *fpvmrt.TrapState) {
+	cfg := spec.config(opt)
+	cfg.Shared = shared
+	cfg.Observer = func(st *fpvm.TrapState) {
 		// A rollback rewinds the trap ordinal with the restored timeline;
 		// truncate so the stream reflects the surviving history.
 		if n := int(st.Index); n <= len(c.Recs) {
@@ -324,110 +327,45 @@ func Run(prog Program, spec Spec, opt Options, wantIdx uint64, shared *dcache.Sh
 			c.Full = &full
 		}
 	}
-	if spec.Preempt > 0 {
-		if sliceRunner == nil {
-			c.RunErr = fmt.Errorf("oracle: spec %s slices through package fpvm's VM API, which is not linked into this program", spec.Name)
-			return c
-		}
-		p, rt, err := sliceRunner(img, spec, opt.precision(), opt.maxSteps(), observe)
-		c.RunErr = err
-		if p != nil {
-			c.finish(p, rt, img)
-		}
-		return c
-	}
-
-	as := mem.NewAddressSpace()
-	m := machine.New(as)
-	k := kernel.New()
-	if spec.Short {
-		k.LoadModule()
-	}
-	p := kernel.NewProcess(k, m, prog.Name)
-	lib := hostlib.Install(p)
-
-	rt, err := fpvmrt.Attach(p, fpvmrt.Config{
-		Alt:                spec.altSystem(opt.precision()),
-		Seq:                spec.Seq,
-		Short:              spec.Short,
-		NoTraceCache:       spec.NoTrace,
-		EmulateAll:         spec.EmulateAll,
-		FutureHW:           spec.FutureHW,
-		CheckpointInterval: spec.Ckpt,
-		Shared:             shared,
-		Observer:           observe,
-	})
+	vm, err := fpvm.Prepare(img, cfg)
 	if err != nil {
 		c.RunErr = err
 		return c
 	}
-	rt.InstallWrappers(lib)
-	mapStackHeap(as)
-	if err := img.Load(as, rt.WrapResolver(baseResolver(img, lib))); err != nil {
-		c.RunErr = err
+	var res *fpvm.Result
+	if spec.Serialize {
+		res, err = vm.Run()
+	} else {
+		res, err = vm.RunSlice()
+	}
+	for err == nil && res.Preempted {
+		if !spec.Serialize {
+			res, err = vm.RunSlice()
+		} else if vm, err = fpvm.Prepare(img, cfg); err == nil {
+			res, err = vm.Resume(res.Snapshot)
+		}
+	}
+	c.RunErr = err
+	if res == nil || res.Preempted {
 		return c
 	}
-	m.InvalidateICache()
-	m.CPU.RIP = img.Entry
-	m.CPU.GPR[isa.RSP] = obj.StackTop - 64
-	m.CPU.MXCSR = machine.MXCSRTrapAll
-
-	c.RunErr = p.Run(opt.maxSteps())
-	if c.RunErr == nil {
-		c.RunErr = rt.Err()
-	}
-	c.finish(p, rt, img)
+	c.Stdout = res.Stdout
+	c.ExitCode = res.ExitCode
+	c.Detached = res.Detached
+	c.Tel = *res.Breakdown
+	c.Cycles = res.Cycles
+	c.Final = *res.Final
+	// Final's registers are normalized, but RSP holds a stack address,
+	// which is never a NaN box, so it is the raw final RSP.
+	as, norm := vm.Memory()
+	c.Mem = capturePages(as, norm, gotSlots(img), c.Final.GPR[isa.RSP])
 	return c
-}
-
-// finish captures a finished run's exit state from its process and
-// runtime: stdout, exit code, telemetry, the normalized final register
-// state and the normalized dirtied memory of image img.
-func (c *Capture) finish(p *kernel.Process, rt *fpvmrt.Runtime, img *obj.Image) {
-	c.Stdout = p.Stdout.String()
-	c.ExitCode = p.ExitCode
-	c.Detached = rt.Detached()
-	c.Tel = rt.Tel
-	c.Cycles = p.M.Cycles
-	c.cache = rt.Cache()
-	c.Final = rt.CaptureFinal()
-	c.Mem = capturePages(p.M.Mem, rt.NormalizeBits, gotSlots(img), p.M.CPU.GPR[isa.RSP])
-}
-
-// SliceRunner runs img under a preemption-axis spec (Spec.Preempt > 0)
-// through package fpvm's VM API, feeding every handled trap to observe,
-// and returns the process and runtime of the VM that ran the last slice
-// (nil when none was built) with the run's error.
-type SliceRunner func(img *obj.Image, spec Spec, precision uint, maxSteps uint64,
-	observe func(*fpvmrt.TrapState)) (*kernel.Process, *fpvmrt.Runtime, error)
-
-var sliceRunner SliceRunner
-
-// RegisterSliceRunner installs the runner for preemption-axis specs.
-// Package fpvm registers its VM API when it is initialized: that package
-// imports this one (through internal/analysis), so the oracle cannot
-// import it back.
-func RegisterSliceRunner(r SliceRunner) { sliceRunner = r }
-
-func mapStackHeap(as *mem.AddressSpace) {
-	as.Map("stack", obj.StackTop-obj.StackSize, obj.StackSize, mem.PermRW)
-	as.Map("heap", obj.HeapBase, obj.HeapSize, mem.PermRW)
-}
-
-func baseResolver(img *obj.Image, lib *hostlib.Library) obj.Resolver {
-	return func(name string) (uint64, bool) {
-		if sym, ok := img.Lookup(name); ok {
-			return sym.Addr, true
-		}
-		a, ok := lib.Exports[name]
-		return a, ok
-	}
 }
 
 // captureCPU snapshots a raw (un-normalized) register file — the native
 // baseline holds no boxes.
-func captureCPU(cpu *machine.CPU, stdoutLen int) fpvmrt.TrapState {
-	st := fpvmrt.TrapState{
+func captureCPU(cpu *machine.CPU, stdoutLen int) fpvm.TrapState {
+	st := fpvm.TrapState{
 		TrapRIP:   cpu.RIP,
 		ResumeRIP: cpu.RIP,
 		MXCSR:     cpu.MXCSR,
@@ -572,7 +510,7 @@ func compareStreams(a, b []TrapRec) int {
 // image twins (magic-trap patching shifts code addresses, so the final
 // RIP is not comparable between the patched and unpatched image).
 // Returns "" when equal.
-func diffFinal(a, b *fpvmrt.TrapState, withMXCSR, withRIP bool) string {
+func diffFinal(a, b *fpvm.TrapState, withMXCSR, withRIP bool) string {
 	var diffs []string
 	if withRIP && a.TrapRIP != b.TrapRIP {
 		diffs = append(diffs, fmt.Sprintf("rip %#x != %#x", a.TrapRIP, b.TrapRIP))
@@ -629,16 +567,15 @@ func diffMem(a, b []Page) string {
 }
 
 // runFleet executes spec.Fleet concurrent copies of spec on one shared
-// decode/trace cache, trained from a private run of the spec, and returns
-// every copy's capture. The store is frozen, so every copy must spend the
-// same virtual cycles.
+// decode/trace cache, trained from a private run of the spec
+// (fpvm.TrainSharedCache), and returns every copy's capture. The store is
+// frozen, so every copy must spend the same virtual cycles.
 func runFleet(prog Program, spec Spec, opt Options) []*Capture {
 	n := spec.Fleet
-	trainer := Run(prog, spec, opt, 0, nil)
-	if trainer.RunErr != nil {
-		return []*Capture{trainer}
+	shared, err := fpvm.TrainSharedCache(prog.image(spec), spec.config(opt))
+	if err != nil {
+		return []*Capture{{Spec: spec, RunErr: err}}
 	}
-	shared := dcache.Freeze(trainer.cache, prog.fpvmImage())
 	caps := make([]*Capture, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

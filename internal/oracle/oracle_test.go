@@ -66,6 +66,27 @@ func TestDetectsTrapBoundaryDivergence(t *testing.T) {
 	}
 }
 
+// TestUnknownAltSystemFails: a spec naming an arithmetic system package
+// fpvm does not have must fail with a run error that names the system,
+// not run Boxed IEEE under the unknown name and pass.
+func TestUnknownAltSystemFails(t *testing.T) {
+	img, err := workloads.BuildMicro(workloads.Lorenz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := NewProgram("lorenz-micro", img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Check(prog, Options{Specs: []Spec{{Name: "wide/SEQ", Alt: "posit64", Seq: true}}})
+	if rep.OK() {
+		t.Fatal("a spec with Alt posit64 passed")
+	}
+	if d := rep.FirstDivergence(); d.Kind != "run-error" || !strings.Contains(d.Detail, "posit64") {
+		t.Fatalf("divergence does not name the unknown system as a run error:\n%s", d.String())
+	}
+}
+
 // TestInvariantsCatchInconsistentTelemetry exercises the audit directly
 // with hand-built counter sets.
 func TestInvariantsCatchInconsistentTelemetry(t *testing.T) {

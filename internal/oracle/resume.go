@@ -7,15 +7,13 @@
 
 package oracle
 
-import (
-	fpvmrt "fpvm/internal/fpvm"
-)
+import "fpvm"
 
 // Digest folds a normalized per-trap architectural snapshot into the
 // oracle's stream record (faulting RIP + FNV-1a digest of the full
 // normalized state; virtual cycles and the trap ordinal are excluded by
 // design — see digestState).
-func Digest(st *fpvmrt.TrapState) TrapRec {
+func Digest(st *fpvm.TrapState) TrapRec {
 	return TrapRec{RIP: st.TrapRIP, Sum: digestState(st)}
 }
 
@@ -30,6 +28,6 @@ func CompareStreams(a, b []TrapRec) int {
 // setting (MXCSR and RIP included — resumed and uninterrupted runs
 // execute the identical image, so everything must match). Returns ""
 // when bit-identical.
-func DiffFinal(a, b *fpvmrt.TrapState) string {
+func DiffFinal(a, b *fpvm.TrapState) string {
 	return diffFinal(a, b, true, true)
 }
