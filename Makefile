@@ -50,12 +50,13 @@ fleet-soak:
 # restart, a recovered deadline counted from the restored clock, job
 # IDs that stay unique across it, the journal compacted at every boot),
 # the snapshot cadence (one write per persist interval, one at drain),
-# a fault-injected job recovered as its live twin, and the shedding
-# ladder under queue pressure. Every response must
-# carry a deliberate status and the fault ledgers must reconcile. Wired
-# into `make check`, which CI runs.
+# a fault-injected job recovered as its live twin, the shedding ladder
+# under queue pressure, and the job table (live heap per settled job,
+# allocations per job, settled waiters woken by eviction, outcomes handed
+# out as copies). Every response must carry a deliberate status and the
+# fault ledgers must reconcile. Wired into `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart|TestInjectedJobRecoversAsLiveTwin' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart|TestInjectedJobRecoversAsLiveTwin|TestSettledJobHeapBounded|TestJobBookkeepingAllocs|TestSettledWaitersWakeOnEviction|TestReturnedOutcomesAreCopies' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
 # survives one iteration, so a benchmark whose run fails fails

@@ -564,6 +564,32 @@ func BenchmarkAblationMPFRTemps(b *testing.B) {
 	}
 }
 
+// The MPFR-temps ablation's hand-built VM must be the VM fpvm.Run builds
+// for the same system: with-temps MPFR at 200 bits on patched enzo spends
+// the same cycles in every category, and takes the same traps, either way.
+func TestRunWithSystemMatchesRun(t *testing.T) {
+	img, err := workloads.Build(workloads.Enzo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := fpvm.PrepareForFPVM(img, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runWithSystem(patched, alt.NewMPFR(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fpvm.Run(patched, fpvm.Config{Alt: fpvm.AltMPFR, Precision: 200, Seq: true, Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cycles != want.Breakdown.Cycles || got.Traps != want.Traps || got.EmulatedInsts != want.EmulatedInsts {
+		t.Fatalf("runWithSystem: %d traps, %d emulated, cycles %v; fpvm.Run: %d traps, %d emulated, cycles %v",
+			got.Traps, got.EmulatedInsts, got.Cycles, want.Traps, want.EmulatedInsts, want.Breakdown.Cycles)
+	}
+}
+
 // runWithSystem runs an image under a custom alt.System instance (the
 // public Config only names systems; ablations need instances).
 func runWithSystem(img *obj.Image, sys alt.System) (*telemetry.Breakdown, error) {
@@ -578,7 +604,10 @@ func runWithSystem(img *obj.Image, sys alt.System) (*telemetry.Breakdown, error)
 		return nil, err
 	}
 	rt.InstallWrappers(lib)
+	// The guest's stack and heap, mapped as fpvm.Prepare maps them: the
+	// collector is charged for every writable page.
 	as.Map("stack", obj.StackTop-obj.StackSize, obj.StackSize, mem.PermRW)
+	as.Map("heap", obj.HeapBase, obj.HeapSize, mem.PermRW)
 	if err := img.Load(as, rt.WrapResolver(func(n string) (uint64, bool) {
 		if s, ok := img.Lookup(n); ok {
 			return s.Addr, true

@@ -290,9 +290,8 @@ func (a *assembler) shape(op isa.Op, ops []operand) (isa.Inst, bool) {
 	}
 	matchRM := func(o operand, cls isa.RegClass) (isa.Operand, bool) {
 		if o.kind == 'm' {
-			if op.MemBytes() == 0 && !op.RequiresMem() {
-				// This variant has no memory form (e.g. movsd xmm,xmm);
-				// lea is the exception: memory-only but accessless.
+			if op.RequiresReg() {
+				// This variant has no memory form (e.g. movsd xmm,xmm).
 				return isa.Operand{}, false
 			}
 			return o.mem, true

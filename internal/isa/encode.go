@@ -147,6 +147,9 @@ func checkRegOperand(op Op, o Operand, cls RegClass) error {
 
 func checkRMOperand(op Op, o Operand, cls RegClass) error {
 	if o.Kind == KindMem {
+		if op.RequiresReg() {
+			return &EncodeError{op, "r/m operand must be a register"}
+		}
 		if o.Index != NoReg {
 			if o.Index == RSP {
 				return &EncodeError{op, "rsp cannot be an index register"}

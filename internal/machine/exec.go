@@ -51,10 +51,7 @@ func newDecoded(in isa.Inst) *decoded {
 // operand, [0], and for a memory one, [1]; decode picks one for each
 // instruction, and nothing else dispatches on the opcode. Both entries
 // are set even where the decoder refuses one form (a register r/m on a
-// memory-only opcode). The decoder also accepts a memory r/m on the
-// register-to-register moves: on the GPR ones it is an 8-byte load,
-// and the XMM and cross-file ones run their register handler, which
-// reads register 0, the register field of a memory operand.
+// memory-only opcode, a memory r/m on a register-to-register move).
 var handlers = [isa.NumOps][2]handler{
 	isa.NOP:     both(func(m *Machine, d *decoded) EventKind { return m.done(d) }),
 	isa.HLT:     trapAfter(EvHalt),

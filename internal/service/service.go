@@ -173,9 +173,9 @@ type Config struct {
 	// Seed seeds the Retry-After jitter sequence.
 	Seed uint64
 
-	// OutcomeRetention bounds the in-memory outcome store (0 = 4096).
-	// Once full, the oldest outcomes are evicted FIFO — a long-running
-	// daemon must not retain every outcome it ever produced.
+	// OutcomeRetention bounds the in-memory job table (0 = 4096): once
+	// full, the oldest job's outcome and events are evicted FIFO — a
+	// long-running daemon must not retain every outcome it ever produced.
 	OutcomeRetention int
 
 	// MaxTrackedTenants bounds every map keyed by client-supplied tenant
@@ -311,7 +311,7 @@ type Service struct {
 	state    State
 	draining bool
 	// suspended counts jobs suspended by the current drain, maintained
-	// directly at each suspension: the outcome store is bounded and
+	// directly at each suspension: the job table is bounded and
 	// evictable, so scanning it would under-count on a busy daemon.
 	suspended int
 	// drainDone closes when the first Drain caller finishes; concurrent
@@ -328,17 +328,13 @@ type Service struct {
 	// this one) and seq the within-boot submission counter; together
 	// they make job IDs unique across restarts even though refused
 	// submissions burn seq without leaving a journal record.
-	gen      uint64
-	seq      uint64
-	outcomes map[string]*JobOutcome
-	// outcomeOrder is the FIFO eviction order for the outcome store.
-	outcomeOrder []string
+	gen uint64
+	seq uint64
 
-	// evMu guards the per-job event logs (see events.go). Never taken
-	// while holding s.mu's critical work — record acquires them strictly
-	// in sequence, not nested.
-	evMu   sync.Mutex
-	tracks map[string]*jobTrack
+	// jobs holds every job's outcome and event log, bounded at
+	// OutcomeRetention (see table.go). It has its own lock, never taken
+	// under s.mu.
+	jobs *jobTable
 
 	jitterMu  sync.Mutex
 	jitterSeq uint64
@@ -367,8 +363,7 @@ func New(cfg Config) *Service {
 		met:          newMetrics(cfg.maxTenants()),
 		gen:          1,
 		queues:       make(map[string][]*job),
-		outcomes:     make(map[string]*JobOutcome),
-		tracks:       make(map[string]*jobTrack),
+		jobs:         newJobTable(cfg.outcomeRetention()),
 		persistEvery: persistInterval,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -442,12 +437,14 @@ func (s *Service) State() State {
 // Ready reports whether the service is admitting work (readiness probe).
 func (s *Service) Ready() bool { return s.State() != StateDraining }
 
-// Outcome returns a finished (or shed/suspended) job's outcome.
-func (s *Service) Outcome(id string) (*JobOutcome, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.outcomes[id]
-	return o, ok
+// Outcome returns a copy of a job's latest outcome: its in-flight phase,
+// or its settled (shed, suspended, finished) answer.
+func (s *Service) Outcome(id string) (*JobOutcome, bool) { return s.jobs.outcome(id) }
+
+// eventsAfter returns id's events with Seq > since and the channel that
+// closes when there may be more (see jobTable.eventsAfter).
+func (s *Service) eventsAfter(id string, since int) ([]JobEvent, <-chan struct{}, bool) {
+	return s.jobs.eventsAfter(id, since)
 }
 
 // check consults the injector at a service site, nil-safe.
@@ -970,7 +967,7 @@ func (s *Service) outcomeFrom(j *job, res *fpvm.Result, st Status, detail string
 	}
 	if res.Final != nil {
 		rec := oracle.Digest(res.Final)
-		o.Digest = fmt.Sprintf("%016x-%016x", rec.RIP, rec.Sum)
+		o.Digest = formatDigest(rec.RIP, rec.Sum)
 	}
 	if res.Breakdown != nil {
 		s.met.merge(res.Breakdown)
@@ -1011,8 +1008,8 @@ func (s *Service) persist(j *job, vm *fpvm.VM) {
 // snapshot is already persisted, no done record is written (the journal
 // keeps it pending for the next instance), and the waiting client is
 // told it's suspended. The suspension counter is bumped here, at the
-// event — Drain's return value must not depend on the bounded outcome
-// store still holding every suspended outcome.
+// event — Drain's return value must not depend on the bounded job table
+// still holding every suspended outcome.
 func (s *Service) suspend(j *job, res *fpvm.Result) {
 	o := s.outcomeFrom(j, res, StatusSuspended,
 		"daemon draining; job suspended for recovery")
@@ -1052,39 +1049,20 @@ func (s *Service) deliver(j *job, o *JobOutcome, terminal bool) {
 	j.done <- o
 }
 
-// record stores an outcome (terminal or in-flight phase) and appends
-// the matching job event. Phase updates are rank-monotone: a stale
-// pending/running racing in after a faster transition is dropped, so a
-// settled job can never appear in-flight again. The store is bounded:
-// past OutcomeRetention the oldest outcomes are evicted FIFO — and
-// their event tracks with them — so a long-running daemon's memory
-// doesn't grow with its request history. Only terminal statuses count
-// toward the per-tenant job metrics (phases are gauges, not outcomes).
+// record applies an outcome (terminal or in-flight phase) to the job
+// table, which appends the matching job event. Phase updates are
+// rank-monotone: a stale pending/running racing in after a faster
+// transition is dropped, so a settled job can never appear in-flight
+// again. The table is bounded: past OutcomeRetention the oldest jobs are
+// evicted FIFO, so a long-running daemon's memory doesn't grow with its
+// request history. Only terminal statuses count toward the per-tenant
+// job metrics (phases are gauges, not outcomes). The table copies o's
+// fields, so o stays the caller's.
 func (s *Service) record(o *JobOutcome) {
 	if terminalStatus(o.Status) {
 		s.met.job(o.Tenant, o.Status)
 	}
-	var evicted []string
-	s.mu.Lock()
-	old, seen := s.outcomes[o.ID]
-	if seen && phaseRank(o.Status) < phaseRank(old.Status) {
-		s.mu.Unlock()
-		return
-	}
-	if !seen {
-		s.outcomeOrder = append(s.outcomeOrder, o.ID)
-	}
-	s.outcomes[o.ID] = o
-	for limit := s.cfg.outcomeRetention(); len(s.outcomes) > limit && len(s.outcomeOrder) > 0; {
-		evicted = append(evicted, s.outcomeOrder[0])
-		delete(s.outcomes, s.outcomeOrder[0])
-		s.outcomeOrder = s.outcomeOrder[1:]
-	}
-	s.mu.Unlock()
-	s.appendEvent(o.ID, o.Status, o.Detail)
-	if len(evicted) > 0 {
-		s.dropTracks(evicted)
-	}
+	s.jobs.record(o)
 }
 
 func (s *Service) isDraining() bool {
@@ -1098,7 +1076,7 @@ func (s *Service) isDraining() bool {
 // keep them recoverable), queued jobs are flushed as suspended and the
 // journal is closed. Returns the number of jobs
 // suspended — counted directly at each suspension, never by scanning the
-// bounded outcome store (FIFO eviction would under-count on a busy
+// bounded job table (FIFO eviction would under-count on a busy
 // daemon). Concurrent callers wait for the first drain and report the
 // same count.
 func (s *Service) Drain() int {

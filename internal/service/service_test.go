@@ -86,7 +86,7 @@ func TestSubmitCompletesWithDigest(t *testing.T) {
 	if o.Digest == "" {
 		t.Fatal("completed job carries no final-state digest")
 	}
-	if got, _ := s.Outcome(o.ID); got != o {
+	if got, ok := s.Outcome(o.ID); !ok || *got != *o {
 		t.Fatal("outcome store does not serve the job by ID")
 	}
 }
