@@ -56,7 +56,7 @@ fleet-soak:
 # out as copies). Every response must carry a deliberate status and the
 # fault ledgers must reconcile. Wired into `make check`, which CI runs.
 service-soak:
-	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart|TestInjectedJobRecoversAsLiveTwin|TestSettledJobHeapBounded|TestJobBookkeepingAllocs|TestSettledWaitersWakeOnEviction|TestReturnedOutcomesAreCopies' ./internal/service/
+	$(GO) test -race -run 'TestServiceChaosSoak|TestServiceKillRecover|TestDrainSuspendsAndJournals|TestWorkerPanicIsContainedAndQuarantines|TestAsyncJobsAcrossDrainRestart|TestDeadlineTwinAcrossRecovery|TestRecoveredDeadlineCountsFromRestoredClock|TestConcurrentDrainsAgreeUnderEviction|TestJournalCompactedAtBoot|TestSheddingLadderUnderPressure|TestPersistCadence|TestJobIDsUniqueAcrossRestart|TestInjectedJobRecoversAsLiveTwin|TestSettledJobHeapBounded|TestJobBookkeepingAllocs|TestSettledWaitersWakeOnEviction|TestReturnedOutcomesAreCopies|TestSettledAnswersSurviveRestart|TestSettledAnswersSurviveKill|TestJournalReadsLongRecords|TestRegistrationBuildsOnce|TestLookupChecksTheWholeID' ./internal/service/
 
 # Fast smoke of the benchmark code paths: every benchmark compiles and
 # survives one iteration, so a benchmark whose run fails fails

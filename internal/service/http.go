@@ -178,7 +178,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	} else if v := r.Header.Get("Last-Event-ID"); v != "" {
 		since, _ = strconv.Atoi(v)
 	}
-	if !s.jobs.has(id) {
+	if _, ok := s.Outcome(id); !ok {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown job " + id})
 		return
 	}

@@ -9,31 +9,38 @@ import (
 	"fpvm/internal/faultinject"
 )
 
-// recoverJournaled reads the journal, compacts it to the boot records
-// and the pending job records, opens it for append, claims this
-// instance's boot generation, and turns each pending record into a
-// recovered job for the ordinary job loop. The dead instance already
-// admitted, queued and journaled it, so a recovered job skips all
-// three; it carries the bytes of its job-<id>.snap when one survived,
-// and execute resumes from them. A job with an inject spec gets its
-// injector back from the record and ignores its snapshot, which holds
-// no injector counters: rerun fresh, it makes its live twin's decisions,
-// and the sweep deletes the file. A record whose image no longer
-// rebuilds to the journaled hash, or whose spec no longer parses, is
-// failed here instead of sinking the whole recovery.
+// recoverJournaled reads the journal, compacts it to the boot records,
+// the newest OutcomeRetention done records and the pending job records,
+// opens it for append and read, indexes the kept done records in the job
+// table, claims this instance's boot generation, and turns each pending
+// record into a recovered job for the ordinary job loop. The dead
+// instance already admitted, queued and journaled it, so a recovered job
+// skips all three; it carries the bytes of its job-<id>.snap when one
+// survived, and execute resumes from them. A job with an inject spec
+// gets its injector back from the record and ignores its snapshot, which
+// holds no injector counters: rerun fresh, it makes its live twin's
+// decisions, and the sweep deletes the file. A record whose image no
+// longer rebuilds to the journaled hash, or whose spec no longer parses,
+// is failed here instead of sinking the whole recovery.
 func (s *Service) recoverJournaled() ([]*job, error) {
-	pending, boots, err := readJournal(s.cfg.SnapshotDir)
+	st, err := scanJournal(s.cfg.SnapshotDir, s.cfg.outcomeRetention())
 	if err != nil {
 		return nil, fmt.Errorf("service: reading journal: %w", err)
 	}
 	// A failed compaction leaves the old journal whole (the rewrite is
 	// atomic), and it reads the same, so it costs only the space: count
 	// it and recover anyway.
-	if err := compactJournal(s.cfg.SnapshotDir, pending, boots); err != nil {
+	if err := compactJournal(s.cfg.SnapshotDir, &st); err != nil {
 		s.met.bump(&s.met.journalFailures)
 	}
 	if s.jnl, err = openJournal(s.cfg.SnapshotDir); err != nil {
 		return nil, err
+	}
+	// The settled jobs of earlier instances answer as they did there:
+	// GET and the events stream read their done records.
+	s.jobs.jnl = s.jnl
+	for _, d := range st.done {
+		s.jobs.settle(d.id, d.off, len(d.line))
 	}
 	// Claim the next boot generation and journal it. Generations
 	// namespace job IDs per instance, so a fresh ID can never collide
@@ -41,18 +48,17 @@ func (s *Service) recoverJournaled() ([]*job, error) {
 	// job records instead would undercount whenever the old instance had
 	// refusals (shed submissions burn seq but are never journaled).
 	s.mu.Lock()
-	s.gen = boots + 1
+	s.gen = st.boots + 1
 	s.mu.Unlock()
-	if aerr := s.jnl.append(journalRecord{Op: opBoot}); aerr != nil {
+	if _, _, aerr := s.jnl.append(journalRecord{Op: opBoot}); aerr != nil {
 		s.met.bump(&s.met.journalFailures)
 	}
 
 	var jobs []*job
-	for _, rec := range pending {
+	for _, rec := range st.pending {
 		fail := func(detail string) {
-			s.record(&JobOutcome{ID: rec.ID, Tenant: rec.Tenant, Workload: rec.Workload,
+			s.settle(&JobOutcome{ID: rec.ID, Tenant: rec.Tenant, Workload: rec.Workload,
 				Status: StatusFailed, Detail: "recovery: " + detail, Recovered: true})
-			s.journalDone(rec.ID, StatusFailed)
 		}
 		entry, rerr := s.reg.Register(rec.Workload)
 		if rerr != nil {
@@ -101,8 +107,8 @@ func (s *Service) recoverJournaled() ([]*job, error) {
 // settleRecovered puts the recovered jobs on their tenants' queues,
 // waits until every one has settled, then sweeps the snapshot directory.
 // It returns how many ran to an answer (recovered, degraded or
-// deadline-exceeded); outcomes land in the store under the original IDs
-// for clients of the dead instance to re-query, and each terminal
+// deadline-exceeded); outcomes land in the job table under the original
+// IDs for clients of the dead instance to re-query, and each terminal
 // outcome's done record closes its journal entry.
 func (s *Service) settleRecovered(jobs []*job) int {
 	s.mu.Lock()

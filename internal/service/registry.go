@@ -60,6 +60,11 @@ func (e *ImageEntry) quarantine(reason string) {
 type Registry struct {
 	mu   sync.Mutex
 	byID map[string]*ImageEntry
+	// byName maps each registered workload name to its entry: a name
+	// always builds the same image, so it is built and profiled once.
+	byName map[string]*ImageEntry
+	// builds counts the registrations that built a workload.
+	builds int
 }
 
 // jobVMConfig is the one VM configuration the service runs guests
@@ -79,19 +84,31 @@ func jobVMConfig(e *ImageEntry, alt fpvm.AltKind, precision uint) fpvm.Config {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]*ImageEntry)}
+	return &Registry{byID: make(map[string]*ImageEntry), byName: make(map[string]*ImageEntry)}
 }
 
-// Register builds the named workload, patches it for FPVM, trains its
-// shared decode/trace cache with one run under the service's default job
-// configuration (boxed, SEQ SHORT), and registers the result under its
-// content hash. Registering an already-known image is idempotent and
-// returns the existing entry — including its shared cache and its
-// quarantine state (a quarantined program does not become trustworthy by
-// being re-registered). Training happens only for a new ID, outside the
-// registry lock; when two registrations of a new image race, the first to
-// insert wins and the other's store is dropped.
+// Register builds the named workload, patches it for FPVM (which
+// profiles it with one native run), trains its shared decode/trace cache
+// with one run under the service's default job configuration (boxed,
+// SEQ SHORT), and registers the result under its content hash.
+// Registering an already-known image is idempotent and returns the
+// existing entry — including its shared cache and its quarantine state
+// (a quarantined program does not become trustworthy by being
+// re-registered). A workload name registered before returns its entry
+// without building anything, so repeated POST /v1/images and the
+// recovery of many jobs on one image cost one build. Building happens
+// outside the registry lock; when two registrations of a new image race,
+// the first to insert wins and the other's store is dropped.
 func (r *Registry) Register(workload string) (*ImageEntry, error) {
+	r.mu.Lock()
+	e, ok := r.byName[workload]
+	if !ok {
+		r.builds++
+	}
+	r.mu.Unlock()
+	if ok {
+		return e, nil
+	}
 	img, err := workloads.BuildMicro(workloads.Name(workload))
 	if err != nil {
 		return nil, fmt.Errorf("service: unknown workload %q: %w", workload, err)
@@ -103,23 +120,23 @@ func (r *Registry) Register(workload string) (*ImageEntry, error) {
 
 	h := patched.Hash()
 	id := hex.EncodeToString(h[:])
-
-	if e, ok := r.Get(id); ok {
-		return e, nil
-	}
-	e := &ImageEntry{ID: id, Workload: workload, Image: patched}
-	// Every job on the image adopts from this store and never writes to
-	// it, so a job's cycles do not depend on what ran on the image first.
-	if e.Shared, err = fpvm.TrainSharedCache(patched, jobVMConfig(e, fpvm.AltBoxed, 0)); err != nil {
-		return nil, fmt.Errorf("service: training %q: %w", workload, err)
+	if e, ok = r.Get(id); !ok {
+		e = &ImageEntry{ID: id, Workload: workload, Image: patched}
+		// Every job on the image adopts from this store and never writes
+		// to it, so a job's cycles do not depend on what ran on the image
+		// first.
+		if e.Shared, err = fpvm.TrainSharedCache(patched, jobVMConfig(e, fpvm.AltBoxed, 0)); err != nil {
+			return nil, fmt.Errorf("service: training %q: %w", workload, err)
+		}
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.byID[id]; ok {
-		return prev, nil
+		e = prev
 	}
 	r.byID[id] = e
+	r.byName[workload] = e
 	return e, nil
 }
 

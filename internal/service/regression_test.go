@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -625,12 +626,15 @@ func TestInjectedFaultsLeaveOtherTenantsCyclesUnchanged(t *testing.T) {
 	}
 }
 
-// Every start compacts the journal to what recovery needs: the boot
-// records, whose count is the boot generation, and the pending job
-// records. Five jobs go through drain → restart → clean drain → restart;
-// the journal must then hold the three boot records only, and a new job
-// must carry generation 3. Pre-fix the journal kept every job's two
-// records forever: 12 or more here.
+// Every start compacts the journal to what recovery and the job table
+// need: the boot records, whose count is the boot generation, the newest
+// OutcomeRetention done records and the pending job records. Five jobs
+// go through drain → restart → clean drain → restart with a retention of
+// three; the journal must then hold the three boot records and exactly
+// the newest three done records, the third instance must answer for
+// those three jobs and no others, and a new job must carry generation 3.
+// Pre-fix the journal kept every job's two records forever: 12 or more
+// here.
 func TestJournalCompactedAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{Workers: 1, PreemptQuantum: 2_000, SnapshotDir: dir})
@@ -640,7 +644,7 @@ func TestJournalCompactedAtBoot(t *testing.T) {
 	e := registerLorenz(t, s)
 	block := make(chan struct{})
 	s.testHookDispatch = func(*job) { <-block }
-	const jobs = 5 // 1 held at dispatch + 4 queued, all suspended by the drain
+	const jobs, retention = 5, 3 // 1 held at dispatch + 4 queued, all suspended by the drain
 	for range jobs {
 		s.SubmitAsync(JobRequest{Tenant: "t", ImageID: e.ID, Alt: fpvm.AltBoxed})
 	}
@@ -660,25 +664,60 @@ func TestJournalCompactedAtBoot(t *testing.T) {
 	if n := s2.Drain(); n != 0 {
 		t.Fatalf("clean drain suspended %d jobs", n)
 	}
-
-	s3 := startService(t, Config{Workers: 1, SnapshotDir: dir})
-	data, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	for _, line := range lines {
-		if !strings.Contains(line, `"op":"boot"`) {
-			t.Fatalf("journal after the third start holds %d records, not only boot records: %q", len(lines), line)
+	var done []string // done record IDs, oldest first
+	for _, line := range journalLines(t, dir) {
+		if strings.Contains(line, `"op":"done"`) {
+			var rec journalRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			done = append(done, rec.ID)
 		}
 	}
-	if len(lines) != 3 {
-		t.Fatalf("journal after the third start holds %d boot records, want 3", len(lines))
+	if len(done) != jobs {
+		t.Fatalf("journal before the third start holds %d done records, want %d", len(done), jobs)
+	}
+
+	s3 := startService(t, Config{Workers: 1, SnapshotDir: dir, OutcomeRetention: retention})
+	boots := 0
+	var kept []string
+	for _, line := range journalLines(t, dir) {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Op == opBoot:
+			boots++
+		case rec.Op == opDone && rec.Outcome != nil:
+			kept = append(kept, rec.ID)
+		default:
+			t.Fatalf("journal after the third start holds a %s record: %.120q", rec.Op, line)
+		}
+	}
+	if want := done[jobs-retention:]; boots != 3 || strings.Join(kept, " ") != strings.Join(want, " ") {
+		t.Fatalf("journal after the third start holds %d boot records and done records %v, want 3 and %v", boots, kept, want)
+	}
+	for i, id := range done {
+		o, ok := s3.Outcome(id)
+		if kept := i >= jobs-retention; ok != kept || kept && o.Status != StatusRecovered {
+			t.Fatalf("third instance on job %s: %+v (ok=%v), want answered=%v", id, o, ok, kept)
+		}
 	}
 	o := s3.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, s3).ID, Alt: fpvm.AltBoxed})
 	if o.Status != StatusCompleted || !strings.HasPrefix(o.ID, "j3_") {
 		t.Fatalf("job after the third start: %s %s (%s), want completed with a j3_ ID", o.ID, o.Status, o.Detail)
 	}
+}
+
+// journalLines returns the records of the journal in dir, one line each.
+func journalLines(t *testing.T, dir string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 }
 
 // A snapshot must cost what the guest changed: zero pages travel as

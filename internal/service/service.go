@@ -173,9 +173,11 @@ type Config struct {
 	// Seed seeds the Retry-After jitter sequence.
 	Seed uint64
 
-	// OutcomeRetention bounds the in-memory job table (0 = 4096): once
-	// full, the oldest job's outcome and events are evicted FIFO — a
-	// long-running daemon must not retain every outcome it ever produced.
+	// OutcomeRetention bounds the job table (0 = 4096): once full, the
+	// oldest job's outcome and events are evicted FIFO — a long-running
+	// daemon must not retain every outcome it ever produced. With a
+	// SnapshotDir it also bounds the done records each start keeps in
+	// the journal, and so the settled jobs a restart still answers for.
 	OutcomeRetention int
 
 	// MaxTrackedTenants bounds every map keyed by client-supplied tenant
@@ -318,11 +320,12 @@ type Service struct {
 	// callers wait on it and report the same count.
 	drainDone chan struct{}
 	// enqueues tracks submissions between their journal append and their
-	// resolution (queued or refused+journalDone). Drain waits on it after
-	// flipping draining and before closing the journal, so a refusal's
-	// done record can never lose the race against the close and leave a
-	// pending journal entry no one counted. Add happens under s.mu with
-	// draining false; later arrivals refuse at the pre-check un-journaled.
+	// resolution (queued, or refused with its done record). Drain waits
+	// on it after flipping draining and before closing the journal, so a
+	// refusal's done record can never lose the race against the close
+	// and leave a pending journal entry no one counted. Add happens under
+	// s.mu with draining false; later arrivals refuse at the pre-check
+	// un-journaled.
 	enqueues sync.WaitGroup
 	// gen is the boot generation (count of journal boot records incl.
 	// this one) and seq the within-boot submission counter; together
@@ -331,9 +334,10 @@ type Service struct {
 	gen uint64
 	seq uint64
 
-	// jobs holds every job's outcome and event log, bounded at
-	// OutcomeRetention (see table.go). It has its own lock, never taken
-	// under s.mu.
+	// jobs indexes every job's outcome and event log, bounded at
+	// OutcomeRetention (see table.go): in memory until the job's done
+	// record is journaled, in the journal after. It has its own lock,
+	// never taken under s.mu.
 	jobs *jobTable
 
 	jitterMu  sync.Mutex
@@ -438,7 +442,9 @@ func (s *Service) State() State {
 func (s *Service) Ready() bool { return s.State() != StateDraining }
 
 // Outcome returns a copy of a job's latest outcome: its in-flight phase,
-// or its settled (shed, suspended, finished) answer.
+// or its settled (shed, suspended, finished) answer. A finished job whose
+// done record is journaled answers from that record, on this instance
+// after Drain and on the next one after a restart.
 func (s *Service) Outcome(id string) (*JobOutcome, bool) { return s.jobs.outcome(id) }
 
 // eventsAfter returns id's events with Seq > since and the channel that
@@ -569,7 +575,6 @@ func (s *Service) accept(req JobRequest) (*job, *JobOutcome) {
 	}
 
 	if out := s.enqueue(j); out != nil {
-		s.record(out)
 		return nil, out
 	}
 	return j, nil
@@ -642,14 +647,25 @@ func (s *Service) admit(id string, req JobRequest) (*ImageEntry, *JobOutcome) {
 }
 
 // enqueue places an admitted job on its tenant's bounded queue; nil
-// means queued (the worker pool owns it now). Admission already charged
-// the tenant a quota token; every refusal here refunds it — a job the
-// service never accepted must not burn the tenant's budget.
+// means queued (the worker pool owns it now), and a refusal is recorded
+// here. Admission already charged the tenant a quota token; every
+// refusal here refunds it — a job the service never accepted must not
+// burn the tenant's budget.
 func (s *Service) enqueue(j *job) *JobOutcome {
+	journaled := false
 	refused := func(reason Reason, detail string) *JobOutcome {
 		s.adm.refund(j.req.Tenant)
-		return &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Status: StatusShed,
+		out := &JobOutcome{ID: j.id, Tenant: j.req.Tenant, Status: StatusShed,
 			Reason: reason, Detail: detail, RetryAfter: s.retryAfter(0)}
+		if journaled {
+			// Journaled but refused: the done record closes the job
+			// record, so recovery never replays a job its client was told
+			// was shed.
+			s.settle(out)
+		} else {
+			s.record(out)
+		}
+		return out
 	}
 
 	// Injected enqueue fault: transient; retry once, shed on a repeat.
@@ -688,6 +704,7 @@ func (s *Service) enqueue(j *job) *JobOutcome {
 	// accepted work, never an orphan. A journal write failure still
 	// degrades durability, never availability.
 	s.journalJob(j)
+	journaled = true
 
 	// The job is journaled and about to be claimable: record its pending
 	// phase now, before any worker can race a later phase in (record
@@ -699,9 +716,6 @@ func (s *Service) enqueue(j *job) *JobOutcome {
 	if s.draining || len(s.queues[j.req.Tenant]) >= tc.queueDepth() {
 		draining := s.draining
 		s.mu.Unlock()
-		// Journaled but refused: close the record out so recovery never
-		// replays a job its client was told was shed.
-		s.journalDone(j.id, StatusShed)
 		if draining {
 			return refused(ReasonDraining, "draining")
 		}
@@ -722,7 +736,7 @@ func (s *Service) journalJob(j *job) {
 	if s.jnl == nil {
 		return
 	}
-	err := s.jnl.append(journalRecord{
+	_, _, err := s.jnl.append(journalRecord{
 		Op: opJob, ID: j.id, Tenant: j.req.Tenant,
 		Workload: j.entry.Workload, ImageID: j.entry.ID,
 		Alt: string(j.req.Alt), Precision: j.req.Precision,
@@ -734,13 +748,24 @@ func (s *Service) journalJob(j *job) {
 	}
 }
 
-func (s *Service) journalDone(id string, st Status) {
-	if s.jnl == nil {
-		return
+// settle records a journaled job's terminal outcome o. Its done record
+// carries o and the events the job emitted before it, and the job table
+// keeps where that record lies instead of the job's record, so a settled
+// job costs the daemon a table slot and the journal a line, and a
+// restart still answers for it. Without a journal, when the append
+// fails, or for a record of 16 MiB or more, the record stays in memory.
+func (s *Service) settle(o *JobOutcome) {
+	if s.jnl != nil {
+		off, n, err := s.jnl.append(journalRecord{Op: opDone, ID: o.ID, Outcome: o, Events: s.jobs.history(o.ID)})
+		switch {
+		case err != nil:
+			s.met.bump(&s.met.journalFailures)
+		case s.jobs.settle(o.ID, off, n):
+			s.met.job(o.Tenant, o.Status)
+			return
+		}
 	}
-	if err := s.jnl.append(journalRecord{Op: opDone, ID: id, Status: st}); err != nil {
-		s.met.bump(&s.met.journalFailures)
-	}
+	s.record(o)
 }
 
 // updatePressureLocked moves the ladder between Full and Shedding from
@@ -1019,7 +1044,7 @@ func (s *Service) suspend(j *job, res *fpvm.Result) {
 	s.deliver(j, o, false)
 }
 
-// finish records a terminal outcome: journal done, snapshot cleanup,
+// finish records a terminal outcome: done record, snapshot cleanup,
 // response delivery.
 func (s *Service) finish(j *job, o *JobOutcome) {
 	s.deliver(j, o, true)
@@ -1028,20 +1053,21 @@ func (s *Service) finish(j *job, o *JobOutcome) {
 func (s *Service) deliver(j *job, o *JobOutcome, terminal bool) {
 	o.Recovered = j.recovered
 	if terminal {
-		s.journalDone(j.id, o.Status)
+		s.settle(o)
 		if s.cfg.SnapshotDir != "" {
 			removeQuiet(s.snapPath(j.id))
 		}
+	} else {
+		s.record(o)
 	}
 
 	// Injected respond fault: delivery is transient-faulty; retry the
-	// send (it is idempotent — the outcome is also in the store).
+	// send (it is idempotent — the outcome is also in the job table).
 	if f := s.check(faultinject.SiteSvcRespond); f != nil {
 		s.cfg.Inject.Resolve(faultinject.SiteSvcRespond, faultinject.Retried)
 		s.met.bump(&s.met.respondRetries)
 	}
 
-	s.record(o)
 	s.mu.Lock()
 	s.inflight--
 	s.cond.Broadcast()
@@ -1049,9 +1075,9 @@ func (s *Service) deliver(j *job, o *JobOutcome, terminal bool) {
 	j.done <- o
 }
 
-// record applies an outcome (terminal or in-flight phase) to the job
-// table, which appends the matching job event. Phase updates are
-// rank-monotone: a stale pending/running racing in after a faster
+// record applies an outcome (terminal or in-flight phase) to the job's
+// in-memory record, which appends the matching job event. Phase updates
+// are rank-monotone: a stale pending/running racing in after a faster
 // transition is dropped, so a settled job can never appear in-flight
 // again. The table is bounded: past OutcomeRetention the oldest jobs are
 // evicted FIFO, so a long-running daemon's memory doesn't grow with its
@@ -1074,7 +1100,8 @@ func (s *Service) isDraining() bool {
 // Drain gracefully shuts the service down: admission stops, workers
 // suspend in-flight jobs at their next trap boundary (snapshot + journal
 // keep them recoverable), queued jobs are flushed as suspended and the
-// journal is closed. Returns the number of jobs
+// journal is closed for appends (Outcome, GET and the events stream
+// still read settled jobs from it). Returns the number of jobs
 // suspended — counted directly at each suspension, never by scanning the
 // bounded job table (FIFO eviction would under-count on a busy
 // daemon). Concurrent callers wait for the first drain and report the

@@ -846,3 +846,10 @@ func TestHTTPStatusSwitchesOnReason(t *testing.T) {
 		}
 	}
 }
+
+// readJournal returns the journal's pending job records in submission
+// order and its boot-record count, as a start reads them.
+func readJournal(dir string) ([]journalRecord, uint64, error) {
+	st, err := scanJournal(dir, 0)
+	return st.pending, st.boots, err
+}

@@ -24,35 +24,52 @@ func liveHeap() uint64 {
 }
 
 // maxSettledJobBytes bounds the live heap one settled micro job leaves
-// behind. The job table measures 360–400 B per job here (record, event
-// array, stdout, ID and tenant, map entry and ring slot, the last two
-// at the load they reach at 650 jobs); the outcome store and event
-// tracks it replaced left ~770 B.
+// behind in memory, without a journal. The job table measures 360–400 B
+// per job here (record, event array, stdout, ID and tenant, map entry
+// and ring slot, the last two at the load they reach at 650 jobs); the
+// outcome store and event tracks it replaced left ~770 B.
 const maxSettledJobBytes = 512
 
-// A settled job must cost the daemon one compact record: the live heap
-// grows by well under the old outcome-plus-track cost per job.
+// maxJournaledJobBytes bounds the same with a journal, where a settled
+// job keeps only its map entry and ring slot: its done record holds the
+// rest.
+const maxJournaledJobBytes = 96
+
+// A settled job must cost the daemon one compact record, or with a
+// journal only the location of its done record: the live heap grows by
+// well under the old outcome-plus-track cost per job.
 func TestSettledJobHeapBounded(t *testing.T) {
-	s := startService(t, Config{Workers: 1})
-	e := registerLorenz(t, s)
-	submit := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			// A decoded HTTP request brings a tenant string of its own.
-			o := s.Submit(JobRequest{Tenant: strings.Clone("bench"), ImageID: e.ID, Alt: fpvm.AltBoxed})
-			if o.Status != StatusCompleted {
-				t.Fatalf("job %s ended %s (%s)", o.ID, o.Status, o.Detail)
+	for _, c := range []struct {
+		name  string
+		dir   string
+		bound int
+	}{
+		{"in-memory", "", maxSettledJobBytes},
+		{"journaled", t.TempDir(), maxJournaledJobBytes},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startService(t, Config{Workers: 1, SnapshotDir: c.dir})
+			e := registerLorenz(t, s)
+			submit := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					// A decoded HTTP request brings a tenant string of its own.
+					o := s.Submit(JobRequest{Tenant: strings.Clone("bench"), ImageID: e.ID, Alt: fpvm.AltBoxed})
+					if o.Status != StatusCompleted {
+						t.Fatalf("job %s ended %s (%s)", o.ID, o.Status, o.Detail)
+					}
+				}
 			}
-		}
-	}
-	submit(50)
-	before := liveHeap()
-	const jobs = 600
-	submit(jobs)
-	perJob := float64(int64(liveHeap())-int64(before)) / jobs
-	t.Logf("%.0f B of live heap per settled job", perJob)
-	if perJob > maxSettledJobBytes {
-		t.Fatalf("each settled job keeps %.0f B of live heap, want at most %d", perJob, maxSettledJobBytes)
+			submit(50)
+			before := liveHeap()
+			const jobs = 600
+			submit(jobs)
+			perJob := float64(int64(liveHeap())-int64(before)) / jobs
+			t.Logf("%.0f B of live heap per settled job", perJob)
+			if perJob > float64(c.bound) {
+				t.Fatalf("each settled job keeps %.0f B of live heap, want at most %d", perJob, c.bound)
+			}
+		})
 	}
 }
 
@@ -219,5 +236,55 @@ func TestReturnedOutcomesAreCopies(t *testing.T) {
 	evs[0].Status, evs[0].Seq = StatusCompleted, 9
 	if again, _, _ := s.eventsAfter(async.ID, 0); again[0].Status != StatusPending || again[0].Seq != 1 {
 		t.Fatalf("mutating eventsAfter's copy reached the log: %+v", again)
+	}
+}
+
+// The table is keyed by the generation and sequence number of a job ID,
+// and every read checks the whole ID: a string with the same two numbers
+// in another form, or another tenant suffix, names no job, whether the
+// job's record is in memory or in the journal.
+func TestLookupChecksTheWholeID(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s := startService(t, Config{Workers: 1, SnapshotDir: dir})
+		o := s.Submit(JobRequest{Tenant: "t", ImageID: registerLorenz(t, s).ID, Alt: fpvm.AltBoxed})
+		if o.ID != "j1_00001_t" || o.Status != StatusCompleted {
+			t.Fatalf("first job: %s %s (%s)", o.ID, o.Status, o.Detail)
+		}
+		if got, ok := s.Outcome(o.ID); !ok || *got != *o {
+			t.Fatalf("SnapshotDir %q: Outcome(%s) = %+v (ok=%v)", dir, o.ID, got, ok)
+		}
+		for _, id := range []string{"j1_1_t", "j1_00001_u", "j1_00001_", "j01_00001_t", "j1_00001", "j1__t", "x1_00001_t", ""} {
+			if _, ok := s.Outcome(id); ok {
+				t.Fatalf("SnapshotDir %q: Outcome(%q) answered for job %s", dir, id, o.ID)
+			}
+			if _, _, ok := s.eventsAfter(id, 0); ok {
+				t.Fatalf("SnapshotDir %q: eventsAfter(%q) answered for job %s", dir, id, o.ID)
+			}
+		}
+	}
+}
+
+// A journaled slot packs its done record's offset and length in one word;
+// a record that does not fit stays in memory.
+func TestDoneSlotPacksOffsetAndLength(t *testing.T) {
+	for _, c := range []struct {
+		off int64
+		n   int
+		ok  bool
+	}{
+		{0, 0, true},
+		{12345, 678, true},
+		{1<<40 - 1, 1<<24 - 1, true},
+		{1 << 40, 1, false},
+		{1, 1 << 24, false},
+		{-1, 1, false},
+	} {
+		s, ok := doneSlot(c.off, c.n)
+		if ok != c.ok {
+			t.Fatalf("doneSlot(%d, %d) ok=%v, want %v", c.off, c.n, ok, c.ok)
+		}
+		if off, n := s.span(); ok && (off != c.off || n != c.n || s.rec != nil) {
+			t.Fatalf("doneSlot(%d, %d) spans %d, %d", c.off, c.n, off, n)
+		}
 	}
 }
