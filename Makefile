@@ -24,7 +24,7 @@ race:
 	$(GO) test -race ./...
 
 # Full benchmark pass: Go benchmarks plus the trace-cache artifact
-# (BENCH_7.json: cold decode vs compiled replay, ns/op informational,
+# (BENCH_7.json: cold decode vs replay, ns/op informational,
 # virtual cycles exact) and the fpvmd serving artifact (BENCH_8.json:
 # 1000 concurrent HTTP jobs at nominal load plus 2x overload with
 # shedding).
@@ -35,12 +35,13 @@ bench:
 
 # Bounded race-enabled fleet soak: the concurrency surface (worker
 # pool, many VMs adopting from one frozen shared cache, concurrent jobs
-# of one image spending equal cycles, forks inside a fleet, preemption
+# of one image spending equal cycles, boxed-trained steps serving every
+# other configuration concurrently, forks inside a fleet, preemption
 # and migration of live VMs between workers, a panicking job failing
 # alone, a store refusing a second image) under the race detector.
 # Wired into CI alongside make check.
 fleet-soak:
-	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetMatchesSerial|TestFleetPreemptionMatchesWholeJobs|TestFleetPanicIsolation|TestResidentJobMigratesBitIdentical|TestForkInsideFleet|TestSharedCacheSameCyclesAnyOrder|TestSharedBindRejectsSecondImage|TestSharedConcurrentTorture' ./internal/fleet/ ./internal/fpvm/ ./internal/dcache/ .
+	$(GO) test -race -count=2 -run 'TestFleetSoak|TestFleetMatchesSerial|TestFleetPreemptionMatchesWholeJobs|TestFleetPanicIsolation|TestResidentJobMigratesBitIdentical|TestForkInsideFleet|TestSharedCacheSameCyclesAnyOrder|TestSharedStepsServeEveryConfig|TestSharedBindRejectsSecondImage|TestSharedConcurrentTorture' ./internal/fleet/ ./internal/fpvm/ ./internal/dcache/ .
 
 # Race-enabled chaos soak of the fpvmd serving stack: mixed tenants
 # with quotas, priorities and deadlines, async submissions racing the

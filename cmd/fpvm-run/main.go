@@ -11,10 +11,9 @@
 //	         [-parallel N] [-jobs M] [-preempt-quantum N]
 //
 // With -seq, each trap emulates a whole instruction sequence, and the
-// software trace cache replays a sequence seen before: every trace
-// compiles on its first replay and replays through its compiled body.
-// The "trace cache:" line on stderr reports replays and divergence exits,
-// the "jit:" line the bodies compiled. -no-trace turns the trace cache
+// software trace cache replays a sequence seen before, running the same
+// per-instruction steps the walk runs. The "trace cache:" line on stderr
+// reports replays and divergence exits. -no-trace turns the trace cache
 // off (the §4.2 ablation).
 //
 // Fleet mode (-parallel N with N > 1, or -jobs M with M > 1) executes M
@@ -178,9 +177,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"trace cache: %d traces, hit rate %.3f, %d replayed insts, %d divergence exits\n",
 			res.TraceCacheEntries, res.TraceHitRate(), res.ReplayedInsts, res.TraceDivergences)
-	}
-	if res.JITCompiles > 0 {
-		fmt.Fprintf(os.Stderr, "jit: %d compiles\n", res.JITCompiles)
 	}
 	if res.Policy != nil {
 		fmt.Fprintln(os.Stderr, res.Policy.Line())

@@ -310,16 +310,12 @@ type Result struct {
 	ReplayedInsts     uint64
 	TraceCacheEntries int
 
-	// Compiled replay. Every trace compiles on its first replay in a VM,
-	// and every replay runs the compiled body. JITCompiles counts the
-	// bodies this process compiled (process-local: a resumed or forked run
-	// recompiles, so it is not preserved across snapshots). JITExecs is
-	// TraceHits (replays served by a compiled body) and JITDeopts is
-	// TraceDivergences (compiled replays that left through the divergence
-	// exit on a guard failure); both are kept for callers that read them.
-	JITCompiles uint64
-	JITExecs    uint64
-	JITDeopts   uint64
+	// JITExecs is TraceHits (replays, each running its entries' steps)
+	// and JITDeopts is TraceDivergences (replays that left through the
+	// divergence exit on a step's guard); both are kept for callers that
+	// read them.
+	JITExecs  uint64
+	JITDeopts uint64
 
 	// Shared-cache adoptions (Config.Shared != nil): local misses served
 	// by the trained store's decode (SharedHits) or a copy of its trace
@@ -794,7 +790,6 @@ func (vm *VM) result() *Result {
 		TraceMisses:        rt.Tel.TraceMisses,
 		TraceDivergences:   rt.Tel.TraceDivergences,
 		ReplayedInsts:      rt.Tel.ReplayedInsts,
-		JITCompiles:        rt.JITCompiles,
 		JITExecs:           rt.Tel.TraceHits,
 		JITDeopts:          rt.Tel.TraceDivergences,
 		TraceCacheEntries:  rt.Cache().TraceLen(),

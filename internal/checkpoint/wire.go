@@ -90,8 +90,8 @@ type Page struct {
 // TraceImage is the shape of one L2 trace-cache entry: enough to rebuild
 // the trace (entries are re-decoded from restored guest memory, which is
 // deterministic) without re-charging decode cycles. It carries no replay
-// counters and no compiled body: a restored trace compiles on its first
-// replay, like any trace new to the VM.
+// counters and no emulator: re-decoding an entry builds its step, as a
+// decode on the trap path does.
 type TraceImage struct {
 	Start     uint64
 	EndRIP    uint64

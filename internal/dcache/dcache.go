@@ -13,13 +13,18 @@ import (
 
 // Entry is a cached decode result. Supported records whether FPVM can
 // decode, bind and emulate the instruction — the sequence terminator is
-// cached too, "even if case (1) holds" (§4.2). Class is an opaque tag the
-// runtime stores alongside the decode (its emulation class), so neither
-// the per-instruction walk nor trace replay re-classifies the opcode.
+// cached too, "even if case (1) holds" (§4.2). Class and Step are opaque
+// to this package: the runtime's emulation class for the instruction and
+// its emulator (nil when unsupported), both built with the entry, so
+// neither the per-instruction walk nor trace replay re-classifies or
+// re-binds the opcode. An entry is immutable once built and holds no
+// per-VM state, so frozen stores, adopters, fork clones and restored
+// caches share it by pointer, step included.
 type Entry struct {
 	Inst      isa.Inst
 	Supported bool
 	Class     uint8
+	Step      any
 }
 
 // Stats counts cache activity. Counters are per-VM: a fork child starts
@@ -245,9 +250,9 @@ func (c *Cache) TraceOrderCap() int { return c.traceOrder.Cap() }
 
 // Clone duplicates the cache (fork(): the decode cache is FPVM state in
 // process memory, so the child gets a copy). Traces are duplicated with
-// their own Entries/Insts slices and no compiled body — the child's
-// replays must survive parent-side invalidation, eviction, or in-place
-// rebuild — while the immutable entry decodes themselves are shared. The
+// their own Entries/Insts slices — the child's replays must survive
+// parent-side invalidation, eviction, or in-place rebuild — while the
+// immutable entries themselves are shared. The
 // child's Stats start from zero: a fork child reporting the parent's
 // pre-fork hit/miss/eviction events would double-count them (each event
 // happened once, in the parent). An attached shared store carries over —
@@ -301,15 +306,6 @@ type Trace struct {
 	// EnsureDisassembly.
 	Insts []string
 	Term  string
-
-	// Compiled holds the owning VM's compiled body, opaque to this package
-	// (the compiler lives in the runtime, which compiles a trace on its
-	// first replay). Compiled bodies are strictly per-VM process state:
-	// snapshot clears the slot, so trained traces, adopted copies and fork
-	// clones never carry one, and the checkpoint wire format never sees
-	// it. Dropping the trace (invalidation, eviction, replacement) drops
-	// the body with it.
-	Compiled any
 }
 
 // Len returns the number of emulated instructions in the trace (the
@@ -318,16 +314,15 @@ func (t *Trace) Len() int { return len(t.Entries) }
 
 // snapshot returns an independent copy of t with fresh Entries/Insts
 // slice headers (the immutable *Entry decodes and disassembly strings are
-// shared) and no compiled body. Freezing a store, adopting from it and
-// fork cloning all go through it: the source trace is never mutated, and
-// every receiving VM compiles and replays its own copy.
+// shared). Freezing a store, adopting from it and fork cloning all go
+// through it: the source trace is never mutated (EnsureDisassembly fills
+// in a copy's Insts), and every receiving VM replays its own copy.
 func (t *Trace) snapshot() *Trace {
 	nt := *t
 	nt.Entries = append([]*Entry(nil), t.Entries...)
 	if t.Insts != nil {
 		nt.Insts = append([]string(nil), t.Insts...)
 	}
-	nt.Compiled = nil
 	return &nt
 }
 
@@ -357,9 +352,9 @@ func (t *Trace) EnsureDisassembly(fetchTerm func(rip uint64) (string, bool)) {
 
 // LookupTrace returns the cached trace starting at start, if present. On
 // a local miss with a shared store attached, a trained trace is adopted:
-// the VM gets its own copy (private Entries slice, no compiled body) so
-// replay never mutates state another VM can see, and future traps at this
-// start hit locally.
+// the VM gets its own copy (private Entries and Insts slices) so nothing
+// it does to the trace reaches another VM, and future traps at this start
+// hit locally.
 func (c *Cache) LookupTrace(start uint64) (*Trace, bool) {
 	slot := &c.recent[traceSlot(start)]
 	if t := *slot; t != nil && t.Start == start {

@@ -399,18 +399,14 @@ func TestTraceEviction(t *testing.T) {
 func TestCloneCopiesTraces(t *testing.T) {
 	c := NewCache(0)
 	tr := mkTrace(0x100, 4)
-	tr.Compiled = &struct{ n int }{1}
 	c.InsertTrace(tr)
 	c.Insert(0x100, tr.Entries[0])
 	child := c.Clone()
 	if child.TraceLen() != 1 || child.Len() != 1 {
 		t.Fatalf("clone sizes: traces=%d entries=%d", child.TraceLen(), child.Len())
 	}
-	// The child's trace is its own copy, without the parent's body.
+	// The child's trace is its own copy.
 	ct, _ := child.LookupTrace(0x100)
-	if ct.Compiled != nil {
-		t.Error("clone carried the parent's compiled body")
-	}
 	if &ct.Entries[0] == &tr.Entries[0] {
 		t.Error("child trace shares the parent's Entries backing array")
 	}

@@ -5,7 +5,7 @@ package dcache
 // nothing writes to it afterwards: any number of VMs may read it
 // concurrently without locks. A per-VM Cache backed by a store adopts
 // from it on a local miss — a decode entry by pointer (entries are
-// immutable), a trace as its own copy without a compiled body — and keeps
+// immutable, and carry their steps), a trace as its own copy — and keeps
 // every insertion and invalidation local. Because the store never
 // changes, a VM's virtual cycles depend only on its image, its
 // configuration and the store's training run, never on which VMs ran
@@ -31,8 +31,7 @@ func NewShared() *SharedCache { return &SharedCache{} }
 
 // Freeze builds the store for image from c, the cache of a finished
 // training run: its decode entries (immutable, so shared by pointer) and
-// copies of its traces without compiled bodies.
-// Nothing c does afterwards reaches the store.
+// copies of its traces. Nothing c does afterwards reaches the store.
 func Freeze(c *Cache, image any) *SharedCache {
 	s := &SharedCache{
 		image:   image,

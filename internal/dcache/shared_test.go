@@ -125,7 +125,6 @@ func TestSharedEntryAdoption(t *testing.T) {
 func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
 	trainer := NewCache(0)
 	tr := mkTrace(0x100, 4)
-	tr.Compiled = &struct{ n int }{1} // the training run's body is per-VM process state
 	trainer.InsertTrace(tr)
 	s := Freeze(trainer, "img")
 	b := NewCacheShared(0, s)
@@ -141,21 +140,18 @@ func TestSharedTraceAdoptionIsSnapshot(t *testing.T) {
 	if bt == tr {
 		t.Fatal("adoption returned the training run's trace, not a snapshot")
 	}
-	if bt.Compiled != nil {
-		t.Error("adopted trace inherited the training run's compiled body")
-	}
 
-	// B's replay mutates only B's copy.
-	bt.Compiled = &struct{ n int }{2}
+	// B's profiling replay backfills only B's copy.
+	bt.EnsureDisassembly(nil)
 	bt.Entries[0] = nil
 	ct, _ := c.LookupTrace(0x100)
-	if ct.Compiled != nil {
-		t.Error("B's compiled body visible to C")
+	if bt.Insts == nil || ct.Insts != nil {
+		t.Error("B's disassembly backfill missing, or visible to C")
 	}
 	if ct.Entries[0] == nil {
 		t.Error("B's entry mutation visible to C (shared backing array)")
 	}
-	if tr.Entries[0] == nil || tr.Compiled == nil {
+	if tr.Entries[0] == nil || tr.Insts != nil {
 		t.Error("freezing or adoption mutated the training run's trace")
 	}
 }
@@ -234,11 +230,12 @@ func TestSharedBindFirstWins(t *testing.T) {
 }
 
 // TestSharedConcurrentTorture has many goroutines adopt from one frozen
-// store while each mutates its own copies the way first-replay
-// compilation, invalidation and re-decoding do. Run under -race via make
-// check and make fleet-soak: the store is never written after Freeze, so
-// any write the detector sees is a bug. Afterwards the store must be
-// exactly as trained, and a fresh adopter must receive bare traces.
+// store while each mutates its own copies the way a profiling replay's
+// disassembly backfill, invalidation and re-decoding do. Run under -race
+// via make check and make fleet-soak: the store is never written after
+// Freeze, so any write the detector sees is a bug. Afterwards the store
+// must be exactly as trained, and a fresh adopter must receive the
+// traces as trained.
 func TestSharedConcurrentTorture(t *testing.T) {
 	trainer := NewCache(0)
 	for k := 0; k < 8; k++ {
@@ -267,7 +264,7 @@ func TestSharedConcurrentTorture(t *testing.T) {
 					c.Lookup(rip)
 				case 1:
 					if tr, ok := c.LookupTrace(start); ok {
-						tr.Compiled = &struct{ g int }{g} // first-replay compile, per-VM
+						tr.EnsureDisassembly(nil) // a profiling replay's backfill, per-VM
 					}
 				case 2:
 					c.Insert(rip, &Entry{Inst: isa.MakeNullary(isa.NOP)})
@@ -291,8 +288,8 @@ func TestSharedConcurrentTorture(t *testing.T) {
 		if !ok {
 			t.Fatalf("trained trace %#x lost", start)
 		}
-		if tr.Compiled != nil {
-			t.Errorf("trace %#x carries another VM's compiled body", start)
+		if tr.Insts != nil {
+			t.Errorf("trace %#x carries another VM's disassembly backfill", start)
 		}
 		for i, e := range tr.Entries {
 			if e == nil || e.Inst.Addr != start+uint64(i)*4 {

@@ -14,8 +14,8 @@ import (
 )
 
 // TraceBenchRow is one workload's two-tier comparison — cold decode
-// (trace cache off) and replay (trace cache on: every trace compiles on
-// its first replay and replays through its compiled body) — as real
+// (trace cache off: every trap walks and decodes) and replay (trace
+// cache on: a repeated sequence replays its entries' steps) — as real
 // simulator cost (wall-clock ns/op and Go allocs/op of a full virtualized
 // run, measured with testing.Benchmark) plus the virtual-cycle and
 // trace-cache statistics of instrumented runs. The ns/op columns are
@@ -36,7 +36,6 @@ type TraceBenchRow struct {
 	DivergenceRate float64 `json:"divergence_exit_rate"`
 	CyclesOn       uint64  `json:"cycles_trace_on"`
 	CyclesOff      uint64  `json:"cycles_trace_off"`
-	JITCompiles    uint64  `json:"jit_compiles"`
 }
 
 // traceBenchConfig is the measured configuration: the paper's fully
@@ -83,7 +82,6 @@ func TraceBench(scale int, progress io.Writer) ([]TraceBenchRow, error) {
 		row.AvgSeqLen = on.Breakdown.AvgSeqLen()
 		row.TraceHitRate = on.TraceHitRate()
 		row.DivergenceRate = on.Breakdown.DivergenceRate()
-		row.JITCompiles = on.JITCompiles
 
 		// Real simulator cost, measured like a go test -bench run. Best of
 		// three passes with a GC barrier in between, so one config's garbage
@@ -131,16 +129,16 @@ func reductionPct(on, off float64) float64 {
 
 // TraceTable prints the trace-cache comparison (the `-fig trace` table):
 // per workload, the real ns/op with the trace cache off and on and the
-// reduction replay buys, the bodies compiled, the exact virtual cycles of
-// both tiers, and the amortization/hit-rate statistics.
+// reduction replay buys, the exact virtual cycles of both tiers, and the
+// amortization/hit-rate statistics.
 func TraceTable(w io.Writer, rows []TraceBenchRow) {
-	fmt.Fprintln(w, "Trace cache: cold decode vs compiled replay (SEQ SHORT, Boxed IEEE)")
-	fmt.Fprintf(w, "%-22s %12s %12s %7s %8s %12s %12s %9s %8s %8s\n",
-		"workload", "ns/op-off", "ns/op-replay", "ns-red", "compiles",
+	fmt.Fprintln(w, "Trace cache: cold decode vs replay (SEQ SHORT, Boxed IEEE)")
+	fmt.Fprintf(w, "%-22s %12s %12s %7s %12s %12s %9s %8s %8s\n",
+		"workload", "ns/op-off", "ns/op-replay", "ns-red",
 		"cycles-off", "cycles-on", "insts/trap", "hit-rate", "div-rate")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %12.0f %12.0f %6.1f%% %8d %12d %12d %9.2f %8.3f %8.3f\n",
-			r.Workload, r.NsOpOff, r.NsOpOn, r.NsReductionPct, r.JITCompiles,
+		fmt.Fprintf(w, "%-22s %12.0f %12.0f %6.1f%% %12d %12d %9.2f %8.3f %8.3f\n",
+			r.Workload, r.NsOpOff, r.NsOpOn, r.NsReductionPct,
 			r.CyclesOff, r.CyclesOn, r.AvgSeqLen, r.TraceHitRate, r.DivergenceRate)
 	}
 }

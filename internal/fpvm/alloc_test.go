@@ -10,11 +10,13 @@ import (
 	"fpvm/internal/isa"
 )
 
-// TestReplayedTrapAllocatesNothing: once its trace is compiled and the
-// box store sized, a Boxed IEEE trap replayed through its compiled body
-// makes no Go heap allocation. The loop's trace holds scalar arithmetic
-// on boxed operands, XMM stores and loads, and 64-bit integer moves, and
-// its boxes trigger collections inside the measured window.
+// TestReplayedTrapAllocatesNothing: once the box store is sized, a Boxed
+// IEEE trap makes no Go heap allocation, whether its sequence replays
+// from the trace cache or the walk emulates it with the cache off
+// (NoTraceCache): both run the steps built at decode. The loop's sequence
+// holds scalar arithmetic on boxed operands, XMM stores and loads, and
+// 64-bit integer moves, and its boxes trigger collections inside the
+// measured window.
 func TestReplayedTrapAllocatesNothing(t *testing.T) {
 	b := asm.NewBuilder("replayalloc")
 	b.RoDouble("one", 1)
@@ -44,28 +46,46 @@ func TestReplayedTrapAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fpvmrt.Config{Alt: alt.NewBoxedIEEE(), Seq: true, Short: true, GCThreshold: 64}
-	r := newRig(t, img, cfg, false)
-
-	step := func(n uint64) {
-		if got := r.p.RunFor(n, math.MaxUint64); got != n || r.p.Exited {
-			t.Fatalf("RunFor passed %d of %d boundaries (exited %v): %v", got, n, r.p.Exited, r.p.Err)
-		}
-	}
-	step(20_000) // compile the trace, size the box store, collect
-	hits, gcs := r.rt.Tel.TraceHits, r.rt.GCRuns
-	if allocs := testing.AllocsPerRun(50, func() { step(1000) }); allocs != 0 {
-		t.Errorf("%v allocations per 1000 boundaries of replayed traps, want 0", allocs)
-	}
-	if err := r.rt.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if r.rt.Tel.TraceHits == hits || r.rt.GCRuns == gcs {
-		t.Fatalf("measured window replayed %d traps and ran %d collections; the check is vacuous",
-			r.rt.Tel.TraceHits-hits, r.rt.GCRuns-gcs)
-	}
-	if r.rt.JITCompiles != 1 || r.rt.Tel.ReplayedInsts < 7*(r.rt.Tel.TraceHits-hits) {
-		t.Errorf("JITCompiles %d, replayed %d instructions in %d hits: the loop trace is not the one replayed",
-			r.rt.JITCompiles, r.rt.Tel.ReplayedInsts, r.rt.Tel.TraceHits)
+	for _, tc := range []struct {
+		name    string
+		noTrace bool
+	}{{"replay", false}, {"walk", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fpvmrt.Config{Alt: alt.NewBoxedIEEE(), Seq: true, Short: true, GCThreshold: 64,
+				NoTraceCache: tc.noTrace}
+			r := newRig(t, img, cfg, false)
+			step := func(n uint64) {
+				if got := r.p.RunFor(n, math.MaxUint64); got != n || r.p.Exited {
+					t.Fatalf("RunFor passed %d of %d boundaries (exited %v): %v", got, n, r.p.Exited, r.p.Err)
+				}
+			}
+			step(20_000) // build the trace, size the box store, collect
+			tel := &r.rt.Tel
+			traps, hits, emulated, gcs := tel.Traps, tel.TraceHits, tel.EmulatedInsts, r.rt.GCRuns
+			if allocs := testing.AllocsPerRun(50, func() { step(1000) }); allocs != 0 {
+				t.Errorf("%v allocations per 1000 boundaries of %s traps, want 0", allocs, tc.name)
+			}
+			if err := r.rt.Err(); err != nil {
+				t.Fatal(err)
+			}
+			n := tel.Traps - traps
+			if n == 0 || r.rt.GCRuns == gcs {
+				t.Fatalf("measured window handled %d traps and ran %d collections; the check is vacuous",
+					n, r.rt.GCRuns-gcs)
+			}
+			if tel.EmulatedInsts-emulated < 7*n {
+				t.Errorf("%d instructions emulated in %d traps: the loop sequence is not the one emulated",
+					tel.EmulatedInsts-emulated, n)
+			}
+			// With the trace cache off no trap looks a trace up, so the walk
+			// case counts neither hits nor misses: every trap is walked.
+			want := n
+			if tc.noTrace {
+				want = 0
+			}
+			if got := tel.TraceHits - hits; got != want {
+				t.Errorf("%d of %d traps replayed a trace, want %d", got, n, want)
+			}
+		})
 	}
 }

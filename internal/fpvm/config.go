@@ -97,9 +97,10 @@ type Config struct {
 	TrapCycleBudget uint64
 
 	// NoTraceCache disables the L2 trace table (ablation): every trap
-	// re-walks the sequence through the per-instruction decode cache, and
-	// nothing is compiled. With Seq off the trace cache is inert
-	// regardless (single-instruction traps have no sequence to cache).
+	// re-walks the sequence through the per-instruction decode cache,
+	// running the same steps replay would. With Seq off the trace cache is
+	// inert regardless (single-instruction traps have no sequence to
+	// cache).
 	NoTraceCache bool
 
 	// CheckpointInterval enables the rollback supervisor: every N traps

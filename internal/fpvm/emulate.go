@@ -126,8 +126,10 @@ func (r *Runtime) boxedLive(bits uint64) bool {
 	return ok && r.alloc.Has(h)
 }
 
-// emulateInst decodes/binds/emulates one instruction against the
-// ucontext. first marks the faulting instruction (always emulated).
+// emulateInst binds and emulates one instruction of a class without a
+// specialized step (jit.go) against the ucontext: packed arithmetic,
+// compares, conversions, roundsd and the moves emulateMove serves. first
+// marks the faulting instruction (always emulated).
 func (r *Runtime) emulateInst(uc *kernel.Ucontext, e *dcache.Entry, first bool) (emStatus, error) {
 	in := &e.Inst
 	cls := emulClass(e.Class) // classified once at decode, cached in the entry
@@ -137,23 +139,6 @@ func (r *Runtime) emulateInst(uc *kernel.Ucontext, e *dcache.Entry, first bool) 
 		r.charge(telemetry.Bind, r.Costs.BindMove)
 		r.charge(telemetry.Emul, r.Costs.EmulMove)
 		return emOK, r.emulateMove(uc, in)
-
-	case classScalarArith:
-		r.charge(telemetry.Bind, r.Costs.BindArith)
-		srcBits, err := r.readOperand(uc, in, in.RMOp, 8)
-		if err != nil {
-			return emOK, err
-		}
-		dstBits := uc.CPU.XMM[in.RegOp.Reg][0]
-		srcBoxed := r.boxedLive(srcBits)
-		dstBoxed := in.Op != isa.SQRTSD && r.boxedLive(dstBits)
-		if !first && !r.Cfg.EmulateAll && !srcBoxed && !dstBoxed {
-			return emNotWarranted, nil
-		}
-		r.charge(telemetry.Emul, r.Costs.EmulArith)
-		res := r.altScalar(in.Op, dstBits, srcBits)
-		uc.CPU.XMM[in.RegOp.Reg][0] = res
-		return emOK, nil
 
 	case classPackedArith:
 		r.charge(telemetry.Bind, r.Costs.BindArith)
@@ -363,8 +348,8 @@ func (r *Runtime) nativeScalar(op isa.Op, dstBits, srcBits uint64) uint64 {
 	return r.nativeScalarOp(scalarToFPOp(op), dstBits, srcBits)
 }
 
-// nativeScalarOp is nativeScalar with the fpmath op already mapped (the
-// trace compiler pre-resolves it for the float fast path).
+// nativeScalarOp is nativeScalar with the fpmath op already mapped (a
+// scalar-arithmetic step maps it once, at decode).
 func (r *Runtime) nativeScalarOp(fop fpmath.Op, dstBits, srcBits uint64) uint64 {
 	if fop == fpmath.OpSqrt {
 		return nativeBits(fop, 0, r.demote(srcBits))
@@ -479,28 +464,20 @@ func (r *Runtime) hwEscapeDemote(uc *kernel.Ucontext, in *isa.Inst, o isa.Operan
 }
 
 // emulateMove transports data (possibly NaN-boxed bit patterns) without
-// touching the alternative system.
+// touching the alternative system: the 8-, 16- and 32-bit moves and the
+// 128-bit memory moves. The 64-bit and XMM transport ops have their own
+// steps (compileMove).
 func (r *Runtime) emulateMove(uc *kernel.Ucontext, in *isa.Inst) error {
 	cpu := &uc.CPU
 	// Integer loads get the hardware escape treatment under FutureHW.
 	switch in.Op {
-	case isa.MOV64RM, isa.MOV32RM, isa.MOV16RM, isa.MOV8RM,
+	case isa.MOV32RM, isa.MOV16RM, isa.MOV8RM,
 		isa.MOVZX8, isa.MOVZX16, isa.MOVSX8, isa.MOVSX16, isa.MOVSXD:
 		if err := r.hwEscapeDemote(uc, in, in.RMOp); err != nil {
 			return err
 		}
 	}
 	switch in.Op {
-	case isa.MOV64RR, isa.MOV64RM:
-		v, err := r.readOperand(uc, in, in.RMOp, 8)
-		if err != nil {
-			return err
-		}
-		cpu.GPR[in.RegOp.Reg] = v
-	case isa.MOV64MR:
-		return r.writeOperandOrGPR(uc, in, in.RMOp, 8, cpu.GPR[in.RegOp.Reg])
-	case isa.MOV64RI:
-		return r.writeOperandOrGPR(uc, in, in.RMOp, 8, uint64(in.Imm))
 	case isa.MOV32RR, isa.MOV32RM:
 		v, err := r.readOperand(uc, in, in.RMOp, 4)
 		if err != nil {
@@ -546,18 +523,6 @@ func (r *Runtime) emulateMove(uc *kernel.Ucontext, in *isa.Inst) error {
 		}
 		cpu.GPR[in.RegOp.Reg] = uint64(int64(int32(v)))
 
-	case isa.MOVSDXX:
-		cpu.XMM[in.RegOp.Reg][0] = cpu.XMM[in.RMOp.Reg][0]
-	case isa.MOVSDXM, isa.MOVQXM:
-		v, err := r.readOperand(uc, in, in.RMOp, 8)
-		if err != nil {
-			return err
-		}
-		cpu.XMM[in.RegOp.Reg] = [2]uint64{v, 0}
-	case isa.MOVSDMX, isa.MOVQMX:
-		return r.writeOperandMem(uc, in, in.RMOp, 8, cpu.XMM[in.RegOp.Reg][0])
-	case isa.MOVAPDXX, isa.MOVDQAXX:
-		cpu.XMM[in.RegOp.Reg] = cpu.XMM[in.RMOp.Reg]
 	case isa.MOVAPDXM, isa.MOVUPDXM, isa.MOVDQAXM, isa.MOVDQUXM:
 		v, err := r.read128(uc, in, in.RMOp)
 		if err != nil {
@@ -566,20 +531,6 @@ func (r *Runtime) emulateMove(uc *kernel.Ucontext, in *isa.Inst) error {
 		cpu.XMM[in.RegOp.Reg] = v
 	case isa.MOVAPDMX, isa.MOVUPDMX, isa.MOVDQAMX, isa.MOVDQUMX:
 		return r.write128(uc, in, in.RMOp, cpu.XMM[in.RegOp.Reg])
-	case isa.MOVQXG:
-		cpu.XMM[in.RegOp.Reg] = [2]uint64{cpu.GPR[in.RMOp.Reg], 0}
-	case isa.MOVQGX:
-		cpu.GPR[in.RegOp.Reg] = cpu.XMM[in.RMOp.Reg][0]
-	case isa.MOVDXG:
-		cpu.XMM[in.RegOp.Reg] = [2]uint64{uint64(uint32(cpu.GPR[in.RMOp.Reg])), 0}
-	case isa.MOVDGX:
-		cpu.GPR[in.RegOp.Reg] = uint64(uint32(cpu.XMM[in.RMOp.Reg][0]))
-	case isa.MOVDDUP:
-		v, err := r.readOperand(uc, in, in.RMOp, 8)
-		if err != nil {
-			return err
-		}
-		cpu.XMM[in.RegOp.Reg] = [2]uint64{v, v}
 	default:
 		return fmt.Errorf("fpvm: emulateMove on %s", in.Op)
 	}

@@ -1,28 +1,30 @@
 package fpvm
 
-// Trace compiler. The L2 trace cache (trace.go) amortizes decode across
-// a sequence; this file removes the per-instruction dispatch as well. The
-// first replay of a trace compiles it into a chain of specialized Go
-// closures — one per instruction, with the operand accessors resolved to
-// direct register/memory reads, the scalar float fast path inlined with
-// its fpmath op pre-mapped, and the boxedness guard compiled out where
-// the instruction is warranted unconditionally (the trace head, or
-// EmulateAll runs). Every replay, the first included, runs the body.
+// Instruction steps: one emulator per instruction. newEntry builds each
+// supported instruction's step when it builds the instruction's decode
+// entry — on a decode-cache miss (decodeAt) and when a restored snapshot
+// re-decodes its cache (restoreCache) — and the step stays on the
+// immutable dcache.Entry. The per-instruction walk and trace replay both
+// run it. Scalar arithmetic gets the float fast path with its fpmath op
+// pre-mapped and its operand accessors resolved to direct register and
+// memory reads; the XMM and 64-bit integer transport ops get direct
+// register-file and in-place memory moves; every other class runs the
+// generic emulator (emulateInst).
 //
-// Every compiled step keeps the walk's cheap boxedness guard: when an
-// operand's boxedness diverges from the recorded shape, the step reports
-// emNotWarranted and replay leaves through the divergence exit — the
-// hardware re-runs the instruction natively and the trace stays cached.
-// Compilation charges no virtual cycles (it is host-side work with no
-// architectural effect), so trap boundaries, watchdog behavior,
-// checkpoint cadence and the oracle's trap-stream digests do not depend
-// on when or how often a VM compiles.
+// A step holds no VM state. It takes the Runtime and first (the faulting
+// instruction, always emulated) as arguments, and reads the alt system's
+// float interface (r.flt), EmulateAll and FutureHW when it runs, so an
+// entry keeps its step through frozen shared stores, adoption, fork and
+// restore, and a store trained under one configuration serves VMs under
+// any other. Building a step charges no virtual cycles (it is host-side
+// work with no architectural effect); running one charges what the
+// instruction's emulation costs, whichever path runs it.
 //
-// Compiled bodies are strictly per-VM process state: the dcache snapshot
-// rule clears Trace.Compiled when a shared store is frozen, on adoption
-// from it and on fork clone, the checkpoint wire format never carries
-// one (a restored trace compiles again on its first replay), and every
-// invalidation path drops the body with its trace.
+// Every step that is not the faulting instruction keeps the cheap
+// boxedness guard: when no operand is boxed, the step reports
+// emNotWarranted, the walk ends its sequence there, and replay leaves
+// through the divergence exit — the hardware re-runs the instruction
+// natively and the trace stays cached.
 
 import (
 	"encoding/binary"
@@ -34,85 +36,60 @@ import (
 	"fpvm/internal/telemetry"
 )
 
-// jitExec is one compiled instruction: the step's specialized emulation,
-// with the same contract as emulateInst. The Runtime is a parameter, not
-// a capture, so a body never outlives its VM by aliasing runtime state.
-type jitExec func(*Runtime, *kernel.Ucontext) (emStatus, error)
+// step is one instruction's emulator, stored in dcache.Entry.Step. first
+// marks the faulting instruction; any other is emulated only when one of
+// its operands is boxed (§4.2 condition (2)) or the run sets EmulateAll.
+type step func(r *Runtime, uc *kernel.Ucontext, first bool) (emStatus, error)
 
-// jitStep pairs a compiled instruction with the addresses the replay loop
-// needs, precomputed so the loop never touches isa.Inst.
-type jitStep struct {
-	addr  uint64 // instruction address (fault checks, invalidation)
-	next  uint64 // fall-through resume address (addr + length)
-	entry *dcache.Entry
-	exec  jitExec
-}
-
-// jitBody is a compiled trace, stored in Trace.Compiled.
-type jitBody struct {
-	steps []jitStep
-}
-
-// compileTrace builds tr's body. Compilation charges no virtual cycles.
-func (r *Runtime) compileTrace(tr *dcache.Trace) *jitBody {
-	steps := make([]jitStep, len(tr.Entries))
-	for i, e := range tr.Entries {
-		steps[i] = jitStep{
-			addr:  e.Inst.Addr,
-			next:  e.Inst.Addr + uint64(e.Inst.Len),
-			entry: e,
-			exec:  r.compileStep(e, i == 0),
-		}
+// newEntry classifies in and builds its step: every decode entry is made
+// here.
+func newEntry(in isa.Inst) *dcache.Entry {
+	cls := classify(in.Op)
+	e := &dcache.Entry{Inst: in, Supported: cls != classUnsupported, Class: uint8(cls)}
+	if e.Supported {
+		e.Step = compileStep(e)
 	}
-	return &jitBody{steps: steps}
+	return e
 }
 
-// compileStep specializes one pre-decoded instruction. Scalar arithmetic
-// gets the fully inlined float fast path (when the alt system supports
-// it), the common XMM transport ops get direct register-file/memory
-// closures, and everything else falls back to a closure over the generic
-// emulator — still skipping the per-replay entry traversal and class
-// dispatch. Baking runtime facts (EmulateAll, FloatSystem presence) into
-// the closure is safe because bodies never cross VM boundaries.
-func (r *Runtime) compileStep(e *dcache.Entry, first bool) jitExec {
+// emulate runs a supported entry's step.
+func (r *Runtime) emulate(uc *kernel.Ucontext, e *dcache.Entry, first bool) (emStatus, error) {
+	return e.Step.(step)(r, uc, first)
+}
+
+// compileStep specializes one decoded instruction: scalar arithmetic and
+// the transport ops compileMove knows get their own steps, and everything
+// else runs the generic emulator, which dispatches on the class cached in
+// the entry.
+func compileStep(e *dcache.Entry) step {
 	switch emulClass(e.Class) {
 	case classScalarArith:
-		if r.flt != nil {
-			return compileScalarArith(e, first || r.Cfg.EmulateAll)
-		}
+		return compileScalarArith(e)
 	case classMove:
-		if exec := compileMove(e); exec != nil {
-			return exec
-		}
-		if !r.Cfg.FutureHW {
-			if exec := compileIntMove(e); exec != nil {
-				return exec
-			}
+		if s := compileMove(e); s != nil {
+			return s
 		}
 	}
-	return compileGeneric(e, first)
-}
-
-func compileGeneric(e *dcache.Entry, first bool) jitExec {
-	return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+	return func(r *Runtime, uc *kernel.Ucontext, first bool) (emStatus, error) {
 		return r.emulateInst(uc, e, first)
 	}
 }
 
-// compileScalarArith is the walk's classScalarArith case with every
-// per-replay decision precomputed: the fpmath op, the sqrt single-operand
-// shape, the destination register, the source accessor, and — when
-// warranted is true — the boxedness guard itself (hoisted out: the step
-// always emulates). Charges, fault handling and the non-float fallback
-// are identical to the walk's.
-func compileScalarArith(e *dcache.Entry, warranted bool) jitExec {
+// compileScalarArith emulates addsd, subsd, mulsd, divsd, sqrtsd, minsd
+// and maxsd with every per-instruction decision made once: the fpmath op,
+// the sqrt single-operand shape, the destination register and the source
+// accessor. It charges bind before the operand read and emul after the
+// guard; a live box holding a non-float value, or an alt system without
+// alt.FloatSystem, takes the generic altScalar, and everything else the
+// allocation-free float path.
+func compileScalarArith(e *dcache.Entry) step {
 	in := &e.Inst
 	op := in.Op
 	fop := scalarToFPOp(op)
 	sqrt := op == isa.SQRTSD
 	dst := in.RegOp.Reg
 	readSrc := compileRead64(in, in.RMOp)
-	return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+	return func(r *Runtime, uc *kernel.Ucontext, first bool) (emStatus, error) {
 		r.charge(telemetry.Bind, r.Costs.BindArith)
 		srcBits, err := readSrc(r, uc)
 		if err != nil {
@@ -125,12 +102,11 @@ func compileScalarArith(e *dcache.Entry, warranted bool) jitExec {
 		if !sqrt {
 			d = r.lookupOperand(d.bits)
 		}
-		if !warranted && src.kind == notBox && d.kind == notBox {
-			return emNotWarranted, nil // guard failure: deopt
+		if !first && !r.Cfg.EmulateAll && src.kind == notBox && d.kind == notBox {
+			return emNotWarranted, nil
 		}
 		r.charge(telemetry.Emul, r.Costs.EmulArith)
-		if src.kind == genericBox || d.kind == genericBox {
-			// A live box holds a non-float alt value: generic path.
+		if r.flt == nil || src.kind == genericBox || d.kind == genericBox {
 			uc.CPU.XMM[dst][0] = r.altScalar(op, d.bits, srcBits)
 			return emOK, nil
 		}
@@ -139,101 +115,26 @@ func compileScalarArith(e *dcache.Entry, warranted bool) jitExec {
 	}
 }
 
-// compileMove specializes the XMM transport ops — the bulk of non-arith
-// trace entries. Integer moves are compileIntMove's. Returns nil when the
-// op has no specialization.
-func compileMove(e *dcache.Entry) jitExec {
-	in := &e.Inst
-	d := in.RegOp.Reg
-	switch in.Op {
-	case isa.MOVSDXX:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.XMM[d][0] = uc.CPU.XMM[s][0]
-			return emOK, nil
-		}
-	case isa.MOVAPDXX, isa.MOVDQAXX:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.XMM[d] = uc.CPU.XMM[s]
-			return emOK, nil
-		}
-	case isa.MOVSDXM, isa.MOVQXM:
-		read := compileRead64(in, in.RMOp)
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			v, err := read(r, uc)
-			if err != nil {
-				return emOK, err
-			}
-			uc.CPU.XMM[d] = [2]uint64{v, 0}
-			return emOK, nil
-		}
-	case isa.MOVDDUP:
-		read := compileRead64(in, in.RMOp)
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			v, err := read(r, uc)
-			if err != nil {
-				return emOK, err
-			}
-			uc.CPU.XMM[d] = [2]uint64{v, v}
-			return emOK, nil
-		}
-	case isa.MOVSDMX, isa.MOVQMX:
-		ea := compileEA(in, in.RMOp)
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			return emOK, store64(r.m.Mem, ea(uc), uc.CPU.XMM[d][0])
-		}
-	case isa.MOVQXG:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.XMM[d] = [2]uint64{uc.CPU.GPR[s], 0}
-			return emOK, nil
-		}
-	case isa.MOVQGX:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.GPR[d] = uc.CPU.XMM[s][0]
-			return emOK, nil
-		}
-	case isa.MOVDXG:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.XMM[d] = [2]uint64{uint64(uint32(uc.CPU.GPR[s])), 0}
-			return emOK, nil
-		}
-	case isa.MOVDGX:
-		s := in.RMOp.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			uc.CPU.GPR[d] = uint64(uint32(uc.CPU.XMM[s][0]))
-			return emOK, nil
-		}
-	}
-	return nil
-}
-
-// compileIntMove specializes the 64-bit integer moves, as emulateMove
-// runs them: a load reads its r/m as readOperand(…, 8) does, and a store
-// or immediate writes a GPR or memory r/m. The caller keeps these on the
-// generic emulator under FutureHW, where an integer load first takes the
-// box-escape demotion. Returns nil for other ops, and for a destination
-// r/m that is neither a GPR nor memory.
-func compileIntMove(e *dcache.Entry) jitExec {
+// compileMove specializes the 64-bit integer moves and the XMM transport
+// ops, the bulk of non-arithmetic sequence entries. It returns nil for
+// the moves emulateMove serves (8-, 16- and 32-bit and 128-bit memory
+// moves).
+func compileMove(e *dcache.Entry) step {
 	in := &e.Inst
 	d := in.RegOp.Reg
 	switch in.Op {
 	case isa.MOV64RR, isa.MOV64RM:
 		read := compileRead64(in, in.RMOp)
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+		escape := in.Op == isa.MOV64RM
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
 			chargeMove(r)
+			if escape {
+				// Under FutureHW an emulated integer load first takes the
+				// hardware box-escape demotion.
+				if err := r.hwEscapeDemote(uc, in, in.RMOp); err != nil {
+					return emOK, err
+				}
+			}
 			v, err := read(r, uc)
 			if err != nil {
 				return emOK, err
@@ -246,30 +147,96 @@ func compileIntMove(e *dcache.Entry) jitExec {
 	case isa.MOV64RI:
 		imm := uint64(in.Imm)
 		return compileWrite64(in, func(*kernel.Ucontext) uint64 { return imm })
+	case isa.MOVSDXX:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.XMM[d][0] = uc.CPU.XMM[s][0]
+			return emOK, nil
+		}
+	case isa.MOVAPDXX, isa.MOVDQAXX:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.XMM[d] = uc.CPU.XMM[s]
+			return emOK, nil
+		}
+	case isa.MOVSDXM, isa.MOVQXM:
+		read := compileRead64(in, in.RMOp)
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			v, err := read(r, uc)
+			if err != nil {
+				return emOK, err
+			}
+			uc.CPU.XMM[d] = [2]uint64{v, 0}
+			return emOK, nil
+		}
+	case isa.MOVDDUP:
+		read := compileRead64(in, in.RMOp)
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			v, err := read(r, uc)
+			if err != nil {
+				return emOK, err
+			}
+			uc.CPU.XMM[d] = [2]uint64{v, v}
+			return emOK, nil
+		}
+	case isa.MOVSDMX, isa.MOVQMX:
+		ea := compileEA(in, in.RMOp)
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			return emOK, store64(r.m.Mem, ea(uc), uc.CPU.XMM[d][0])
+		}
+	case isa.MOVQXG:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.XMM[d] = [2]uint64{uc.CPU.GPR[s], 0}
+			return emOK, nil
+		}
+	case isa.MOVQGX:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.GPR[d] = uc.CPU.XMM[s][0]
+			return emOK, nil
+		}
+	case isa.MOVDXG:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.XMM[d] = [2]uint64{uint64(uint32(uc.CPU.GPR[s])), 0}
+			return emOK, nil
+		}
+	case isa.MOVDGX:
+		s := in.RMOp.Reg
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+			chargeMove(r)
+			uc.CPU.GPR[d] = uint64(uint32(uc.CPU.XMM[s][0]))
+			return emOK, nil
+		}
 	}
 	return nil
 }
 
-// compileWrite64 stores the value val yields to in's r/m, a GPR or
-// memory, mirroring writeOperandOrGPR(…, 8, …). It returns nil for any
-// other r/m kind.
-func compileWrite64(in *isa.Inst, val func(*kernel.Ucontext) uint64) jitExec {
-	switch o := in.RMOp; o.Kind {
-	case isa.KindGPR:
+// compileWrite64 stores the value val yields to in's r/m, a GPR or else
+// memory, as writeOperandOrGPR(…, 8, …) does.
+func compileWrite64(in *isa.Inst, val func(*kernel.Ucontext) uint64) step {
+	if o := in.RMOp; o.Kind == isa.KindGPR {
 		reg := o.Reg
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
+		return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
 			chargeMove(r)
 			uc.CPU.GPR[reg] = val(uc)
 			return emOK, nil
 		}
-	case isa.KindMem:
-		ea := compileEA(in, o)
-		return func(r *Runtime, uc *kernel.Ucontext) (emStatus, error) {
-			chargeMove(r)
-			return emOK, store64(r.m.Mem, ea(uc), val(uc))
-		}
 	}
-	return nil
+	ea := compileEA(in, in.RMOp)
+	return func(r *Runtime, uc *kernel.Ucontext, _ bool) (emStatus, error) {
+		chargeMove(r)
+		return emOK, store64(r.m.Mem, ea(uc), val(uc))
+	}
 }
 
 func chargeMove(r *Runtime) {
@@ -279,7 +246,7 @@ func chargeMove(r *Runtime) {
 
 // compileEA pre-resolves a memory operand's effective-address shape:
 // RIP-relative addresses collapse to a constant, and the base/index/scale
-// combination picks one of four direct-read closures — no per-replay
+// combination picks one of four direct-read closures — no per-step
 // operand-kind or addressing-mode dispatch. Semantics match Runtime.ea.
 func compileEA(in *isa.Inst, o isa.Operand) func(*kernel.Ucontext) uint64 {
 	if o.RIPRel {

@@ -1,50 +1,44 @@
 package fpvm_test
 
-// Compiled replay coverage: lazy compilation (first replay, never at
-// trace build), the divergence exit out of a compiled body (guard failure
-// mid-trace), the recovery ladder inside a compiled body, and
-// invalidation and fork dropping compiled bodies with their traces.
+// Instruction-step coverage: steps built at decode (every cached entry
+// carries one, whether or not its trace ever replays), the divergence
+// exit out of a replay (a step's guard failing mid-trace), and the
+// recovery ladder inside replayed steps.
 
 import (
 	"math/rand"
 	"testing"
 
 	"fpvm/internal/asm"
+	"fpvm/internal/dcache"
 	"fpvm/internal/faultinject"
 	"fpvm/internal/isa"
 	"fpvm/internal/obj"
 )
 
-// TestJITCompilesOnFirstReplay: a trace compiles on its first replay and
-// never at build. The 400-iteration loop compiles its one loop trace once
-// and replays it through the body; straight-line programs, whose trap
-// sites each run once, build traces but replay none, so they compile
-// nothing.
-func TestJITCompilesOnFirstReplay(t *testing.T) {
+// TestJITStepsBuiltAtDecode: every traced entry carries the step decode
+// built for it. The 400-iteration loop replays its one loop trace;
+// straight-line programs, whose trap sites each run once, build traces
+// but replay none, and their entries carry steps all the same.
+func TestJITStepsBuiltAtDecode(t *testing.T) {
 	img := buildTraceLoop(t, 400)
 	native := runNativeRig(t, img)
 	r := newRig(t, img, traceLoopCfg(false), true)
 	if out := r.run(t); out != native {
-		t.Fatalf("compiled replay changed output:\n fpvm:   %q\n native: %q", out, native)
-	}
-	if r.rt.JITCompiles != 1 {
-		t.Errorf("JITCompiles = %d, want 1 (one repeated trace)", r.rt.JITCompiles)
+		t.Fatalf("replay changed output:\n fpvm:   %q\n native: %q", out, native)
 	}
 	if r.rt.Tel.TraceHits == 0 || r.rt.Tel.ReplayedInsts == 0 {
 		t.Errorf("loop never replayed: hits=%d replayed=%d", r.rt.Tel.TraceHits, r.rt.Tel.ReplayedInsts)
 	}
-	var bodies int
+	loops := 0
 	for _, tr := range r.rt.Cache().Traces() {
-		if tr.Compiled == nil {
-			continue
-		}
-		bodies++
-		if tr.Len() != 4 {
-			t.Errorf("compiled trace %#x has %d entries, want the 4-addsd loop body", tr.Start, tr.Len())
+		checkSteps(t, "loop", tr)
+		if tr.Len() == 4 {
+			loops++
 		}
 	}
-	if bodies != 1 {
-		t.Errorf("%d cached traces carry a body, want 1 (the loop trace)", bodies)
+	if loops != 1 {
+		t.Errorf("%d cached traces hold the 4-addsd loop body, want 1", loops)
 	}
 
 	rng := rand.New(rand.NewSource(0xF9B0))
@@ -53,17 +47,25 @@ func TestJITCompilesOnFirstReplay(t *testing.T) {
 		r := newRig(t, genProgram(t, rng, 40, pi), traceLoopCfg(false), true)
 		r.run(t)
 		built += r.rt.Cache().TraceLen()
-		if r.rt.JITCompiles != 0 {
-			t.Errorf("program %d: JITCompiles = %d, want 0 (no trap site repeats)", pi, r.rt.JITCompiles)
+		if r.rt.Tel.TraceHits != 0 {
+			t.Errorf("program %d: %d trace hits, want 0 (no trap site repeats)", pi, r.rt.Tel.TraceHits)
 		}
 		for _, tr := range r.rt.Cache().Traces() {
-			if tr.Compiled != nil {
-				t.Errorf("program %d: trace %#x was compiled without a replay", pi, tr.Start)
-			}
+			checkSteps(t, "straight-line", tr)
 		}
 	}
 	if built == 0 {
-		t.Fatal("straight-line programs built no traces; the no-compile check is vacuous")
+		t.Fatal("straight-line programs built no traces; the step check is vacuous")
+	}
+}
+
+// checkSteps fails t for any entry of tr without a step.
+func checkSteps(t *testing.T, what string, tr *dcache.Trace) {
+	t.Helper()
+	for i, e := range tr.Entries {
+		if e.Step == nil {
+			t.Errorf("%s trace %#x: entry %d (%s) has no step", what, tr.Start, i, e.Inst.Op)
+		}
 	}
 }
 
@@ -110,10 +112,10 @@ func buildDeoptLoop(t *testing.T, n int64) *obj.Image {
 	return img
 }
 
-// TestJITDeoptMidTrace: phase-B replays hit the compiled guard on the
-// second addsd (operands no longer boxed) and leave through the
-// divergence exit, once per phase-B iteration, and the run stays
-// bit-identical to native execution.
+// TestJITDeoptMidTrace: phase-B replays hit the second addsd's guard
+// (operands no longer boxed) and leave through the divergence exit, once
+// per phase-B iteration, and the run stays bit-identical to native
+// execution.
 func TestJITDeoptMidTrace(t *testing.T) {
 	const n = 60
 	img := buildDeoptLoop(t, n)
@@ -124,8 +126,8 @@ func TestJITDeoptMidTrace(t *testing.T) {
 	if out != native {
 		t.Fatalf("divergence exit changed output:\n fpvm:   %q\n native: %q", out, native)
 	}
-	if r.rt.JITCompiles == 0 {
-		t.Fatal("the loop trace was never compiled")
+	if r.rt.Tel.TraceHits == 0 {
+		t.Fatal("the loop trace never replayed")
 	}
 	if r.rt.Tel.TraceDivergences == 0 {
 		t.Error("phase-B guard failures produced no divergence exit")
@@ -139,15 +141,11 @@ func TestJITDeoptMidTrace(t *testing.T) {
 }
 
 // TestJITAltOpFaultInCompiledBody: probabilistic alt.op faults (fixed
-// seed, so the schedule is deterministic) land inside compiled steps.
-// Bursts that drain the retry budget degrade to native IEEE, each
-// degradation invalidates the traces through the instruction (dropping
-// the compiled body), and the trace rebuilds and compiles again on a
-// later replay — so compilation must happen more than once. Output must
+// seed, so the schedule is deterministic) land inside replayed steps.
+// Bursts that drain the retry budget degrade to native IEEE, and each
+// degradation invalidates the traces through the instruction. Output must
 // stay bit-exact with native execution (Boxed IEEE degrades to the same
-// IEEE result), and both ledgers must reconcile. (An every-check rule
-// would never let a rebuilt trace reach a replay — the gaps between
-// bursts are what recompilation needs.)
+// IEEE result), and both ledgers must reconcile.
 func TestJITAltOpFaultInCompiledBody(t *testing.T) {
 	img := buildTraceLoop(t, 200)
 	native := runNativeRig(t, img)
@@ -165,72 +163,19 @@ func TestJITAltOpFaultInCompiledBody(t *testing.T) {
 	}
 
 	if out != native {
-		t.Fatalf("alt.op faults in compiled bodies changed output:\n fpvm:   %q\n native: %q",
+		t.Fatalf("alt.op faults in replayed steps changed output:\n fpvm:   %q\n native: %q",
 			out, native)
 	}
 	if r.rt.Degradations == 0 {
 		t.Fatal("alt.op fault bursts produced no degradations")
 	}
 	if r.rt.Cache().Stats.TraceInvalidations == 0 {
-		t.Error("degradations never invalidated a compiled trace")
+		t.Error("degradations never invalidated a trace")
 	}
 	if r.rt.Tel.TraceHits == 0 {
 		t.Error("no trace replayed under alt.op faults")
 	}
-	if r.rt.JITCompiles < 2 {
-		t.Errorf("JITCompiles = %d, want >= 2 (invalidated traces must compile again)",
-			r.rt.JITCompiles)
-	}
 	if r.rt.Detached() {
 		t.Error("degradable alt.op faults escalated to detach")
-	}
-}
-
-// TestJITInvalidationDropsBody: InvalidateTraces drops the trace object
-// and its compiled body together — no trace reachable from the cache
-// afterwards carries a stale body, and a rebuilt trace compiles afresh.
-func TestJITInvalidationDropsBody(t *testing.T) {
-	r := newRig(t, buildTraceLoop(t, 400), traceLoopCfg(false), true)
-	r.run(t)
-	c := r.rt.Cache()
-	var compiled int
-	for _, tr := range c.Traces() {
-		if tr.Compiled != nil {
-			compiled++
-			if n := c.InvalidateTraces(tr.Start); n == 0 {
-				t.Errorf("InvalidateTraces(%#x) dropped nothing", tr.Start)
-			}
-		}
-	}
-	if compiled == 0 {
-		t.Fatal("no compiled trace in the cache after a hot run")
-	}
-	for _, tr := range c.Traces() {
-		if tr.Compiled != nil {
-			t.Errorf("trace %#x still carries a compiled body after invalidation", tr.Start)
-		}
-	}
-}
-
-// TestJITForkChildRecompiles: fork clones the trace table without the
-// parent's compiled bodies (they capture nothing of the parent, but the
-// per-VM rule is absolute); the child compiles each trace on its own
-// first replay and counts its own compiles.
-func TestJITForkChildRecompiles(t *testing.T) {
-	img := buildTraceLoop(t, 400)
-	parent := newRig(t, img, traceLoopCfg(false), true)
-	parent.run(t)
-	if parent.rt.JITCompiles == 0 {
-		t.Fatal("parent never compiled")
-	}
-	child := parent.p.Fork("child")
-	childRT := parent.rt.ForkChild(child)
-	for _, tr := range childRT.Cache().Traces() {
-		if tr.Compiled != nil {
-			t.Errorf("fork cloned a compiled body for trace %#x", tr.Start)
-		}
-	}
-	if childRT.JITCompiles != 0 {
-		t.Errorf("child starts with JITCompiles = %d, want 0", childRT.JITCompiles)
 	}
 }

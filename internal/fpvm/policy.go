@@ -89,8 +89,8 @@ type polSite struct {
 // matter (WidthTol), and decays back to boxed after a long run of tight
 // bounds (DecayAfter). The runtime feeds it per-RIP trap causes from
 // handleTrap and it reads the current RIP back through the bound runtime,
-// so it works unchanged on the walk and on compiled trace replay (both
-// maintain curRIP per emulated instruction).
+// so it works unchanged on the walk and on trace replay (both maintain
+// curRIP per emulated instruction).
 //
 // Values are tier-tagged by their concrete type (float64, interval.Interval,
 // *bigfp.Float); an operand produced at one tier and consumed at another is

@@ -333,7 +333,9 @@ func (r *Runtime) nativeInst(uc *kernel.Ucontext, e *dcache.Entry) error {
 	in := &e.Inst
 	switch emulClass(e.Class) {
 	case classMove:
-		return r.emulateMove(uc, in)
+		// A move computes nothing to degrade: it runs its own step.
+		_, err := r.emulate(uc, e, true)
+		return err
 
 	case classScalarArith:
 		srcBits, err := r.readOperand(uc, in, in.RMOp, 8)

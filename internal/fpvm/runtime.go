@@ -46,14 +46,6 @@ type Runtime struct {
 	SeqLimitHit    uint64
 	ThreadContexts uint64 // per-thread FPVM contexts created (§2.1)
 
-	// JITCompiles counts trace bodies compiled by this VM (jit.go), one
-	// per trace on its first replay here. Deliberately a process-local
-	// stat, not a telemetry counter: compiled bodies do not survive
-	// snapshot/fork/adoption, so a resumed or forked run legitimately
-	// recompiles and its compile count differs from an uninterrupted
-	// run's.
-	JITCompiles uint64
-
 	// Recovery ladder stats (see recovery.go).
 	Retries          uint64 // transient faults resolved by retry
 	Degradations     uint64 // operations degraded to native IEEE (or safely skipped)
@@ -230,9 +222,6 @@ func (r *Runtime) ForkChild(child *kernel.Process) *Runtime {
 	}
 	c.flt = r.flt
 	c.traceOn = r.traceOn
-	// JITCompiles is not inherited: the cloned trace table carries no
-	// compiled bodies, so the child compiles on its own first replays and
-	// counts them.
 	// The recovery ladder's state is inherited but independent: the child
 	// starts from the parent's counters and budgets (it is a copy of the
 	// parent's process image) and diverges from there; faults in one never
@@ -460,7 +449,7 @@ func (r *Runtime) handleTrap(uc *kernel.Ucontext) {
 			break
 		}
 		r.curEntry, r.phase = entry, phaseInst
-		status, err := r.emulateInst(uc, entry, count == 0)
+		status, err := r.emulate(uc, entry, count == 0)
 		r.curEntry, r.phase = nil, phaseNone
 		if err != nil {
 			// Bind/memory errors: mid-sequence the ladder degrades by
@@ -579,8 +568,7 @@ func (r *Runtime) decodeAt(rip uint64) (*dcache.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	cls := classify(in.Op)
-	e := &dcache.Entry{Inst: in, Supported: cls != classUnsupported, Class: uint8(cls)}
+	e := newEntry(in)
 	r.cache.Insert(rip, e)
 	return e, nil
 }

@@ -286,17 +286,24 @@ func (r *Runtime) restoreRT(ri *checkpoint.RuntimeImage) {
 }
 
 // restoreCache rebuilds both cache levels from their recorded shape.
-// Entries are re-decoded from restored guest memory — deterministic, and
-// charged to nobody: the suspended run already paid the decode cycles,
-// which the restored telemetry carries.
+// Entries are re-decoded from restored guest memory, steps included —
+// deterministic, and charged to nobody: the suspended run already paid
+// the decode cycles, which the restored telemetry carries. Each address
+// is decoded once, so the traces share their entries with the decode
+// cache, as the walk that built them did.
 func (r *Runtime) restoreCache(ci *checkpoint.CacheImage) error {
+	built := make(map[uint64]*dcache.Entry, len(ci.EntryRIPs))
 	rebuild := func(rip uint64) (*dcache.Entry, error) {
+		if e, ok := built[rip]; ok {
+			return e, nil
+		}
 		in, err := r.m.FetchDecode(rip)
 		if err != nil {
 			return nil, fmt.Errorf("fpvm: rebuilding decode cache at %#x: %w", rip, err)
 		}
-		cls := classify(in.Op)
-		return &dcache.Entry{Inst: in, Supported: cls != classUnsupported, Class: uint8(cls)}, nil
+		e := newEntry(in)
+		built[rip] = e
+		return e, nil
 	}
 	for _, rip := range ci.EntryRIPs {
 		e, err := rebuild(rip)

@@ -2,15 +2,11 @@ package fpvm
 
 // Trace replay (§4.2 software trace cache, L2). A trap at a known
 // sequence start replays the cached pre-decoded sequence straight
-// through its compiled body (jit.go): no per-instruction decode-cache
-// lookups, no re-decode, no re-disassembly for profiling. Scalar
-// arithmetic additionally takes an allocation-free fast path when the alt
-// system implements alt.FloatSystem — operands resolve, compute and box
-// as raw float64s, skipping every float64→interface conversion of the
-// generic walk (the dominant allocation source on the trap path).
-//
-// Replay re-evaluates each instruction's boxedness against live state, so
-// results are identical to the walk; it only *ends* where the recorded
+// through, running each entry's step (jit.go): no per-instruction
+// decode-cache lookups, no re-decode, no re-disassembly for profiling.
+// The steps are the ones the per-instruction walk runs, so replay
+// re-evaluates each instruction's boxedness against live state and its
+// results are identical to the walk's; it only *ends* where the recorded
 // trace ends. When a mid-trace instruction's operands stop being boxed
 // (the §4.2 divergence case), replay exits to the slow path at that
 // instruction and counts a divergence. Faults injected during replay ride
@@ -29,26 +25,17 @@ import (
 	"fpvm/internal/telemetry"
 )
 
-// replayTrace replays tr against uc through its compiled body (jit.go),
-// compiling the trace first when it has none: the first replay of any
-// trace this VM built, adopted from a frozen store, restored from a
-// snapshot or inherited through fork. A trace is never compiled at build
-// time, so a sequence that never repeats pays nothing. It returns true
-// when the trap was fully handled (including fatal detach); false when
-// replay declined before emulating anything — the caller then falls
-// through to the per-instruction walk for this trap.
+// replayTrace replays tr against uc, running the step of each of its
+// entries in order. It returns true when the trap was fully handled
+// (including fatal detach); false when replay declined before emulating
+// anything — the caller then falls through to the per-instruction walk
+// for this trap.
 //
-// Each iteration is an indexed step array walk plus one indirect call —
-// no Entry traversal, no class or operand dispatch. A fault check costs
-// one inlined nil test when no injector is armed, and the watchdog
-// budget is hoisted (it is a pure config read).
+// Each iteration is an indexed entry walk plus one indirect call — no
+// cache lookup, no class or operand dispatch. A fault check costs one
+// inlined nil test when no injector is armed, and the watchdog budget is
+// hoisted (it is a pure config read).
 func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart uint64) bool {
-	body, ok := tr.Compiled.(*jitBody)
-	if !ok {
-		body = r.compileTrace(tr)
-		tr.Compiled = body
-		r.JITCompiles++
-	}
 	r.charge(telemetry.Decache, r.Costs.TraceHit)
 
 	count := 0
@@ -56,16 +43,15 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 	rip := tr.Start
 	budget := r.trapCycleBudget()
 
-	for i := range body.steps {
-		step := &body.steps[i]
-		rip = step.addr
+	for i, e := range tr.Entries {
+		rip = e.Inst.Addr
 		r.curRIP = rip
 
 		// The walk checks the decode fault site once per instruction
 		// (decodeAt); replay mirrors that with a trust check on the cached
 		// entry. A fault here models a corrupted trace/decode entry: the
-		// address is invalidated (killing this trace and its body), and
-		// the sequence ends so the next trap re-decodes through the walk.
+		// address is invalidated (killing this trace), and the sequence
+		// ends so the next trap re-decodes through the walk.
 		if r.checkFault(faultinject.SiteDecode, rip) {
 			r.cache.Invalidate(rip)
 			if !r.retryFault(faultinject.SiteDecode) {
@@ -83,8 +69,8 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		}
 
 		r.charge(telemetry.Decache, r.Costs.TraceInst)
-		r.curEntry, r.phase = step.entry, phaseInst
-		status, err := step.exec(r, uc)
+		r.curEntry, r.phase = e, phaseInst
+		status, err := r.emulate(uc, e, i == 0)
 		r.curEntry, r.phase = nil, phaseNone
 		if err != nil {
 			if count > 0 {
@@ -100,11 +86,10 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 			return true
 		}
 		if status == emNotWarranted {
-			// Boxedness diverged from the recorded shape (a compiled guard
+			// Boxedness diverged from the recorded shape (a step's guard
 			// failed): exit to the slow path at this instruction. The trace
-			// and its body stay cached — operands oscillating between boxed
-			// and unboxed is normal (§4.2), and the prefix replay was still
-			// profitable.
+			// stays cached — operands oscillating between boxed and unboxed
+			// is normal (§4.2), and the prefix replay was still profitable.
 			r.Tel.TraceDivergences++
 			reason = dcache.TermNoBoxedSource
 			break
@@ -112,7 +97,7 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		count++
 		r.Tel.EmulatedInsts++
 		r.Tel.ReplayedInsts++
-		rip = step.next
+		rip = e.Inst.Addr + uint64(e.Inst.Len)
 
 		if r.m.Cycles-trapStart > budget {
 			r.WatchdogAborts++
@@ -131,7 +116,7 @@ func (r *Runtime) replayTrace(uc *kernel.Ucontext, tr *dcache.Trace, trapStart u
 		return false
 	}
 
-	if count == len(body.steps) {
+	if count == len(tr.Entries) {
 		// Full replay: resume at the end address recorded when the trace
 		// was built, keeping EndRIP authoritative over the per-step
 		// recomputation (which only early exits need).
@@ -169,7 +154,7 @@ const (
 	genericBox                // a live box holding another alt value
 )
 
-// operand is one operand of a compiled arithmetic step, looked up once:
+// operand is one operand of a scalar-arithmetic step, looked up once:
 // the guard, the choice between the float and the generic path, and the
 // resolve all read this result.
 type operand struct {
@@ -213,10 +198,10 @@ func (r *Runtime) resolveOperand(o operand) (float64, bool) {
 }
 
 // altScalarFloatOp is altScalar on the float fast path, with the fpmath
-// op mapped once at trace compile time and both operands looked up by
-// the caller: same fault ladder, same NaN-with-unboxed-operands raw-bits
-// rule, same costs — but no alt.Value ever exists, so the operation
-// allocates nothing.
+// op mapped once at decode and both operands looked up by the caller:
+// same fault ladder, same NaN-with-unboxed-operands raw-bits rule, same
+// costs — but no alt.Value ever exists, so the operation allocates
+// nothing.
 func (r *Runtime) altScalarFloatOp(fop fpmath.Op, dst, src operand) uint64 {
 	for r.checkFault(faultinject.SiteAltOp, r.curRIP) {
 		if !r.retryFault(faultinject.SiteAltOp) {

@@ -160,15 +160,9 @@ type Config struct {
 	// Tenants holds per-tenant admission contracts.
 	Tenants map[string]TenantConfig
 
-	// ShedHighWater / ShedLowWater are total queue-fill fractions that
-	// move the ladder Full→Shedding and back (defaults 0.75 / 0.25).
+	// ShedHighWater is the total queue-fill fraction that moves the
+	// ladder Full→Shedding (default 0.75); shedLowWater moves it back.
 	ShedHighWater float64
-	ShedLowWater  float64
-
-	// RetryAfterBase is the base Retry-After for shed responses without
-	// a quota-derived wait (default 1s). All Retry-After values carry
-	// ±50% deterministic jitter so shed clients don't return in lockstep.
-	RetryAfterBase time.Duration
 
 	// Seed seeds the Retry-After jitter sequence.
 	Seed uint64
@@ -205,25 +199,20 @@ func (c *Config) quantum() uint64 {
 	return c.PreemptQuantum
 }
 
+// shedLowWater is the total queue-fill fraction at or below which the
+// ladder moves Shedding→Full.
+const shedLowWater = 0.25
+
+// retryAfterBase is the base Retry-After for shed responses without a
+// quota-derived wait. Every Retry-After carries ±50% deterministic
+// jitter so shed clients don't return in lockstep.
+const retryAfterBase = time.Second
+
 func (c *Config) highWater() float64 {
 	if c.ShedHighWater <= 0 {
 		return 0.75
 	}
 	return c.ShedHighWater
-}
-
-func (c *Config) lowWater() float64 {
-	if c.ShedLowWater <= 0 {
-		return 0.25
-	}
-	return c.ShedLowWater
-}
-
-func (c *Config) retryAfterBase() time.Duration {
-	if c.RetryAfterBase <= 0 {
-		return time.Second
-	}
-	return c.RetryAfterBase
 }
 
 func (c *Config) outcomeRetention() int {
@@ -474,7 +463,7 @@ func (s *Service) check(site faultinject.Site) *faultinject.Fault {
 // told to come back spread out, not in lockstep.
 func (s *Service) retryAfter(base time.Duration) time.Duration {
 	if base <= 0 {
-		base = s.cfg.retryAfterBase()
+		base = retryAfterBase
 	}
 	s.jitterMu.Lock()
 	s.jitterSeq++
@@ -793,7 +782,7 @@ func (s *Service) updatePressureLocked() {
 	switch {
 	case fill >= s.cfg.highWater():
 		s.state = StateShedding
-	case fill <= s.cfg.lowWater():
+	case fill <= shedLowWater:
 		s.state = StateFull
 	}
 }

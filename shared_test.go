@@ -6,6 +6,7 @@ import (
 
 	"fpvm"
 	"fpvm/internal/faultinject"
+	"fpvm/internal/oracle"
 	"fpvm/internal/workloads"
 )
 
@@ -142,5 +143,90 @@ func TestSharedCacheResumeKeepsUnshared(t *testing.T) {
 	}
 	if sliced.Cycles != whole.Cycles || sliced.Stdout != whole.Stdout {
 		t.Errorf("resumed %d times: %d cycles, uninterrupted %d", resumes, sliced.Cycles, whole.Cycles)
+	}
+}
+
+// TestSharedStepsServeEveryConfig: a decode entry carries its step into
+// every VM that adopts it, so a step must read the alt system's float
+// path, EmulateAll and FutureHW from the VM that runs it, never from the
+// one that decoded it. Each micro image trains a store under boxed SEQ
+// SHORT; then every other alt system, EmulateAll (boxed and mpfr), the
+// trace cache off, SEQ off and FutureHW run the image once with a private
+// cache and once, concurrently, on that store. Both runs must print the
+// same output, exit alike and end in the same architectural state,
+// without an error or a detach. Trap counts are not compared: adopting
+// boxed-trained traces legitimately moves sequence ends under another
+// system.
+func TestSharedStepsServeEveryConfig(t *testing.T) {
+	seqShort := func(alt fpvm.AltKind) fpvm.Config { return fpvm.Config{Alt: alt, Seq: true, Short: true} }
+	configs := map[string]fpvm.Config{
+		"mpfr":          seqShort(fpvm.AltMPFR),
+		"posit":         seqShort(fpvm.AltPosit),
+		"interval":      seqShort(fpvm.AltInterval),
+		"rational":      seqShort(fpvm.AltRational),
+		"boxed-all":     {Alt: fpvm.AltBoxed, Seq: true, Short: true, EmulateAll: true},
+		"mpfr-all":      {Alt: fpvm.AltMPFR, Seq: true, Short: true, EmulateAll: true},
+		"boxed-notrace": {Alt: fpvm.AltBoxed, Seq: true, Short: true, NoTraceCache: true},
+		"boxed-noseq":   {Alt: fpvm.AltBoxed, Short: true},
+		"boxed-hw":      {Alt: fpvm.AltBoxed, Seq: true, FutureHW: true},
+	}
+	for _, name := range workloads.MicroAll() {
+		img, err := workloads.BuildMicro(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := fpvm.TrainSharedCache(img, seqShort(fpvm.AltBoxed))
+		if err != nil {
+			t.Fatalf("%s: training: %v", name, err)
+		}
+		private := make(map[string]*fpvm.Result, len(configs))
+		for label, cfg := range configs {
+			res, err := fpvm.Run(img, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: private run: %v", name, label, err)
+			}
+			private[label] = res
+		}
+		var mu sync.Mutex
+		shared := make(map[string]*fpvm.Result, len(configs))
+		var wg sync.WaitGroup
+		for label, cfg := range configs {
+			cfg.Shared = store
+			wg.Add(1)
+			go func(label string, cfg fpvm.Config) {
+				defer wg.Done()
+				res, err := fpvm.Run(img, cfg)
+				if err != nil {
+					t.Errorf("%s/%s: run on the store: %v", name, label, err)
+					return
+				}
+				mu.Lock()
+				shared[label] = res
+				mu.Unlock()
+			}(label, cfg)
+		}
+		wg.Wait()
+		for label, want := range private {
+			got, ok := shared[label]
+			if !ok {
+				continue // its error is reported above
+			}
+			where := string(name) + "/" + label
+			if want.Detached || got.Detached {
+				t.Errorf("%s: detached (private %v, on the store %v)", where, want.Detached, got.Detached)
+			}
+			if got.SharedHits+got.SharedTraceHits == 0 {
+				t.Errorf("%s: adopted nothing from the store", where)
+			}
+			if got.Stdout != want.Stdout || got.ExitCode != want.ExitCode {
+				t.Errorf("%s: output or exit code differs on the store (exit %d, private %d)",
+					where, got.ExitCode, want.ExitCode)
+			}
+			if got.Final == nil || want.Final == nil {
+				t.Errorf("%s: no final state", where)
+			} else if oracle.Digest(got.Final) != oracle.Digest(want.Final) {
+				t.Errorf("%s: final state differs on the store: %s", where, oracle.DiffFinal(want.Final, got.Final))
+			}
+		}
 	}
 }
